@@ -36,7 +36,7 @@ from .femomega import (
     unit_gauss_rule,
 )
 from .meshing import build_ymesh, select_params_h, select_params_hp
-from .solver import SolutionTensor, build_system, cylinder_rhs, solve
+from .solver import SolutionTensor, SolverError, build_system, cylinder_rhs, solve
 from .spectral import (
     BoxDomain,
     FractionalProblem,
@@ -352,7 +352,6 @@ def run_level(
     n: int,
     *,
     tol: float = 1e-9,
-    preconditioner: str = "tensor",
     k_modes: int | None = None,
     n_gauss: int = 8,
     mu: float | None = None,
@@ -380,7 +379,11 @@ def run_level(
     system = build_system(omega, weighted)
     load = assemble_load(grid, problem, n_gauss)
     rhs = cylinder_rhs(system, load)
-    sol = solve(system, rhs, rel_tol=tol, preconditioner=preconditioner)
+    try:
+        sol = solve(system, rhs, rel_tol=tol)
+    except SolverError as exc:
+        raise SolverError(f"{scheme} s={problem.s:g} d={d} n={n}: {exc}",
+                          residual=exc.residual, iterations=exc.iterations) from exc
     f_inner = load / problem.d_s
     err = energy_error(problem, grid, sol.trace, n_gauss=n_gauss, f_inner=f_inner)
     if k_modes is None:

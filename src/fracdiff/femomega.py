@@ -70,13 +70,10 @@ def _p1_factors(n: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
 
 @dataclass(frozen=True)
 class OmegaMatrices:
-    """Mass/stiffness pair on interior nodes, plus the 1-D factors they are
-    built from (used by the tensor solver)."""
+    """Mass/stiffness pair on interior nodes."""
 
     A_mass: sparse.csr_matrix
     A_stiff: sparse.csr_matrix
-    mass_1d: sparse.csr_matrix
-    stiff_1d: sparse.csr_matrix
     grid: OmegaGrid
 
     @property
@@ -91,7 +88,7 @@ def assemble_omega_matrices(grid: OmegaGrid) -> OmegaMatrices:
     else:
         A_mass = sparse.kron(m1, m1).tocsr()
         A_stiff = (sparse.kron(k1, m1) + sparse.kron(m1, k1)).tocsr()
-    return OmegaMatrices(A_mass=A_mass, A_stiff=A_stiff, mass_1d=m1, stiff_1d=k1, grid=grid)
+    return OmegaMatrices(A_mass=A_mass, A_stiff=A_stiff, grid=grid)
 
 
 @lru_cache(maxsize=None)
@@ -107,17 +104,10 @@ def sine_hat_integrals(grid: OmegaGrid, k: int, n_gauss: int = 8) -> np.ndarray:
         raise ValueError("frequency index must be >= 1")
     n, h = grid.n, grid.h
     t, w = unit_gauss_rule(n_gauss)
-    out = np.zeros(n - 1)
-    for e in range(n):
-        x = (e + t) * h
-        vals = np.sin(k * math.pi * x)
-        up = vals * t * w * h        # weight of the hat rising on this cell
-        down = vals * (1.0 - t) * w * h
-        if e + 1 <= n - 1:
-            out[e] += up.sum()       # hat centered at the right cell edge
-        if e >= 1:
-            out[e - 1] += down.sum()  # hat centered at the left cell edge
-    return out
+    vals = np.sin(k * math.pi * h * (np.arange(n)[:, None] + t)) * (w * h)  # (cell, point)
+    # node i gets the rising hat of the cell on its left and the falling
+    # hat of the cell on its right
+    return (vals @ t)[:-1] + (vals @ (1.0 - t))[1:]
 
 
 def assemble_f_inner(grid: OmegaGrid, f: ModalFunction, n_gauss: int = 8) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Matrix-free solver for the tensor-product system
+"""Exact solver for the tensor-product system
 ``S = B_mass (x) A_stiff + B_stiff (x) A_mass``.
 
 The coefficient tensor is stored as an ``(N_omega, N_y)`` array; the flat
@@ -7,19 +7,25 @@ the first y-basis function first (Fortran flattening of the tensor), under
 which the dense equivalent of the operator is exactly
 ``kron(B_mass, A_stiff) + kron(B_stiff, A_mass)``.
 
-``solve`` runs preconditioned conjugate gradients. The default Jacobi
-preconditioner fits small instances; the optional ``"tensor"``
-preconditioner diagonalizes the base direction and solves shifted
-extended-direction systems by Cholesky, keeping iteration counts mesh
-independent. The convergence-study driver uses the latter.
+``solve`` inverts ``S`` by fast diagonalization (Lynch, Rice & Thomas,
+1964). The uniform P1/Q1 base matrices have closed-form sine eigenvectors,
+so an orthonormal DST-I diagonalizes the base direction and ``S`` splits
+into one extended-direction system ``omega*B_mass + B_stiff`` per base
+eigenvalue ``omega``. Each of those is solved exactly: the bumps of every
+element are condensed onto the vertex dofs through the element's own
+generalized eigenpairs, and the remaining vertex tridiagonal is factored by
+one LDL^T sweep that runs over all shifts at once. Iterative refinement with
+the same factorization brings the true residual below the requested
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .fem1d import WeightedMatrices
@@ -27,7 +33,8 @@ from .femomega import OmegaMatrices
 
 
 class SolverError(RuntimeError):
-    """Conjugate gradients did not reach the requested tolerance."""
+    """The extended-direction factorization met a non-positive pivot, or
+    iterative refinement stopped short of the requested tolerance."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -41,7 +48,6 @@ class KroneckerSystem:
 
     omega: OmegaMatrices
     y: WeightedMatrices
-    _tensor_cache: "TensorPreconditioner | None" = field(default=None, repr=False)
 
     @property
     def n_omega(self) -> int:
@@ -54,18 +60,6 @@ class KroneckerSystem:
     @property
     def n_total(self) -> int:
         return self.n_omega * self.n_y
-
-    def diagonal(self) -> np.ndarray:
-        da_s = self.omega.A_stiff.diagonal()
-        da_m = self.omega.A_mass.diagonal()
-        db_m = self.y.B_mass.diagonal()
-        db_s = self.y.B_stiff.diagonal()
-        return np.outer(da_s, db_m) + np.outer(da_m, db_s)
-
-    def tensor_preconditioner(self) -> "TensorPreconditioner":
-        if self._tensor_cache is None:
-            self._tensor_cache = TensorPreconditioner.build(self)
-        return self._tensor_cache
 
 
 def build_system(omega: OmegaMatrices, y: WeightedMatrices) -> KroneckerSystem:
@@ -104,79 +98,139 @@ def cylinder_rhs(system: KroneckerSystem, load: np.ndarray) -> np.ndarray:
     return rhs
 
 
+def _p1_eigenvalues(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mass and stiffness eigenvalues of the uniform 1-D P1 matrices for the
+    sampled sines ``sin(k*pi*x_i)``, ``k = 1..n-1``; half-angle forms avoid
+    the cancellation in ``1 - cos(k*pi*h)`` for small ``k``."""
+    h = 1.0 / n
+    sin2 = np.sin(np.arange(1, n) * (math.pi * h / 2.0)) ** 2
+    return h * (1.0 - 2.0 * sin2 / 3.0), 4.0 * sin2 / h
+
+
+@dataclass
+class _Bumps:
+    """One element's bump block in its generalized eigenbasis:
+    ``W^T Sbb W = diag(theta)`` and ``W^T Mbb W = I``; ``P`` and ``Q`` are
+    the vertex-bump mass and stiffness couplings in that basis."""
+
+    verts: np.ndarray
+    bumps: np.ndarray
+    W: np.ndarray
+    theta: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
+
+    def coupling(self, shifts: np.ndarray) -> np.ndarray:
+        """``omega*P + Q`` for every shift, shape ``(verts, bumps, shifts)``."""
+        return self.P[:, :, None] * shifts + self.Q[:, :, None]
+
+    def inverse_diagonal(self, shifts: np.ndarray) -> np.ndarray:
+        """``1/(omega + theta)``, shape ``(bumps, shifts)``."""
+        return 1.0 / np.add.outer(self.theta, shifts)
+
+
+def _pivot_error(where: str) -> SolverError:
+    return SolverError(
+        f"non-positive pivot in the extended-direction factorization ({where}): "
+        "the y-matrix pair is not symmetric positive definite",
+        residual=math.nan,
+        iterations=0,
+    )
+
+
 @dataclass
 class TensorPreconditioner:
-    """Kronecker-structured preconditioner.
+    """Exact inverse of ``S`` by fast diagonalization; in :func:`solve` it is
+    the preconditioner of iterative refinement.
 
-    The base direction is diagonalized exactly through the 1-D generalized
-    eigenpairs (a well-conditioned pencil on uniform grids). In the extended
-    direction every eigenvalue ``omega`` would require its own solve with
-    ``omega*B_mass + B_stiff``; the eigenvalues are therefore grouped into
-    geometric buckets of ratio 2 and one Cholesky factorization per bucket
-    is shared by its members. The preconditioned operator has spectrum in
-    ``[1/sqrt(2), sqrt(2)]`` independent of mesh grading and polynomial
-    degrees, because the extended-direction matrices are never spectrally
-    decomposed (their generalized eigenvalues can span too many orders of
-    magnitude to be computed reliably).
+    Rows of the working tensor are y-dofs, columns base-domain eigenmodes,
+    so every step below is vectorized over all shifts ``omega``; Python
+    loops run over elements and vertices only.
     """
 
     d: int
-    n1: int
-    Q: np.ndarray          # 1-D base-direction eigenvectors, mass-orthonormal
-    bucket_slices: list
-    bucket_factors: list
-    perm: np.ndarray       # base-direction dofs sorted by bucket
-    inv_perm: np.ndarray
-
-    RATIO = 2.0
+    mass_eig: np.ndarray   # base-direction mass eigenvalue of every mode
+    shifts: np.ndarray     # generalized eigenvalue omega of every mode
+    elements: list         # _Bumps of every element with degree >= 2
+    pivots: np.ndarray     # (vertices, shifts): D of the vertex LDL^T
+    lower: np.ndarray      # (vertices - 1, shifts): subdiagonal of L
 
     @classmethod
     def build(cls, system: KroneckerSystem) -> "TensorPreconditioner":
-        k1 = system.omega.stiff_1d.toarray()
-        m1 = system.omega.mass_1d.toarray()
-        w, Q = scipy.linalg.eigh(k1, m1)
+        grid = system.omega.grid
+        mass, stiff = _p1_eigenvalues(grid.n)
+        if grid.d == 1:
+            mass_eig, shifts = mass, stiff / mass
+        else:
+            mass_eig = np.outer(mass, mass).ravel()
+            shifts = np.add.outer(stiff / mass, stiff / mass).ravel()
 
-        d = system.omega.grid.d
-        omega = w if d == 1 else (w[:, None] + w[None, :]).reshape(-1)
+        Bm, Bs, dofmap = system.y.B_mass.tocsr(), system.y.B_stiff.tocsr(), system.y.dofmap
+        nv = dofmap.M
+        diag = np.outer(Bm.diagonal()[:nv], shifts) + Bs.diagonal()[:nv, None]
+        off = (np.outer(Bm[:nv, :nv].diagonal(1), shifts)
+               + Bs[:nv, :nv].diagonal(1)[:, None])
 
-        log_ratio = math.log(cls.RATIO)
-        bucket_ids = np.floor(np.log(omega / omega.min()) / log_ratio).astype(int)
-        perm = np.argsort(bucket_ids, kind="stable")
-        sorted_ids = bucket_ids[perm]
-        inv_perm = np.argsort(perm)
+        elements = []
+        for m, p in enumerate(dofmap.degrees, start=1):
+            if p == 1:
+                continue
+            glob, _ = dofmap.element_dofs(m)
+            verts, bumps = glob[glob < nv], glob[glob >= nv]
+            try:
+                theta, W = scipy.linalg.eigh(Bs[bumps][:, bumps].toarray(),
+                                             Bm[bumps][:, bumps].toarray())
+            except np.linalg.LinAlgError as exc:
+                raise _pivot_error(f"bump block of element {m}") from exc
+            el = _Bumps(verts, bumps, W, theta,
+                        Bm[verts][:, bumps].toarray() @ W, Bs[verts][:, bumps].toarray() @ W)
+            inv = el.inverse_diagonal(shifts)
+            if not np.all(inv > 0.0):
+                raise _pivot_error(f"bump block of element {m}")
+            C = el.coupling(shifts)
+            for i, vi in enumerate(verts):
+                diag[vi] -= np.sum(C[i] * C[i] * inv, axis=0)
+            if verts.size == 2:
+                off[verts[0]] -= np.sum(C[0] * C[1] * inv, axis=0)
+            elements.append(el)
 
-        Bm = system.y.B_mass.toarray()
-        Bs = system.y.B_stiff.toarray()
-        slices, factors = [], []
-        start = 0
-        while start < sorted_ids.size:
-            stop = int(np.searchsorted(sorted_ids, sorted_ids[start], side="right"))
-            members = perm[start:stop]
-            center = math.exp(
-                0.5 * (math.log(omega[members].min()) + math.log(omega[members].max()))
-            )
-            factors.append(scipy.linalg.cho_factor(center * Bm + Bs, lower=True))
-            slices.append(slice(start, stop))
-            start = stop
-        return cls(d=d, n1=m1.shape[0], Q=Q, bucket_slices=slices,
-                   bucket_factors=factors, perm=perm, inv_perm=inv_perm)
+        for i in range(nv - 1):
+            off[i] /= diag[i]
+            diag[i + 1] -= off[i] * off[i] * diag[i]
+        if not np.all(diag > 0.0):
+            raise _pivot_error("vertex tridiagonal")
+        return cls(d=grid.d, mass_eig=mass_eig, shifts=shifts, elements=elements,
+                   pivots=diag, lower=off)
 
-    def _x_transform(self, R: np.ndarray, forward: bool) -> np.ndarray:
-        Q = self.Q.T if forward else self.Q
-        n1, ny = self.n1, R.shape[1]
+    def _dst(self, T: np.ndarray) -> np.ndarray:
+        """Orthonormal DST-I over the base-domain axes of a ``(N_y,
+        N_omega)`` tensor; it is its own inverse."""
         if self.d == 1:
-            return Q @ R
-        T = Q @ R.reshape(n1, n1 * ny)
-        T = T.reshape(n1, n1, ny).transpose(1, 0, 2).reshape(n1, n1 * ny)
-        T = Q @ T
-        return T.reshape(n1, n1, ny).transpose(1, 0, 2).reshape(n1 * n1, ny)
+            return scipy.fft.dst(T, type=1, axis=1, norm="ortho", overwrite_x=True)
+        m = math.isqrt(T.shape[1])
+        out = scipy.fft.dstn(T.reshape(-1, m, m), type=1, axes=(1, 2), norm="ortho",
+                             overwrite_x=True)
+        return out.reshape(T.shape)
 
     def apply(self, R: np.ndarray) -> np.ndarray:
-        G = self._x_transform(R, forward=True)[self.perm]
-        Z = np.empty_like(G)
-        for sl, factor in zip(self.bucket_slices, self.bucket_factors):
-            Z[sl] = scipy.linalg.cho_solve(factor, G[sl].T).T
-        return self._x_transform(Z[self.inv_perm], forward=False)
+        G = self._dst(np.array(R.T, order="C"))
+        G /= self.mass_eig
+        shifts = self.shifts
+        for el in self.elements:
+            t = el.W.T @ G[el.bumps]
+            G[el.bumps] = t
+            G[el.verts] -= np.einsum("ikn,kn->in", el.coupling(shifts),
+                                     t * el.inverse_diagonal(shifts))
+        L, nv = self.lower, self.pivots.shape[0]
+        for i in range(nv - 1):
+            G[i + 1] -= L[i] * G[i]
+        G[:nv] /= self.pivots
+        for i in range(nv - 2, -1, -1):
+            G[i] -= L[i] * G[i + 1]
+        for el in self.elements:
+            z = G[el.bumps] - np.einsum("ikn,in->kn", el.coupling(shifts), G[el.verts])
+            G[el.bumps] = el.W @ (z * el.inverse_diagonal(shifts))
+        return self._dst(G).T
 
 
 @dataclass
@@ -199,87 +253,35 @@ def extract_trace(solution: SolutionTensor) -> np.ndarray:
     return solution.trace
 
 
-def solve(
-    system: KroneckerSystem,
-    rhs,
-    rel_tol: float = 1e-10,
-    max_iter: int | None = None,
-    preconditioner: str = "jacobi",
-) -> SolutionTensor:
-    """Preconditioned conjugate gradients on the implicit operator.
+def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTensor:
+    """Exact solve refined until the true relative residual
+    ``||B - S X|| / ||B||`` is at most ``rel_tol``.
 
-    Stops when both the preconditioned and the plain relative residual drop
-    below ``rel_tol``, verified against the true residual. Raises
-    :class:`SolverError` after the iteration budget (default
-    ``50*sqrt(N)``) or when the verified residual stalls above the
-    tolerance at the attainable accuracy floor.
+    ``iterations`` counts applications of the inverse. Raises
+    :class:`SolverError` on a non-positive pivot or when a refinement step
+    fails to halve the residual (``rel_tol`` below the attainable floor).
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     B, _ = _as_tensor(system, rhs)
-    if max_iter is None:
-        max_iter = int(math.ceil(50.0 * math.sqrt(system.n_total)))
-
-    if preconditioner == "jacobi":
-        diag = system.diagonal()
-        apply_prec = lambda R: R / diag
-    elif preconditioner == "tensor":
-        fact = system.tensor_preconditioner()
-        apply_prec = fact.apply
-    else:
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
-
     norm_b = math.sqrt(float(np.vdot(B, B)))
     if norm_b == 0.0:
         return SolutionTensor(np.zeros_like(B), 0, 0.0)
-    Zb = apply_prec(B)
-    prec_norm_b = math.sqrt(float(np.vdot(B, Zb)))
-
-    X = np.zeros_like(B)
-    R = B.copy()
-    Z = apply_prec(R)
-    P = Z.copy()
-    rz = float(np.vdot(R, Z))
-    relres = 1.0
-    best_verified = math.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        Q = kron_matvec(system, P)
-        alpha = rz / float(np.vdot(P, Q))
-        X += alpha * P
-        R -= alpha * Q
-        Z = apply_prec(R)
-        rz_new = float(np.vdot(R, Z))
-        prec_rel = math.sqrt(abs(rz_new)) / prec_norm_b
-        rec_rel = math.sqrt(float(np.vdot(R, R))) / norm_b
-        relres = max(prec_rel, rec_rel)
+    inverse = TensorPreconditioner.build(system)
+    X = inverse.apply(B)
+    applies, previous = 1, math.inf
+    while True:
+        R = B - kron_matvec(system, X)
+        relres = math.sqrt(float(np.vdot(R, R))) / norm_b
         if relres <= rel_tol:
-            # the recursive residual can drift below the attainable
-            # accuracy; verify against the true residual and restart from it
-            R_true = B - kron_matvec(system, X)
-            true_rel = math.sqrt(float(np.vdot(R_true, R_true))) / norm_b
-            if true_rel <= rel_tol:
-                return SolutionTensor(X, it, true_rel)
-            if true_rel > 0.5 * best_verified:
-                raise SolverError(
-                    f"residual stalled at {true_rel:.3e} after {it} iterations; "
-                    f"rel_tol={rel_tol:.1e} is below the attainable floor",
-                    residual=true_rel,
-                    iterations=it,
-                )
-            best_verified = true_rel
-            relres = true_rel
-            R = R_true
-            Z = apply_prec(R)
-            P = Z.copy()
-            rz = float(np.vdot(R, Z))
-            continue
-        beta = rz_new / rz
-        rz = rz_new
-        P = Z + beta * P
-    raise SolverError(
-        f"no convergence after {max_iter} iterations (relative residual {relres:.3e})",
-        residual=relres,
-        iterations=max_iter,
-    )
+            return SolutionTensor(X, applies, relres)
+        if not (math.isfinite(relres) and relres <= 0.5 * previous):
+            raise SolverError(
+                f"residual stalled at {relres:.3e} after {applies} applications of "
+                f"the inverse; rel_tol={rel_tol:.1e} is below the attainable floor",
+                residual=relres,
+                iterations=applies,
+            )
+        previous = relres
+        X += inverse.apply(R)
+        applies += 1

@@ -125,13 +125,30 @@ class TestSolveCommand:
         assert lines[1].startswith("0.1,")
 
     def test_solver_failure_exits_3(self, tmp_path, capsys):
-        # tolerance far below attainable precision forces the iteration cap
+        # tolerance far below attainable precision: refinement stalls
         code = run_cli(
             ["solve", "--scheme", "hfem", "--s", "0.2", "--d", "1", "--n", "64",
-             "--tol", "1e-30", "--preconditioner", "jacobi", "--out", str(tmp_path / "x")]
+             "--tol", "1e-30", "--out", str(tmp_path / "x")]
         )
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
+
+    def test_solver_failure_names_the_level(self, tmp_path, capsys):
+        code = run_cli(
+            ["solve", "--scheme", "hpfem", "--s", "0.35", "--d", "2", "--n", "8,12",
+             "--tol", "1e-30", "--out", str(tmp_path / "x")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        for part in ("hpfem", "s=0.35", "d=2", "n=8"):
+            assert part in err
+
+    def test_preconditioner_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preconditioner=jacobi\n")
+        code = run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "unknown key 'preconditioner'" in capsys.readouterr().err
 
 
 class TestStudyAndCompare:

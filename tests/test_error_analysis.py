@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracdiff.error_analysis import (
     StudyRow,
@@ -17,8 +18,18 @@ from fracdiff.error_analysis import (
 from fracdiff.fem1d import assemble_weighted_matrices
 from fracdiff.femomega import assemble_load, assemble_omega_matrices, build_grid
 from fracdiff.meshing import build_ymesh, select_params_h, select_params_hp
-from fracdiff.solver import build_system, cylinder_rhs, solve
-from fracdiff.spectral import benchmark_problem, solve_fractional
+from fracdiff.solver import SolverError, build_system, cylinder_rhs, solve
+from fracdiff.spectral import (
+    BoxDomain,
+    FractionalProblem,
+    benchmark_problem,
+    modal_function,
+    solve_fractional,
+)
+
+# a fixed six-mode load from {1..7} (plain sine coefficients)
+SIX_MODE_LOAD = [((1,), -0.92405), ((2,), 1.147553), ((3,), 1.217464),
+                 ((5,), -1.448832), ((6,), -1.404512), ((7,), 1.127371)]
 
 
 def solve_benchmark(s, d, n, scheme="hfem", tol=1e-11):
@@ -33,7 +44,7 @@ def solve_benchmark(s, d, n, scheme="hfem", tol=1e-11):
     weighted = assemble_weighted_matrices(mesh, alpha=problem.alpha)
     system = build_system(assemble_omega_matrices(grid), weighted)
     rhs = cylinder_rhs(system, assemble_load(grid, problem))
-    sol = solve(system, rhs, rel_tol=tol, preconditioner="tensor")
+    sol = solve(system, rhs, rel_tol=tol)
     return problem, grid, weighted, sol
 
 
@@ -244,7 +255,7 @@ class TestStudyDriver:
             weighted = assemble_weighted_matrices(m, alpha=problem.alpha)
             system = build_system(assemble_omega_matrices(grid), weighted)
             rhs = cylinder_rhs(system, assemble_load(grid, problem))
-            sol = solve(system, rhs, rel_tol=1e-12, preconditioner="tensor")
+            sol = solve(system, rhs, rel_tol=1e-12)
             errs.append(energy_error(problem, grid, sol.trace))
         assert errs[1] <= errs[0] * (1 + 1e-10)
 
@@ -261,3 +272,55 @@ class TestStudyDriver:
             [r.energy_error for r in seq], rel=1e-12
         )
         assert [r.N_total for r in par] == [r.N_total for r in seq]
+
+
+def refined_resolvent(weighted, w):
+    """``e0' (w B_mass + B_stiff)^-1 e0`` from a diagonally scaled dense
+    Cholesky solve, iteratively refined with extended-precision residuals."""
+    exact = w * weighted.B_mass.toarray().astype(np.longdouble) + weighted.B_stiff.toarray()
+    scale = 1.0 / np.sqrt(np.diag(exact).astype(float))
+    scaled = scale[:, None] * exact * scale[None, :]
+    factor = scipy.linalg.cho_factor(scaled.astype(float), lower=True)
+    e0 = np.zeros(scale.size)
+    e0[0] = 1.0
+    x = scipy.linalg.cho_solve(factor, e0)
+    for _ in range(3):
+        x = x + scipy.linalg.cho_solve(factor, (e0 - scaled @ x).astype(float))
+    return float(x[0] * scale[0] ** 2)
+
+
+class TestSolverAccuracy:
+    def test_energy_error_matches_exact_discrete_value(self):
+        # hp, s=0.2: the identity-based energy error amplifies the solver's
+        # relative error about 1e5-fold, so a single application of the
+        # exact inverse in double precision is not accurate enough
+        s, n = 0.2, 128
+        domain = BoxDomain(1)
+        problem = FractionalProblem(
+            s=s, domain=domain, f=modal_function(domain, SIX_MODE_LOAD, "plain")
+        )
+        row = run_level(problem, "hpfem", n)
+
+        # every plain sine is an eigenvector of the uniform P1 pencil, so the
+        # exact discrete solution splits into one resolvent per mode
+        grid = build_grid(1, n)
+        params = select_params_hp(grid.h_omega, s, problem.domain.lambda1)
+        weighted = assemble_weighted_matrices(build_ymesh(params), alpha=problem.alpha)
+        h = grid.h
+        i_h = 0.0
+        for (k,), c in SIX_MODE_LOAD:
+            cos = math.cos(k * math.pi * h)
+            mass, stiff = h * (4.0 + 2.0 * cos) / 6.0, (2.0 - 2.0 * cos) / h
+            gamma = 2.0 * (1.0 - cos) / ((k * math.pi) ** 2 * h)
+            r = refined_resolvent(weighted, stiff / mass)
+            i_h += problem.d_s * (c * gamma) ** 2 * r / mass * n / 2.0
+        want = math.sqrt(problem.d_s * (exact_data_product(problem) - i_h))
+        assert row.energy_error == pytest.approx(want, rel=1e-6)
+
+    def test_solver_failure_names_the_level(self):
+        problem = benchmark_problem(0.4, 1)
+        with pytest.raises(SolverError) as err:
+            run_level(problem, "hfem", 16, tol=1e-30)
+        assert str(err.value).startswith("hfem s=0.4 d=1 n=16: ")
+        assert err.value.residual > 0.0
+        assert err.value.iterations >= 2

@@ -118,6 +118,14 @@ class TestLoad:
         got = sine_hat_integrals(grid, k)
         assert np.max(np.abs(got - sine_hat_closed_form(9, k))) < 1e-12
 
+    @pytest.mark.parametrize("n,k", [(8, 1), (9, 7), (64, 5), (1024, 1), (1024, 40)])
+    def test_sine_hat_closed_form_fine_grids(self, n, k):
+        # 2(1 - cos(k pi h))/((k pi)^2 h) sin(k pi x_i), in the half-angle
+        # form of the helper: 1 - cos(k pi h) itself cancels to ~4e-12 at n=1024
+        want = sine_hat_closed_form(n, k)
+        got = sine_hat_integrals(build_grid(1, n), k)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
     def test_quadrature_refinement_stable(self):
         problem = benchmark_problem(0.4, 2)
         grid = build_grid(2, 6)

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdiff.fem1d import assemble_weighted_matrices
 from fracdiff.femomega import assemble_load, assemble_omega_matrices, build_grid
@@ -94,13 +98,12 @@ class TestKronMatvec:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("preconditioner", ["jacobi", "tensor"])
-    def test_manufactured_solution(self, preconditioner):
+    def test_manufactured_solution(self):
         system = make_system(d=1, n=14, mesh=graded_mesh(9, 0.35, 1.8), alpha=-0.2)
         rng = np.random.default_rng(7)
         w = rng.standard_normal((system.n_omega, system.n_y))
         rhs = kron_matvec(system, w)
-        sol = solve(system, rhs, rel_tol=1e-10, preconditioner=preconditioner)
+        sol = solve(system, rhs, rel_tol=1e-10)
         rel = np.linalg.norm(sol.coefficients - w) / np.linalg.norm(w)
         assert rel < 1e-8
 
@@ -136,37 +139,96 @@ class TestSolve:
         assert np.linalg.norm(res) / np.linalg.norm(rhs) <= tol
 
     def test_nonconvergence_reports_residual(self):
+        # an unattainable tolerance: refinement stalls at the rounding floor
         system = make_system(d=1, n=10, mesh=graded_mesh(6, 0.3, 1.5), alpha=0.4)
         rng = np.random.default_rng(9)
         rhs = rng.standard_normal((system.n_omega, system.n_y))
         with pytest.raises(SolverError) as err:
-            solve(system, rhs, rel_tol=1e-10, max_iter=2)
+            solve(system, rhs, rel_tol=1e-30)
         assert err.value.residual > 0.0
-        assert err.value.iterations == 2
+        assert err.value.iterations >= 2
+        assert "stalled" in str(err.value)
 
-    def test_tensor_matches_jacobi(self):
+    def test_hp_2d_matches_dense_solve(self):
         system = make_system(d=2, n=6, mesh=hp_mesh(4, 0.125, 1.5, 0.7), alpha=-0.6)
         rng = np.random.default_rng(31)
         rhs = rng.standard_normal((system.n_omega, system.n_y))
-        a = solve(system, rhs, rel_tol=1e-12, preconditioner="jacobi")
-        b = solve(system, rhs, rel_tol=1e-12, preconditioner="tensor")
-        rel = np.linalg.norm(a.coefficients - b.coefficients) / np.linalg.norm(a.coefficients)
-        assert rel < 1e-9
+        a = np.linalg.solve(dense_operator(system), rhs.reshape(-1, order="F"))
+        b = solve(system, rhs, rel_tol=1e-12).coefficients.reshape(-1, order="F")
+        assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-9
 
     def test_tensor_iterations_stay_small_on_hard_mesh(self):
-        # severe grading: the shifted-solve preconditioner keeps conditioning
-        # bounded where pure diagonal scaling degrades
+        # severe grading: the exact inverse needs at most two refinement
+        # steps where diagonal scaling would need thousands of iterations
         mesh = graded_mesh(64, 0.16, 2.5)
         system = make_system(d=1, n=64, mesh=mesh, alpha=0.6)
         rng = np.random.default_rng(13)
         rhs = rng.standard_normal((system.n_omega, system.n_y))
-        sol = solve(system, rhs, rel_tol=1e-10, preconditioner="tensor")
-        assert sol.iterations <= 25
+        sol = solve(system, rhs, rel_tol=1e-10)
+        assert sol.iterations <= 3
 
-    def test_invalid_preconditioner(self):
+    def test_non_finite_rhs_raises(self):
         system = make_system()
-        with pytest.raises(ValueError):
-            solve(system, np.zeros((system.n_omega, system.n_y)), preconditioner="air")
+        rhs = np.ones((system.n_omega, system.n_y))
+        rhs[0, 0] = np.nan
+        with pytest.raises(SolverError):
+            solve(system, rhs)
+
+    def test_invalid_tolerance(self):
+        system = make_system()
+        for tol in (0.0, -1e-9):
+            with pytest.raises(ValueError):
+                solve(system, np.ones((system.n_omega, system.n_y)), rel_tol=tol)
+
+    @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(4, 0.125, 2.0, 0.7)])
+    def test_indefinite_y_pair_raises(self, mesh):
+        # negated stiffness: omega*B_mass - B_stiff is indefinite for the
+        # smallest shifts, so the factorization meets a non-positive pivot
+        system = make_system(d=1, n=8, mesh=mesh, alpha=0.3)
+        flipped = replace(system.y, B_stiff=-system.y.B_stiff)
+        system = build_system(system.omega, flipped)
+        with pytest.raises(SolverError) as err:
+            solve(system, np.ones((system.n_omega, system.n_y)))
+        assert "pivot" in str(err.value)
+
+
+def _ymesh(family, M, grading, Y):
+    if family == "graded":
+        return graded_mesh(M, grading, Y)
+    return hp_mesh(M, grading / 4.0, Y, 0.7)
+
+
+@st.composite
+def oracle_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 12 if d == 1 else 6))
+    family = draw(st.sampled_from(["graded", "geometric"]))
+    M = draw(st.integers(1, 4))
+    mesh = _ymesh(family, M, draw(st.floats(0.2, 1.0)), draw(st.floats(0.5, 3.0)))
+    degrees = draw(st.one_of(
+        st.none(), st.lists(st.integers(1, 4), min_size=M, max_size=M)
+    ))
+    alpha = draw(st.floats(-0.99, 0.99))
+    return d, n, mesh, degrees, alpha, draw(st.integers(0, 2**32 - 1))
+
+
+class TestExactSolveOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_cases())
+    def test_matches_dense_kronecker_solve(self, case):
+        d, n, mesh, degrees, alpha, seed = case
+        omega = assemble_omega_matrices(build_grid(d, n))
+        system = build_system(omega, assemble_weighted_matrices(mesh, degrees, alpha=alpha))
+        rhs = np.random.default_rng(seed).standard_normal((system.n_omega, system.n_y))
+        # symmetric diagonal scaling keeps the dense oracle accurate on
+        # strongly graded meshes
+        dense = dense_operator(system)
+        scale = 1.0 / np.sqrt(np.diag(dense))
+        want = scale * np.linalg.solve(
+            scale[:, None] * dense * scale[None, :], scale * rhs.reshape(-1, order="F")
+        )
+        got = solve(system, rhs, rel_tol=1e-10).coefficients.reshape(-1, order="F")
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
 class TestTrace:
@@ -193,7 +255,7 @@ class TestTrace:
         weighted = assemble_weighted_matrices(mesh, alpha=problem.alpha)
         system = build_system(omega, weighted)
         rhs = cylinder_rhs(system, assemble_load(grid, problem))
-        sol = solve(system, rhs, rel_tol=1e-10, preconditioner="tensor")
+        sol = solve(system, rhs, rel_tol=1e-10)
         trace = extract_trace(sol).reshape(grid.n - 1, grid.n - 1)
         mid = (grid.n - 1) // 2
         # peak of sin(pi x)sin(pi y) sampled near the center
