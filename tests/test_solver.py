@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,8 +98,40 @@ class TestKronMatvec:
             assert float(x @ kron_matvec(system, x)) > 0.0
 
 
+def jacobi_pcg_reference(system, rhs, rel_tol):
+    # oracle: diagonally scaled conjugate gradients on the operator
+    diag = np.outer(system.omega.A_stiff.diagonal(), system.y.B_mass.diagonal())
+    diag += np.outer(system.omega.A_mass.diagonal(), system.y.B_stiff.diagonal())
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = r / diag
+    p = z.copy()
+    rz = float(np.vdot(r, z))
+    target = rel_tol * np.linalg.norm(rhs)
+    for _ in range(20 * system.n_total):
+        if np.linalg.norm(r) <= target:
+            return x
+        q = kron_matvec(system, p)
+        step = rz / float(np.vdot(p, q))
+        x += step * p
+        r -= step * q
+        z = r / diag
+        rz_new = float(np.vdot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("Jacobi PCG reference did not converge")
+
+
+def tensor_eigen_reference(system, rhs, rel_tol):
+    # oracle: generalized eigenpairs in both directions diagonalize S
+    lam, V = scipy.linalg.eigh(system.omega.A_stiff.toarray(), system.omega.A_mass.toarray())
+    mu, W = scipy.linalg.eigh(system.y.B_stiff.toarray(), system.y.B_mass.toarray())
+    return V @ ((V.T @ rhs @ W) / (lam[:, None] + mu[None, :])) @ W.T
+
+
 class TestSolve:
-    def test_manufactured_solution(self):
+    @pytest.mark.parametrize("reference", ["jacobi", "tensor"])
+    def test_manufactured_solution(self, reference):
         system = make_system(d=1, n=14, mesh=graded_mesh(9, 0.35, 1.8), alpha=-0.2)
         rng = np.random.default_rng(7)
         w = rng.standard_normal((system.n_omega, system.n_y))
@@ -106,6 +139,10 @@ class TestSolve:
         sol = solve(system, rhs, rel_tol=1e-10)
         rel = np.linalg.norm(sol.coefficients - w) / np.linalg.norm(w)
         assert rel < 1e-8
+        oracle = {"jacobi": jacobi_pcg_reference, "tensor": tensor_eigen_reference}
+        ref = oracle[reference](system, rhs, 1e-10)
+        assert np.linalg.norm(ref - w) / np.linalg.norm(w) < 1e-8
+        assert np.linalg.norm(sol.coefficients - ref) / np.linalg.norm(ref) < 1e-8
 
     def test_zero_rhs(self):
         system = make_system()
