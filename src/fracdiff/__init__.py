@@ -3,8 +3,10 @@ the truncated-cylinder extension, with graded-mesh h-FEM or geometric-mesh
 hp-FEM in the extended direction."""
 
 from .error_analysis import (
+    Discretization,
     StudyRow,
     direct_energy_error_small,
+    discretize,
     dof_gap,
     energy_error,
     observed_orders,
@@ -14,7 +16,6 @@ from .error_analysis import (
 )
 from .fem1d import (
     GLInterpolant,
-    ShapeBasis,
     WeightedMatrices,
     assemble_weighted_matrices,
     eval_in_VM,
@@ -26,10 +27,8 @@ from .femomega import (
     OmegaMatrices,
     assemble_load,
     assemble_omega_matrices,
-    build_grid,
 )
 from .meshing import (
-    DegreeVector,
     DiscretizationParams,
     YMesh,
     build_ymesh,
@@ -44,9 +43,7 @@ from .solver import (
     KroneckerSystem,
     SolutionTensor,
     SolverError,
-    build_system,
     cylinder_rhs,
-    extract_trace,
     kron_matvec,
     solve,
 )

@@ -308,7 +308,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 def cmd_selftest() -> int:
     import numpy as np
 
-    from . import fem1d, meshing, solver, spectral
+    from . import meshing, solver, spectral
     from .specialfunc import PsiProfile, derivative_coeffs, psi
 
     checks: list[tuple[str, bool]] = []
@@ -344,11 +344,8 @@ def cmd_selftest() -> int:
     checks.append(("fractional norm isometry",
                    abs(spectral.hs_norm(u, 0.6) - spectral.hs_norm(problem.f, -0.6)) < 1e-13))
 
-    from .femomega import assemble_omega_matrices, build_grid
-    grid = build_grid(1, 6)
-    omega = assemble_omega_matrices(grid)
-    wm = fem1d.assemble_weighted_matrices(gm, alpha=problem.alpha)
-    system = solver.build_system(omega, wm)
+    level = ea.discretize(spectral.benchmark_problem(0.6, 1), "hpfem", 6)
+    system = level.system
     rng = np.random.default_rng(7)
     w = rng.standard_normal((system.n_omega, system.n_y))
     rhs = solver.kron_matvec(system, w)
@@ -356,6 +353,7 @@ def cmd_selftest() -> int:
     rel = np.linalg.norm(rec.coefficients - w) / np.linalg.norm(w)
     checks.append(("exact solve manufactured solution", bool(rel < 1e-8)))
 
+    omega, wm = system.omega, system.y
     dense = np.kron(wm.B_mass.toarray(), omega.A_stiff.toarray()) + np.kron(
         wm.B_stiff.toarray(), omega.A_mass.toarray()
     )

@@ -1,4 +1,4 @@
-"""Error measures and the convergence-study driver.
+"""One-level discretization, error measures and the convergence-study driver.
 
 The energy error of the cylinder discretization is computed through the
 identity ``error**2 = d_s * (int f*u - int f*u_h)`` over the base domain,
@@ -11,9 +11,7 @@ fractional Sobolev norm by modal projection.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,12 +29,11 @@ from .femomega import (
     assemble_f_inner,
     assemble_load,
     assemble_omega_matrices,
-    build_grid,
     sine_hat_integrals,
     unit_gauss_rule,
 )
-from .meshing import build_ymesh, select_params_h, select_params_hp
-from .solver import SolutionTensor, SolverError, build_system, cylinder_rhs, solve
+from .meshing import YMesh, build_ymesh, select_params_h, select_params_hp
+from .solver import KroneckerSystem, SolutionTensor, SolverError, cylinder_rhs, solve
 from .spectral import (
     BoxDomain,
     FractionalProblem,
@@ -346,57 +343,83 @@ def _default_mode_count(problem: FractionalProblem) -> int:
     return count
 
 
-def run_level(
+@dataclass(frozen=True)
+class Discretization:
+    """The tensor system of one refinement level: the base grid, the
+    extended-direction mesh and its weighted matrices, the Kronecker
+    operator, the base-domain load and the cylinder right-hand side."""
+
+    grid: OmegaGrid
+    mesh: YMesh
+    weighted: WeightedMatrices
+    system: KroneckerSystem
+    load: np.ndarray
+    rhs: np.ndarray
+
+
+def discretize(
     problem: FractionalProblem,
     scheme: str,
     n: int,
     *,
-    tol: float = 1e-9,
-    k_modes: int | None = None,
-    n_gauss: int = 8,
     mu: float | None = None,
     sigma: float = 0.125,
     beta: float = 0.7,
     m_mult: float = 1.0,
     y_mult: float = 1.0,
-) -> StudyRow:
-    """Assemble, solve, and measure a single refinement level."""
-    t0 = time.perf_counter()
-    d = problem.domain.d
-    grid = build_grid(d, n)
+) -> Discretization:
+    """Build the level with ``n`` cells per direction: P1/Q1 in the base
+    domain and, in the extended direction, graded h-FEM (``"hfem"``) or
+    geometric hp-FEM (``"hpfem"``) with the parameters that
+    :func:`~fracdiff.meshing.select_params_h` or
+    :func:`~fracdiff.meshing.select_params_hp` derive from the mesh size."""
+    grid = OmegaGrid(problem.domain.d, n)
     lam1 = problem.domain.lambda1
     if scheme == "hfem":
         params = select_params_h(grid.h_omega, problem.s, lam1, mu=mu,
                                  m_mult=m_mult, y_mult=y_mult)
     elif scheme == "hpfem":
         params = select_params_hp(grid.h_omega, problem.s, lam1, sigma=sigma,
-                                  beta=beta, m_factor=1.75 * m_mult, y_mult=y_mult)
+                                  beta=beta, m_mult=m_mult, y_mult=y_mult)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     mesh = build_ymesh(params)
     weighted = assemble_weighted_matrices(mesh, alpha=problem.alpha)
-    omega = assemble_omega_matrices(grid)
-    system = build_system(omega, weighted)
-    load = assemble_load(grid, problem, n_gauss)
-    rhs = cylinder_rhs(system, load)
+    system = KroneckerSystem(assemble_omega_matrices(grid), weighted)
+    load = assemble_load(grid, problem)
+    return Discretization(grid=grid, mesh=mesh, weighted=weighted, system=system,
+                          load=load, rhs=cylinder_rhs(system, load))
+
+
+def run_level(
+    problem: FractionalProblem,
+    scheme: str,
+    n: int,
+    *,
+    tol: float = 1e-9,
+    **mesh_overrides,
+) -> StudyRow:
+    """Discretize, solve, and measure a single refinement level;
+    ``mesh_overrides`` are the keyword parameters of :func:`discretize`."""
+    t0 = time.perf_counter()
+    level = discretize(problem, scheme, n, **mesh_overrides)
+    grid = level.grid
     try:
-        sol = solve(system, rhs, rel_tol=tol)
+        sol = solve(level.system, level.rhs, rel_tol=tol)
     except SolverError as exc:
-        raise SolverError(f"{scheme} s={problem.s:g} d={d} n={n}: {exc}",
+        raise SolverError(f"{scheme} s={problem.s:g} d={grid.d} n={n}: {exc}",
                           residual=exc.residual, iterations=exc.iterations) from exc
-    f_inner = load / problem.d_s
-    err = energy_error(problem, grid, sol.trace, n_gauss=n_gauss, f_inner=f_inner)
-    if k_modes is None:
-        k_modes = _default_mode_count(problem)
-    tr_err = trace_hs_error(problem, grid, sol.trace, k_modes, n_gauss=n_gauss).value
+    f_inner = level.load / problem.d_s
+    err = energy_error(problem, grid, sol.trace, f_inner=f_inner)
+    tr_err = trace_hs_error(problem, grid, sol.trace, _default_mode_count(problem)).value
     wall = time.perf_counter() - t0
     return StudyRow(
         h_omega=grid.h_omega,
         N_omega=grid.n_dofs,
-        M=mesh.M,
-        N_Y=weighted.n_dofs,
-        N_total=grid.n_dofs * weighted.n_dofs,
-        Y=mesh.Y,
+        M=level.mesh.M,
+        N_Y=level.weighted.n_dofs,
+        N_total=level.system.n_total,
+        Y=level.mesh.Y,
         energy_error=err,
         trace_hs_error=tr_err,
         solve_iterations=sol.iterations,
@@ -412,36 +435,24 @@ def run_convergence_study(
     n_list=None,
     *,
     f_entries=None,
-    base_n: int = 8,
     **level_kwargs,
 ) -> list[StudyRow]:
     """Run a refinement sequence and return one row per level.
 
     ``n_list`` gives explicit cell counts; otherwise ``levels`` doublings
-    starting from ``base_n``. The FRACDIFF_THREADS environment variable caps
-    how many rows run concurrently (default: sequential).
+    starting from 8 cells per direction.
     """
     if n_list is None:
         if levels is None or levels < 1:
             raise ValueError("need levels >= 1 or an explicit n_list")
-        n_list = [base_n * 2**i for i in range(levels)]
-    n_list = [int(n) for n in n_list]
+        n_list = [8 * 2**i for i in range(levels)]
     domain = BoxDomain(d)
     if f_entries is None:
         problem = benchmark_problem(s, d)
     else:
         problem = FractionalProblem(s=s, domain=domain,
                                     f=modal_function(domain, f_entries, "plain"))
-
-    workers = int(os.environ.get("FRACDIFF_THREADS", "1") or "1")
-    if workers > 1 and len(n_list) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda n: run_level(problem, scheme, n, **level_kwargs), n_list
-            ))
-    else:
-        rows = [run_level(problem, scheme, n, **level_kwargs) for n in n_list]
-    return rows
+    return [run_level(problem, scheme, int(n), **level_kwargs) for n in n_list]
 
 
 def observed_orders(rows: list[StudyRow], log_power: float = 0.0) -> list[float]:

@@ -24,7 +24,7 @@ from numpy.polynomial import legendre as npleg
 from scipy import sparse
 from scipy.special import eval_legendre, roots_jacobi
 
-from .meshing import DegreeVector, YMesh
+from .meshing import YMesh
 
 # Gauss-Legendre rules are enlarged until the analyticity estimate for the
 # weight puts the truncation error below 1e-20; elements too close to the
@@ -73,19 +73,6 @@ def shape_derivatives(q: int, t) -> np.ndarray:
         for k in range(2, q + 1):
             out[k] = math.sqrt(2.0 * (2.0 * k - 1.0)) * V[:, k - 1]
     return out
-
-
-@dataclass(frozen=True)
-class ShapeBasis:
-    """Reference-element hierarchical basis of maximal degree ``q``."""
-
-    q: int
-
-    def values(self, t) -> np.ndarray:
-        return shape_values(self.q, t)
-
-    def derivatives(self, t) -> np.ndarray:
-        return shape_derivatives(self.q, t)
 
 
 def gauss_lobatto_points(q: int, interval=(-1.0, 1.0)) -> np.ndarray:
@@ -223,8 +210,6 @@ class WeightedMatrices:
 def _resolve_degrees(mesh: YMesh, degrees) -> tuple[int, ...]:
     if degrees is None:
         return tuple(mesh.degrees)
-    if isinstance(degrees, DegreeVector):
-        return tuple(degrees.p)
     return tuple(int(p) for p in degrees)
 
 

@@ -52,10 +52,6 @@ class OmegaGrid:
         return np.arange(1, self.n) * self.h
 
 
-def build_grid(d: int, n: int) -> OmegaGrid:
-    return OmegaGrid(d=d, n=n)
-
-
 def _p1_factors(n: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     h = 1.0 / n
     m = n - 1

@@ -51,23 +51,10 @@ class YMesh:
     def h(self) -> np.ndarray:
         return np.diff(np.asarray(self.nodes))
 
-    def dof_count(self) -> int:
-        """Continuous piecewise-polynomial dimension before constraining the
-        value at ``Y``: ``1 + sum(p_m)``."""
-        return 1 + int(sum(self.degrees))
-
     def n_dofs(self) -> int:
         """System size with the zero condition at ``Y`` applied:
         ``sum(p_m)``."""
         return int(sum(self.degrees))
-
-
-@dataclass(frozen=True)
-class DegreeVector:
-    """Linear degree vector of slope ``beta`` on a geometric mesh."""
-
-    p: tuple[int, ...]
-    beta: float
 
 
 def graded_mesh(M: int, mu: float, Y: float) -> YMesh:
@@ -84,7 +71,7 @@ def graded_mesh(M: int, mu: float, Y: float) -> YMesh:
 
 def geometric_mesh(M: int, sigma: float, Y: float) -> YMesh:
     """Geometric mesh ``y_0 = 0``, ``y_m = sigma**(M-m) * Y`` with all
-    degrees 1 (attach a degree vector via :func:`with_degrees`)."""
+    degrees 1 (:func:`hp_mesh` attaches the linear degree vector)."""
     if M < 1:
         raise ValueError("M must be >= 1")
     if not 0.0 < sigma < 1.0:
@@ -95,7 +82,7 @@ def geometric_mesh(M: int, sigma: float, Y: float) -> YMesh:
     return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M, family="geometric", param=sigma)
 
 
-def linear_degree_vector(mesh: YMesh, beta: float) -> DegreeVector:
+def linear_degree_vector(mesh: YMesh, beta: float) -> tuple[int, ...]:
     """Degree vector ``p_1 = 1`` and ``p_m = ceil(1 + beta*ln(h_m/h_1))`` for
     ``m >= 2`` on a geometric mesh.
 
@@ -112,18 +99,13 @@ def linear_degree_vector(mesh: YMesh, beta: float) -> DegreeVector:
     p = [1]
     for m in range(2, mesh.M + 1):
         p.append(max(1, math.ceil(1.0 + beta * math.log(h[m - 1] / h[0]))))
-    return DegreeVector(p=tuple(p), beta=beta)
-
-
-def with_degrees(mesh: YMesh, degrees: DegreeVector) -> YMesh:
-    """Attach a degree vector to a mesh."""
-    return replace(mesh, degrees=tuple(degrees.p))
+    return tuple(p)
 
 
 def hp_mesh(M: int, sigma: float, Y: float, beta: float) -> YMesh:
     """Geometric mesh equipped with its linear degree vector."""
     mesh = geometric_mesh(M, sigma, Y)
-    return with_degrees(mesh, linear_degree_vector(mesh, beta))
+    return replace(mesh, degrees=linear_degree_vector(mesh, beta))
 
 
 @dataclass(frozen=True)
@@ -177,16 +159,16 @@ def select_params_hp(
     lambda1: float,
     sigma: float = 0.125,
     beta: float = 0.7,
-    m_factor: float = 1.75,
+    m_mult: float = 1.0,
     y_mult: float = 1.0,
 ) -> DiscretizationParams:
     """Geometric-mesh parameters: ``sigma = 0.125``, ``beta = 0.7``,
-    ``M = ceil(m_factor*|ln h_omega|/(s*|ln sigma|))`` and the same
+    ``M = ceil(1.75*m_mult*|ln h_omega|/(s*|ln sigma|))`` and the same
     truncation height as the graded scheme."""
     _check_h(h_omega)
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma={sigma} must lie in (0, 1)")
-    M = max(1, math.ceil(m_factor * abs(math.log(h_omega)) / (s * abs(math.log(sigma)))))
+    M = max(1, math.ceil(1.75 * m_mult * abs(math.log(h_omega)) / (s * abs(math.log(sigma)))))
     Y = _truncation_height(h_omega, lambda1, y_mult)
     return DiscretizationParams(
         scheme="hpfem", h_omega=h_omega, s=s, lambda1=lambda1, M=M, Y=Y,

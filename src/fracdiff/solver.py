@@ -62,10 +62,6 @@ class KroneckerSystem:
         return self.n_omega * self.n_y
 
 
-def build_system(omega: OmegaMatrices, y: WeightedMatrices) -> KroneckerSystem:
-    return KroneckerSystem(omega=omega, y=y)
-
-
 def _as_tensor(system: KroneckerSystem, x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -247,10 +243,6 @@ class SolutionTensor:
         """Coefficients of the unique y-basis function supported at the
         bottom of the cylinder; nodal values of the trace."""
         return self.coefficients[:, 0].copy()
-
-
-def extract_trace(solution: SolutionTensor) -> np.ndarray:
-    return solution.trace
 
 
 def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTensor:

@@ -239,21 +239,6 @@ def exact_extended(problem: FractionalProblem, x, y) -> float | np.ndarray:
     return total
 
 
-def exact_extended_ygrad(problem: FractionalProblem, x, y) -> float | np.ndarray:
-    """Partial derivative of the extended solution in the extended
-    direction, for ``y > 0``."""
-    u = solve_fractional(problem)
-    y_arr = np.asarray(y, dtype=float)
-    profile = problem.profile
-    total = 0.0
-    for mode, coef in u.modes:
-        root = math.sqrt(mode.lam)
-        total = total + coef * mode(x) * root * psi_prime(profile, root * y_arr)
-    if np.ndim(total) == 0:
-        return float(total)
-    return total
-
-
 def tail_energy(problem: FractionalProblem, Y: float) -> float:
     """Squared weighted-gradient energy of the extended solution above the
     truncation height ``Y >= 1``.

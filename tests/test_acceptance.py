@@ -13,23 +13,16 @@ import pytest
 
 from fracdiff.error_analysis import (
     direct_energy_error_small,
+    discretize,
     dof_gap,
     energy_error,
     observed_orders,
     run_convergence_study,
 )
 from fracdiff.fem1d import assemble_weighted_matrices
-from fracdiff.femomega import assemble_load, assemble_omega_matrices, build_grid
-from fracdiff.meshing import (
-    build_ymesh,
-    geometric_mesh,
-    graded_mesh,
-    hp_mesh,
-    linear_degree_vector,
-    select_params_h,
-    select_params_hp,
-)
-from fracdiff.solver import build_system, cylinder_rhs, kron_matvec, solve
+from fracdiff.femomega import OmegaGrid, assemble_omega_matrices
+from fracdiff.meshing import geometric_mesh, graded_mesh, hp_mesh, linear_degree_vector
+from fracdiff.solver import KroneckerSystem, kron_matvec, solve
 from fracdiff.specialfunc import (
     PsiProfile,
     decay_envelope_constant,
@@ -193,14 +186,14 @@ def test_criterion_06_mesh_lemmas():
         checks.append(abs(gh[m - 1] - 0.875 * 0.125 ** (1 - m) * gh[0]) <= 1e-12 * gh[m - 1])
 
     beta = 0.7
-    p = linear_degree_vector(geo, beta).p
+    p = linear_degree_vector(geo, beta)
     checks.append(p[0] == 1)
     for m in range(2, 10):
         slope = math.log(0.875) + (1 - m) * math.log(0.125)
         checks.append(1 + beta * slope <= p[m - 1] + 1e-9 <= 2 + beta * slope + 2e-9)
 
     hp = hp_mesh(9, 0.125, 2.3, 0.7)
-    checks.append(hp.dof_count() == 1 + sum(hp.degrees))
+    checks.append(hp.n_dofs() == sum(hp.degrees))
 
     report(6, "mesh lemma suite", all(checks), f"{len(checks)} checks")
 
@@ -209,9 +202,9 @@ def test_criterion_07_linear_algebra_oracles(direct_q1_assembly):
     checks = []
     rng = np.random.default_rng(101)
 
-    omega = assemble_omega_matrices(build_grid(1, 11))
+    omega = assemble_omega_matrices(OmegaGrid(1, 11))
     weighted = assemble_weighted_matrices(hp_mesh(5, 0.125, 1.6, 0.7), alpha=-0.6)
-    system = build_system(omega, weighted)
+    system = KroneckerSystem(omega, weighted)
     assert system.n_total <= 1000
     dense = np.kron(weighted.B_mass.toarray(), omega.A_stiff.toarray()) + np.kron(
         weighted.B_stiff.toarray(), omega.A_mass.toarray()
@@ -222,9 +215,9 @@ def test_criterion_07_linear_algebra_oracles(direct_q1_assembly):
         err = np.max(np.abs(kron_matvec(system, x) - want)) / np.abs(want).max()
         checks.append(err <= 1e-13)
 
-    omega_m = assemble_omega_matrices(build_grid(1, 14))
+    omega_m = assemble_omega_matrices(OmegaGrid(1, 14))
     weighted_m = assemble_weighted_matrices(graded_mesh(9, 0.35, 1.8), alpha=-0.2)
-    system_m = build_system(omega_m, weighted_m)
+    system_m = KroneckerSystem(omega_m, weighted_m)
     w = rng.standard_normal((system_m.n_omega, system_m.n_y))
     rhs_m = kron_matvec(system_m, w)
     sol = solve(system_m, rhs_m, rel_tol=1e-10)
@@ -238,7 +231,7 @@ def test_criterion_07_linear_algebra_oracles(direct_q1_assembly):
         np.linalg.norm(sol.coefficients - direct) / np.linalg.norm(direct) < 1e-8
     )
 
-    omega2 = assemble_omega_matrices(build_grid(2, 3))
+    omega2 = assemble_omega_matrices(OmegaGrid(2, 3))
     mass, stiff = direct_q1_assembly(3)
     checks.append(np.max(np.abs(omega2.A_mass.toarray() - mass)) <= 1e-13 * mass.max())
     checks.append(
@@ -253,21 +246,11 @@ def test_criterion_08_energy_identity_cross_check():
     for s in (0.3, 0.5, 0.75):
         for scheme in ("hfem", "hpfem"):
             problem = benchmark_problem(s, 1)
-            grid = build_grid(1, 24)
-            lam1 = problem.domain.lambda1
-            params = (
-                select_params_h(grid.h_omega, s, lam1)
-                if scheme == "hfem"
-                else select_params_hp(grid.h_omega, s, lam1)
-            )
-            mesh = build_ymesh(params)
-            weighted = assemble_weighted_matrices(mesh, alpha=problem.alpha)
-            system = build_system(assemble_omega_matrices(grid), weighted)
-            assert system.n_total <= 5000
-            rhs = cylinder_rhs(system, assemble_load(grid, problem))
-            sol = solve(system, rhs, rel_tol=1e-11)
-            identity = energy_error(problem, grid, sol.trace)
-            direct = direct_energy_error_small(problem, grid, weighted, sol)
+            level = discretize(problem, scheme, 24)
+            assert level.system.n_total <= 5000
+            sol = solve(level.system, level.rhs, rel_tol=1e-11)
+            identity = energy_error(problem, level.grid, sol.trace)
+            direct = direct_energy_error_small(problem, level.grid, level.weighted, sol)
             rel = abs(direct - identity) / identity
             details.append(f"{scheme} s={s}: {rel:.4%}")
             ok = ok and rel <= 0.02

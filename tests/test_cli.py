@@ -1,14 +1,32 @@
+import csv
 import json
+import math
 
 import pytest
 
 from fracdiff.cli import CSV_COLUMNS, main, parse_modes, read_config_file
+from fracdiff.meshing import hp_mesh
 
 QUICK = ["--s", "0.5", "--d", "1", "--levels", "3", "--deterministic"]
 
 
 def run_cli(argv):
     return main(argv)
+
+
+def selection_rule(scheme, n, mu=None, sigma=0.125, beta=0.7, m_mult=1.0, y_mult=1.0):
+    """``(M, N_Y, Y)`` of the s=0.5, d=1 level with ``n`` cells, from the
+    parameter rules written out: ``Y = y_mult*max(3|ln h|/pi, 1)``; h-FEM has
+    ``M = ceil(m_mult/h)`` linear elements (``mu`` grades them and changes
+    no size); hp-FEM has ``M = ceil(1.75*m_mult*|ln h|/(s*|ln sigma|))``
+    geometric elements with the linear degree vector of slope ``beta``."""
+    h = 1.0 / n
+    Y = y_mult * max(3.0 * abs(math.log(h)) / math.pi, 1.0)
+    if scheme == "hfem":
+        M = math.ceil(m_mult / h)
+        return M, M, Y
+    M = max(1, math.ceil(1.75 * m_mult * abs(math.log(h)) / (0.5 * abs(math.log(sigma)))))
+    return M, hp_mesh(M, sigma, Y, beta).n_dofs(), Y
 
 
 class TestParsing:
@@ -142,6 +160,34 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         for part in ("hpfem", "s=0.35", "d=2", "n=8"):
             assert part in err
+
+    @pytest.mark.parametrize("scheme,name,value", [
+        ("hfem", "mu", 0.9),
+        ("hfem", "m_mult", 2.0),
+        ("hfem", "y_mult", 2.0),
+        ("hpfem", "sigma", 0.3),
+        ("hpfem", "beta", 1.4),
+        # at 2 the hp levels from n=16 on stop at the residual floor (exit 3)
+        ("hpfem", "m_mult", 1.5),
+        ("hpfem", "y_mult", 2.0),
+    ])
+    def test_mesh_override_moves_sizes_by_the_rule(self, tmp_path, scheme, name, value):
+        argv = ["solve", "--scheme", scheme, "--s", "0.5", "--d", "1", "--n", "8,32",
+                "--deterministic"]
+        flag = "--" + name.replace("_", "-")
+        assert run_cli([*argv, "--out", str(tmp_path / "default")]) == 0
+        assert run_cli([*argv, flag, str(value), "--out", str(tmp_path / "override")]) == 0
+        with open(tmp_path / "default.csv") as f0, open(tmp_path / "override.csv") as f1:
+            pairs = list(zip(csv.DictReader(f0), csv.DictReader(f1)))
+        assert len(pairs) == 2
+        for n, (default, changed) in zip((8, 32), pairs):
+            for row, kwargs in ((default, {}), (changed, {name: value})):
+                M, N_Y, Y = selection_rule(scheme, n, **kwargs)
+                assert (int(row["M"]), int(row["N_Y"])) == (M, N_Y)
+                assert float(row["Y"]) == pytest.approx(Y, rel=1e-11)
+            if name != "mu":
+                assert selection_rule(scheme, n, **{name: value}) != selection_rule(scheme, n)
+            assert changed["energy_error"] != default["energy_error"]
 
     def test_preconditioner_config_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -7,6 +7,7 @@ import scipy.linalg
 from fracdiff.error_analysis import (
     StudyRow,
     direct_energy_error_small,
+    discretize,
     dof_gap,
     energy_error,
     exact_data_product,
@@ -16,9 +17,8 @@ from fracdiff.error_analysis import (
     trace_hs_error,
 )
 from fracdiff.fem1d import assemble_weighted_matrices
-from fracdiff.femomega import assemble_load, assemble_omega_matrices, build_grid
-from fracdiff.meshing import build_ymesh, select_params_h, select_params_hp
-from fracdiff.solver import SolverError, build_system, cylinder_rhs, solve
+from fracdiff.femomega import OmegaGrid
+from fracdiff.solver import KroneckerSystem, SolverError, cylinder_rhs, solve
 from fracdiff.spectral import (
     BoxDomain,
     FractionalProblem,
@@ -34,18 +34,9 @@ SIX_MODE_LOAD = [((1,), -0.92405), ((2,), 1.147553), ((3,), 1.217464),
 
 def solve_benchmark(s, d, n, scheme="hfem", tol=1e-11):
     problem = benchmark_problem(s, d)
-    grid = build_grid(d, n)
-    lam1 = problem.domain.lambda1
-    if scheme == "hfem":
-        params = select_params_h(grid.h_omega, s, lam1)
-    else:
-        params = select_params_hp(grid.h_omega, s, lam1)
-    mesh = build_ymesh(params)
-    weighted = assemble_weighted_matrices(mesh, alpha=problem.alpha)
-    system = build_system(assemble_omega_matrices(grid), weighted)
-    rhs = cylinder_rhs(system, assemble_load(grid, problem))
-    sol = solve(system, rhs, rel_tol=tol)
-    return problem, grid, weighted, sol
+    level = discretize(problem, scheme, n)
+    sol = solve(level.system, level.rhs, rel_tol=tol)
+    return problem, level.grid, level.weighted, sol
 
 
 def exact_nodal_trace(problem, grid):
@@ -62,12 +53,12 @@ class TestEnergyError:
         # error of the zero trace: d_s * lambda_1^s / 4 under the square root
         for s in [0.2, 0.5, 0.8]:
             problem = benchmark_problem(s, 2)
-            grid = build_grid(2, 8)
+            grid = OmegaGrid(2, 8)
             err = energy_error(problem, grid, np.zeros(grid.n_dofs))
             want = math.sqrt(problem.d_s * (2 * math.pi**2) ** s / 4.0)
             assert err == pytest.approx(want, rel=1e-9)
         problem = benchmark_problem(0.5, 2)
-        err = energy_error(problem, build_grid(2, 8), np.zeros(49))
+        err = energy_error(problem, OmegaGrid(2, 8), np.zeros(49))
         assert err == pytest.approx(1.0539073652554058, rel=1e-9)
 
     def test_exact_data_product(self):
@@ -80,7 +71,7 @@ class TestEnergyError:
         problem = benchmark_problem(0.6, 1)
         errs = []
         for n in (16, 32, 64):
-            grid = build_grid(1, n)
+            grid = OmegaGrid(1, n)
             errs.append(energy_error(problem, grid, exact_nodal_trace(problem, grid)))
         assert errs[0] < 0.2
         assert errs[1] < errs[0] and errs[2] < errs[1]
@@ -94,7 +85,7 @@ class TestEnergyError:
 
     def test_inconsistent_trace_rejected(self):
         problem = benchmark_problem(0.5, 1)
-        grid = build_grid(1, 8)
+        grid = OmegaGrid(1, 8)
         giant = 100.0 * exact_nodal_trace(problem, grid)
         with pytest.raises(ValueError):
             energy_error(problem, grid, giant)
@@ -109,10 +100,8 @@ class TestDirectEnergyError:
         problem = FractionalProblem(
             s=0.5, domain=domain, f=modal_function(domain, [((1,), 0.0)])
         )
-        grid = build_grid(1, 6)
-        params = select_params_h(grid.h_omega, 0.5, domain.lambda1)
-        mesh = build_ymesh(params)
-        weighted = assemble_weighted_matrices(mesh, alpha=0.0)
+        level = discretize(problem, "hfem", 6)
+        grid, weighted = level.grid, level.weighted
         sol = SolutionTensor(
             coefficients=np.zeros((grid.n_dofs, weighted.n_dofs)),
             iterations=0,
@@ -154,7 +143,7 @@ class TestDirectEnergyError:
 class TestTraceHsError:
     def test_zero_trace_gives_solution_norm(self):
         problem = benchmark_problem(0.6, 2)
-        grid = build_grid(2, 12)
+        grid = OmegaGrid(2, 12)
         lam = 2 * math.pi**2
         res = trace_hs_error(problem, grid, np.zeros(grid.n_dofs), k_modes=10)
         # orthonormal coefficient of the solution is 1/2
@@ -164,7 +153,7 @@ class TestTraceHsError:
         problem = benchmark_problem(0.5, 1)
         vals = []
         for n in (16, 32, 64):
-            grid = build_grid(1, n)
+            grid = OmegaGrid(1, n)
             vals.append(
                 trace_hs_error(problem, grid, exact_nodal_trace(problem, grid), 12).value
             )
@@ -183,7 +172,7 @@ class TestTraceHsError:
 
     def test_requires_mode_coverage(self):
         problem = benchmark_problem(0.5, 2)
-        grid = build_grid(2, 8)
+        grid = OmegaGrid(2, 8)
         with pytest.raises(ValueError):
             trace_hs_error(problem, grid, np.zeros(grid.n_dofs), k_modes=0)
 
@@ -242,36 +231,26 @@ class TestStudyDriver:
         from fracdiff.meshing import YMesh
 
         problem = benchmark_problem(0.6, 1)
-        grid = build_grid(1, 12)
-        params = select_params_hp(grid.h_omega, 0.6, problem.domain.lambda1)
-        mesh = build_ymesh(params)
+        level = discretize(problem, "hpfem", 12)
+        mesh = level.mesh
         raised = YMesh(
             Y=mesh.Y, nodes=mesh.nodes,
             degrees=tuple(p + 1 for p in mesh.degrees),
             family="geometric", param=mesh.param,
         )
+        raised_system = KroneckerSystem(
+            level.system.omega, assemble_weighted_matrices(raised, alpha=problem.alpha)
+        )
         errs = []
-        for m in (mesh, raised):
-            weighted = assemble_weighted_matrices(m, alpha=problem.alpha)
-            system = build_system(assemble_omega_matrices(grid), weighted)
-            rhs = cylinder_rhs(system, assemble_load(grid, problem))
-            sol = solve(system, rhs, rel_tol=1e-12)
-            errs.append(energy_error(problem, grid, sol.trace))
+        for system in (level.system, raised_system):
+            sol = solve(system, cylinder_rhs(system, level.load), rel_tol=1e-12)
+            errs.append(energy_error(problem, level.grid, sol.trace))
         assert errs[1] <= errs[0] * (1 + 1e-10)
 
     def test_run_level_rejects_unknown_scheme(self):
         problem = benchmark_problem(0.5, 1)
         with pytest.raises(ValueError):
             run_level(problem, "spectral", 8)
-
-    def test_threaded_rows_match_sequential(self, monkeypatch):
-        seq = run_convergence_study("hfem", 0.5, 1, levels=3)
-        monkeypatch.setenv("FRACDIFF_THREADS", "3")
-        par = run_convergence_study("hfem", 0.5, 1, levels=3)
-        assert [r.energy_error for r in par] == pytest.approx(
-            [r.energy_error for r in seq], rel=1e-12
-        )
-        assert [r.N_total for r in par] == [r.N_total for r in seq]
 
 
 def refined_resolvent(weighted, w):
@@ -303,10 +282,8 @@ class TestSolverAccuracy:
 
         # every plain sine is an eigenvector of the uniform P1 pencil, so the
         # exact discrete solution splits into one resolvent per mode
-        grid = build_grid(1, n)
-        params = select_params_hp(grid.h_omega, s, problem.domain.lambda1)
-        weighted = assemble_weighted_matrices(build_ymesh(params), alpha=problem.alpha)
-        h = grid.h
+        level = discretize(problem, "hpfem", n)
+        weighted, h = level.weighted, level.grid.h
         i_h = 0.0
         for (k,), c in SIX_MODE_LOAD:
             cos = math.cos(k * math.pi * h)

@@ -5,10 +5,10 @@ import pytest
 import scipy.linalg
 
 from fracdiff.femomega import (
+    OmegaGrid,
     assemble_f_inner,
     assemble_load,
     assemble_omega_matrices,
-    build_grid,
     sine_hat_integrals,
 )
 from fracdiff.spectral import BoxDomain, FractionalProblem, benchmark_problem, modal_function
@@ -25,47 +25,47 @@ def sine_hat_closed_form(n, k):
 
 class TestGrid:
     def test_1d_example(self):
-        grid = build_grid(1, 4)
+        grid = OmegaGrid(1, 4)
         assert grid.n_dofs == 3
         assert grid.h_omega == pytest.approx(0.25)
         assert np.allclose(grid.interior_nodes, [0.25, 0.5, 0.75])
 
     def test_2d_example(self):
-        grid = build_grid(2, 4)
+        grid = OmegaGrid(2, 4)
         assert grid.n_dofs == 9
         assert grid.h_omega == pytest.approx(math.sqrt(2) / 4)
 
     def test_dof_growth(self):
         # N_omega ~ h^(-d): the normalized product stays bounded
         products = [
-            build_grid(2, n).n_dofs * build_grid(2, n).h_omega ** 2 for n in (4, 8, 16)
+            OmegaGrid(2, n).n_dofs * OmegaGrid(2, n).h_omega ** 2 for n in (4, 8, 16)
         ]
         assert max(products) / min(products) < 2.0
-        h = [build_grid(2, n).h_omega for n in (4, 8, 16)]
+        h = [OmegaGrid(2, n).h_omega for n in (4, 8, 16)]
         assert h[1] == pytest.approx(h[0] / 2) and h[2] == pytest.approx(h[1] / 2)
 
     def test_too_few_cells(self):
         with pytest.raises(ValueError):
-            build_grid(1, 1)
+            OmegaGrid(1, 1)
         with pytest.raises(ValueError):
-            build_grid(3, 4)
+            OmegaGrid(3, 4)
 
 
 class TestMatrices:
     def test_1d_single_dof(self):
-        omega = assemble_omega_matrices(build_grid(1, 2))
+        omega = assemble_omega_matrices(OmegaGrid(1, 2))
         assert omega.A_mass.toarray()[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert omega.A_stiff.toarray()[0, 0] == pytest.approx(4.0, rel=1e-14)
 
     def test_2d_tensor_identity_vs_direct_quadrature(self, direct_q1_assembly):
-        omega = assemble_omega_matrices(build_grid(2, 3))
+        omega = assemble_omega_matrices(OmegaGrid(2, 3))
         mass, stiff = direct_q1_assembly(3)
         assert np.max(np.abs(omega.A_mass.toarray() - mass)) <= 1e-13 * mass.max()
         assert np.max(np.abs(omega.A_stiff.toarray() - stiff)) <= 1e-13 * np.abs(stiff).max()
 
     def test_stiffness_row_sums_vanish_away_from_boundary(self):
         n = 6
-        omega = assemble_omega_matrices(build_grid(2, n))
+        omega = assemble_omega_matrices(OmegaGrid(2, n))
         A = omega.A_stiff.toarray()
         scale = np.abs(A).max()
         m = n - 1
@@ -79,7 +79,7 @@ class TestMatrices:
         lam1 = d * math.pi**2
         previous = None
         for n in (4, 8, 16):
-            omega = assemble_omega_matrices(build_grid(d, n))
+            omega = assemble_omega_matrices(OmegaGrid(d, n))
             vals = scipy.linalg.eigh(
                 omega.A_stiff.toarray(), omega.A_mass.toarray(), eigvals_only=True
             )
@@ -91,7 +91,7 @@ class TestMatrices:
         assert previous == pytest.approx(lam1, rel=5e-3)
 
     def test_stiffness_positive_definite(self):
-        omega = assemble_omega_matrices(build_grid(2, 5))
+        omega = assemble_omega_matrices(OmegaGrid(2, 5))
         np.linalg.cholesky(omega.A_stiff.toarray())
 
 
@@ -101,7 +101,7 @@ class TestLoad:
         problem = FractionalProblem(
             s=0.5, domain=domain, f=modal_function(domain, [((1,), 0.0)])
         )
-        assert np.all(assemble_load(build_grid(1, 8), problem) == 0.0)
+        assert np.all(assemble_load(OmegaGrid(1, 8), problem) == 0.0)
 
     def test_first_mode_reference_entry(self):
         # d=1, f = sin(pi x), n = 2: d_s * 4/pi^2 at the single dof
@@ -109,12 +109,12 @@ class TestLoad:
         problem = FractionalProblem(
             s=0.3, domain=domain, f=modal_function(domain, [((1,), 1.0)])
         )
-        load = assemble_load(build_grid(1, 2), problem)
+        load = assemble_load(OmegaGrid(1, 2), problem)
         assert load[0] == pytest.approx(problem.d_s * 4.0 / math.pi**2, rel=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sine_hat_closed_form(self, k):
-        grid = build_grid(1, 9)
+        grid = OmegaGrid(1, 9)
         got = sine_hat_integrals(grid, k)
         assert np.max(np.abs(got - sine_hat_closed_form(9, k))) < 1e-12
 
@@ -123,12 +123,12 @@ class TestLoad:
         # 2(1 - cos(k pi h))/((k pi)^2 h) sin(k pi x_i), in the half-angle
         # form of the helper: 1 - cos(k pi h) itself cancels to ~4e-12 at n=1024
         want = sine_hat_closed_form(n, k)
-        got = sine_hat_integrals(build_grid(1, n), k)
+        got = sine_hat_integrals(OmegaGrid(1, n), k)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
     def test_quadrature_refinement_stable(self):
         problem = benchmark_problem(0.4, 2)
-        grid = build_grid(2, 6)
+        grid = OmegaGrid(2, 6)
         coarse = assemble_load(grid, problem, n_gauss=8)
         fine = assemble_load(grid, problem, n_gauss=16)
         assert np.max(np.abs(coarse - fine)) < 1e-12 * np.abs(fine).max()
@@ -136,7 +136,7 @@ class TestLoad:
     def test_2d_structure_vs_direct_quadrature(self):
         domain = BoxDomain(2)
         f = modal_function(domain, [((2, 1), 1.5)], "plain")
-        grid = build_grid(2, 5)
+        grid = OmegaGrid(2, 5)
         got = assemble_f_inner(grid, f)
         # direct tensor of closed forms
         g1 = sine_hat_closed_form(5, 2)

@@ -83,12 +83,12 @@ class TestGeometricMesh:
 class TestLinearDegreeVector:
     def test_first_degree_is_one(self):
         mesh = geometric_mesh(5, 0.3, 1.0)
-        assert linear_degree_vector(mesh, 2.3).p[0] == 1
+        assert linear_degree_vector(mesh, 2.3)[0] == 1
 
     def test_second_degree_reference_value(self):
         # h_2/h_1 = (1-sigma)/sigma = 7, ceil(1 + 0.7*ln 7) = 3
         mesh = geometric_mesh(4, 0.125, 1.0)
-        assert linear_degree_vector(mesh, 0.7).p[1] == 3
+        assert linear_degree_vector(mesh, 0.7)[1] == 3
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -98,7 +98,7 @@ class TestLinearDegreeVector:
     )
     def test_band_and_monotonicity(self, M, sigma, beta):
         mesh = geometric_mesh(M, sigma, 1.0)
-        p = linear_degree_vector(mesh, beta).p
+        p = linear_degree_vector(mesh, beta)
         assert p[0] == 1
         assert all(p[m] >= p[m - 1] for m in range(1, M))
         for m in range(2, M + 1):
@@ -120,11 +120,11 @@ class TestDofCounts:
     )
     def test_count_and_growth_bound(self, M, sigma, beta):
         mesh = hp_mesh(M, sigma, 1.0, beta)
-        assert mesh.dof_count() == 1 + sum(mesh.degrees)
-        assert mesh.n_dofs() == mesh.dof_count() - 1
-        # ceiling rule keeps the count below the quadratic envelope
+        assert mesh.n_dofs() == sum(mesh.degrees)
+        # ceiling rule keeps the unconstrained count 1 + sum(p_m) below the
+        # quadratic envelope
         bound = 1 + 2 * M + beta * abs(math.log(sigma)) * M * (M - 1) / 2
-        assert mesh.dof_count() <= bound + 1e-9
+        assert 1 + mesh.n_dofs() <= bound + 1e-9
 
 
 class TestParamSelection:

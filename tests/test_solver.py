@@ -6,14 +6,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdiff.error_analysis import discretize
 from fracdiff.fem1d import assemble_weighted_matrices
-from fracdiff.femomega import assemble_load, assemble_omega_matrices, build_grid
-from fracdiff.meshing import build_ymesh, graded_mesh, hp_mesh, select_params_h
+from fracdiff.femomega import OmegaGrid, assemble_omega_matrices
+from fracdiff.meshing import graded_mesh, hp_mesh
 from fracdiff.solver import (
+    KroneckerSystem,
+    SolutionTensor,
     SolverError,
-    build_system,
     cylinder_rhs,
-    extract_trace,
     kron_matvec,
     solve,
 )
@@ -23,9 +24,9 @@ from fracdiff.spectral import benchmark_problem
 def make_system(d=1, n=8, mesh=None, alpha=0.0):
     if mesh is None:
         mesh = graded_mesh(6, 0.5, 1.5)
-    omega = assemble_omega_matrices(build_grid(d, n))
+    omega = assemble_omega_matrices(OmegaGrid(d, n))
     weighted = assemble_weighted_matrices(mesh, alpha=alpha)
-    return build_system(omega, weighted)
+    return KroneckerSystem(omega, weighted)
 
 
 def dense_operator(system):
@@ -152,14 +153,10 @@ class TestSolve:
 
     def test_dense_factorization_oracle(self):
         # unweighted half-order case against a direct dense solve
-        problem = benchmark_problem(0.5, 1)
-        grid = build_grid(1, 12)
-        params = select_params_h(grid.h_omega, 0.5, problem.domain.lambda1)
-        mesh = build_ymesh(params)
-        system = make_system(d=1, n=12, mesh=mesh, alpha=0.0)
+        level = discretize(benchmark_problem(0.5, 1), "hfem", 12)
+        system, rhs = level.system, level.rhs
+        assert system.y.alpha == 0.0
         assert system.n_total <= 400
-        load = assemble_load(grid, problem)
-        rhs = cylinder_rhs(system, load)
         sol = solve(system, rhs, rel_tol=1e-12)
         dense = dense_operator(system)
         want = np.linalg.solve(dense, rhs.reshape(-1, order="F"))
@@ -223,7 +220,7 @@ class TestSolve:
         # smallest shifts, so the factorization meets a non-positive pivot
         system = make_system(d=1, n=8, mesh=mesh, alpha=0.3)
         flipped = replace(system.y, B_stiff=-system.y.B_stiff)
-        system = build_system(system.omega, flipped)
+        system = KroneckerSystem(system.omega, flipped)
         with pytest.raises(SolverError) as err:
             solve(system, np.ones((system.n_omega, system.n_y)))
         assert "pivot" in str(err.value)
@@ -254,8 +251,8 @@ class TestExactSolveOracle:
     @given(oracle_cases())
     def test_matches_dense_kronecker_solve(self, case):
         d, n, mesh, degrees, alpha, seed = case
-        omega = assemble_omega_matrices(build_grid(d, n))
-        system = build_system(omega, assemble_weighted_matrices(mesh, degrees, alpha=alpha))
+        omega = assemble_omega_matrices(OmegaGrid(d, n))
+        system = KroneckerSystem(omega, assemble_weighted_matrices(mesh, degrees, alpha=alpha))
         rhs = np.random.default_rng(seed).standard_normal((system.n_omega, system.n_y))
         # symmetric diagonal scaling keeps the dense oracle accurate on
         # strongly graded meshes
@@ -272,31 +269,20 @@ class TestTrace:
     def test_zero_solution(self):
         system = make_system()
         sol = solve(system, np.zeros((system.n_omega, system.n_y)))
-        assert np.all(extract_trace(sol) == 0.0)
+        assert np.all(sol.trace == 0.0)
 
     def test_trace_reads_bottom_slice(self):
         system = make_system()
         coeffs = np.zeros((system.n_omega, system.n_y))
         coeffs[:, 0] = np.arange(system.n_omega, dtype=float)
-        from fracdiff.solver import SolutionTensor
-
         sol = SolutionTensor(coefficients=coeffs, iterations=0, residual=0.0)
-        assert np.allclose(extract_trace(sol), np.arange(system.n_omega))
+        assert np.allclose(sol.trace, np.arange(system.n_omega))
 
     def test_benchmark_trace_peak_near_one(self):
-        problem = benchmark_problem(0.5, 2)
-        grid = build_grid(2, 16)
-        params = select_params_h(grid.h_omega, 0.5, problem.domain.lambda1)
-        mesh = build_ymesh(params)
-        omega = assemble_omega_matrices(grid)
-        weighted = assemble_weighted_matrices(mesh, alpha=problem.alpha)
-        system = build_system(omega, weighted)
-        rhs = cylinder_rhs(system, assemble_load(grid, problem))
-        sol = solve(system, rhs, rel_tol=1e-10)
-        trace = extract_trace(sol).reshape(grid.n - 1, grid.n - 1)
-        mid = (grid.n - 1) // 2
-        # peak of sin(pi x)sin(pi y) sampled near the center
-        assert abs(trace[mid, mid] - 1.0) < 0.05
+        level = discretize(benchmark_problem(0.5, 2), "hfem", 16)
+        sol = solve(level.system, level.rhs, rel_tol=1e-10)
+        # peak of sin(pi x)sin(pi y), sampled at the center node (8, 8)
+        assert abs(sol.trace.reshape(15, 15)[7, 7] - 1.0) < 0.05
 
     def test_cylinder_rhs_shape(self):
         system = make_system()
