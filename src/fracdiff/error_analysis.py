@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import reduce
 
 import numpy as np
 
@@ -82,7 +82,6 @@ def energy_error(
     problem: FractionalProblem,
     grid: OmegaGrid,
     trace,
-    n_gauss: int = 8,
     f_inner: np.ndarray | None = None,
 ) -> float:
     """Weighted-gradient energy error from the Galerkin-orthogonality
@@ -92,11 +91,9 @@ def energy_error(
     zero; anything larger signals an inconsistent (under-resolved) solve and
     raises.
     """
-    if isinstance(trace, SolutionTensor):
-        trace = trace.trace
     trace = np.asarray(trace, dtype=float)
     if f_inner is None:
-        f_inner = assemble_f_inner(grid, problem.f, n_gauss)
+        f_inner = assemble_f_inner(grid, problem.f)
     i_exact = exact_data_product(problem)
     i_h = float(f_inner @ trace)
     radicand = problem.d_s * (i_exact - i_h)
@@ -110,21 +107,29 @@ def energy_error(
     return math.sqrt(radicand)
 
 
-def _x_quadrature(grid: OmegaGrid, n_gauss: int):
-    t, w = unit_gauss_rule(n_gauss)
-    cells = np.arange(grid.n)
-    pts = (cells[:, None] + t[None, :]) * grid.h  # (n, g)
-    return t, w * grid.h, pts
+def _hat_tables(grid: OmegaGrid, t: np.ndarray):
+    """Values and derivatives of the interior hat functions at the points
+    ``(cell + t) * h`` of every cell, each of shape ``(n * len(t), n - 1)``."""
+    n, g = grid.n, t.size
+    cells = np.arange(n)
+    vals = np.zeros((n, g, n + 1))
+    vals[cells, :, cells] = 1.0 - t
+    vals[cells, :, cells + 1] = t
+    ders = np.zeros((n, g, n + 1))
+    ders[cells, :, cells] = -1.0 / grid.h
+    ders[cells, :, cells + 1] = 1.0 / grid.h
+    return vals.reshape(n * g, n + 1)[:, 1:-1], ders.reshape(n * g, n + 1)[:, 1:-1]
 
 
-def _pad_nodal(grid: OmegaGrid, vec: np.ndarray) -> np.ndarray:
-    if grid.d == 1:
-        out = np.zeros(grid.n + 1)
-        out[1:-1] = vec
-        return out
-    out = np.zeros((grid.n + 1, grid.n + 1))
-    out[1:-1, 1:-1] = vec.reshape(grid.n - 1, grid.n - 1)
-    return out
+def _along_axes(tables, X: np.ndarray) -> np.ndarray:
+    """Apply the matrix ``tables[i]`` along axis ``i`` of ``X``."""
+    for i, A in enumerate(tables):
+        X = np.moveaxis(np.tensordot(A, X, axes=(1, i)), 0, i)
+    return X
+
+
+def _outer(factors) -> np.ndarray:
+    return reduce(np.multiply.outer, factors)
 
 
 def direct_energy_error_small(
@@ -150,18 +155,24 @@ def direct_energy_error_small(
     dofmap = weighted.dofmap
     degs = dofmap.degrees
     alpha = problem.alpha
-    u_exact = solve_fractional(problem)
-    t, wx, xpts = _x_quadrature(grid, nx_gauss)
-    h = grid.h
+    d = grid.d
+    t, wx = unit_gauss_rule(nx_gauss)
+    # the tensor points are the products of the n*g cell points per direction
+    x = ((np.arange(grid.n)[:, None] + t) * grid.h).ravel()
+    weights = _outer([np.tile(wx * grid.h, grid.n)] * d)
+    vals, ders = _hat_tables(grid, t)
+    grad_tables = [[ders if j == i else vals for j in range(d)] for i in range(d)]
+    nodal_shape = (grid.n - 1,) * d
 
-    if grid.d == 1:
-        phi = [(mode, coef, mode(xpts), mode.gradient(xpts)[..., 0]) for mode, coef in u_exact.modes]
-    else:
-        # tensor points (n, g, n, g, 2); first coordinate is the slow axis
-        P1 = xpts[:, :, None, None]
-        P2 = xpts[None, None, :, :]
-        pts2 = np.stack(np.broadcast_arrays(P1, P2), axis=-1)
-        phi = [(mode, coef, mode(pts2), mode.gradient(pts2)) for mode, coef in u_exact.modes]
+    # per exact mode: sqrt(lambda), its value and its partial derivatives at
+    # the tensor points, each an outer product of 1-D sine/cosine factors
+    modes = []
+    for mode, coef in solve_fractional(problem).modes:
+        scale = coef * mode.factor
+        sins = [np.sin(k * math.pi * x) for k in mode.index]
+        coss = [k * math.pi * np.cos(k * math.pi * x) for k in mode.index]
+        grads = [scale * _outer(sins[:i] + [coss[i]] + sins[i + 1:]) for i in range(d)]
+        modes.append((math.sqrt(mode.lam), scale * _outer(sins), grads))
 
     total = 0.0
     nodes = np.asarray(mesh.nodes)
@@ -182,47 +193,17 @@ def direct_energy_error_small(
 
         for q in range(ypts.size):
             y = ypts[q]
-            if grid.d == 1:
-                pad = _pad_nodal(grid, Gy[:, q])
-                pad_dy = _pad_nodal(grid, Gdy[:, q])
-                left, right = pad[:-1, None], pad[1:, None]
-                uh = left * (1.0 - t) + right * t
-                uh_dx = (right - left) / h
-                uh_dy = pad_dy[:-1, None] * (1.0 - t) + pad_dy[1:, None] * t
-                ex = np.zeros_like(uh)
-                ex_dx = np.zeros_like(uh)
-                ex_dy = np.zeros_like(uh)
-                for mode, coef, vals, grads in phi:
-                    root = math.sqrt(mode.lam)
-                    pz = psi(problem.profile, root * y)
-                    dpz = root * psi_prime(problem.profile, root * y)
-                    ex += coef * pz * vals
-                    ex_dx += coef * pz * grads
-                    ex_dy += coef * dpz * vals
-                cell_int = ((uh_dx - ex_dx) ** 2 + (uh_dy - ex_dy) ** 2) @ wx
-                total += wy[q] * cell_int.sum()
-            else:
-                pad = _pad_nodal(grid, Gy[:, q])
-                pad_dy = _pad_nodal(grid, Gdy[:, q])
-                uh, uh_d1, uh_d2 = _q1_eval(pad, t, h)
-                uh_dy = _q1_eval(pad_dy, t, h)[0]
-                ex = np.zeros_like(uh)
-                ex_d1 = np.zeros_like(uh)
-                ex_d2 = np.zeros_like(uh)
-                ex_dy = np.zeros_like(uh)
-                for mode, coef, vals, grads in phi:
-                    root = math.sqrt(mode.lam)
-                    pz = psi(problem.profile, root * y)
-                    dpz = root * psi_prime(problem.profile, root * y)
-                    ex += coef * pz * vals
-                    ex_d1 += coef * pz * grads[..., 0]
-                    ex_d2 += coef * pz * grads[..., 1]
-                    ex_dy += coef * dpz * vals
-                integrand = (
-                    (uh_d1 - ex_d1) ** 2 + (uh_d2 - ex_d2) ** 2 + (uh_dy - ex_dy) ** 2
-                )
-                cell_int = np.einsum("agbh,g,h->", integrand, wx, wx)
-                total += wy[q] * cell_int
+            nodal = Gy[:, q].reshape(nodal_shape)
+            fe = [_along_axes(tables, nodal) for tables in grad_tables]
+            fe.append(_along_axes([vals] * d, Gdy[:, q].reshape(nodal_shape)))
+            ex = [np.zeros_like(fe[0]) for _ in fe]
+            for root, val, grads in modes:
+                pz = psi(problem.profile, root * y)
+                for i in range(d):
+                    ex[i] += pz * grads[i]
+                ex[d] += root * psi_prime(problem.profile, root * y) * val
+            integrand = sum((fe_i - ex_i) ** 2 for fe_i, ex_i in zip(fe, ex))
+            total += wy[q] * float(np.vdot(integrand, weights))
 
     total += tail_energy(problem, mesh.Y)
     return math.sqrt(total)
@@ -250,57 +231,15 @@ def _singular_bottom_rule(h1: float, alpha: float, s: float, npts: int):
     return np.concatenate(all_pts), np.concatenate(all_wts)
 
 
-def _q1_eval(pad: np.ndarray, t: np.ndarray, h: float):
-    """Bilinear field and gradient on all cells from padded nodal values;
-    returns arrays of shape (cells1, g, cells2, g)."""
-    c00 = pad[:-1, :-1][:, None, :, None]
-    c10 = pad[1:, :-1][:, None, :, None]
-    c01 = pad[:-1, 1:][:, None, :, None]
-    c11 = pad[1:, 1:][:, None, :, None]
-    t1 = t[None, :, None, None]
-    t2 = t[None, None, None, :]
-    u = (
-        c00 * (1 - t1) * (1 - t2)
-        + c10 * t1 * (1 - t2)
-        + c01 * (1 - t1) * t2
-        + c11 * t1 * t2
-    )
-    d1 = ((c10 - c00) * (1 - t2) + (c11 - c01) * t2) / h
-    d2 = ((c01 - c00) * (1 - t1) + (c11 - c10) * t1) / h
-    return u, d1, d2
-
-
-class TraceHsError(NamedTuple):
-    value: float
-    remainder_estimate: float
-
-
-def _mode_inner_with_trace(grid: OmegaGrid, index, trace: np.ndarray, n_gauss: int) -> float:
+def _mode_inner_with_trace(grid: OmegaGrid, index, trace: np.ndarray) -> float:
     """Quadrature of ``int tr_h * phi_hat_k dx`` (orthonormal)."""
     factor = 2.0 ** (grid.d / 2.0)
     if grid.d == 1:
-        return factor * float(sine_hat_integrals(grid, index[0], n_gauss) @ trace)
-    g1 = sine_hat_integrals(grid, index[0], n_gauss)
-    g2 = sine_hat_integrals(grid, index[1], n_gauss)
+        return factor * float(sine_hat_integrals(grid, index[0]) @ trace)
+    g1 = sine_hat_integrals(grid, index[0])
+    g2 = sine_hat_integrals(grid, index[1])
     T = trace.reshape(grid.n - 1, grid.n - 1)
     return factor * float(g1 @ T @ g2)
-
-
-def _trace_l2_error_sq(problem, grid, trace, n_gauss: int) -> float:
-    """Quadrature of ``int (u - tr_h)**2 dx``."""
-    u = solve_fractional(problem)
-    t, wx, xpts = _x_quadrature(grid, n_gauss)
-    pad = _pad_nodal(grid, np.asarray(trace, dtype=float))
-    if grid.d == 1:
-        fe = pad[:-1, None] * (1.0 - t) + pad[1:, None] * t
-        diff = u(xpts) - fe
-        return float((diff**2 @ wx).sum())
-    P1 = xpts[:, :, None, None]
-    P2 = xpts[None, None, :, :]
-    pts2 = np.stack(np.broadcast_arrays(P1, P2), axis=-1)
-    fe = _q1_eval(pad, t, grid.h)[0]
-    diff = u(pts2) - fe
-    return float(np.einsum("agbh,g,h->", diff**2, wx, wx))
 
 
 def trace_hs_error(
@@ -308,28 +247,21 @@ def trace_hs_error(
     grid: OmegaGrid,
     trace,
     k_modes: int,
-    n_gauss: int = 8,
-) -> TraceHsError:
-    """Fractional-norm trace error by projection on the first ``k_modes``
-    orthonormal eigenfunctions, plus a heuristic estimate of the truncated
-    remainder based on the leftover L2 mass weighted by the last included
-    eigenvalue."""
+) -> float:
+    """Fractional-norm trace error of the projection on the first
+    ``k_modes`` orthonormal eigenfunctions:
+    ``sqrt(sum_k lambda_k**s * (u_k - (tr_h, phi_k))**2)``."""
     trace = np.asarray(trace, dtype=float)
     indices = problem.domain.modes_by_eigenvalue(k_modes)
     exact = {idx: coef for idx, _, coef in solve_fractional(problem).orthonormal_items()}
     if any(idx not in indices for idx in exact):
         raise ValueError("k_modes must cover every mode of the data (plus margin)")
     value_sq = 0.0
-    captured_sq = 0.0
-    lam_last = problem.domain.eigenvalue(indices[-1])
     for idx in indices:
         lam = problem.domain.eigenvalue(idx)
-        c = exact.get(idx, 0.0) - _mode_inner_with_trace(grid, idx, trace, n_gauss)
+        c = exact.get(idx, 0.0) - _mode_inner_with_trace(grid, idx, trace)
         value_sq += lam**problem.s * c * c
-        captured_sq += c * c
-    l2_sq = _trace_l2_error_sq(problem, grid, trace, n_gauss)
-    remainder = lam_last**problem.s * max(0.0, l2_sq - captured_sq)
-    return TraceHsError(value=math.sqrt(value_sq), remainder_estimate=remainder)
+    return math.sqrt(value_sq)
 
 
 def _default_mode_count(problem: FractionalProblem) -> int:
@@ -411,7 +343,7 @@ def run_level(
                           residual=exc.residual, iterations=exc.iterations) from exc
     f_inner = level.load / problem.d_s
     err = energy_error(problem, grid, sol.trace, f_inner=f_inner)
-    tr_err = trace_hs_error(problem, grid, sol.trace, _default_mode_count(problem)).value
+    tr_err = trace_hs_error(problem, grid, sol.trace, _default_mode_count(problem))
     wall = time.perf_counter() - t0
     return StudyRow(
         h_omega=grid.h_omega,

@@ -95,24 +95,6 @@ class EigenMode:
         )
         return float(out) if np.ndim(out) == 0 else out
 
-    def gradient(self, x) -> np.ndarray:
-        """Spatial gradient, shape ``(..., d)``."""
-        x = np.asarray(x, dtype=float)
-        if self.domain.d == 1:
-            coords = self._coords_1d(x)
-        else:
-            coords = [x[..., i] for i in range(self.domain.d)]
-        sins = [np.sin(k * math.pi * c) for k, c in zip(self.index, coords)]
-        coss = [np.cos(k * math.pi * c) for k, c in zip(self.index, coords)]
-        comps = []
-        for i, k in enumerate(self.index):
-            term = self.factor * k * math.pi * coss[i]
-            for j in range(len(self.index)):
-                if j != i:
-                    term = term * sins[j]
-            comps.append(term)
-        return np.stack(comps, axis=-1)
-
 
 def eigenpair(domain: BoxDomain, index, normalization: str = "plain") -> EigenMode:
     """Eigenvalue and eigenfunction evaluator for one mode of the box."""

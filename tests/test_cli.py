@@ -161,6 +161,16 @@ class TestSolveCommand:
         for part in ("hpfem", "s=0.35", "d=2", "n=8"):
             assert part in err
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "residual floor (ROADMAP item 1): with M=12 geometric elements the "
+        "refined solve stalls at 1.26e-9, above the default tol 1e-9"))
+    def test_hp_level_with_more_elements_reaches_tol(self, tmp_path):
+        code = run_cli(
+            ["solve", "--scheme", "hpfem", "--s", "0.5", "--d", "1", "--n", "16",
+             "--m-mult", "2", "--out", str(tmp_path / "x")]
+        )
+        assert code == 0
+
     @pytest.mark.parametrize("scheme,name,value", [
         ("hfem", "mu", 0.9),
         ("hfem", "m_mult", 2.0),

@@ -48,6 +48,38 @@ def exact_nodal_trace(problem, grid):
     return u(pts).reshape(-1)
 
 
+def load_problem(s, d, entries=None):
+    """The benchmark problem, or the load with the given plain sine
+    coefficients."""
+    if entries is None:
+        return benchmark_problem(s, d)
+    domain = BoxDomain(d)
+    return FractionalProblem(s=s, domain=domain, f=modal_function(domain, entries))
+
+
+def assert_direct_matches_identity(problem, scheme, n):
+    level = discretize(problem, scheme, n)
+    sol = solve(level.system, level.rhs, rel_tol=1e-11)
+    assert sol.coefficients.size <= 5000
+    via_identity = energy_error(problem, level.grid, sol.trace)
+    direct = direct_energy_error_small(problem, level.grid, level.weighted, sol)
+    assert abs(direct - via_identity) <= 1e-8 * via_identity
+
+
+# the benchmark in d=1, then loads whose modes differ between the axes: with
+# the axes of the exact modes swapped, the 2-d cases are off by 5-8 times
+# the error itself
+ASYMMETRIC_2D = [((1, 2), 1.0), ((3, 1), -0.7)]
+AGREEMENT_CASES = [
+    *(pytest.param(scheme, s, 1, 24, None, id=f"{scheme}-{s}")
+      for scheme in ("hfem", "hpfem") for s in (0.3, 0.5, 0.75)),
+    pytest.param("hfem", 0.6, 2, 8, ASYMMETRIC_2D, id="hfem-0.6-d2-asymmetric"),
+    pytest.param("hpfem", 0.4, 2, 8, ASYMMETRIC_2D, id="hpfem-0.4-d2-asymmetric"),
+    pytest.param("hpfem", 0.4, 1, 24, [((1,), 1.0), ((3,), -0.7), ((5,), 0.4)],
+                 id="hpfem-0.4-d1-asymmetric"),
+]
+
+
 class TestEnergyError:
     def test_zero_solution_closed_form(self):
         # error of the zero trace: d_s * lambda_1^s / 4 under the square root
@@ -111,21 +143,12 @@ class TestDirectEnergyError:
             0.0, abs=1e-12
         )
 
-    @pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
-    @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
-    def test_agrees_with_identity(self, s, scheme):
-        problem, grid, weighted, sol = solve_benchmark(s, 1, 24, scheme)
-        assert sol.coefficients.size <= 5000
-        via_identity = energy_error(problem, grid, sol.trace)
-        direct = direct_energy_error_small(problem, grid, weighted, sol)
-        assert abs(direct - via_identity) <= 0.02 * via_identity
+    @pytest.mark.parametrize("scheme,s,d,n,entries", AGREEMENT_CASES)
+    def test_agrees_with_identity(self, scheme, s, d, n, entries):
+        assert_direct_matches_identity(load_problem(s, d, entries), scheme, n)
 
     def test_agrees_with_identity_2d(self):
-        problem, grid, weighted, sol = solve_benchmark(0.7, 2, 8)
-        assert sol.coefficients.size <= 5000
-        via_identity = energy_error(problem, grid, sol.trace)
-        direct = direct_energy_error_small(problem, grid, weighted, sol)
-        assert abs(direct - via_identity) <= 0.02 * via_identity
+        assert_direct_matches_identity(benchmark_problem(0.7, 2), "hfem", 8)
 
     def test_quadrature_self_convergence(self):
         problem, grid, weighted, sol = solve_benchmark(0.4, 1, 12)
@@ -145,9 +168,9 @@ class TestTraceHsError:
         problem = benchmark_problem(0.6, 2)
         grid = OmegaGrid(2, 12)
         lam = 2 * math.pi**2
-        res = trace_hs_error(problem, grid, np.zeros(grid.n_dofs), k_modes=10)
+        err = trace_hs_error(problem, grid, np.zeros(grid.n_dofs), k_modes=10)
         # orthonormal coefficient of the solution is 1/2
-        assert res.value == pytest.approx(lam ** (0.6 / 2) * 0.5, rel=1e-8)
+        assert err == pytest.approx(lam ** (0.6 / 2) * 0.5, rel=1e-8)
 
     def test_interpolated_exact_trace_small_and_decreasing(self):
         problem = benchmark_problem(0.5, 1)
@@ -155,20 +178,10 @@ class TestTraceHsError:
         for n in (16, 32, 64):
             grid = OmegaGrid(1, n)
             vals.append(
-                trace_hs_error(problem, grid, exact_nodal_trace(problem, grid), 12).value
+                trace_hs_error(problem, grid, exact_nodal_trace(problem, grid), 12)
             )
         assert vals[0] < 0.1
         assert vals[1] < vals[0] and vals[2] < vals[1]
-
-    def test_remainder_estimate_shrinks_under_refinement(self):
-        problem = benchmark_problem(0.5, 1)
-        remainders = []
-        for n in (16, 32, 64):
-            _, grid, _, sol = solve_benchmark(0.5, 1, n)
-            res = trace_hs_error(problem, grid, sol.trace, k_modes=12)
-            assert res.remainder_estimate >= 0.0
-            remainders.append(res.remainder_estimate)
-        assert remainders[2] < remainders[0]
 
     def test_requires_mode_coverage(self):
         problem = benchmark_problem(0.5, 2)

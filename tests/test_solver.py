@@ -264,6 +264,16 @@ class TestExactSolveOracle:
         got = solve(system, rhs, rel_tol=1e-10).coefficients.reshape(-1, order="F")
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
+    @pytest.mark.xfail(strict=True, raises=SolverError, reason=(
+        "residual floor (ROADMAP item 1): refinement stalls at 1.69e-10 on this "
+        "18-dof geometric case"))
+    def test_small_geometric_case_reaches_tol(self):
+        # a case the random search above draws now and then (d=1, n=2,
+        # alpha=-0.9375, degrees 1, 3, 6, 8)
+        system = make_system(d=1, n=2, mesh=hp_mesh(4, 0.0546875, 0.5, 0.7), alpha=-0.9375)
+        rhs = np.random.default_rng(0).standard_normal((system.n_omega, system.n_y))
+        solve(system, rhs, rel_tol=1e-10)
+
 
 class TestTrace:
     def test_zero_solution(self):

@@ -45,17 +45,6 @@ class TestEigenpair:
         assert lams[0] == pytest.approx(2 * math.pi**2)
         assert len(set(modes)) == 12
 
-    def test_gradient_matches_finite_difference(self):
-        mode = eigenpair(BoxDomain(2), (2, 3), normalization="orthonormal")
-        x = np.array([0.31, 0.72])
-        g = mode.gradient(x)
-        h = 1e-7
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            fd = (mode(x + e) - mode(x - e)) / (2 * h)
-            assert g[i] == pytest.approx(fd, rel=1e-6)
-
 
 class TestSolveFractional:
     def test_benchmark_has_unit_coefficient(self):
