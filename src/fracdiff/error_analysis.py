@@ -269,10 +269,11 @@ def _default_mode_count(problem: FractionalProblem) -> int:
     margin for the projection of the discrete trace."""
     base = 12 if problem.domain.d == 1 else 16
     wanted = {mode.index for mode, _ in problem.f.modes}
-    count = base
-    while not wanted.issubset(set(problem.domain.modes_by_eigenvalue(count))):
-        count += 8
-    return count
+    # fewer than sum(k*k) modes precede a mode, so this list holds the data
+    length = max((sum(k * k for k in idx) for idx in wanted), default=0)
+    position = {idx: i for i, idx in enumerate(problem.domain.modes_by_eigenvalue(length))}
+    last = max((position[idx] + 1 for idx in wanted), default=0)
+    return base + 8 * max(0, -(-(last - base) // 8))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ single dof supported at ``y = 0`` is therefore dof 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -54,8 +54,8 @@ def shape_values(q: int, t) -> np.ndarray:
     out[1] = t
     if q >= 2:
         V = npleg.legvander(x, q)  # columns P_0..P_q
-        for k in range(2, q + 1):
-            out[k] = (V[:, k] - V[:, k - 2]) / math.sqrt(2.0 * (2.0 * k - 1.0))
+        k = np.arange(2, q + 1)
+        out[2:] = ((V[:, 2:] - V[:, :-2]) / np.sqrt(2.0 * (2.0 * k - 1.0))).T
     return out
 
 
@@ -70,8 +70,8 @@ def shape_derivatives(q: int, t) -> np.ndarray:
     out[1] = 1.0
     if q >= 2:
         V = npleg.legvander(x, q - 1)
-        for k in range(2, q + 1):
-            out[k] = math.sqrt(2.0 * (2.0 * k - 1.0)) * V[:, k - 1]
+        k = np.arange(2, q + 1)
+        out[2:] = (np.sqrt(2.0 * (2.0 * k - 1.0)) * V[:, 1:]).T
     return out
 
 
@@ -146,20 +146,32 @@ def weighted_rule(a: float, b: float, alpha: float, polydeg: int):
     return _gl_weighted_rule(a, b, alpha, polydeg, depth=0)
 
 
+def _gl_point_count(a: float, b: float, polydeg: int) -> int:
+    """Gauss-Legendre points for ``y**alpha * f`` on ``[a, b]``, ``a > 0``:
+    exactness for ``f`` plus the analyticity estimate for the weight."""
+    c = (b + a) / (b - a)
+    rho = c + math.sqrt(c * c - 1.0)
+    return polydeg // 2 + 1 + math.ceil(_LOG_TARGET / (2.0 * math.log(rho)))
+
+
+def _gl_rule(a, b, alpha, n):
+    """The ``n``-point Gauss-Legendre rule on ``[a, b]`` with the weight
+    absorbed; ``a`` and ``b`` may be ``(E, 1)`` columns, one rule per row."""
+    x, w = _leggauss(n)
+    pts = a + (x + 1.0) / 2.0 * (b - a)
+    return pts, w * (b - a) / 2.0 * pts**alpha
+
+
 def _gl_weighted_rule(a, b, alpha, polydeg, depth):
     if depth > _MAX_SPLIT_DEPTH:
         raise QuadratureError(f"weighted rule on [{a}, {b}] did not stabilize")
-    c = (b + a) / (b - a)
-    rho = c + math.sqrt(c * c - 1.0)
-    n = polydeg // 2 + 1 + math.ceil(_LOG_TARGET / (2.0 * math.log(rho)))
+    n = _gl_point_count(a, b, polydeg)
     if n > _MAX_GL_POINTS:
         mid = math.sqrt(a * b)
         pa, wa = _gl_weighted_rule(a, mid, alpha, polydeg, depth + 1)
         pb, wb = _gl_weighted_rule(mid, b, alpha, polydeg, depth + 1)
         return np.concatenate([pa, pb]), np.concatenate([wa, wb])
-    x, w = _leggauss(n)
-    pts = a + (x + 1.0) / 2.0 * (b - a)
-    return pts, w * (b - a) / 2.0 * pts**alpha
+    return _gl_rule(a, b, alpha, n)
 
 
 @dataclass(frozen=True)
@@ -167,6 +179,14 @@ class YDofMap:
     """Global numbering for the constrained hierarchical space."""
 
     degrees: tuple[int, ...]
+    # the bump dofs of element m (1-based) are bump_starts[m-1]:bump_starts[m]
+    bump_starts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bumps = np.asarray(self.degrees, dtype=np.intp) - 1
+        starts = self.M + np.concatenate(([0], np.cumsum(bumps)))
+        starts.setflags(write=False)
+        object.__setattr__(self, "bump_starts", starts)
 
     @property
     def M(self) -> int:
@@ -176,20 +196,25 @@ class YDofMap:
     def n_dofs(self) -> int:
         return int(sum(self.degrees))
 
+    def element_table(self, ms) -> np.ndarray:
+        """Global dof of every local basis row (vertices 0 and 1, bumps
+        ``2..p``) of the elements ``ms`` (1-based, all of one degree ``p``),
+        shape ``(len(ms), p+1)``; -1 marks the constrained top vertex."""
+        ms = np.asarray(ms, dtype=np.intp)
+        p = self.degrees[ms[0] - 1]
+        table = np.empty((ms.size, p + 1), dtype=np.intp)
+        table[:, 0] = ms - 1
+        table[:, 1] = np.where(ms < self.M, ms, -1)
+        table[:, 2:] = self.bump_starts[ms - 1, None] + np.arange(p - 1)
+        return table
+
     def element_dofs(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Global dof indices and the local basis rows they correspond to
         for element ``m`` (1-based). The right vertex of the last element is
         constrained and dropped."""
-        p = self.degrees[m - 1]
-        bump_offset = self.M + sum(pd - 1 for pd in self.degrees[: m - 1])
-        bumps = list(range(bump_offset, bump_offset + p - 1))
-        if m < self.M:
-            glob = [m - 1, m] + bumps
-            local = [0, 1] + list(range(2, p + 1))
-        else:
-            glob = [m - 1] + bumps
-            local = [0] + list(range(2, p + 1))
-        return np.asarray(glob, dtype=int), np.asarray(local, dtype=int)
+        table = self.element_table([m])[0]
+        local = np.flatnonzero(table >= 0)
+        return table[local], local
 
 
 @dataclass(frozen=True)
@@ -215,35 +240,52 @@ def _resolve_degrees(mesh: YMesh, degrees) -> tuple[int, ...]:
 
 def assemble_weighted_matrices(mesh: YMesh, degrees=None, alpha: float = 0.0) -> WeightedMatrices:
     """Assemble ``int y**alpha tau_j tau_l dy`` and
-    ``int y**alpha tau_j' tau_l' dy`` over the constrained space."""
+    ``int y**alpha tau_j' tau_l' dy`` over the constrained space.
+
+    Unsplit Gauss-Legendre elements of one degree and one point count share
+    their reference nodes and so their shape tables; only the weights
+    differ, and each such group is assembled by one stacked contraction. The
+    Gauss-Jacobi first element and every split element are groups of one.
+    """
     degs = _resolve_degrees(mesh, degrees)
     if len(degs) != mesh.M:
         raise ValueError("one degree per element required")
     dofmap = YDofMap(degrees=degs)
-    n = dofmap.n_dofs
     nodes = np.asarray(mesh.nodes)
-    rows, cols, mass_vals, stiff_vals = [], [], [], []
-    for m in range(1, mesh.M + 1):
+    groups = []  # (elements, reference nodes t, weights of shape (elements, len(t)))
+    shared: dict[tuple[int, int], list[int]] = {}
+    for m, p in enumerate(degs, start=1):
         a, b = nodes[m - 1], nodes[m]
-        p = degs[m - 1]
+        points = _gl_point_count(a, b, 2 * p) if a > 0.0 else 0
+        if 0 < points <= _MAX_GL_POINTS:
+            shared.setdefault((p, points), []).append(m)
+            continue
         try:
             pts, wts = weighted_rule(a, b, alpha, 2 * p)
         except QuadratureError as exc:
             raise QuadratureError(f"element {m}: {exc}") from exc
-        h = b - a
-        t = (pts - a) / h
-        B = shape_values(p, t)
-        D = shape_derivatives(p, t) / h
-        glob, local = dofmap.element_dofs(m)
-        Bl, Dl = B[local], D[local]
-        local_mass = (Bl * wts) @ Bl.T
-        local_stiff = (Dl * wts) @ Dl.T
-        gi = np.repeat(glob, glob.size)
-        gj = np.tile(glob, glob.size)
-        rows.append(gi)
-        cols.append(gj)
-        mass_vals.append(local_mass.ravel())
-        stiff_vals.append(local_stiff.ravel())
+        groups.append((np.array([m]), (pts - a) / (b - a), wts[None, :]))
+    for (p, points), ms in shared.items():
+        ms = np.array(ms)
+        _, wts = _gl_rule(nodes[ms - 1, None], nodes[ms, None], alpha, points)
+        groups.append((ms, (_leggauss(points)[0] + 1.0) / 2.0, wts))
+
+    rows, cols, mass_vals, stiff_vals = [], [], [], []
+    for ms, t, wts in groups:
+        p = degs[ms[0] - 1]
+        k = p + 1
+        B, D = shape_values(p, t), shape_derivatives(p, t)
+        h = nodes[ms] - nodes[ms - 1]
+        mass = (B * wts[:, None, :]) @ B.T
+        stiff = ((D * wts[:, None, :]) @ D.T) / (h * h)[:, None, None]
+        table = dofmap.element_table(ms)
+        gi, gj = np.repeat(table, k, axis=1).ravel(), np.tile(table, k).ravel()
+        keep = (gi >= 0) & (gj >= 0)
+        rows.append(gi[keep])
+        cols.append(gj[keep])
+        mass_vals.append(mass.ravel()[keep])
+        stiff_vals.append(stiff.ravel()[keep])
+    n = dofmap.n_dofs
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     B_mass = sparse.coo_matrix((np.concatenate(mass_vals), (rows, cols)), shape=(n, n)).tocsr()

@@ -107,10 +107,11 @@ def _p1_eigenvalues(n: int) -> tuple[np.ndarray, np.ndarray]:
 class _Bumps:
     """One element's bump block in its generalized eigenbasis:
     ``W^T Sbb W = diag(theta)`` and ``W^T Mbb W = I``; ``P`` and ``Q`` are
-    the vertex-bump mass and stiffness couplings in that basis."""
+    the vertex-bump mass and stiffness couplings in that basis. Both dof
+    ranges are contiguous."""
 
-    verts: np.ndarray
-    bumps: np.ndarray
+    verts: slice
+    bumps: slice
     W: np.ndarray
     theta: np.ndarray
     P: np.ndarray
@@ -123,6 +124,24 @@ class _Bumps:
     def inverse_diagonal(self, shifts: np.ndarray) -> np.ndarray:
         """``1/(omega + theta)``, shape ``(bumps, shifts)``."""
         return 1.0 / np.add.outer(self.theta, shifts)
+
+
+def _element_blocks(B, dofmap) -> dict[int, np.ndarray]:
+    """The bump rows of the y-matrix ``B`` as one dense ``(bumps, 2 +
+    bumps)`` block per element ``m`` (1-based) that has bumps: columns 0 and
+    1 couple to the element's vertices, the rest to its own bumps. Bump rows
+    have no other entries, so one pass over them fills every block."""
+    nv, starts = dofmap.M, dofmap.bump_starts
+    rows = B[nv:].tocoo()
+    r, c = rows.row + nv, rows.col
+    e = np.searchsorted(starts, r, side="right") - 1  # 0-based element of each row
+    k = np.diff(starts)
+    offsets = np.concatenate(([0], np.cumsum(k * (k + 2))))
+    local_col = np.where(c >= nv, c - starts[e] + 2, c - e)
+    flat = np.bincount(offsets[e] + (r - starts[e]) * (k[e] + 2) + local_col,
+                       weights=rows.data, minlength=offsets[-1])
+    return {i + 1: flat[offsets[i]:offsets[i + 1]].reshape(k[i], k[i] + 2)
+            for i in np.flatnonzero(k)}
 
 
 def _pivot_error(where: str) -> SolverError:
@@ -164,30 +183,27 @@ class TensorPreconditioner:
         Bm, Bs, dofmap = system.y.B_mass.tocsr(), system.y.B_stiff.tocsr(), system.y.dofmap
         nv = dofmap.M
         diag = np.outer(Bm.diagonal()[:nv], shifts) + Bs.diagonal()[:nv, None]
-        off = (np.outer(Bm[:nv, :nv].diagonal(1), shifts)
-               + Bs[:nv, :nv].diagonal(1)[:, None])
+        off = np.outer(Bm.diagonal(1)[:nv - 1], shifts) + Bs.diagonal(1)[:nv - 1, None]
 
         elements = []
-        for m, p in enumerate(dofmap.degrees, start=1):
-            if p == 1:
-                continue
-            glob, _ = dofmap.element_dofs(m)
-            verts, bumps = glob[glob < nv], glob[glob >= nv]
+        stiff_blocks = _element_blocks(Bs, dofmap)
+        for m, Xm in _element_blocks(Bm, dofmap).items():
+            Xs = stiff_blocks[m]
+            nverts = 2 if m < nv else 1
             try:
-                theta, W = scipy.linalg.eigh(Bs[bumps][:, bumps].toarray(),
-                                             Bm[bumps][:, bumps].toarray())
+                theta, W = scipy.linalg.eigh(Xs[:, 2:], Xm[:, 2:])
             except np.linalg.LinAlgError as exc:
                 raise _pivot_error(f"bump block of element {m}") from exc
-            el = _Bumps(verts, bumps, W, theta,
-                        Bm[verts][:, bumps].toarray() @ W, Bs[verts][:, bumps].toarray() @ W)
+            el = _Bumps(slice(m - 1, m - 1 + nverts),
+                        slice(dofmap.bump_starts[m - 1], dofmap.bump_starts[m]),
+                        W, theta, Xm[:, :nverts].T @ W, Xs[:, :nverts].T @ W)
             inv = el.inverse_diagonal(shifts)
             if not np.all(inv > 0.0):
                 raise _pivot_error(f"bump block of element {m}")
             C = el.coupling(shifts)
-            for i, vi in enumerate(verts):
-                diag[vi] -= np.sum(C[i] * C[i] * inv, axis=0)
-            if verts.size == 2:
-                off[verts[0]] -= np.sum(C[0] * C[1] * inv, axis=0)
+            diag[el.verts] -= np.sum(C * C * inv, axis=1)
+            if nverts == 2:
+                off[m - 1] -= np.sum(C[0] * C[1] * inv, axis=0)
             elements.append(el)
 
         for i in range(nv - 1):

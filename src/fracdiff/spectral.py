@@ -47,13 +47,18 @@ class BoxDomain:
     def modes_by_eigenvalue(self, count: int) -> list[tuple[int, ...]]:
         """First ``count`` eigenmode indices ordered by eigenvalue
         (ties broken lexicographically)."""
-        bound = int(math.isqrt(count * max(self.d, 1))) + count + 1
         if self.d == 1:
-            cand = [(k,) for k in range(1, count + 1)]
-        else:
-            cand = [(k, l) for k in range(1, bound + 1) for l in range(1, bound + 1)]
-        cand.sort(key=lambda idx: (sum(k * k for k in idx), idx))
-        return cand[:count]
+            return [(k,) for k in range(1, count + 1)]
+        if count <= 0:
+            return []
+        # the s*s box holds count modes of eigenvalue <= 2*s*s, so no index
+        # of the first count modes exceeds isqrt(2*s*s)
+        s = math.isqrt(count - 1) + 1
+        side = math.isqrt(2 * s * s)
+        k, l = np.divmod(np.arange(side * side), side)
+        k, l = k + 1, l + 1
+        order = np.lexsort((l, k, k * k + l * l))[:count]
+        return list(zip(k[order].tolist(), l[order].tolist()))
 
 
 def _check_index(domain: BoxDomain, index) -> tuple[int, ...]:

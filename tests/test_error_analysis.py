@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracdiff import error_analysis
 from fracdiff.error_analysis import (
     StudyRow,
     direct_energy_error_small,
@@ -188,6 +191,24 @@ class TestTraceHsError:
         grid = OmegaGrid(2, 8)
         with pytest.raises(ValueError):
             trace_hs_error(problem, grid, np.zeros(grid.n_dofs), k_modes=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        indices=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                         min_size=1, max_size=6),
+    )
+    def test_default_mode_count_is_first_covering_step(self, d, indices):
+        domain = BoxDomain(d)
+        f = modal_function(domain, [(idx[:d], 1.0) for idx in indices])
+        problem = FractionalProblem(s=0.5, domain=domain, f=f)
+        # the smallest base + 8*j whose eigenvalue-ordered modes hold the data
+        wanted = {idx[:d] for idx in indices}
+        order = domain.modes_by_eigenvalue(300)
+        count = 12 if d == 1 else 16
+        while not wanted.issubset(order[:count]):
+            count += 8
+        assert error_analysis._default_mode_count(problem) == count
 
     @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
     @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
+from fracdiff import fem1d
 from fracdiff.fem1d import (
+    QuadratureError,
     YDofMap,
     assemble_weighted_matrices,
     eval_in_VM,
@@ -14,7 +18,14 @@ from fracdiff.fem1d import (
     shape_values,
     weighted_rule,
 )
-from fracdiff.meshing import YMesh, graded_mesh, hp_mesh
+from fracdiff.meshing import (
+    YMesh,
+    build_ymesh,
+    graded_mesh,
+    hp_mesh,
+    select_params_h,
+    select_params_hp,
+)
 from fracdiff.specialfunc import PsiProfile, psi
 
 
@@ -25,6 +36,16 @@ def single_element_mesh():
 def uniform_mesh(M, Y=1.0, degrees=None):
     nodes = tuple(Y * m / M for m in range(M + 1))
     return YMesh(Y=Y, nodes=nodes, degrees=degrees or (1,) * M, family="graded", param=1.0)
+
+
+def prefix_sum_dofs(degrees, m):
+    """Global dofs and local basis rows of element ``m`` (1-based) by the
+    numbering contract: vertices first, the top one constrained, then the
+    bumps of each element in turn."""
+    M, p = len(degrees), degrees[m - 1]
+    first_bump = M + sum(q - 1 for q in degrees[: m - 1])
+    verts, local = ([m - 1, m], [0, 1]) if m < M else ([m - 1], [0])
+    return verts + list(range(first_bump, first_bump + p - 1)), local + list(range(2, p + 1))
 
 
 class TestGaussLobatto:
@@ -173,6 +194,84 @@ class TestAssembly:
         mesh = graded_mesh(14, 0.2, 1.3)
         W = assemble_weighted_matrices(mesh, alpha=alpha)
         np.linalg.cholesky(W.B_mass.toarray())
+
+
+# a geometric ratio so small that every element above y_1 needs split rules
+SPLIT_MESH = hp_mesh(5, 1e-4, 1.5, 0.7)
+
+
+class TestAssemblyAgainstElementLoop:
+    """The grouped assembly against a plain loop over elements, each with
+    its own :func:`weighted_rule`."""
+
+    @staticmethod
+    def element_loop(mesh, alpha):
+        degs = tuple(mesh.degrees)
+        n = sum(degs)
+        mass, stiff = np.zeros((n, n)), np.zeros((n, n))
+        nodes = np.asarray(mesh.nodes)
+        for m in range(1, mesh.M + 1):
+            a, b = nodes[m - 1], nodes[m]
+            p = degs[m - 1]
+            pts, wts = weighted_rule(a, b, alpha, 2 * p)
+            t = (pts - a) / (b - a)
+            glob, local = prefix_sum_dofs(degs, m)
+            B = shape_values(p, t)[local]
+            D = shape_derivatives(p, t)[local] / (b - a)
+            mass[np.ix_(glob, glob)] += (B * wts) @ B.T
+            stiff[np.ix_(glob, glob)] += (D * wts) @ D.T
+        return mass, stiff
+
+    @staticmethod
+    def scaled_difference(A, R):
+        # entries relative to the diagonal, which bounds them for SPD R
+        d = np.sqrt(np.diag(R))
+        return np.max(np.abs(A - R) / np.outer(d, d))
+
+    @pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.9])
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            build_ymesh(select_params_h(1 / 1024, 0.2, math.pi**2)),
+            hp_mesh(8, 0.125, 2.0, 0.7),
+            build_ymesh(select_params_hp(1 / 256, 0.2, math.pi**2)),
+            SPLIT_MESH,
+            single_element_mesh(),
+            YMesh(Y=2.0, nodes=(0.0, 2.0), degrees=(5,), family="geometric", param=0.5),
+        ],
+        ids=["hfem-s0.2-n1024", "hp-M8", "hp-s0.2-n256", "geometric-split", "M1-p1", "M1-p5"],
+    )
+    def test_matches_element_loop(self, mesh, alpha):
+        W = assemble_weighted_matrices(mesh, alpha=alpha)
+        mass, stiff = self.element_loop(mesh, alpha)
+        assert self.scaled_difference(W.B_mass.toarray(), mass) <= 1e-13
+        assert self.scaled_difference(W.B_stiff.toarray(), stiff) <= 1e-13
+
+    def test_split_beyond_depth_names_the_element(self, monkeypatch):
+        # depth 0 forbids the first split, which SPLIT_MESH needs above y_1
+        monkeypatch.setattr(fem1d, "_MAX_SPLIT_DEPTH", 0)
+        with pytest.raises(QuadratureError, match=r"^element 2: weighted rule on \["):
+            assemble_weighted_matrices(SPLIT_MESH, alpha=0.3)
+
+
+class TestDofMap:
+    @settings(max_examples=100, deadline=None)
+    @given(degrees=st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=12))
+    def test_matches_prefix_sum_numbering(self, degrees):
+        dofmap = YDofMap(degrees=tuple(degrees))
+        covered = []
+        for m in range(1, len(degrees) + 1):
+            glob, local = dofmap.element_dofs(m)
+            want_glob, want_local = prefix_sum_dofs(degrees, m)
+            assert glob.tolist() == want_glob
+            assert local.tolist() == want_local
+            covered += glob.tolist()
+        # every dof once, except the interior vertices shared by two elements
+        counts = np.bincount(covered, minlength=dofmap.n_dofs)
+        assert counts.size == dofmap.n_dofs
+        want = np.ones(dofmap.n_dofs, dtype=int)
+        want[1 : len(degrees)] = 2
+        assert counts.tolist() == want.tolist()
 
 
 class TestInterpolation:

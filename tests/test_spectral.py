@@ -45,6 +45,13 @@ class TestEigenpair:
         assert lams[0] == pytest.approx(2 * math.pi**2)
         assert len(set(modes)) == 12
 
+    def test_mode_enumeration_matches_sorted_box(self):
+        box = [(k, l) for k in range(1, 41) for l in range(1, 41)]
+        box.sort(key=lambda idx: (idx[0] ** 2 + idx[1] ** 2, idx))
+        for count in range(200):
+            assert BoxDomain(2).modes_by_eigenvalue(count) == box[:count]
+        assert BoxDomain(1).modes_by_eigenvalue(5) == [(1,), (2,), (3,), (4,), (5,)]
+
 
 class TestSolveFractional:
     def test_benchmark_has_unit_coefficient(self):
