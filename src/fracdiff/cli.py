@@ -59,18 +59,20 @@ class RunConfig:
             raise ConfigError("every entry of n must be >= 2")
         if self.n is None and self.levels < 1:
             raise ConfigError("levels must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        for name in ("tol", "beta", "m_mult", "y_mult"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.sigma < 1.0:
             raise ConfigError("sigma must lie in (0, 1)")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
         if self.mu is not None and not 0.0 < self.mu <= 1.0:
             raise ConfigError("mu must lie in (0, 1]")
         if self.modes is not None:
-            for index, _ in self.modes:
+            for index, coef in self.modes:
                 if len(index) != self.d or any(k < 1 for k in index):
                     raise ConfigError(f"mode index {index} invalid for d={self.d}")
+                if not math.isfinite(coef):
+                    raise ConfigError(f"mode {index} has a non-finite coefficient {coef}")
 
 
 def parse_modes(text: str) -> list[tuple[tuple[int, ...], float]]:
@@ -129,25 +131,28 @@ _CONFIG_PARSERS = {
 }
 
 
+def _parse_field(key: str, raw: str):
+    try:
+        return _CONFIG_PARSERS[key](raw)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"config field {key}: {exc}") from exc
+
+
 def build_config(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         for key, raw in read_config_file(args.config).items():
-            try:
-                setattr(cfg, key, _CONFIG_PARSERS[key](raw))
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"config field {key}: {exc}") from exc
+            setattr(cfg, key, _parse_field(key, raw))
     for name in ("scheme", "s", "d", "levels", "tol", "out", "mu", "sigma",
                  "beta", "m_mult", "y_mult"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    if getattr(args, "n", None):
-        cfg.n = [int(tok) for tok in args.n.split(",")]
-    if getattr(args, "modes", None):
-        cfg.modes = parse_modes(args.modes)
+    for name in ("n", "modes"):
+        if getattr(args, name, None):
+            setattr(cfg, name, _parse_field(name, getattr(args, name)))
     if getattr(args, "deterministic", False):
         cfg.deterministic = True
     cfg.validate()

@@ -26,7 +26,6 @@ from .fem1d import (
 )
 from .femomega import (
     OmegaGrid,
-    assemble_f_inner,
     assemble_load,
     assemble_omega_matrices,
     sine_hat_integrals,
@@ -78,24 +77,18 @@ def exact_data_product(problem: FractionalProblem) -> float:
     )
 
 
-def energy_error(
-    problem: FractionalProblem,
-    grid: OmegaGrid,
-    trace,
-    f_inner: np.ndarray | None = None,
-) -> float:
+def energy_error(problem: FractionalProblem, load: np.ndarray, trace) -> float:
     """Weighted-gradient energy error from the Galerkin-orthogonality
-    identity: ``sqrt(d_s * (I_exact - I_h))`` with ``I_h = int f * tr u_h``.
+    identity: ``sqrt(d_s * (I_exact - I_h))`` with ``I_h = int f * tr u_h``,
+    read off the level's load vector ``d_s * int f * eta_i``.
 
     Tiny negative radicands (down to ``-1e-12 * I_exact``) are clamped to
     zero; anything larger signals an inconsistent (under-resolved) solve and
     raises.
     """
     trace = np.asarray(trace, dtype=float)
-    if f_inner is None:
-        f_inner = assemble_f_inner(grid, problem.f)
     i_exact = exact_data_product(problem)
-    i_h = float(f_inner @ trace)
+    i_h = float((load / problem.d_s) @ trace)
     radicand = problem.d_s * (i_exact - i_h)
     if radicand < 0.0:
         if radicand >= -1e-12 * problem.d_s * abs(i_exact):
@@ -232,14 +225,12 @@ def _singular_bottom_rule(h1: float, alpha: float, s: float, npts: int):
 
 
 def _mode_inner_with_trace(grid: OmegaGrid, index, trace: np.ndarray) -> float:
-    """Quadrature of ``int tr_h * phi_hat_k dx`` (orthonormal)."""
-    factor = 2.0 ** (grid.d / 2.0)
-    if grid.d == 1:
-        return factor * float(sine_hat_integrals(grid, index[0]) @ trace)
-    g1 = sine_hat_integrals(grid, index[0])
-    g2 = sine_hat_integrals(grid, index[1])
-    T = trace.reshape(grid.n - 1, grid.n - 1)
-    return factor * float(g1 @ T @ g2)
+    """Quadrature of ``int tr_h * phi_hat_k dx`` (orthonormal): the nodal
+    trace contracted with one 1-D sine-hat vector per axis, slowest first."""
+    T = trace
+    for k in index:
+        T = sine_hat_integrals(grid, k) @ T.reshape(grid.n - 1, -1)
+    return 2.0 ** (grid.d / 2.0) * float(T[0])
 
 
 def trace_hs_error(
@@ -342,8 +333,7 @@ def run_level(
     except SolverError as exc:
         raise SolverError(f"{scheme} s={problem.s:g} d={grid.d} n={n}: {exc}",
                           residual=exc.residual, iterations=exc.iterations) from exc
-    f_inner = level.load / problem.d_s
-    err = energy_error(problem, grid, sol.trace, f_inner=f_inner)
+    err = energy_error(problem, level.load, sol.trace)
     tr_err = trace_hs_error(problem, grid, sol.trace, _default_mode_count(problem))
     wall = time.perf_counter() - t0
     return StudyRow(

@@ -232,13 +232,7 @@ class WeightedMatrices:
         return self.dofmap.n_dofs
 
 
-def _resolve_degrees(mesh: YMesh, degrees) -> tuple[int, ...]:
-    if degrees is None:
-        return tuple(mesh.degrees)
-    return tuple(int(p) for p in degrees)
-
-
-def assemble_weighted_matrices(mesh: YMesh, degrees=None, alpha: float = 0.0) -> WeightedMatrices:
+def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatrices:
     """Assemble ``int y**alpha tau_j tau_l dy`` and
     ``int y**alpha tau_j' tau_l' dy`` over the constrained space.
 
@@ -247,14 +241,11 @@ def assemble_weighted_matrices(mesh: YMesh, degrees=None, alpha: float = 0.0) ->
     differ, and each such group is assembled by one stacked contraction. The
     Gauss-Jacobi first element and every split element are groups of one.
     """
-    degs = _resolve_degrees(mesh, degrees)
-    if len(degs) != mesh.M:
-        raise ValueError("one degree per element required")
-    dofmap = YDofMap(degrees=degs)
+    dofmap = YDofMap(degrees=mesh.degrees)
     nodes = np.asarray(mesh.nodes)
     groups = []  # (elements, reference nodes t, weights of shape (elements, len(t)))
     shared: dict[tuple[int, int], list[int]] = {}
-    for m, p in enumerate(degs, start=1):
+    for m, p in enumerate(mesh.degrees, start=1):
         a, b = nodes[m - 1], nodes[m]
         points = _gl_point_count(a, b, 2 * p) if a > 0.0 else 0
         if 0 < points <= _MAX_GL_POINTS:
@@ -272,7 +263,7 @@ def assemble_weighted_matrices(mesh: YMesh, degrees=None, alpha: float = 0.0) ->
 
     rows, cols, mass_vals, stiff_vals = [], [], [], []
     for ms, t, wts in groups:
-        p = degs[ms[0] - 1]
+        p = mesh.degrees[ms[0] - 1]
         k = p + 1
         B, D = shape_values(p, t), shape_derivatives(p, t)
         h = nodes[ms] - nodes[ms - 1]
@@ -301,7 +292,6 @@ class GLInterpolant:
     the last element."""
 
     mesh: YMesh
-    degrees: tuple[int, ...]
     elements: tuple[tuple[float, float, np.ndarray], ...]  # (a, b, legendre coeffs)
 
     def _piece_eval(self, idx: int, y: np.ndarray, derivative: bool) -> np.ndarray:
@@ -331,7 +321,7 @@ class GLInterpolant:
         return self._eval(y, derivative=True)
 
 
-def interpolate_iyp(xi, mesh: YMesh, degrees=None) -> GLInterpolant:
+def interpolate_iyp(xi, mesh: YMesh) -> GLInterpolant:
     """Interpolation of a scalar function on ``(0, Y]`` into the constrained
     space.
 
@@ -341,14 +331,11 @@ def interpolate_iyp(xi, mesh: YMesh, degrees=None) -> GLInterpolant:
     so the result vanishes there. For a single-element mesh the constant
     rule is applied first and the truncation then zeroes the top sample.
     """
-    degs = _resolve_degrees(mesh, degrees)
-    if len(degs) != mesh.M:
-        raise ValueError("one degree per element required")
     nodes = np.asarray(mesh.nodes)
     elements = []
     for m in range(1, mesh.M + 1):
         a, b = float(nodes[m - 1]), float(nodes[m])
-        p = degs[m - 1]
+        p = mesh.degrees[m - 1]
         if m == 1 and mesh.M > 1:
             coeffs = np.array([float(xi(nodes[1]))])
         else:
@@ -362,18 +349,17 @@ def interpolate_iyp(xi, mesh: YMesh, degrees=None) -> GLInterpolant:
             x = (2.0 * gl - (a + b)) / (b - a)
             coeffs = np.linalg.solve(npleg.legvander(x, p), vals)
         elements.append((a, b, coeffs))
-    return GLInterpolant(mesh=mesh, degrees=degs, elements=tuple(elements))
+    return GLInterpolant(mesh=mesh, elements=tuple(elements))
 
 
-def eval_in_VM(mesh: YMesh, coefficients, y, degrees=None):
+def eval_in_VM(mesh: YMesh, coefficients, y):
     """Evaluate a hierarchical-basis expansion at points of ``[0, Y]``.
 
     ``coefficients`` follows the dof ordering contract (vertices first, then
     bumps); the expansion is continuous across elements and vanishes at
     ``Y``.
     """
-    degs = _resolve_degrees(mesh, degrees)
-    dofmap = YDofMap(degrees=degs)
+    dofmap = YDofMap(degrees=mesh.degrees)
     coeffs = np.asarray(coefficients, dtype=float)
     if coeffs.shape != (dofmap.n_dofs,):
         raise ValueError(f"expected {dofmap.n_dofs} coefficients")
@@ -390,6 +376,6 @@ def eval_in_VM(mesh: YMesh, coefficients, y, degrees=None):
         a, b = nodes[e], nodes[e + 1]
         t = (arr[sel] - a) / (b - a)
         glob, local = dofmap.element_dofs(e + 1)
-        B = shape_values(degs[e], t)
+        B = shape_values(mesh.degrees[e], t)
         out[sel] = coeffs[glob] @ B[local]
     return float(out[0]) if np.ndim(y) == 0 else out

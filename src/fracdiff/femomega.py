@@ -1,22 +1,22 @@
 """P1/Q1 finite elements on uniform tensor grids of the unit box.
 
-For ``d = 1`` the matrices are the classical piecewise-linear mass and
-stiffness matrices on interior nodes; for ``d = 2`` the bilinear (Q1)
-matrices are realized exactly as Kronecker products of the 1-D factors.
-DOF ordering for ``d = 2``: node ``(i, j)`` (1-based grid indices) maps to
-``(i-1)*(n-1) + (j-1)``, i.e. the first coordinate is the slow index.
+For any ``d`` the P1/Q1 matrices on interior nodes are realized exactly as
+Kronecker products of the 1-D piecewise-linear factors: the mass is the
+product of ``d`` 1-D masses, the stiffness their Kronecker sum. DOF ordering:
+the interior nodes are numbered in row-major order of their 1-based grid
+indices, i.e. the first coordinate is the slowest index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
 
-from .spectral import FractionalProblem, ModalFunction
+from .spectral import FractionalProblem
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,11 @@ class OmegaMatrices:
 
 def assemble_omega_matrices(grid: OmegaGrid) -> OmegaMatrices:
     m1, k1 = _p1_factors(grid.n)
-    if grid.d == 1:
-        A_mass, A_stiff = m1.copy(), k1.copy()
-    else:
-        A_mass = sparse.kron(m1, m1).tocsr()
-        A_stiff = (sparse.kron(k1, m1) + sparse.kron(m1, k1)).tocsr()
+    d = grid.d
+    A_mass = reduce(sparse.kron, [m1] * d).tocsr()
+    A_stiff = sum(
+        reduce(sparse.kron, [k1 if j == i else m1 for j in range(d)]) for i in range(d)
+    ).tocsr()
     return OmegaMatrices(A_mass=A_mass, A_stiff=A_stiff, grid=grid)
 
 
@@ -93,34 +93,26 @@ def unit_gauss_rule(npts: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def sine_hat_integrals(grid: OmegaGrid, k: int, n_gauss: int = 8) -> np.ndarray:
+def sine_hat_integrals(grid: OmegaGrid, k: int) -> np.ndarray:
     """Per-node integrals ``int_0^1 sin(k*pi*x) * hat_i(x) dx`` computed with
-    a fixed Gauss rule on every cell."""
+    the 8-point Gauss rule on every cell."""
     if k < 1:
         raise ValueError("frequency index must be >= 1")
     n, h = grid.n, grid.h
-    t, w = unit_gauss_rule(n_gauss)
+    t, w = unit_gauss_rule(8)
     vals = np.sin(k * math.pi * h * (np.arange(n)[:, None] + t)) * (w * h)  # (cell, point)
     # node i gets the rising hat of the cell on its left and the falling
     # hat of the cell on its right
     return (vals @ t)[:-1] + (vals @ (1.0 - t))[1:]
 
 
-def assemble_f_inner(grid: OmegaGrid, f: ModalFunction, n_gauss: int = 8) -> np.ndarray:
-    """Vector of ``int f * eta_i dx`` for a finite modal ``f``."""
-    out = np.zeros(grid.n_dofs)
-    for mode, coef in f.modes:
-        weight = coef * mode.factor
-        if grid.d == 1:
-            out += weight * sine_hat_integrals(grid, mode.index[0], n_gauss)
-        else:
-            g1 = sine_hat_integrals(grid, mode.index[0], n_gauss)
-            g2 = sine_hat_integrals(grid, mode.index[1], n_gauss)
-            out += weight * np.kron(g1, g2)
-    return out
-
-
-def assemble_load(grid: OmegaGrid, problem: FractionalProblem, n_gauss: int = 8) -> np.ndarray:
+def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
     """Load vector ``d_s * int f * eta_i dx``; the cylinder right-hand side
-    is this vector placed in the unique y-dof supported at ``y = 0``."""
-    return problem.d_s * assemble_f_inner(grid, problem.f, n_gauss)
+    is this vector placed in the unique y-dof supported at ``y = 0``. Each
+    mode of ``f`` is a product of sines, so its part of ``int f * eta_i`` is
+    the Kronecker product of the 1-D sine-hat integrals."""
+    out = np.zeros(grid.n_dofs)
+    for mode, coef in problem.f.modes:
+        out += coef * mode.factor * reduce(
+            np.kron, [sine_hat_integrals(grid, k) for k in mode.index])
+    return problem.d_s * out

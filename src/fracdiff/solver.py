@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.fft
@@ -163,7 +164,7 @@ class TensorPreconditioner:
     loops run over elements and vertices only.
     """
 
-    d: int
+    base_shape: tuple      # (n - 1,) * d: the interior nodes per base axis
     mass_eig: np.ndarray   # base-direction mass eigenvalue of every mode
     shifts: np.ndarray     # generalized eigenvalue omega of every mode
     elements: list         # _Bumps of every element with degree >= 2
@@ -174,11 +175,8 @@ class TensorPreconditioner:
     def build(cls, system: KroneckerSystem) -> "TensorPreconditioner":
         grid = system.omega.grid
         mass, stiff = _p1_eigenvalues(grid.n)
-        if grid.d == 1:
-            mass_eig, shifts = mass, stiff / mass
-        else:
-            mass_eig = np.outer(mass, mass).ravel()
-            shifts = np.add.outer(stiff / mass, stiff / mass).ravel()
+        mass_eig = reduce(np.multiply.outer, [mass] * grid.d).ravel()
+        shifts = reduce(np.add.outer, [stiff / mass] * grid.d).ravel()
 
         Bm, Bs, dofmap = system.y.B_mass.tocsr(), system.y.B_stiff.tocsr(), system.y.dofmap
         nv = dofmap.M
@@ -211,17 +209,15 @@ class TensorPreconditioner:
             diag[i + 1] -= off[i] * off[i] * diag[i]
         if not np.all(diag > 0.0):
             raise _pivot_error("vertex tridiagonal")
-        return cls(d=grid.d, mass_eig=mass_eig, shifts=shifts, elements=elements,
-                   pivots=diag, lower=off)
+        return cls(base_shape=(grid.n - 1,) * grid.d, mass_eig=mass_eig, shifts=shifts,
+                   elements=elements, pivots=diag, lower=off)
 
     def _dst(self, T: np.ndarray) -> np.ndarray:
         """Orthonormal DST-I over the base-domain axes of a ``(N_y,
         N_omega)`` tensor; it is its own inverse."""
-        if self.d == 1:
-            return scipy.fft.dst(T, type=1, axis=1, norm="ortho", overwrite_x=True)
-        m = math.isqrt(T.shape[1])
-        out = scipy.fft.dstn(T.reshape(-1, m, m), type=1, axes=(1, 2), norm="ortho",
-                             overwrite_x=True)
+        axes = tuple(range(1, 1 + len(self.base_shape)))
+        out = scipy.fft.dstn(T.reshape(-1, *self.base_shape), type=1, axes=axes,
+                             norm="ortho", overwrite_x=True)
         return out.reshape(T.shape)
 
     def apply(self, R: np.ndarray) -> np.ndarray:

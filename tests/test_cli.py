@@ -117,6 +117,26 @@ class TestSolveCommand:
         )
         assert code == 2  # 1-entry index on a 2-d domain
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key,value", [
+        ("n", "8,x"), ("n", "8,,16"),
+        ("m_mult", "0"), ("m_mult", "-1"), ("m_mult", "nan"), ("y_mult", "0"),
+        ("beta", "nan"), ("beta", "inf"), ("modes", "1=nan"), ("tol", "nan"),
+    ])
+    def test_bad_option_value_exits_2(self, tmp_path, capsys, key, value, source):
+        argv = ["solve", "--s", "0.5", "--d", "1", "--out", str(tmp_path / "x")]
+        if key != "n":
+            argv += ["--n", "8"]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scheme=hpfem\ns=0.7\nd=1\nlevels=3\ndeterministic=true\n")

@@ -20,7 +20,7 @@ from fracdiff.error_analysis import (
     trace_hs_error,
 )
 from fracdiff.fem1d import assemble_weighted_matrices
-from fracdiff.femomega import OmegaGrid
+from fracdiff.femomega import OmegaGrid, assemble_load
 from fracdiff.solver import KroneckerSystem, SolverError, cylinder_rhs, solve
 from fracdiff.spectral import (
     BoxDomain,
@@ -64,7 +64,7 @@ def assert_direct_matches_identity(problem, scheme, n):
     level = discretize(problem, scheme, n)
     sol = solve(level.system, level.rhs, rel_tol=1e-11)
     assert sol.coefficients.size <= 5000
-    via_identity = energy_error(problem, level.grid, sol.trace)
+    via_identity = energy_error(problem, level.load, sol.trace)
     direct = direct_energy_error_small(problem, level.grid, level.weighted, sol)
     assert abs(direct - via_identity) <= 1e-8 * via_identity
 
@@ -89,11 +89,11 @@ class TestEnergyError:
         for s in [0.2, 0.5, 0.8]:
             problem = benchmark_problem(s, 2)
             grid = OmegaGrid(2, 8)
-            err = energy_error(problem, grid, np.zeros(grid.n_dofs))
+            err = energy_error(problem, assemble_load(grid, problem), np.zeros(grid.n_dofs))
             want = math.sqrt(problem.d_s * (2 * math.pi**2) ** s / 4.0)
             assert err == pytest.approx(want, rel=1e-9)
         problem = benchmark_problem(0.5, 2)
-        err = energy_error(problem, OmegaGrid(2, 8), np.zeros(49))
+        err = energy_error(problem, assemble_load(OmegaGrid(2, 8), problem), np.zeros(49))
         assert err == pytest.approx(1.0539073652554058, rel=1e-9)
 
     def test_exact_data_product(self):
@@ -107,7 +107,8 @@ class TestEnergyError:
         errs = []
         for n in (16, 32, 64):
             grid = OmegaGrid(1, n)
-            errs.append(energy_error(problem, grid, exact_nodal_trace(problem, grid)))
+            errs.append(energy_error(problem, assemble_load(grid, problem),
+                                     exact_nodal_trace(problem, grid)))
         assert errs[0] < 0.2
         assert errs[1] < errs[0] and errs[2] < errs[1]
 
@@ -123,7 +124,7 @@ class TestEnergyError:
         grid = OmegaGrid(1, 8)
         giant = 100.0 * exact_nodal_trace(problem, grid)
         with pytest.raises(ValueError):
-            energy_error(problem, grid, giant)
+            energy_error(problem, assemble_load(grid, problem), giant)
 
 
 class TestDirectEnergyError:
@@ -191,6 +192,35 @@ class TestTraceHsError:
         grid = OmegaGrid(2, 8)
         with pytest.raises(ValueError):
             trace_hs_error(problem, grid, np.zeros(grid.n_dofs), k_modes=0)
+
+    @pytest.mark.parametrize("load_index", [(2, 1), (1, 2)], ids=["load21", "load12"])
+    def test_sampled_asymmetric_mode_projects_onto_its_own_axes(self, load_index):
+        # trace = sin(2 pi x1) sin(pi x2) at the nodes. Its sine-hat integrals
+        # are gamma_k sin(k pi x_i), gamma_k = 4 sin^2(k pi h/2)/((k pi)^2 h),
+        # and sum_i sin(k pi x_i) sin(l pi x_i) = (n/2) delta_kl for k, l < n:
+        # the orthonormal projection is 2 gamma_2 gamma_1 (n/2)^2 onto (2, 1)
+        # and 0 onto (1, 2) and every other mode. Contracting the axes the
+        # other way round swaps the two.
+        n, s = 8, 0.4
+        grid = OmegaGrid(2, n)
+        x = grid.interior_nodes
+        trace = np.outer(np.sin(2 * math.pi * x), np.sin(math.pi * x)).ravel()
+
+        def gamma(k):
+            return 4 * math.sin(k * math.pi / (2 * n)) ** 2 * n / (k * math.pi) ** 2
+
+        projection = 2 * gamma(2) * gamma(1) * (n / 2) ** 2
+        domain = BoxDomain(2)
+        problem = FractionalProblem(
+            s=s, domain=domain, f=modal_function(domain, [(load_index, 1.0)], "plain")
+        )
+        ((_, lam, u),) = solve_fractional(problem).orthonormal_items()
+        if load_index == (2, 1):
+            want = lam ** (s / 2) * abs(u - projection)
+        else:
+            want = lam ** (s / 2) * math.hypot(u, projection)
+        got = trace_hs_error(problem, grid, trace, k_modes=16)
+        assert got == pytest.approx(want, rel=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -278,7 +308,7 @@ class TestStudyDriver:
         errs = []
         for system in (level.system, raised_system):
             sol = solve(system, cylinder_rhs(system, level.load), rel_tol=1e-12)
-            errs.append(energy_error(problem, level.grid, sol.trace))
+            errs.append(energy_error(problem, level.load, sol.trace))
         assert errs[1] <= errs[0] * (1 + 1e-10)
 
     def test_run_level_rejects_unknown_scheme(self):

@@ -6,12 +6,11 @@ import scipy.linalg
 
 from fracdiff.femomega import (
     OmegaGrid,
-    assemble_f_inner,
     assemble_load,
     assemble_omega_matrices,
     sine_hat_integrals,
 )
-from fracdiff.spectral import BoxDomain, FractionalProblem, benchmark_problem, modal_function
+from fracdiff.spectral import BoxDomain, FractionalProblem, modal_function
 
 
 def sine_hat_closed_form(n, k):
@@ -126,18 +125,13 @@ class TestLoad:
         got = sine_hat_integrals(OmegaGrid(1, n), k)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
-    def test_quadrature_refinement_stable(self):
-        problem = benchmark_problem(0.4, 2)
-        grid = OmegaGrid(2, 6)
-        coarse = assemble_load(grid, problem, n_gauss=8)
-        fine = assemble_load(grid, problem, n_gauss=16)
-        assert np.max(np.abs(coarse - fine)) < 1e-12 * np.abs(fine).max()
-
     def test_2d_structure_vs_direct_quadrature(self):
         domain = BoxDomain(2)
-        f = modal_function(domain, [((2, 1), 1.5)], "plain")
+        problem = FractionalProblem(
+            s=0.4, domain=domain, f=modal_function(domain, [((2, 1), 1.5)], "plain")
+        )
         grid = OmegaGrid(2, 5)
-        got = assemble_f_inner(grid, f)
+        got = assemble_load(grid, problem) / problem.d_s
         # direct tensor of closed forms
         g1 = sine_hat_closed_form(5, 2)
         g2 = sine_hat_closed_form(5, 1)

@@ -252,7 +252,9 @@ class TestExactSolveOracle:
     def test_matches_dense_kronecker_solve(self, case):
         d, n, mesh, degrees, alpha, seed = case
         omega = assemble_omega_matrices(OmegaGrid(d, n))
-        system = KroneckerSystem(omega, assemble_weighted_matrices(mesh, degrees, alpha=alpha))
+        if degrees is not None:
+            mesh = replace(mesh, degrees=tuple(degrees))
+        system = KroneckerSystem(omega, assemble_weighted_matrices(mesh, alpha=alpha))
         rhs = np.random.default_rng(seed).standard_normal((system.n_omega, system.n_y))
         # symmetric diagonal scaling keeps the dense oracle accurate on
         # strongly graded meshes
