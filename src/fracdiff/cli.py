@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import error_analysis as ea
@@ -93,6 +93,38 @@ def parse_modes(text: str) -> list[tuple[tuple[int, ...], float]]:
     return out
 
 
+def _cell_counts(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _switch(text: str) -> bool:
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return value in ("1", "true", "yes")
+
+
+# Every option of solve/study/compare, keyed by its RunConfig field: the text
+# parser and the help. The flag is ``--name`` with dashes for underscores and
+# the config-file key is ``name``; both are read as text and parsed here.
+OPTIONS = {
+    "scheme": (str, "extended-direction scheme: hfem or hpfem"),
+    "s": (float, "fractional order in (0,1)"),
+    "d": (int, "base-domain dimension: 1 or 2"),
+    "levels": (int, "number of refinement levels"),
+    "n": (_cell_counts, "explicit comma-separated cell counts"),
+    "tol": (float, "solver relative tolerance"),
+    "out": (str, "output path base"),
+    "mu": (float, "grading parameter override"),
+    "sigma": (float, "geometric ratio override"),
+    "beta": (float, "degree-vector slope override"),
+    "m_mult": (float, "multiplier on the element-count rule"),
+    "y_mult": (float, "multiplier on the truncation height rule"),
+    "modes": (parse_modes, "right-hand side modes 'k[,l]=coef;...'"),
+    "deterministic": (_switch, "zero wall-clock columns for byte-stable output"),
+}
+
+
 def read_config_file(path: str) -> dict:
     """Plain key=value file; '#' starts a comment."""
     values = {}
@@ -107,78 +139,33 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (tok.strip() for tok in line.split("=", 1))
-        if key not in {f.name for f in fields(RunConfig)}:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
-_CONFIG_PARSERS = {
-    "scheme": str,
-    "s": float,
-    "d": int,
-    "levels": int,
-    "n": lambda v: [int(tok) for tok in v.split(",")],
-    "tol": float,
-    "out": str,
-    "mu": float,
-    "sigma": float,
-    "beta": float,
-    "m_mult": float,
-    "y_mult": float,
-    "modes": parse_modes,
-    "deterministic": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-
-def _parse_field(key: str, raw: str):
-    try:
-        return _CONFIG_PARSERS[key](raw)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"config field {key}: {exc}") from exc
-
-
 def build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, raw in read_config_file(args.config).items():
-            setattr(cfg, key, _parse_field(key, raw))
-    for name in ("scheme", "s", "d", "levels", "tol", "out", "mu", "sigma",
-                 "beta", "m_mult", "y_mult"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    for name in ("n", "modes"):
-        if getattr(args, name, None):
-            setattr(cfg, name, _parse_field(name, getattr(args, name)))
-    if getattr(args, "deterministic", False):
-        cfg.deterministic = True
+    """Merge the config-file text with the flag text (flags win) and parse
+    every value once through :data:`OPTIONS`."""
+    text = read_config_file(args.config) if args.config else {}
+    flags = vars(args)
+    text.update((name, flags[name]) for name in OPTIONS if flags[name] is not None)
+    values = {}
+    for name, raw in text.items():
+        try:
+            values[name] = OPTIONS[name][0](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{name}={raw!r}: {exc}") from exc
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
 
-def _study_kwargs(cfg: RunConfig) -> dict:
-    return dict(
-        tol=cfg.tol,
-        mu=cfg.mu,
-        sigma=cfg.sigma,
-        beta=cfg.beta,
-        m_mult=cfg.m_mult,
-        y_mult=cfg.y_mult,
-    )
-
-
 def _run_scheme(cfg: RunConfig, scheme: str) -> list[ea.StudyRow]:
     return ea.run_convergence_study(
-        scheme,
-        cfg.s,
-        cfg.d,
-        levels=cfg.levels if cfg.n is None else None,
-        n_list=cfg.n,
-        f_entries=cfg.modes,
-        **_study_kwargs(cfg),
+        scheme, cfg.s, cfg.d, cfg.levels, cfg.n, f_entries=cfg.modes, tol=cfg.tol,
+        mu=cfg.mu, sigma=cfg.sigma, beta=cfg.beta, m_mult=cfg.m_mult, y_mult=cfg.y_mult,
     )
 
 
@@ -217,21 +204,16 @@ def write_csv(path: Path, rows: list[ea.StudyRow], deterministic: bool):
 
 
 def write_json(path: Path, cfg: RunConfig, results: dict[str, list[ea.StudyRow]]):
-    payload = {
-        "config": {k: v for k, v in asdict(cfg).items()},
-        "results": {},
-    }
-    if payload["config"]["modes"] is not None:
+    payload = {"config": asdict(cfg), "results": {}}
+    if cfg.modes is not None:
         payload["config"]["modes"] = [
             {"index": list(idx), "coefficient": c} for idx, c in cfg.modes
         ]
     for scheme, rows in results.items():
         payload["results"][scheme] = {
             "rows": [_row_record(r, cfg.deterministic) for r in rows],
-            "orders": ea.observed_orders(rows) if len(rows) > 1 else [],
-            "orders_log_normalized": (
-                ea.observed_orders(rows, log_power=cfg.s) if len(rows) > 1 else []
-            ),
+            "orders": ea.observed_orders(rows),
+            "orders_log_normalized": ea.observed_orders(rows, log_power=cfg.s),
         }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -250,8 +232,7 @@ def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, out_base: 
             lines.append(
                 f"{scheme},{_fmt(h)},{_fmt(row.energy_error)},{_fmt(h)},{_fmt(ref)}"
             )
-    path_h = out_base.with_name(out_base.name + "_fig_error_vs_h.csv")
-    path_h.write_text("\n".join(lines) + "\n")
+    _with_ext(out_base, "_fig_error_vs_h.csv").write_text("\n".join(lines) + "\n")
 
     merged = [
         (row.N_total, scheme, row.energy_error)
@@ -262,9 +243,7 @@ def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, out_base: 
     lines = ["scheme,N_total,energy_error"]
     for n_total, scheme, err in merged:
         lines.append(f"{scheme},{n_total},{_fmt(err)}")
-    path_dof = out_base.with_name(out_base.name + "_fig_error_vs_dof.csv")
-    path_dof.write_text("\n".join(lines) + "\n")
-    return path_h, path_dof
+    _with_ext(out_base, "_fig_error_vs_dof.csv").write_text("\n".join(lines) + "\n")
 
 
 def _print_orders(scheme: str, rows: list[ea.StudyRow], s: float):
@@ -276,16 +255,14 @@ def _print_orders(scheme: str, rows: list[ea.StudyRow], s: float):
     print(f"{scheme}: log-normalized orders {['%.3f' % o for o in normalized]}")
 
 
-def cmd_solve(cfg: RunConfig, with_summary: bool, with_figures: bool) -> int:
+def cmd_solve(cfg: RunConfig, study: bool) -> int:
     results = {cfg.scheme: _run_scheme(cfg, cfg.scheme)}
     out = Path(cfg.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(_with_ext(out, ".csv"), results[cfg.scheme], cfg.deterministic)
     write_json(_with_ext(out, ".json"), cfg, results)
-    if with_summary:
+    if study:
         _print_orders(cfg.scheme, results[cfg.scheme], cfg.s)
-    if with_figures:
         emit_figure_data(results, cfg.s, out)
     print(f"wrote {_with_ext(out, '.csv')}")
     return 0
@@ -294,10 +271,9 @@ def cmd_solve(cfg: RunConfig, with_summary: bool, with_figures: bool) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     results = {scheme: _run_scheme(cfg, scheme) for scheme in ("hfem", "hpfem")}
     out = Path(cfg.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     for scheme, rows in results.items():
-        write_csv(out.with_name(out.name + f"_{scheme}.csv"), rows, cfg.deterministic)
+        write_csv(_with_ext(out, f"_{scheme}.csv"), rows, cfg.deterministic)
     write_json(_with_ext(out, ".json"), cfg, results)
     emit_figure_data(results, cfg.s, out)
     for scheme, rows in results.items():
@@ -377,36 +353,18 @@ def cmd_selftest() -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    for name, (parse, text) in OPTIONS.items():
+        switch = dict(action="store_const", const="true") if parse is _switch else {}
+        common.add_argument("--" + name.replace("_", "-"), help=text, **switch)
+    common.add_argument("--config", help="key=value config file")
     parser = argparse.ArgumentParser(
         prog="fracdiff",
         description="Fractional diffusion solver via the truncated cylinder extension",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--scheme", choices=["hfem", "hpfem"])
-        p.add_argument("--s", type=float, help="fractional order in (0,1)")
-        p.add_argument("--d", type=int, choices=[1, 2])
-        p.add_argument("--levels", type=int, help="number of refinement levels")
-        p.add_argument("--n", type=str, help="explicit comma-separated cell counts")
-        p.add_argument("--tol", type=float, help="solver relative tolerance")
-        p.add_argument("--out", type=str, help="output path base")
-        p.add_argument("--mu", type=float, help="grading parameter override")
-        p.add_argument("--sigma", type=float, help="geometric ratio override")
-        p.add_argument("--beta", type=float, help="degree-vector slope override")
-        p.add_argument("--m-mult", dest="m_mult", type=float,
-                       help="multiplier on the element-count rule")
-        p.add_argument("--y-mult", dest="y_mult", type=float,
-                       help="multiplier on the truncation height rule")
-        p.add_argument("--modes", type=str,
-                       help="right-hand side modes 'k[,l]=coef;...'")
-        p.add_argument("--config", type=str, help="key=value config file")
-        p.add_argument("--deterministic", action="store_true",
-                       help="zero wall-clock columns for byte-stable output")
-
     for name in ("solve", "study", "compare"):
-        p = sub.add_parser(name)
-        add_common(p)
+        sub.add_parser(name, parents=[common])
     sub.add_parser("selftest")
     return parser
 
@@ -417,23 +375,15 @@ def main(argv=None) -> int:
         return cmd_selftest()
     try:
         cfg = build_config(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "solve":
-            return cmd_solve(cfg, with_summary=False, with_figures=False)
-        if args.command == "study":
-            return cmd_solve(cfg, with_summary=True, with_figures=True)
         if args.command == "compare":
             return cmd_compare(cfg)
+        return cmd_solve(cfg, study=args.command == "study")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

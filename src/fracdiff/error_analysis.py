@@ -18,6 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .fem1d import (
+    QuadratureError,
     WeightedMatrices,
     assemble_weighted_matrices,
     shape_derivatives,
@@ -31,7 +32,7 @@ from .femomega import (
     sine_hat_integrals,
     unit_gauss_rule,
 )
-from .meshing import YMesh, build_ymesh, select_params_h, select_params_hp
+from .meshing import MeshError, YMesh, build_ymesh, select_params_h, select_params_hp
 from .solver import KroneckerSystem, SolutionTensor, SolverError, cylinder_rhs, solve
 from .spectral import (
     BoxDomain,
@@ -324,15 +325,20 @@ def run_level(
     **mesh_overrides,
 ) -> StudyRow:
     """Discretize, solve, and measure a single refinement level;
-    ``mesh_overrides`` are the keyword parameters of :func:`discretize`."""
+    ``mesh_overrides`` are the keyword parameters of :func:`discretize`.
+
+    A level whose mesh or weighted quadrature cannot be built, or whose
+    solve fails, raises :class:`SolverError` prefixed with the level."""
     t0 = time.perf_counter()
-    level = discretize(problem, scheme, n, **mesh_overrides)
-    grid = level.grid
+    where = f"{scheme} s={problem.s:g} d={problem.domain.d} n={n}"
     try:
+        level = discretize(problem, scheme, n, **mesh_overrides)
         sol = solve(level.system, level.rhs, rel_tol=tol)
     except SolverError as exc:
-        raise SolverError(f"{scheme} s={problem.s:g} d={grid.d} n={n}: {exc}",
-                          residual=exc.residual, iterations=exc.iterations) from exc
+        raise SolverError(f"{where}: {exc}", exc.residual, exc.iterations) from exc
+    except (MeshError, QuadratureError) as exc:
+        raise SolverError(f"{where}: {exc}") from exc
+    grid = level.grid
     err = energy_error(problem, level.load, sol.trace)
     tr_err = trace_hs_error(problem, grid, sol.trace, _default_mode_count(problem))
     wall = time.perf_counter() - t0

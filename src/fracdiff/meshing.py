@@ -20,6 +20,11 @@ import numpy as np
 FAMILIES = ("graded", "geometric")
 
 
+class MeshError(ValueError):
+    """The mesh nodes are not strictly increasing, e.g. because a strongly
+    graded or scaled node underflowed to its neighbour."""
+
+
 @dataclass(frozen=True)
 class YMesh:
     """Partition ``0 = y_0 < ... < y_M = Y`` with per-element degrees."""
@@ -34,8 +39,11 @@ class YMesh:
         nodes = np.asarray(self.nodes)
         if nodes[0] != 0.0 or not np.isclose(nodes[-1], self.Y):
             raise ValueError("mesh must span [0, Y]")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("mesh nodes must be strictly increasing")
+        bad = np.flatnonzero(np.diff(nodes) <= 0.0)
+        if bad.size:
+            k = bad[0]
+            raise MeshError(f"mesh nodes must be strictly increasing, got "
+                            f"y_{k} = {nodes[k]:.17g} and y_{k + 1} = {nodes[k + 1]:.17g}")
         if len(self.degrees) != len(self.nodes) - 1:
             raise ValueError("one polynomial degree per element required")
         if any(p < 1 for p in self.degrees):

@@ -34,10 +34,11 @@ from .femomega import OmegaMatrices
 
 
 class SolverError(RuntimeError):
-    """The extended-direction factorization met a non-positive pivot, or
-    iterative refinement stopped short of the requested tolerance."""
+    """The level could not be built, the extended-direction factorization
+    met non-finite y-matrices or a non-positive pivot, or iterative
+    refinement stopped short of the requested tolerance."""
 
-    def __init__(self, message: str, residual: float, iterations: int):
+    def __init__(self, message: str, residual: float = math.nan, iterations: int = 0):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
@@ -148,9 +149,7 @@ def _element_blocks(B, dofmap) -> dict[int, np.ndarray]:
 def _pivot_error(where: str) -> SolverError:
     return SolverError(
         f"non-positive pivot in the extended-direction factorization ({where}): "
-        "the y-matrix pair is not symmetric positive definite",
-        residual=math.nan,
-        iterations=0,
+        "the y-matrix pair is not symmetric positive definite"
     )
 
 
@@ -179,6 +178,8 @@ class TensorPreconditioner:
         shifts = reduce(np.add.outer, [stiff / mass] * grid.d).ravel()
 
         Bm, Bs, dofmap = system.y.B_mass.tocsr(), system.y.B_stiff.tocsr(), system.y.dofmap
+        if not (np.all(np.isfinite(Bm.data)) and np.all(np.isfinite(Bs.data))):
+            raise SolverError("the y-matrices are not finite (element sizes over- or underflow)")
         nv = dofmap.M
         diag = np.outer(Bm.diagonal()[:nv], shifts) + Bs.diagonal()[:nv, None]
         off = np.outer(Bm.diagonal(1)[:nv - 1], shifts) + Bs.diagonal(1)[:nv - 1, None]
@@ -262,8 +263,10 @@ def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTenso
     ``||B - S X|| / ||B||`` is at most ``rel_tol``.
 
     ``iterations`` counts applications of the inverse. Raises
-    :class:`SolverError` on a non-positive pivot or when a refinement step
-    fails to halve the residual (``rel_tol`` below the attainable floor).
+    :class:`SolverError` on non-finite y-matrices, a non-positive pivot or
+    when a refinement step fails to halve the residual: below 1 that is
+    ``rel_tol`` under the attainable floor, at or above 1 (no better than
+    ``X = 0``) an inverse that is inaccurate on this mesh.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -280,9 +283,11 @@ def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTenso
         if relres <= rel_tol:
             return SolutionTensor(X, applies, relres)
         if not (math.isfinite(relres) and relres <= 0.5 * previous):
+            cause = (f"rel_tol={rel_tol:.1e} is below the attainable floor" if relres < 1.0
+                     else "no better than X = 0: the inverse is inaccurate on this mesh")
             raise SolverError(
                 f"residual stalled at {relres:.3e} after {applies} applications of "
-                f"the inverse; rel_tol={rel_tol:.1e} is below the attainable floor",
+                f"the inverse; {cause}",
                 residual=relres,
                 iterations=applies,
             )

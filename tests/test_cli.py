@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from fracdiff.cli import CSV_COLUMNS, main, parse_modes, read_config_file
+from fracdiff.cli import CSV_COLUMNS, OPTIONS, RunConfig, main, parse_modes, read_config_file
 from fracdiff.meshing import hp_mesh
 
 QUICK = ["--s", "0.5", "--d", "1", "--levels", "3", "--deterministic"]
@@ -59,6 +63,15 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             read_config_file(str(cfg))
         assert "run.cfg:1" in str(err.value)
+
+    def test_option_table_is_keyed_by_the_config_fields(self, capsys):
+        assert list(OPTIONS) == [f.name for f in fields(RunConfig)]
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        usage = capsys.readouterr().out
+        for name, (_, text) in OPTIONS.items():
+            assert f"--{name.replace('_', '-')}" in usage
+            assert text in usage
 
     def test_config_file_unknown_key(self, tmp_path):
         from fracdiff.cli import ConfigError
@@ -122,11 +135,13 @@ class TestSolveCommand:
         ("n", "8,x"), ("n", "8,,16"),
         ("m_mult", "0"), ("m_mult", "-1"), ("m_mult", "nan"), ("y_mult", "0"),
         ("beta", "nan"), ("beta", "inf"), ("modes", "1=nan"), ("tol", "nan"),
+        ("s", "abc"), ("d", "3"), ("scheme", "foo"), ("levels", "2.5"), ("tol", "1e-9x"),
     ])
     def test_bad_option_value_exits_2(self, tmp_path, capsys, key, value, source):
-        argv = ["solve", "--s", "0.5", "--d", "1", "--out", str(tmp_path / "x")]
-        if key != "n":
-            argv += ["--n", "8"]
+        argv = ["solve", "--out", str(tmp_path / "x")]
+        for name, good in (("s", "0.5"), ("d", "1"), ("n", "8")):
+            if name != key:  # a flag would override the config value
+                argv += ["--" + name, good]
         if source == "flag":
             argv += ["--" + key.replace("_", "-"), value]
         else:
@@ -136,6 +151,14 @@ class TestSolveCommand:
         assert run_cli(argv) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_switch_value_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("deterministic=maybe\n")
+        code = run_cli(["solve", "--s", "0.5", "--d", "1", "--n", "8", "--config", str(cfg),
+                        "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "deterministic='maybe'" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -169,7 +192,39 @@ class TestSolveCommand:
              "--tol", "1e-30", "--out", str(tmp_path / "x")]
         )
         assert code == 3
-        assert "solver failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failure" in err
+        assert "below the attainable floor" in err
+
+    def test_inaccurate_inverse_is_not_called_a_floor(self, tmp_path, capsys):
+        # mu=0.05 grades the first element to ~1e-19 of Y; the refined
+        # residual ends above 1, i.e. worse than X = 0
+        code = run_cli(["solve", "--scheme", "hfem", "--s", "0.5", "--d", "1", "--n", "8",
+                        "--mu", "0.05", "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "solver failure: hfem s=0.5 d=1 n=8: residual stalled" in err
+        assert "inaccurate" in err
+        assert "floor" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "study", "compare"])
+    @pytest.mark.parametrize("scheme,flag,value,cause", [
+        ("hfem", "--mu", "1e-3", "mesh nodes must be strictly increasing"),
+        ("hpfem", "--y-mult", "1e-300", "the y-matrices are not finite"),
+        ("hpfem", "--beta", "1e6", "weighted rule on"),
+    ], ids=["mu", "y_mult", "beta"])
+    def test_level_that_cannot_be_built_exits_3(self, tmp_path, capsys, command, scheme,
+                                                 flag, value, cause):
+        argv = [command, "--s", "0.5", "--d", "1", "--n", "8,16", flag, value,
+                "--out", str(tmp_path / "x")]
+        if command != "compare":
+            argv += ["--scheme", scheme]
+        elif flag == "--y-mult":
+            scheme = "hfem"  # compare runs hfem first, and the height breaks it too
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert f"solver failure: {scheme} s=0.5 d=1 n=8: " in err
+        assert cause in err
 
     def test_solver_failure_names_the_level(self, tmp_path, capsys):
         code = run_cli(
@@ -249,6 +304,17 @@ class TestStudyAndCompare:
         assert dofs == sorted(dofs)
         payload = json.loads((tmp_path / "cmp.json").read_text())
         assert set(payload["results"]) == {"hfem", "hpfem"}
+
+    def test_reproduce_figures_script(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--out", str(tmp_path / "fig"), "--levels", "2",
+             "--orders", "0.5", "--d", "1"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        for suffix in ("_hfem.csv", "_hpfem.csv", "_fig_error_vs_h.csv", "_fig_error_vs_dof.csv"):
+            assert (tmp_path / f"fig_s0.5{suffix}").is_file()
 
 
 class TestSelftest:
