@@ -15,7 +15,6 @@ from .error_analysis import (
     trace_hs_error,
 )
 from .fem1d import (
-    GLInterpolant,
     WeightedMatrices,
     assemble_weighted_matrices,
     eval_in_VM,
@@ -48,8 +47,6 @@ from .solver import (
     solve,
 )
 from .specialfunc import (
-    BesselOrder,
-    DerivativeCoeffs,
     PsiProfile,
     bessel_k,
     bessel_k_integral,

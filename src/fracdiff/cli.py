@@ -221,9 +221,6 @@ def write_json(path: Path, cfg: RunConfig, results: dict[str, list[ea.StudyRow]]
 def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, out_base: Path):
     """Plot-ready series: error against mesh size with reference slopes, and
     error against total dofs sorted by dof count."""
-    total_rows = sum(len(rows) for rows in results.values())
-    if total_rows < 2:
-        raise ConfigError("figure data needs at least 2 study rows")
     lines = ["scheme,h_omega,energy_error,ref_h,ref_h_log_s"]
     for scheme in sorted(results):
         for row in results[scheme]:
@@ -301,7 +298,7 @@ def cmd_selftest() -> int:
 
     ok = True
     for n in range(15):
-        a0, a1 = derivative_coeffs(n).a, derivative_coeffs(n + 1).a
+        a0, a1 = derivative_coeffs(n), derivative_coeffs(n + 1)
         for m in range(1, n + 1):
             if a1[m] != -a0[m] + (n - 2 * (m - 1)) * a0[m - 1]:
                 ok = False
@@ -375,6 +372,8 @@ def main(argv=None) -> int:
         return cmd_selftest()
     try:
         cfg = build_config(args)
+        if args.command == "study" and (cfg.levels if cfg.n is None else len(cfg.n)) < 2:
+            raise ConfigError("figure data needs at least 2 study rows")
         if args.command == "compare":
             return cmd_compare(cfg)
         return cmd_solve(cfg, study=args.command == "study")

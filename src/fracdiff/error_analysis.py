@@ -162,11 +162,10 @@ def direct_energy_error_small(
     # the tensor points, each an outer product of 1-D sine/cosine factors
     modes = []
     for mode, coef in solve_fractional(problem).modes:
-        scale = coef * mode.factor
         sins = [np.sin(k * math.pi * x) for k in mode.index]
         coss = [k * math.pi * np.cos(k * math.pi * x) for k in mode.index]
-        grads = [scale * _outer(sins[:i] + [coss[i]] + sins[i + 1:]) for i in range(d)]
-        modes.append((math.sqrt(mode.lam), scale * _outer(sins), grads))
+        grads = [coef * _outer(sins[:i] + [coss[i]] + sins[i + 1:]) for i in range(d)]
+        modes.append((math.sqrt(mode.lam), coef * _outer(sins), grads))
 
     total = 0.0
     nodes = np.asarray(mesh.nodes)
@@ -380,7 +379,7 @@ def run_convergence_study(
         problem = benchmark_problem(s, d)
     else:
         problem = FractionalProblem(s=s, domain=domain,
-                                    f=modal_function(domain, f_entries, "plain"))
+                                    f=modal_function(domain, f_entries))
     return [run_level(problem, scheme, int(n), **level_kwargs) for n in n_list]
 
 

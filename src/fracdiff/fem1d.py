@@ -24,14 +24,15 @@ from numpy.polynomial import legendre as npleg
 from scipy import sparse
 from scipy.special import eval_legendre, roots_jacobi
 
-from .meshing import YMesh
+from .meshing import MeshError, YMesh
 
 # Gauss-Legendre rules are enlarged until the analyticity estimate for the
 # weight puts the truncation error below 1e-20; elements too close to the
-# singularity for a single rule are split geometrically.
+# singularity for a single rule are split geometrically, into at most
+# 2**_MAX_SPLIT_DEPTH pieces, which bounds the rule at 46,080 points.
 _MAX_GL_POINTS = 180
 _LOG_TARGET = 46.0  # -ln(1e-20)
-_MAX_SPLIT_DEPTH = 60
+_MAX_SPLIT_DEPTH = 8
 
 
 class QuadratureError(RuntimeError):
@@ -143,15 +144,19 @@ def weighted_rule(a: float, b: float, alpha: float, polydeg: int):
         n = polydeg // 2 + 2
         t, w = _jacobi_unit_rule(n, alpha)
         return b * t, b ** (alpha + 1.0) * w
-    return _gl_weighted_rule(a, b, alpha, polydeg, depth=0)
+    return _gl_weighted_rule(a, b, alpha, polydeg)
 
 
 def _gl_point_count(a: float, b: float, polydeg: int) -> int:
     """Gauss-Legendre points for ``y**alpha * f`` on ``[a, b]``, ``a > 0``:
-    exactness for ``f`` plus the analyticity estimate for the weight."""
-    c = (b + a) / (b - a)
-    rho = c + math.sqrt(c * c - 1.0)
-    return polydeg // 2 + 1 + math.ceil(_LOG_TARGET / (2.0 * math.log(rho)))
+    exactness for ``f`` plus the analyticity estimate for the weight.
+
+    The weight is analytic inside the Bernstein ellipse of parameter
+    ``rho = (sqrt(b) + sqrt(a)) / (sqrt(b) - sqrt(a))``; ``ln(rho)`` is formed
+    with ``log1p`` so that it stays positive when ``a/b`` is below eps."""
+    ra, rb = math.sqrt(a), math.sqrt(b)
+    log_rho = math.log1p(2.0 * ra * (ra + rb) / (b - a))
+    return polydeg // 2 + 1 + math.ceil(_LOG_TARGET / (2.0 * log_rho))
 
 
 def _gl_rule(a, b, alpha, n):
@@ -162,16 +167,22 @@ def _gl_rule(a, b, alpha, n):
     return pts, w * (b - a) / 2.0 * pts**alpha
 
 
-def _gl_weighted_rule(a, b, alpha, polydeg, depth):
-    if depth > _MAX_SPLIT_DEPTH:
-        raise QuadratureError(f"weighted rule on [{a}, {b}] did not stabilize")
-    n = _gl_point_count(a, b, polydeg)
-    if n > _MAX_GL_POINTS:
-        mid = math.sqrt(a * b)
-        pa, wa = _gl_weighted_rule(a, mid, alpha, polydeg, depth + 1)
-        pb, wb = _gl_weighted_rule(mid, b, alpha, polydeg, depth + 1)
-        return np.concatenate([pa, pb]), np.concatenate([wa, wb])
-    return _gl_rule(a, b, alpha, n)
+def _gl_weighted_rule(a, b, alpha, polydeg):
+    """The rule on the fewest geometric pieces (``2**depth``, all of one end
+    ratio, ``depth <= _MAX_SPLIT_DEPTH``) that need at most
+    ``_MAX_GL_POINTS`` points each."""
+    for depth in range(_MAX_SPLIT_DEPTH + 1):
+        cuts = np.geomspace(a, b, 2**depth + 1)
+        n = max(_gl_point_count(lo, hi, polydeg) for lo, hi in zip(cuts[:-1], cuts[1:]))
+        if n <= _MAX_GL_POINTS:
+            pts, wts = _gl_rule(cuts[:-1, None], cuts[1:, None], alpha, n)
+            return pts.ravel(), wts.ravel()
+        if polydeg // 2 + 2 > _MAX_GL_POINTS:
+            break  # splitting lowers only the analyticity part of the count
+    raise QuadratureError(
+        f"weighted rule on [{a}, {b}] needs more than {2**_MAX_SPLIT_DEPTH} geometric pieces "
+        f"of at most {_MAX_GL_POINTS} points (polynomial degree {polydeg})"
+    )
 
 
 @dataclass(frozen=True)
@@ -243,6 +254,12 @@ def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatri
     """
     dofmap = YDofMap(degrees=mesh.degrees)
     nodes = np.asarray(mesh.nodes)
+    width = np.diff(nodes)
+    short = np.flatnonzero(width * width < 1.0 / np.finfo(float).max)
+    if short.size:
+        m = int(short[0]) + 1
+        raise MeshError(f"element {m}: width {width[m - 1]:.2g} is so small that "
+                        "the stiffness scale 1/h**2 is not finite")
     groups = []  # (elements, reference nodes t, weights of shape (elements, len(t)))
     shared: dict[tuple[int, int], list[int]] = {}
     for m, p in enumerate(mesh.degrees, start=1):
@@ -266,7 +283,7 @@ def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatri
         p = mesh.degrees[ms[0] - 1]
         k = p + 1
         B, D = shape_values(p, t), shape_derivatives(p, t)
-        h = nodes[ms] - nodes[ms - 1]
+        h = width[ms - 1]
         mass = (B * wts[:, None, :]) @ B.T
         stiff = ((D * wts[:, None, :]) @ D.T) / (h * h)[:, None, None]
         table = dofmap.element_table(ms)
@@ -284,46 +301,10 @@ def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatri
     return WeightedMatrices(B_mass=B_mass, B_stiff=B_stiff, alpha=alpha, mesh=mesh, dofmap=dofmap)
 
 
-@dataclass(frozen=True)
-class GLInterpolant:
-    """Piecewise polynomial in the constrained space built from nodal
-    samples: constant on the first element, Gauss-Lobatto interpolation on
-    interior elements, and the truncated interpolant (top sample dropped) on
-    the last element."""
-
-    mesh: YMesh
-    elements: tuple[tuple[float, float, np.ndarray], ...]  # (a, b, legendre coeffs)
-
-    def _piece_eval(self, idx: int, y: np.ndarray, derivative: bool) -> np.ndarray:
-        a, b, coeffs = self.elements[idx]
-        x = (2.0 * y - (a + b)) / (b - a)
-        if derivative:
-            return npleg.legval(x, npleg.legder(coeffs)) * 2.0 / (b - a)
-        return npleg.legval(x, coeffs)
-
-    def _eval(self, y, derivative: bool):
-        arr = np.atleast_1d(np.asarray(y, dtype=float))
-        nodes = np.asarray(self.mesh.nodes)
-        if np.any(arr < 0.0) or np.any(arr > self.mesh.Y):
-            raise ValueError("evaluation point outside [0, Y]")
-        idx = np.clip(np.searchsorted(nodes, arr, side="right") - 1, 0, self.mesh.M - 1)
-        out = np.empty_like(arr)
-        for e in range(self.mesh.M):
-            sel = idx == e
-            if np.any(sel):
-                out[sel] = self._piece_eval(e, arr[sel], derivative)
-        return float(out[0]) if np.ndim(y) == 0 else out
-
-    def __call__(self, y):
-        return self._eval(y, derivative=False)
-
-    def derivative(self, y):
-        return self._eval(y, derivative=True)
-
-
-def interpolate_iyp(xi, mesh: YMesh) -> GLInterpolant:
+def interpolate_iyp(xi, mesh: YMesh) -> np.ndarray:
     """Interpolation of a scalar function on ``(0, Y]`` into the constrained
-    space.
+    space, as coefficients in the :class:`YDofMap` order that
+    :func:`eval_in_VM` evaluates.
 
     Element rules: the first element carries the constant value ``xi(y_1)``;
     interior elements the Gauss-Lobatto interpolant of their degree; the
@@ -331,25 +312,21 @@ def interpolate_iyp(xi, mesh: YMesh) -> GLInterpolant:
     so the result vanishes there. For a single-element mesh the constant
     rule is applied first and the truncation then zeroes the top sample.
     """
+    dofmap = YDofMap(degrees=mesh.degrees)
     nodes = np.asarray(mesh.nodes)
-    elements = []
-    for m in range(1, mesh.M + 1):
-        a, b = float(nodes[m - 1]), float(nodes[m])
-        p = mesh.degrees[m - 1]
-        if m == 1 and mesh.M > 1:
-            coeffs = np.array([float(xi(nodes[1]))])
+    coeffs = np.zeros(dofmap.n_dofs)
+    for m, p in enumerate(mesh.degrees, start=1):
+        if m == 1:
+            vals = np.full(p + 1, float(xi(nodes[1])))
         else:
-            gl = gauss_lobatto_points(p, (a, b))
-            if m == 1:
-                vals = np.full(p + 1, float(xi(nodes[1])))
-            else:
-                vals = np.array([float(xi(pt)) for pt in gl])
-            if m == mesh.M:
-                vals[-1] = 0.0
-            x = (2.0 * gl - (a + b)) / (b - a)
-            coeffs = np.linalg.solve(npleg.legvander(x, p), vals)
-        elements.append((a, b, coeffs))
-    return GLInterpolant(mesh=mesh, elements=tuple(elements))
+            gl = gauss_lobatto_points(p, (nodes[m - 1], nodes[m]))
+            vals = np.array([float(xi(pt)) for pt in gl])
+        if m == mesh.M:
+            vals[-1] = 0.0
+        local = np.linalg.solve(shape_values(p, gauss_lobatto_points(p, (0.0, 1.0))).T, vals)
+        glob, rows = dofmap.element_dofs(m)
+        coeffs[glob] = local[rows]
+    return coeffs
 
 
 def eval_in_VM(mesh: YMesh, coefficients, y):

@@ -113,6 +113,6 @@ def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
     the Kronecker product of the 1-D sine-hat integrals."""
     out = np.zeros(grid.n_dofs)
     for mode, coef in problem.f.modes:
-        out += coef * mode.factor * reduce(
+        out += coef * reduce(
             np.kron, [sine_hat_integrals(grid, k) for k in mode.index])
     return problem.d_s * out

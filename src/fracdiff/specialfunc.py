@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 # Practical evaluation range; K_nu overflows float64 long before this for
 # small arguments, so callers stay well inside.
@@ -34,29 +34,22 @@ def _as_float_array(z):
     return arr, (arr.ndim == 0)
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Real order of ``K_nu``, canonicalized to ``nu >= 0`` through the
-    symmetry ``K_{-nu} = K_nu``."""
-
-    nu: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "nu", abs(float(self.nu)))
-        if self.nu > MAX_ORDER:
-            raise ValueError(
-                f"order |nu|={self.nu} outside supported range <= {MAX_ORDER}"
-            )
+def _order(nu) -> float:
+    """``|nu|`` through the symmetry ``K_{-nu} = K_nu``, checked against the
+    supported range."""
+    order = abs(float(nu))
+    if order > MAX_ORDER:
+        raise ValueError(f"order |nu|={order} outside supported range <= {MAX_ORDER}")
+    return order
 
 
 def bessel_k(nu, z) -> float | np.ndarray:
     """Modified Bessel function of the second kind ``K_nu(z)``.
 
-    Accepts a real order (``|nu| <= 40``) or a :class:`BesselOrder`;
-    vectorized in ``z``. Raises ``ValueError`` for ``z <= 0`` or orders
-    outside the supported range.
+    Accepts a real order ``|nu| <= 40``; vectorized in ``z``. Raises
+    ``ValueError`` for ``z <= 0`` or orders outside the supported range.
     """
-    order = nu.nu if isinstance(nu, BesselOrder) else BesselOrder(nu).nu
+    order = _order(nu)
     arr, scalar = _as_float_array(z)
     if np.any(arr <= 0.0) or np.any(~np.isfinite(arr)):
         raise ValueError("bessel_k requires z > 0")
@@ -77,7 +70,9 @@ def bessel_k_integral(nu: float, z: float) -> float:
     :func:`bessel_k`. Raises ``OverflowError`` when the value exceeds the
     float64 range.
     """
-    order = BesselOrder(nu).nu
+    from scipy import integrate  # loads scipy.optimize too; oracle use only
+
+    order = _order(nu)
     z = float(z)
     if z <= 0.0:
         raise ValueError("bessel_k_integral requires z > 0")
@@ -106,7 +101,7 @@ def bessel_k_integral(nu: float, z: float) -> float:
 
 @dataclass(frozen=True)
 class PsiProfile:
-    """Profile parameters: fractional order ``s`` and the normalization
+    """Profile parameters: fractional order ``s`` and the scale
     ``c_s = 2**(1-s)/Gamma(s)`` that makes ``psi_s(0) = 1``."""
 
     s: float
@@ -151,23 +146,15 @@ def psi_prime(profile: PsiProfile, z) -> float | np.ndarray:
     return float(out) if scalar else out
 
 
-@dataclass(frozen=True)
-class DerivativeCoeffs:
-    """Coefficients ``a_m`` of the n-th derivative representation of
+@lru_cache(maxsize=None)
+def derivative_coeffs(n: int) -> tuple[int, ...]:
+    """Coefficients ``a_0 .. a_n`` of the n-th derivative representation of
     ``z**s * K_s(z)`` as a combination of ``z**(s-m) * K_{s-(n-m)}(z)``.
 
     The values are exact integers: ``a_0 = (-1)**n`` and
     ``a_m = (-1)**(n+m) * n! / (2**m * m! * (n-2m)!)`` for
     ``1 <= m <= floor(n/2)``, zero beyond.
     """
-
-    n: int
-    a: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def derivative_coeffs(n: int) -> DerivativeCoeffs:
-    """Coefficient sequence ``a_0 .. a_n`` for derivative order ``n``."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if n > MAX_COEFF_ORDER:
@@ -180,7 +167,7 @@ def derivative_coeffs(n: int) -> DerivativeCoeffs:
         q, r = divmod(num, den)
         assert r == 0
         a[m] = (-1) ** (n + m) * q
-    return DerivativeCoeffs(n=n, a=tuple(a))
+    return tuple(a)
 
 
 def psi_nth_derivative(profile: PsiProfile, n: int, z) -> float | np.ndarray:
@@ -196,7 +183,7 @@ def psi_nth_derivative(profile: PsiProfile, n: int, z) -> float | np.ndarray:
     out = np.zeros_like(arr)
     for m in range(n // 2 + 1):
         # kv handles negative orders through the K_{-nu} = K_nu symmetry
-        out += coeffs.a[m] * arr ** (s - m) * special.kv(s - (n - m), arr)
+        out += coeffs[m] * arr ** (s - m) * special.kv(s - (n - m), arr)
     out *= profile.c_s
     return float(out) if scalar else out
 

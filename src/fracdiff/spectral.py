@@ -4,13 +4,10 @@ Eigenpairs of the Dirichlet Laplacian on ``(0,1)**d``, the fractional solve
 in modal form, fractional Sobolev norms, the extended solution on the
 semi-infinite cylinder, and the energy content beyond a truncation height.
 
-Two eigenfunction normalizations are carried explicitly:
-
-* ``"plain"``: plain sine products, L2 norm ``2**(-d/2)``;
-* ``"orthonormal"``: sine products scaled by ``2**(d/2)``, L2 norm 1.
-
-Norms are always computed in orthonormal coefficients; pointwise values are
-normalization-invariant.
+Eigenfunctions are plain sine products only, with L2 norm ``2**(-d/2)``;
+expansions carry coefficients in that basis. Norms are computed in
+orthonormal coefficients, which :meth:`ModalFunction.orthonormal_items`
+obtains by the constant factor ``2**(-d/2)``.
 """
 
 from __future__ import annotations
@@ -19,11 +16,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .specialfunc import PsiProfile, psi, psi_prime
-
-NORMALIZATIONS = ("plain", "orthonormal")
 
 
 @dataclass(frozen=True)
@@ -70,43 +64,26 @@ def _check_index(domain: BoxDomain, index) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EigenMode:
-    """A single Dirichlet-Laplacian eigenpair on the box, carrying its
-    normalization tag."""
+    """A single Dirichlet-Laplacian eigenpair on the box; the eigenfunction
+    is the plain sine product."""
 
     domain: BoxDomain
     index: tuple[int, ...]
     lam: float
-    normalization: str = "plain"
-
-    @property
-    def factor(self) -> float:
-        return 2.0 ** (self.domain.d / 2.0) if self.normalization == "orthonormal" else 1.0
-
-    @staticmethod
-    def _coords_1d(x: np.ndarray) -> list[np.ndarray]:
-        # bare point arrays and explicit (..., 1) coordinate arrays both work
-        return [x[..., 0] if x.ndim >= 2 and x.shape[-1] == 1 else x]
 
     def __call__(self, x) -> float | np.ndarray:
         """Evaluate the eigenfunction at points ``x`` of shape ``(..., d)``
-        (or plain scalars/arrays for d=1)."""
+        (plain scalars/arrays for d=1)."""
         x = np.asarray(x, dtype=float)
-        if self.domain.d == 1:
-            coords = self._coords_1d(x)
-        else:
-            coords = [x[..., i] for i in range(self.domain.d)]
-        out = self.factor * np.prod(
-            [np.sin(k * math.pi * c) for k, c in zip(self.index, coords)], axis=0
-        )
+        coords = [x] if self.domain.d == 1 else [x[..., i] for i in range(self.domain.d)]
+        out = np.prod([np.sin(k * math.pi * c) for k, c in zip(self.index, coords)], axis=0)
         return float(out) if np.ndim(out) == 0 else out
 
 
-def eigenpair(domain: BoxDomain, index, normalization: str = "plain") -> EigenMode:
+def eigenpair(domain: BoxDomain, index) -> EigenMode:
     """Eigenvalue and eigenfunction evaluator for one mode of the box."""
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}")
     index = _check_index(domain, index)
-    return EigenMode(domain, index, domain.eigenvalue(index), normalization)
+    return EigenMode(domain, index, domain.eigenvalue(index))
 
 
 @dataclass(frozen=True)
@@ -114,15 +91,10 @@ class ModalFunction:
     """Finite eigenfunction expansion ``sum_k coef_k * phi_k``."""
 
     domain: BoxDomain
-    normalization: str
     modes: tuple[tuple[EigenMode, float], ...]
 
     def __post_init__(self):
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         for mode, coef in self.modes:
-            if mode.normalization != self.normalization:
-                raise ValueError("mode normalization inconsistent with expansion")
             if not math.isfinite(coef):
                 raise ValueError("coefficients must be finite")
 
@@ -137,11 +109,11 @@ class ModalFunction:
 
     def orthonormal_items(self) -> list[tuple[tuple[int, ...], float, float]]:
         """List of ``(index, eigenvalue, orthonormal coefficient)``."""
-        conv = 2.0 ** (-self.domain.d / 2.0) if self.normalization == "plain" else 1.0
+        conv = 2.0 ** (-self.domain.d / 2.0)
         return [(mode.index, mode.lam, coef * conv) for mode, coef in self.modes]
 
 
-def modal_function(domain: BoxDomain, entries, normalization: str = "plain") -> ModalFunction:
+def modal_function(domain: BoxDomain, entries) -> ModalFunction:
     """Build a :class:`ModalFunction` from ``(index, coefficient)`` pairs,
     merging repeated indices."""
     merged: dict[tuple[int, ...], float] = {}
@@ -149,10 +121,9 @@ def modal_function(domain: BoxDomain, entries, normalization: str = "plain") -> 
         index = _check_index(domain, index)
         merged[index] = merged.get(index, 0.0) + float(coef)
     modes = tuple(
-        (eigenpair(domain, index, normalization), coef)
-        for index, coef in sorted(merged.items())
+        (eigenpair(domain, index), coef) for index, coef in sorted(merged.items())
     )
-    return ModalFunction(domain, normalization, modes)
+    return ModalFunction(domain, modes)
 
 
 @dataclass(frozen=True)
@@ -177,7 +148,7 @@ class FractionalProblem:
 
     @property
     def d_s(self) -> float:
-        """Normalization constant coupling the traced flux to the data."""
+        """Constant coupling the traced flux to the data."""
         return 2.0**self.alpha * math.gamma(1.0 - self.s) / math.gamma(self.s)
 
     @property
@@ -187,12 +158,12 @@ class FractionalProblem:
 
 def benchmark_problem(s: float, d: int) -> FractionalProblem:
     """Single-mode benchmark: ``f = lambda_1**s * phi_1`` so the solution of
-    the fractional problem is exactly the first (plain-normalized)
+    the fractional problem is exactly the first (plain sine)
     eigenfunction."""
     domain = BoxDomain(d)
     index = (1,) * d
     lam = domain.eigenvalue(index)
-    f = modal_function(domain, [(index, lam**s)], "plain")
+    f = modal_function(domain, [(index, lam**s)])
     return FractionalProblem(s=s, domain=domain, f=f)
 
 
@@ -236,6 +207,8 @@ def tail_energy(problem: FractionalProblem, Y: float) -> float:
     ``Y + 40/sqrt(lambda_k)``, beyond which the integrand is below the float
     noise floor.
     """
+    from scipy import integrate  # loads scipy.optimize too; oracle use only
+
     if Y < 1.0:
         raise ValueError("tail energy requires Y >= 1")
     u = solve_fractional(problem)

@@ -149,7 +149,7 @@ def test_criterion_05_special_functions():
                 checks.append(abs(fd - exact) / abs(exact) < 1e-4)
 
     for n in range(16):
-        cur, nxt = derivative_coeffs(n).a, derivative_coeffs(n + 1).a
+        cur, nxt = derivative_coeffs(n), derivative_coeffs(n + 1)
         checks.append(nxt[0] == -cur[0])
         checks.append(
             all(nxt[m] == -cur[m] + (n - 2 * (m - 1)) * cur[m - 1] for m in range(1, n + 1))
@@ -268,7 +268,7 @@ def test_criterion_09_spectral_isometry():
         for _ in range(n_modes):
             idx = tuple(int(k) for k in rng.integers(1, 9, size=d))
             entries.append((idx, float(rng.standard_normal() * 10)))
-        f = modal_function(domain, entries, "plain")
+        f = modal_function(domain, entries)
         s = float(rng.uniform(0.02, 0.98))
         problem = FractionalProblem(s=s, domain=domain, f=f)
         u = solve_fractional(problem)

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 from dataclasses import fields
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fracdiff
 from fracdiff.cli import CSV_COLUMNS, OPTIONS, RunConfig, main, parse_modes, read_config_file
 from fracdiff.meshing import hp_mesh
 
@@ -16,6 +19,19 @@ QUICK = ["--s", "0.5", "--d", "1", "--levels", "3", "--deterministic"]
 
 def run_cli(argv):
     return main(argv)
+
+
+def run_cli_capped(argv, address_space=4_000_000_000, timeout=120):
+    """Run the CLI in a child process under an address-space limit and a
+    timeout, so that a runaway level fails instead of exhausting memory."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = str(Path(fracdiff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "fracdiff.cli", *argv], preexec_fn=limit,
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def selection_rule(scheme, n, mu=None, sigma=0.125, beta=0.7, m_mult=1.0, y_mult=1.0):
@@ -210,7 +226,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("command", ["solve", "study", "compare"])
     @pytest.mark.parametrize("scheme,flag,value,cause", [
         ("hfem", "--mu", "1e-3", "mesh nodes must be strictly increasing"),
-        ("hpfem", "--y-mult", "1e-300", "the y-matrices are not finite"),
+        ("hpfem", "--y-mult", "1e-300", "the stiffness scale 1/h**2 is not finite"),
         ("hpfem", "--beta", "1e6", "weighted rule on"),
     ], ids=["mu", "y_mult", "beta"])
     def test_level_that_cannot_be_built_exits_3(self, tmp_path, capsys, command, scheme,
@@ -225,6 +241,25 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert f"solver failure: {scheme} s=0.5 d=1 n=8: " in err
         assert cause in err
+
+    @pytest.mark.parametrize("scheme,s,cause", [
+        ("hfem", "0.02", None),
+        ("hpfem", "0.01", "element 1: width"),
+        ("hpfem", "0.014", "element 121: weighted rule on"),
+    ])
+    def test_small_order_level_ends_in_bounded_memory(self, tmp_path, scheme, s, cause):
+        # hfem: element 2 has y_1/y_2 = 2**(-1/mu) below eps, so the weighted
+        # rule must form ln(rho) without cancellation. hpfem: elements of
+        # degree near 178 would fit the point cap only after ~2**33 geometric
+        # splits, and at s=0.01 the first element is too thin for its stiffness.
+        done = run_cli_capped(["solve", "--scheme", scheme, "--s", s, "--d", "1", "--n", "8",
+                               "--out", str(tmp_path / "x")])
+        assert "Traceback" not in done.stderr
+        if cause is None:
+            assert done.returncode == 0, done.stderr
+        else:
+            assert done.returncode == 3, done.stderr
+            assert f"solver failure: {scheme} s={s} d=1 n=8: {cause}" in done.stderr
 
     def test_solver_failure_names_the_level(self, tmp_path, capsys):
         code = run_cli(
@@ -283,6 +318,15 @@ class TestSolveCommand:
 
 
 class TestStudyAndCompare:
+    @pytest.mark.parametrize("rows", [["--levels", "1"], ["--n", "8"]], ids=["levels", "n"])
+    def test_study_with_one_row_exits_2_before_any_level(self, tmp_path, capsys, rows):
+        out = tmp_path / "run" / "x"
+        code = run_cli(["study", "--scheme", "hfem", "--s", "0.5", "--d", "1", *rows,
+                        "--out", str(out)])
+        assert code == 2
+        assert "figure data needs at least 2 study rows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_study_emits_figure_data(self, tmp_path):
         out = tmp_path / "study"
         code = run_cli(["study", "--scheme", "hpfem", *QUICK, "--out", str(out)])
@@ -315,6 +359,17 @@ class TestStudyAndCompare:
         assert done.returncode == 0, done.stderr
         for suffix in ("_hfem.csv", "_hpfem.csv", "_fig_error_vs_h.csv", "_fig_error_vs_dof.csv"):
             assert (tmp_path / f"fig_s0.5{suffix}").is_file()
+
+
+def test_cli_import_leaves_quadrature_modules_unloaded():
+    # scipy.integrate (and the scipy.optimize it imports) serve only oracles
+    src = str(Path(fracdiff.__file__).resolve().parents[1])
+    code = ("import sys, fracdiff.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestSelftest:

@@ -212,7 +212,7 @@ class TestTraceHsError:
         projection = 2 * gamma(2) * gamma(1) * (n / 2) ** 2
         domain = BoxDomain(2)
         problem = FractionalProblem(
-            s=s, domain=domain, f=modal_function(domain, [(load_index, 1.0)], "plain")
+            s=s, domain=domain, f=modal_function(domain, [(load_index, 1.0)])
         )
         ((_, lam, u),) = solve_fractional(problem).orthonormal_items()
         if load_index == (2, 1):
@@ -340,7 +340,7 @@ class TestSolverAccuracy:
         s, n = 0.2, 128
         domain = BoxDomain(1)
         problem = FractionalProblem(
-            s=s, domain=domain, f=modal_function(domain, SIX_MODE_LOAD, "plain")
+            s=s, domain=domain, f=modal_function(domain, SIX_MODE_LOAD)
         )
         row = run_level(problem, "hpfem", n)
 

@@ -26,7 +26,7 @@ from fracdiff.meshing import (
     select_params_h,
     select_params_hp,
 )
-from fracdiff.specialfunc import PsiProfile, psi
+from fracdiff.specialfunc import PsiProfile, psi, psi_prime
 
 
 def single_element_mesh():
@@ -121,6 +121,24 @@ class TestWeightedRule:
                 got = float(wts @ pts**j)
                 want = (b ** (alpha + j + 1) - a ** (alpha + j + 1)) / (alpha + j + 1)
                 assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("alpha", [-0.96, 0.0, 0.96])
+    def test_end_ratio_below_eps(self, alpha):
+        # ln(rho) of the analyticity estimate must not cancel to 0 when a/b < eps
+        a, b = 1e-20, 1.0
+        pts, wts = weighted_rule(a, b, alpha, 4)
+        for j in range(5):
+            want = (b ** (alpha + j + 1) - a ** (alpha + j + 1)) / (alpha + j + 1)
+            assert abs(float(wts @ pts**j) - want) <= 1e-13 * abs(want)
+
+    def test_split_depth_is_bounded(self):
+        # splitting lowers only the analyticity part of the point count, never
+        # the p + 1 points of exactness: degree 175 fits 256 geometric pieces,
+        # degree 176 does not
+        pts, _ = weighted_rule(0.125, 1.0, 0.3, 2 * 175)
+        assert pts.size == 2**fem1d._MAX_SPLIT_DEPTH * fem1d._MAX_GL_POINTS
+        with pytest.raises(QuadratureError, match="needs more than 256 geometric pieces"):
+            weighted_rule(0.125, 1.0, 0.3, 2 * 176)
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
@@ -277,10 +295,10 @@ class TestDofMap:
 class TestInterpolation:
     def test_constant_function(self):
         mesh = uniform_mesh(3, Y=1.5, degrees=(1, 2, 2))
-        interp = interpolate_iyp(lambda y: 1.0, mesh)
-        assert interp(0.2) == pytest.approx(1.0, abs=1e-14)
-        assert interp(0.7) == pytest.approx(1.0, abs=1e-14)
-        assert interp(1.5) == pytest.approx(0.0, abs=1e-14)
+        coeffs = interpolate_iyp(lambda y: 1.0, mesh)
+        assert eval_in_VM(mesh, coeffs, 0.2) == pytest.approx(1.0, abs=1e-14)
+        assert eval_in_VM(mesh, coeffs, 0.7) == pytest.approx(1.0, abs=1e-14)
+        assert eval_in_VM(mesh, coeffs, 1.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_interior_polynomial_reproduction(self):
         rng = np.random.default_rng(3)
@@ -289,25 +307,44 @@ class TestInterpolation:
         poly = np.polynomial.Polynomial(coeffs)
         interp = interpolate_iyp(poly, mesh)
         ys = np.linspace(1.01, 1.49, 9)  # strictly inside the third element
-        assert np.max(np.abs(interp(ys) - poly(ys))) < 1e-12
+        assert np.max(np.abs(eval_in_VM(mesh, interp, ys) - poly(ys))) < 1e-12
+
+    @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("mesh", [
+        hp_mesh(8, 0.125, 2.0, 0.7),
+        hp_mesh(10, 0.125, 2.0, 3.5),  # interior degrees up to 59
+        build_ymesh(select_params_h(1 / 64, 0.3, math.pi**2)),
+    ], ids=["hp-M8", "hp-p59", "hfem"])
+    def test_coefficients_reproduce_samples_at_gauss_lobatto_points(self, s, mesh):
+        # one value per y-dof, and the expansion takes the sampled values at
+        # every Gauss-Lobatto point of each interior element
+        profile = PsiProfile(s)
+        xi = lambda y: psi(profile, math.pi * y)
+        coeffs = interpolate_iyp(xi, mesh)
+        assert coeffs.shape == (sum(mesh.degrees),)
+        nodes = np.asarray(mesh.nodes)
+        for m in range(2, mesh.M):
+            gl = gauss_lobatto_points(mesh.degrees[m - 1], (nodes[m - 1], nodes[m]))
+            want = np.array([xi(y) for y in gl])
+            assert np.max(np.abs(eval_in_VM(mesh, coeffs, gl) - want)) <= 1e-13
 
     def test_vanishes_at_top_and_connects_continuously(self):
         mesh = hp_mesh(5, 0.125, 2.0, 0.7)
         profile = PsiProfile(0.6)
-        interp = interpolate_iyp(lambda y: psi(profile, 2.0 * y), mesh)
-        assert interp(mesh.Y) == pytest.approx(0.0, abs=1e-13)
+        coeffs = interpolate_iyp(lambda y: psi(profile, 2.0 * y), mesh)
+        assert eval_in_VM(mesh, coeffs, mesh.Y) == pytest.approx(0.0, abs=1e-13)
         for node in np.asarray(mesh.nodes)[1:-1]:
-            left = interp(node - 1e-11)
-            right = interp(node + 1e-11)
+            left = eval_in_VM(mesh, coeffs, node - 1e-11)
+            right = eval_in_VM(mesh, coeffs, node + 1e-11)
             assert left == pytest.approx(right, abs=1e-8)
 
     def test_first_element_carries_first_node_value(self):
         mesh = hp_mesh(4, 0.25, 1.0, 0.7)
         profile = PsiProfile(0.4)
-        interp = interpolate_iyp(lambda y: psi(profile, 3.0 * y), mesh)
+        coeffs = interpolate_iyp(lambda y: psi(profile, 3.0 * y), mesh)
         want = psi(profile, 3.0 * mesh.nodes[1])
         ys = np.linspace(0.0, mesh.nodes[1], 5)
-        assert np.max(np.abs(interp(ys) - want)) < 1e-13
+        assert np.max(np.abs(eval_in_VM(mesh, coeffs, ys) - want)) < 1e-13
 
     def test_profile_error_decreases_with_degree_elevation(self):
         # weighted H1-seminorm error on interior elements shrinks when every
@@ -326,25 +363,26 @@ class TestInterpolation:
         alpha = 1 - 2 * 0.7
 
         def interior_error(msh):
-            interp = interpolate_iyp(xi, msh)
+            coeffs = interpolate_iyp(xi, msh)
+            dofmap = YDofMap(degrees=msh.degrees)
             nodes = np.asarray(msh.nodes)
             total = 0.0
             for m in range(2, msh.M):
                 a, b = nodes[m - 1], nodes[m]
                 pts, wts = weighted_rule(a, b, alpha, 2 * max(msh.degrees) + 24)
-                from fracdiff.specialfunc import psi_prime
-
+                glob, local = dofmap.element_dofs(m)
+                D = shape_derivatives(msh.degrees[m - 1], (pts - a) / (b - a))[local]
                 exact_d = root * psi_prime(profile, root * pts)
-                total += float(wts @ (exact_d - interp.derivative(pts)) ** 2)
+                total += float(wts @ (exact_d - coeffs[glob] @ D / (b - a)) ** 2)
             return math.sqrt(total)
 
         assert interior_error(raised) < interior_error(mesh)
 
     def test_single_element_mesh_truncation(self):
         mesh = YMesh(Y=1.0, nodes=(0.0, 1.0), degrees=(3,), family="geometric", param=0.5)
-        interp = interpolate_iyp(lambda y: 1.0, mesh)
-        assert interp(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert interp(0.0) == pytest.approx(1.0, abs=1e-14)
+        coeffs = interpolate_iyp(lambda y: 1.0, mesh)
+        assert eval_in_VM(mesh, coeffs, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert eval_in_VM(mesh, coeffs, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestLagrangeBasisBound:

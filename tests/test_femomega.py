@@ -128,7 +128,7 @@ class TestLoad:
     def test_2d_structure_vs_direct_quadrature(self):
         domain = BoxDomain(2)
         problem = FractionalProblem(
-            s=0.4, domain=domain, f=modal_function(domain, [((2, 1), 1.5)], "plain")
+            s=0.4, domain=domain, f=modal_function(domain, [((2, 1), 1.5)])
         )
         grid = OmegaGrid(2, 5)
         got = assemble_load(grid, problem) / problem.d_s

@@ -28,8 +28,9 @@ class TestEigenpair:
         assert mode.lam == pytest.approx(math.pi**2, rel=1e-15)
 
     def test_orthonormal_peak_value(self):
-        mode = eigenpair(BoxDomain(2), (1, 1), normalization="orthonormal")
-        assert mode(np.array([0.5, 0.5])) == pytest.approx(2.0, rel=1e-15)
+        # the orthonormal eigenfunction is the plain one scaled by sqrt(2) per axis
+        v = modal_function(BoxDomain(2), [((1, 1), math.sqrt(2) ** 2)])
+        assert v(np.array([0.5, 0.5])) == pytest.approx(2.0, rel=1e-15)
 
     def test_invalid_index(self):
         with pytest.raises(ValueError):
@@ -78,19 +79,19 @@ class TestSolveFractional:
 class TestHsNorm:
     def test_single_orthonormal_mode(self):
         domain = BoxDomain(1)
-        v = modal_function(domain, [((1,), 1.0)], "orthonormal")
+        v = modal_function(domain, [((1,), math.sqrt(2))])
         for s in [0.2, 0.5, 0.9]:
             assert hs_norm(v, s) == pytest.approx((math.pi**2) ** (s / 2), rel=1e-14)
 
     def test_plain_normalization_conversion(self):
         domain = BoxDomain(2)
-        v = modal_function(domain, [((1, 1), 1.0)], "plain")
+        v = modal_function(domain, [((1, 1), 1.0)])
         lam = 2 * math.pi**2
         assert hs_norm(v, 0.6) == pytest.approx(0.5 * lam**0.3, rel=1e-14)
 
     def test_pythagorean_sum(self):
         domain = BoxDomain(1)
-        v = modal_function(domain, [((1,), 2.0), ((3,), -1.0)], "orthonormal")
+        v = modal_function(domain, [((1,), 2.0 * math.sqrt(2)), ((3,), -math.sqrt(2))])
         lam1, lam3 = math.pi**2, 9 * math.pi**2
         want = math.sqrt(4 * lam1**0.5 + 1 * lam3**0.5)
         assert hs_norm(v, 0.5) == pytest.approx(want, rel=1e-14)
@@ -110,7 +111,7 @@ class TestHsNorm:
     )
     def test_isometry_property(self, s, data):
         domain = BoxDomain(2)
-        f = modal_function(domain, [((k, l), c) for k, l, c in data], "plain")
+        f = modal_function(domain, [((k, l), c) for k, l, c in data])
         problem = FractionalProblem(s=s, domain=domain, f=f)
         u = solve_fractional(problem)
         nu, nf = hs_norm(u, s), hs_norm(f, -s)
