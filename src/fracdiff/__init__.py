@@ -57,11 +57,9 @@ from .specialfunc import (
 )
 from .spectral import (
     BoxDomain,
-    EigenMode,
     FractionalProblem,
     ModalFunction,
     benchmark_problem,
-    eigenpair,
     exact_extended,
     hs_norm,
     modal_function,

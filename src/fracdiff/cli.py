@@ -20,7 +20,10 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import error_analysis as ea
+from .femomega import OmegaGrid
+from .meshing import check_h_omega
 from .solver import SolverError
+from .spectral import BoxDomain, modal_function
 
 CSV_COLUMNS = (
     "h_omega,N_omega,M,N_Y,N_total,Y,energy_error,trace_hs_error,iters,wall_ms"
@@ -55,8 +58,16 @@ class RunConfig:
             raise ConfigError(f"s must lie in (0, 1), got {self.s}")
         if self.d not in (1, 2):
             raise ConfigError(f"d must be 1 or 2, got {self.d}")
-        if self.n is not None and any(k < 2 for k in self.n):
-            raise ConfigError("every entry of n must be >= 2")
+        if self.n is not None:
+            if any(k < 2 for k in self.n):
+                raise ConfigError("every entry of n must be >= 2")
+            if len(set(self.n)) != len(self.n):
+                raise ConfigError(f"the entries of n must be distinct, got {self.n}")
+            for k in self.n:
+                try:
+                    check_h_omega(OmegaGrid(self.d, k).h_omega)
+                except ValueError as exc:
+                    raise ConfigError(f"n={k} for d={self.d}: {exc}") from exc
         if self.n is None and self.levels < 1:
             raise ConfigError("levels must be >= 1")
         for name in ("tol", "beta", "m_mult", "y_mult"):
@@ -68,11 +79,12 @@ class RunConfig:
         if self.mu is not None and not 0.0 < self.mu <= 1.0:
             raise ConfigError("mu must lie in (0, 1]")
         if self.modes is not None:
-            for index, coef in self.modes:
-                if len(index) != self.d or any(k < 1 for k in index):
-                    raise ConfigError(f"mode index {index} invalid for d={self.d}")
-                if not math.isfinite(coef):
-                    raise ConfigError(f"mode {index} has a non-finite coefficient {coef}")
+            try:
+                data = modal_function(BoxDomain(self.d), self.modes)
+            except ValueError as exc:
+                raise ConfigError(f"modes: {exc}") from exc
+            if not any(coef for _, coef in data.modes):
+                raise ConfigError("the data is zero: every merged mode coefficient is 0")
 
 
 def parse_modes(text: str) -> list[tuple[tuple[int, ...], float]]:

@@ -161,11 +161,11 @@ def direct_energy_error_small(
     # per exact mode: sqrt(lambda), its value and its partial derivatives at
     # the tensor points, each an outer product of 1-D sine/cosine factors
     modes = []
-    for mode, coef in solve_fractional(problem).modes:
-        sins = [np.sin(k * math.pi * x) for k in mode.index]
-        coss = [k * math.pi * np.cos(k * math.pi * x) for k in mode.index]
+    for index, coef in solve_fractional(problem).modes:
+        sins = [np.sin(k * math.pi * x) for k in index]
+        coss = [k * math.pi * np.cos(k * math.pi * x) for k in index]
         grads = [coef * _outer(sins[:i] + [coss[i]] + sins[i + 1:]) for i in range(d)]
-        modes.append((math.sqrt(mode.lam), coef * _outer(sins), grads))
+        modes.append((math.sqrt(problem.domain.eigenvalue(index)), coef * _outer(sins), grads))
 
     total = 0.0
     nodes = np.asarray(mesh.nodes)
@@ -259,7 +259,7 @@ def _default_mode_count(problem: FractionalProblem) -> int:
     """Smallest eigenvalue-ordered mode count covering the data, plus a
     margin for the projection of the discrete trace."""
     base = 12 if problem.domain.d == 1 else 16
-    wanted = {mode.index for mode, _ in problem.f.modes}
+    wanted = {index for index, _ in problem.f.modes}
     # fewer than sum(k*k) modes precede a mode, so this list holds the data
     length = max((sum(k * k for k in idx) for idx in wanted), default=0)
     position = {idx: i for i, idx in enumerate(problem.domain.modes_by_eigenvalue(length))}
@@ -326,20 +326,23 @@ def run_level(
     """Discretize, solve, and measure a single refinement level;
     ``mesh_overrides`` are the keyword parameters of :func:`discretize`.
 
-    A level whose mesh or weighted quadrature cannot be built, or whose
-    solve fails, raises :class:`SolverError` prefixed with the level."""
+    A level whose mesh or weighted quadrature cannot be built, whose solve
+    fails, or that runs out of memory anywhere raises :class:`SolverError`
+    prefixed with the level."""
     t0 = time.perf_counter()
     where = f"{scheme} s={problem.s:g} d={problem.domain.d} n={n}"
     try:
         level = discretize(problem, scheme, n, **mesh_overrides)
         sol = solve(level.system, level.rhs, rel_tol=tol)
+        err = energy_error(problem, level.load, sol.trace)
+        tr_err = trace_hs_error(problem, level.grid, sol.trace, _default_mode_count(problem))
     except SolverError as exc:
         raise SolverError(f"{where}: {exc}", exc.residual, exc.iterations) from exc
     except (MeshError, QuadratureError) as exc:
         raise SolverError(f"{where}: {exc}") from exc
+    except MemoryError as exc:
+        raise SolverError(f"{where}: out of memory ({str(exc) or 'no detail'})") from exc
     grid = level.grid
-    err = energy_error(problem, level.load, sol.trace)
-    tr_err = trace_hs_error(problem, grid, sol.trace, _default_mode_count(problem))
     wall = time.perf_counter() - t0
     return StudyRow(
         h_omega=grid.h_omega,

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy import sparse
-from scipy.special import eval_legendre, roots_jacobi
+from scipy.special import roots_jacobi
 
 from .meshing import MeshError, YMesh
 
@@ -80,8 +80,8 @@ def gauss_lobatto_points(q: int, interval=(-1.0, 1.0)) -> np.ndarray:
     """The ``q+1`` Gauss-Lobatto points of degree ``q`` on ``[a, b]``.
 
     Endpoints included; the interior points are the roots of the derivative
-    of the Legendre polynomial of degree ``q``, found by Newton iteration
-    from Chebyshev initial guesses. Symmetric about the midpoint.
+    of the Legendre polynomial of degree ``q``, i.e. of the Jacobi polynomial
+    ``P_{q-1}^{(1,1)}``. Symmetric about the midpoint.
     """
     a, b = float(interval[0]), float(interval[1])
     if q < 1:
@@ -97,19 +97,7 @@ def gauss_lobatto_points(q: int, interval=(-1.0, 1.0)) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _gauss_lobatto_reference(q: int) -> np.ndarray:
-    if q == 1:
-        return np.array([-1.0, 1.0])
-    x = -np.cos(np.pi * np.arange(1, q) / q)
-    for _ in range(100):
-        p = eval_legendre(q, x)
-        pm = eval_legendre(q - 1, x)
-        omx2 = 1.0 - x * x
-        dp = q * (pm - x * p) / omx2
-        ddp = (2.0 * x * dp - q * (q + 1) * p) / omx2
-        step = dp / ddp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-14:
-            break
+    x = roots_jacobi(q - 1, 1.0, 1.0)[0] if q > 1 else np.empty(0)
     x = 0.5 * (x - x[::-1])  # enforce exact symmetry
     return np.concatenate(([-1.0], x, [1.0]))
 

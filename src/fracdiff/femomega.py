@@ -72,10 +72,6 @@ class OmegaMatrices:
     A_stiff: sparse.csr_matrix
     grid: OmegaGrid
 
-    @property
-    def n_dofs(self) -> int:
-        return self.A_mass.shape[0]
-
 
 def assemble_omega_matrices(grid: OmegaGrid) -> OmegaMatrices:
     m1, k1 = _p1_factors(grid.n)
@@ -112,7 +108,6 @@ def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
     mode of ``f`` is a product of sines, so its part of ``int f * eta_i`` is
     the Kronecker product of the 1-D sine-hat integrals."""
     out = np.zeros(grid.n_dofs)
-    for mode, coef in problem.f.modes:
-        out += coef * reduce(
-            np.kron, [sine_hat_integrals(grid, k) for k in mode.index])
+    for index, coef in problem.f.modes:
+        out += coef * reduce(np.kron, [sine_hat_integrals(grid, k) for k in index])
     return problem.d_s * out

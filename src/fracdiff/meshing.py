@@ -7,7 +7,8 @@ Two mesh families on ``(0, Y)``:
   slope ``beta``.
 
 The selection rules tie the number of elements ``M``, the truncation height
-``Y``, and the family parameters to the mesh size of the base domain.
+``Y``, and the grading or degree parameters to the mesh size of the base
+domain; the mesh itself holds only its nodes and degrees.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-FAMILIES = ("graded", "geometric")
 
 
 class MeshError(ValueError):
@@ -32,8 +31,6 @@ class YMesh:
     Y: float
     nodes: tuple[float, ...]
     degrees: tuple[int, ...]
-    family: str
-    param: float  # mu for graded, sigma for geometric
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes)
@@ -48,8 +45,6 @@ class YMesh:
             raise ValueError("one polynomial degree per element required")
         if any(p < 1 for p in self.degrees):
             raise ValueError("polynomial degrees must be >= 1")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown mesh family {self.family!r}")
 
     @property
     def M(self) -> int:
@@ -58,11 +53,6 @@ class YMesh:
     @property
     def h(self) -> np.ndarray:
         return np.diff(np.asarray(self.nodes))
-
-    def n_dofs(self) -> int:
-        """System size with the zero condition at ``Y`` applied:
-        ``sum(p_m)``."""
-        return int(sum(self.degrees))
 
 
 def graded_mesh(M: int, mu: float, Y: float) -> YMesh:
@@ -74,7 +64,7 @@ def graded_mesh(M: int, mu: float, Y: float) -> YMesh:
     if Y <= 0.0:
         raise ValueError("Y must be positive")
     nodes = tuple((m / M) ** (1.0 / mu) * Y for m in range(M + 1))
-    return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M, family="graded", param=mu)
+    return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M)
 
 
 def geometric_mesh(M: int, sigma: float, Y: float) -> YMesh:
@@ -87,20 +77,18 @@ def geometric_mesh(M: int, sigma: float, Y: float) -> YMesh:
     if Y <= 0.0:
         raise ValueError("Y must be positive")
     nodes = (0.0,) + tuple(sigma ** (M - m) * Y for m in range(1, M + 1))
-    return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M, family="geometric", param=sigma)
+    return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M)
 
 
 def linear_degree_vector(mesh: YMesh, beta: float) -> tuple[int, ...]:
     """Degree vector ``p_1 = 1`` and ``p_m = ceil(1 + beta*ln(h_m/h_1))`` for
-    ``m >= 2`` on a geometric mesh.
+    ``m >= 2``, clamped at degree 1 where ``h_m < h_1``.
 
-    This is the tightest integer rule above the lower degree band; the upper
-    band holds with at most one extra degree of slack. For ratios above 1/2
-    the second element is shorter than the first and the rule is clamped at
-    degree 1.
+    On a geometric mesh this is the tightest integer rule above the lower
+    degree band; the upper band holds with at most one extra degree of
+    slack. For ratios above 1/2 the second element is shorter than the first
+    and the clamp applies.
     """
-    if mesh.family != "geometric":
-        raise ValueError("linear degree vector requires a geometric mesh")
     if beta <= 0.0:
         raise ValueError("slope beta must be positive")
     h = mesh.h
@@ -122,9 +110,6 @@ class DiscretizationParams:
     mesh size ``h_omega``."""
 
     scheme: str  # "hfem" | "hpfem"
-    h_omega: float
-    s: float
-    lambda1: float
     M: int
     Y: float
     mu: float | None = None
@@ -132,7 +117,8 @@ class DiscretizationParams:
     beta: float | None = None
 
 
-def _check_h(h_omega: float):
+def check_h_omega(h_omega: float):
+    """Reject a base mesh size outside ``(0, 1/2]``, the range of the rules."""
     if not 0.0 < h_omega <= 0.5:
         raise ValueError(f"h_omega={h_omega} must lie in (0, 1/2]")
 
@@ -151,14 +137,12 @@ def select_params_h(
 ) -> DiscretizationParams:
     """Graded-mesh parameters: ``mu = 0.8*s``, ``M = ceil(1/h_omega)``,
     ``Y = max(3*|ln h_omega|/sqrt(lambda1), 1)``."""
-    _check_h(h_omega)
+    check_h_omega(h_omega)
     if mu is None:
         mu = 0.8 * s
     M = math.ceil(m_mult / h_omega)
     Y = _truncation_height(h_omega, lambda1, y_mult)
-    return DiscretizationParams(
-        scheme="hfem", h_omega=h_omega, s=s, lambda1=lambda1, M=M, Y=Y, mu=mu
-    )
+    return DiscretizationParams(scheme="hfem", M=M, Y=Y, mu=mu)
 
 
 def select_params_hp(
@@ -173,15 +157,12 @@ def select_params_hp(
     """Geometric-mesh parameters: ``sigma = 0.125``, ``beta = 0.7``,
     ``M = ceil(1.75*m_mult*|ln h_omega|/(s*|ln sigma|))`` and the same
     truncation height as the graded scheme."""
-    _check_h(h_omega)
+    check_h_omega(h_omega)
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma={sigma} must lie in (0, 1)")
     M = max(1, math.ceil(1.75 * m_mult * abs(math.log(h_omega)) / (s * abs(math.log(sigma)))))
     Y = _truncation_height(h_omega, lambda1, y_mult)
-    return DiscretizationParams(
-        scheme="hpfem", h_omega=h_omega, s=s, lambda1=lambda1, M=M, Y=Y,
-        sigma=sigma, beta=beta,
-    )
+    return DiscretizationParams(scheme="hpfem", M=M, Y=Y, sigma=sigma, beta=beta)
 
 
 def build_ymesh(params: DiscretizationParams) -> YMesh:

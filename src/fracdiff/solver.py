@@ -53,7 +53,7 @@ class KroneckerSystem:
 
     @property
     def n_omega(self) -> int:
-        return self.omega.n_dofs
+        return self.omega.grid.n_dofs
 
     @property
     def n_y(self) -> int:

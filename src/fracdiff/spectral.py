@@ -1,11 +1,12 @@
 """Exact and reference solutions on tensor-product boxes.
 
-Eigenpairs of the Dirichlet Laplacian on ``(0,1)**d``, the fractional solve
+Eigenvalues of the Dirichlet Laplacian on ``(0,1)**d``, the fractional solve
 in modal form, fractional Sobolev norms, the extended solution on the
 semi-infinite cylinder, and the energy content beyond a truncation height.
 
 Eigenfunctions are plain sine products only, with L2 norm ``2**(-d/2)``;
-expansions carry coefficients in that basis. Norms are computed in
+expansions carry ``(index, coefficient)`` pairs in that basis and read each
+eigenvalue from :meth:`BoxDomain.eigenvalue`. Norms are computed in
 orthonormal coefficients, which :meth:`ModalFunction.orthonormal_items`
 obtains by the constant factor ``2**(-d/2)``.
 """
@@ -62,41 +63,27 @@ def _check_index(domain: BoxDomain, index) -> tuple[int, ...]:
     return index
 
 
-@dataclass(frozen=True)
-class EigenMode:
-    """A single Dirichlet-Laplacian eigenpair on the box; the eigenfunction
-    is the plain sine product."""
-
-    domain: BoxDomain
-    index: tuple[int, ...]
-    lam: float
-
-    def __call__(self, x) -> float | np.ndarray:
-        """Evaluate the eigenfunction at points ``x`` of shape ``(..., d)``
-        (plain scalars/arrays for d=1)."""
-        x = np.asarray(x, dtype=float)
-        coords = [x] if self.domain.d == 1 else [x[..., i] for i in range(self.domain.d)]
-        out = np.prod([np.sin(k * math.pi * c) for k, c in zip(self.index, coords)], axis=0)
-        return float(out) if np.ndim(out) == 0 else out
-
-
-def eigenpair(domain: BoxDomain, index) -> EigenMode:
-    """Eigenvalue and eigenfunction evaluator for one mode of the box."""
-    index = _check_index(domain, index)
-    return EigenMode(domain, index, domain.eigenvalue(index))
+def _sine_product(index: tuple[int, ...], x) -> float | np.ndarray:
+    """The eigenfunction ``prod_i sin(k_i*pi*x_i)`` at points ``x`` of shape
+    ``(..., d)`` (plain scalars/arrays for d=1)."""
+    x = np.asarray(x, dtype=float)
+    coords = [x] if len(index) == 1 else [x[..., i] for i in range(len(index))]
+    out = np.prod([np.sin(k * math.pi * c) for k, c in zip(index, coords)], axis=0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
 class ModalFunction:
-    """Finite eigenfunction expansion ``sum_k coef_k * phi_k``."""
+    """Finite eigenfunction expansion ``sum_k coef_k * phi_k`` held as
+    ``(index, coef)`` pairs."""
 
     domain: BoxDomain
-    modes: tuple[tuple[EigenMode, float], ...]
+    modes: tuple[tuple[tuple[int, ...], float], ...]
 
     def __post_init__(self):
-        for mode, coef in self.modes:
+        for index, coef in self.modes:
             if not math.isfinite(coef):
-                raise ValueError("coefficients must be finite")
+                raise ValueError(f"mode {index} has a non-finite coefficient {coef}")
 
     def __call__(self, x):
         if not self.modes:
@@ -104,13 +91,13 @@ class ModalFunction:
             shape = x.shape[:-1] if self.domain.d > 1 and x.ndim > 0 else x.shape
             out = np.zeros(shape)
             return float(out) if out.ndim == 0 else out
-        total = sum(coef * mode(x) for mode, coef in self.modes)
-        return total
+        return sum(coef * _sine_product(index, x) for index, coef in self.modes)
 
     def orthonormal_items(self) -> list[tuple[tuple[int, ...], float, float]]:
         """List of ``(index, eigenvalue, orthonormal coefficient)``."""
         conv = 2.0 ** (-self.domain.d / 2.0)
-        return [(mode.index, mode.lam, coef * conv) for mode, coef in self.modes]
+        return [(index, self.domain.eigenvalue(index), coef * conv)
+                for index, coef in self.modes]
 
 
 def modal_function(domain: BoxDomain, entries) -> ModalFunction:
@@ -120,10 +107,7 @@ def modal_function(domain: BoxDomain, entries) -> ModalFunction:
     for index, coef in entries:
         index = _check_index(domain, index)
         merged[index] = merged.get(index, 0.0) + float(coef)
-    modes = tuple(
-        (eigenpair(domain, index), coef) for index, coef in sorted(merged.items())
-    )
-    return ModalFunction(domain, modes)
+    return ModalFunction(domain, tuple(sorted(merged.items())))
 
 
 @dataclass(frozen=True)
@@ -169,8 +153,9 @@ def benchmark_problem(s: float, d: int) -> FractionalProblem:
 
 def solve_fractional(problem: FractionalProblem) -> ModalFunction:
     """Modal solution: each coefficient is scaled by ``lambda_k**(-s)``."""
+    lam = problem.domain.eigenvalue
     modes = tuple(
-        (mode, coef * mode.lam ** (-problem.s)) for mode, coef in problem.f.modes
+        (index, coef * lam(index) ** (-problem.s)) for index, coef in problem.f.modes
     )
     return replace(problem.f, modes=modes)
 
@@ -190,8 +175,9 @@ def exact_extended(problem: FractionalProblem, x, y) -> float | np.ndarray:
         raise ValueError("extended variable must satisfy y >= 0")
     profile = problem.profile
     total = 0.0
-    for mode, coef in u.modes:
-        total = total + coef * mode(x) * psi(profile, math.sqrt(mode.lam) * y_arr)
+    for index, coef in u.modes:
+        root = math.sqrt(problem.domain.eigenvalue(index))
+        total = total + coef * _sine_product(index, x) * psi(profile, root * y_arr)
     if np.ndim(total) == 0:
         return float(total)
     return total

@@ -46,7 +46,7 @@ def selection_rule(scheme, n, mu=None, sigma=0.125, beta=0.7, m_mult=1.0, y_mult
         M = math.ceil(m_mult / h)
         return M, M, Y
     M = max(1, math.ceil(1.75 * m_mult * abs(math.log(h)) / (0.5 * abs(math.log(sigma)))))
-    return M, hp_mesh(M, sigma, Y, beta).n_dofs(), Y
+    return M, sum(hp_mesh(M, sigma, Y, beta).degrees), Y
 
 
 class TestParsing:
@@ -271,6 +271,19 @@ class TestSolveCommand:
         for part in ("hpfem", "s=0.35", "d=2", "n=8"):
             assert part in err
 
+    def test_out_of_memory_exits_3_and_names_the_level(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 90.3 MiB for an array")
+
+        monkeypatch.setattr(fracdiff.error_analysis, "solve", exhausted)
+        code = run_cli(["solve", "--scheme", "hfem", "--s", "0.8", "--d", "2", "--n", "8",
+                        "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("solver failure: hfem s=0.8 d=2 n=8: out of memory "
+                "(Unable to allocate 90.3 MiB for an array)") in err
+        assert "Traceback" not in err
+
     @pytest.mark.xfail(strict=True, reason=(
         "residual floor (ROADMAP item 1): with M=12 geometric elements the "
         "refined solve stalls at 1.26e-9, above the default tol 1e-9"))
@@ -359,6 +372,47 @@ class TestStudyAndCompare:
         assert done.returncode == 0, done.stderr
         for suffix in ("_hfem.csv", "_hpfem.csv", "_fig_error_vs_h.csv", "_fig_error_vs_dof.csv"):
             assert (tmp_path / f"fig_s0.5{suffix}").is_file()
+
+
+class TestRejectedBeforeAnyLevel:
+    """Configurations that no level sequence can complete exit 2 before any
+    level runs and write no file."""
+
+    @staticmethod
+    def rejects(tmp_path, capsys, argv, message):
+        code = run_cli([*argv, "--out", str(tmp_path / "run" / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--scheme", "hfem"], ["solve", "--scheme", "hpfem"],
+        ["study", "--scheme", "hpfem"], ["compare"],
+    ], ids=["solve-hfem", "solve-hpfem", "study", "compare"])
+    def test_base_mesh_coarser_than_the_rules_accept(self, tmp_path, capsys, command):
+        # d=2, n=2 has h_omega = sqrt(2)/2 > 1/2, the bound of the selection rules
+        self.rejects(tmp_path, capsys, [*command, "--s", "0.5", "--d", "2", "--n", "2,4"],
+                     "n=2 for d=2: h_omega=0.7071067811865476 must lie in (0, 1/2]")
+
+    @pytest.mark.parametrize("command", ["solve", "study", "compare"])
+    @pytest.mark.parametrize("n", ["8,8", "8,16,8"])
+    def test_repeated_cell_counts(self, tmp_path, capsys, command, n):
+        self.rejects(tmp_path, capsys, [command, "--s", "0.5", "--d", "1", "--n", n],
+                     "the entries of n must be distinct")
+
+    @pytest.mark.parametrize("modes,levels", [("1=0", "2"), ("1=1;1=-1", "1")],
+                             ids=["zero", "cancelling"])
+    def test_zero_data(self, tmp_path, capsys, modes, levels):
+        self.rejects(tmp_path, capsys, ["solve", "--s", "0.5", "--d", "1", "--levels", levels,
+                                        "--modes", modes],
+                     "the data is zero")
+
+    def test_merged_coefficient_overflow(self, tmp_path, capsys):
+        self.rejects(tmp_path, capsys, ["solve", "--s", "0.5", "--d", "1", "--n", "8",
+                                        "--modes", "1=1e308;1=1e308"],
+                     "modes: mode (1,) has a non-finite coefficient inf")
 
 
 def test_cli_import_leaves_quadrature_modules_unloaded():

@@ -297,11 +297,7 @@ class TestStudyDriver:
         problem = benchmark_problem(0.6, 1)
         level = discretize(problem, "hpfem", 12)
         mesh = level.mesh
-        raised = YMesh(
-            Y=mesh.Y, nodes=mesh.nodes,
-            degrees=tuple(p + 1 for p in mesh.degrees),
-            family="geometric", param=mesh.param,
-        )
+        raised = YMesh(Y=mesh.Y, nodes=mesh.nodes, degrees=tuple(p + 1 for p in mesh.degrees))
         raised_system = KroneckerSystem(
             level.system.omega, assemble_weighted_matrices(raised, alpha=problem.alpha)
         )

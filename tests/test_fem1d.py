@@ -30,12 +30,12 @@ from fracdiff.specialfunc import PsiProfile, psi, psi_prime
 
 
 def single_element_mesh():
-    return YMesh(Y=1.0, nodes=(0.0, 1.0), degrees=(1,), family="graded", param=1.0)
+    return YMesh(Y=1.0, nodes=(0.0, 1.0), degrees=(1,))
 
 
 def uniform_mesh(M, Y=1.0, degrees=None):
     nodes = tuple(Y * m / M for m in range(M + 1))
-    return YMesh(Y=Y, nodes=nodes, degrees=degrees or (1,) * M, family="graded", param=1.0)
+    return YMesh(Y=Y, nodes=nodes, degrees=degrees or (1,) * M)
 
 
 def prefix_sum_dofs(degrees, m):
@@ -68,6 +68,17 @@ class TestGaussLobatto:
         want = np.sort(npleg.legroots(npleg.legder(coeffs)))
         got = gauss_lobatto_points(q)[1:-1]
         assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("q", range(2, 41))
+    def test_lobatto_rule_is_exact_to_degree_2q_minus_1(self, q):
+        # the Lobatto rule on these nodes, with weights 2/(q(q+1) P_q(x_i)**2)
+        # from numpy's Legendre series, integrates x**k exactly for k <= 2q-1
+        x = gauss_lobatto_points(q)
+        P_q = npleg.legval(x, np.eye(q + 1)[q])
+        w = 2.0 / (q * (q + 1) * P_q**2)
+        for k in range(2 * q):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(w @ x**k - exact) < 1e-13
 
     @pytest.mark.parametrize("q", range(1, 11))
     def test_symmetry(self, q):
@@ -255,7 +266,7 @@ class TestAssemblyAgainstElementLoop:
             build_ymesh(select_params_hp(1 / 256, 0.2, math.pi**2)),
             SPLIT_MESH,
             single_element_mesh(),
-            YMesh(Y=2.0, nodes=(0.0, 2.0), degrees=(5,), family="geometric", param=0.5),
+            YMesh(Y=2.0, nodes=(0.0, 2.0), degrees=(5,)),
         ],
         ids=["hfem-s0.2-n1024", "hp-M8", "hp-s0.2-n256", "geometric-split", "M1-p1", "M1-p5"],
     )
@@ -350,13 +361,7 @@ class TestInterpolation:
         # weighted H1-seminorm error on interior elements shrinks when every
         # element degree is raised
         mesh = hp_mesh(5, 0.125, 2.0, 0.7)
-        raised = YMesh(
-            Y=mesh.Y,
-            nodes=mesh.nodes,
-            degrees=tuple(p + 1 for p in mesh.degrees),
-            family="geometric",
-            param=mesh.param,
-        )
+        raised = YMesh(Y=mesh.Y, nodes=mesh.nodes, degrees=tuple(p + 1 for p in mesh.degrees))
         profile = PsiProfile(0.7)
         root = math.sqrt(2 * math.pi**2)
         xi = lambda y: psi(profile, root * y)
@@ -379,7 +384,7 @@ class TestInterpolation:
         assert interior_error(raised) < interior_error(mesh)
 
     def test_single_element_mesh_truncation(self):
-        mesh = YMesh(Y=1.0, nodes=(0.0, 1.0), degrees=(3,), family="geometric", param=0.5)
+        mesh = YMesh(Y=1.0, nodes=(0.0, 1.0), degrees=(3,))
         coeffs = interpolate_iyp(lambda y: 1.0, mesh)
         assert eval_in_VM(mesh, coeffs, 1.0) == pytest.approx(0.0, abs=1e-14)
         assert eval_in_VM(mesh, coeffs, 0.0) == pytest.approx(1.0, abs=1e-14)

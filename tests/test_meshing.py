@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdiff.fem1d import YDofMap
 from fracdiff.meshing import (
     build_ymesh,
     geometric_mesh,
@@ -106,10 +107,6 @@ class TestLinearDegreeVector:
             assert 1 + beta * slope <= p[m - 1] + 1e-9
             assert p[m - 1] <= 2 + beta * slope + 1e-9
 
-    def test_rejects_non_geometric(self):
-        with pytest.raises(ValueError):
-            linear_degree_vector(graded_mesh(4, 0.5, 1.0), 0.7)
-
 
 class TestDofCounts:
     @settings(max_examples=40, deadline=None)
@@ -120,11 +117,12 @@ class TestDofCounts:
     )
     def test_count_and_growth_bound(self, M, sigma, beta):
         mesh = hp_mesh(M, sigma, 1.0, beta)
-        assert mesh.n_dofs() == sum(mesh.degrees)
+        n_dofs = YDofMap(degrees=mesh.degrees).n_dofs
+        assert n_dofs == sum(mesh.degrees)
         # ceiling rule keeps the unconstrained count 1 + sum(p_m) below the
         # quadratic envelope
         bound = 1 + 2 * M + beta * abs(math.log(sigma)) * M * (M - 1) / 2
-        assert 1 + mesh.n_dofs() <= bound + 1e-9
+        assert 1 + n_dofs <= bound + 1e-9
 
 
 class TestParamSelection:
@@ -169,9 +167,8 @@ class TestParamSelection:
         params = select_params_hp(1 / 16, 0.8, 2 * math.pi**2)
         mesh = build_ymesh(params)
         assert mesh.M == params.M
-        assert mesh.family == "geometric"
-        assert mesh.degrees[0] == 1
+        # sigma=0.125, beta=0.7: p_m = ceil(1 + 0.7*ln(h_m/h_1)) with h_2/h_1 = 7, h_3/h_1 = 56
+        assert mesh.degrees == (1, 3, 4)
         params_h = select_params_h(1 / 16, 0.8, 2 * math.pi**2)
         mesh_h = build_ymesh(params_h)
-        assert mesh_h.family == "graded"
-        assert set(mesh_h.degrees) == {1}
+        assert mesh_h.degrees == (1,) * params_h.M

@@ -9,7 +9,6 @@ from fracdiff.spectral import (
     BoxDomain,
     FractionalProblem,
     benchmark_problem,
-    eigenpair,
     exact_extended,
     hs_norm,
     modal_function,
@@ -20,12 +19,10 @@ from fracdiff.spectral import (
 
 class TestEigenpair:
     def test_first_mode_2d(self):
-        mode = eigenpair(BoxDomain(2), (1, 1))
-        assert mode.lam == pytest.approx(2 * math.pi**2, rel=1e-15)
+        assert BoxDomain(2).eigenvalue((1, 1)) == pytest.approx(2 * math.pi**2, rel=1e-15)
 
     def test_first_mode_1d(self):
-        mode = eigenpair(BoxDomain(1), (1,))
-        assert mode.lam == pytest.approx(math.pi**2, rel=1e-15)
+        assert BoxDomain(1).eigenvalue((1,)) == pytest.approx(math.pi**2, rel=1e-15)
 
     def test_orthonormal_peak_value(self):
         # the orthonormal eigenfunction is the plain one scaled by sqrt(2) per axis
@@ -34,9 +31,9 @@ class TestEigenpair:
 
     def test_invalid_index(self):
         with pytest.raises(ValueError):
-            eigenpair(BoxDomain(2), (0, 1))
+            BoxDomain(2).eigenvalue((0, 1))
         with pytest.raises(ValueError):
-            eigenpair(BoxDomain(1), (1, 1))
+            BoxDomain(1).eigenvalue((1, 1))
 
     def test_mode_enumeration_ordering(self):
         domain = BoxDomain(2)
@@ -58,8 +55,8 @@ class TestSolveFractional:
     def test_benchmark_has_unit_coefficient(self):
         problem = benchmark_problem(0.8, 2)
         u = solve_fractional(problem)
-        ((mode, coef),) = u.modes
-        assert mode.index == (1, 1)
+        ((index, coef),) = u.modes
+        assert index == (1, 1)
         assert coef == pytest.approx(1.0, rel=1e-14)
 
     def test_zero_data(self):
@@ -189,6 +186,6 @@ class TestProblemValidation:
     def test_merged_duplicate_modes(self):
         domain = BoxDomain(1)
         f = modal_function(domain, [((2,), 1.0), ((2,), 2.5)])
-        ((mode, coef),) = f.modes
-        assert mode.index == (2,)
+        ((index, coef),) = f.modes
+        assert index == (2,)
         assert coef == 3.5
