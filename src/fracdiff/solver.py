@@ -17,6 +17,16 @@ generalized eigenpairs, and the remaining vertex tridiagonal is factored by
 one LDL^T sweep that runs over all shifts at once. Iterative refinement with
 the same factorization brings the true residual below the requested
 tolerance.
+
+Working set of ``solve`` beyond its right-hand side, in arrays of
+``N_total`` doubles: the solution, the residual (formed in the buffer of
+``S X`` and transformed in place by the next refinement step) and the vertex
+factors of the tridiagonal (two arrays for h-FEM, where every y-dof is a
+vertex; ``2 M / N_y`` of one for hp-FEM). On top come a fixed budget of
+column blocks in :func:`kron_matvec` and, for hp-FEM, the block temporaries
+of one element at a time. The first application of the inverse transforms
+only the non-zero y-columns of the right-hand side: one for the cylinder
+right-hand side.
 """
 
 from __future__ import annotations
@@ -75,13 +85,30 @@ def _as_tensor(system: KroneckerSystem, x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+# Bytes of the temporaries of one column block of :func:`kron_matvec`.
+_BLOCK_BYTES = 4 << 20
+
+
 def kron_matvec(system: KroneckerSystem, x) -> np.ndarray:
     """Apply the operator: ``A_stiff X B_mass^T + A_mass X B_stiff^T`` on the
     matricized coefficients. Accepts flat vectors or tensors and returns the
-    same shape."""
+    same shape; a tensor result is in Fortran order.
+
+    Blocks of output columns are computed one at a time, so the working set
+    beyond the result is three ``(N_omega, block)`` temporaries (and a
+    transposed copy of a C-ordered tensor input); every entry is summed in
+    the same order as by the unblocked products."""
     X, flat = _as_tensor(system, x)
-    out = system.omega.A_stiff @ (system.y.B_mass @ X.T).T
-    out += system.omega.A_mass @ (system.y.B_stiff @ X.T).T
+    XT = np.ascontiguousarray(X.T)
+    n_omega, n_y = X.shape
+    Am, As = system.omega.A_mass, system.omega.A_stiff
+    Bm, Bs = system.y.B_mass, system.y.B_stiff
+    out = np.empty((n_omega, n_y), order="F")
+    step = max(1, _BLOCK_BYTES // (3 * 8 * n_omega))
+    for j in range(0, n_y, step):
+        cols = slice(j, j + step)
+        out[:, cols] = As @ (Bm[cols] @ XT).T
+        out[:, cols] += Am @ (Bs[cols] @ XT).T
     return out.reshape(-1, order="F") if flat else out
 
 
@@ -181,8 +208,10 @@ class TensorPreconditioner:
         if not (np.all(np.isfinite(Bm.data)) and np.all(np.isfinite(Bs.data))):
             raise SolverError("the y-matrices are not finite (element sizes over- or underflow)")
         nv = dofmap.M
-        diag = np.outer(Bm.diagonal()[:nv], shifts) + Bs.diagonal()[:nv, None]
-        off = np.outer(Bm.diagonal(1)[:nv - 1], shifts) + Bs.diagonal(1)[:nv - 1, None]
+        diag = np.outer(Bm.diagonal()[:nv], shifts)
+        diag += Bs.diagonal()[:nv, None]
+        off = np.outer(Bm.diagonal(1)[:nv - 1], shifts)
+        off += Bs.diagonal(1)[:nv - 1, None]
 
         elements = []
         stiff_blocks = _element_blocks(Bs, dofmap)
@@ -214,15 +243,28 @@ class TensorPreconditioner:
                    elements=elements, pivots=diag, lower=off)
 
     def _dst(self, T: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I over the base-domain axes of a ``(N_y,
-        N_omega)`` tensor; it is its own inverse."""
+        """Orthonormal DST-I over the base-domain axes of a ``(rows,
+        N_omega)`` tensor, in place when ``T`` is C-contiguous; it is its own
+        inverse."""
         axes = tuple(range(1, 1 + len(self.base_shape)))
         out = scipy.fft.dstn(T.reshape(-1, *self.base_shape), type=1, axes=axes,
                              norm="ortho", overwrite_x=True)
         return out.reshape(T.shape)
 
-    def apply(self, R: np.ndarray) -> np.ndarray:
-        G = self._dst(np.array(R.T, order="C"))
+    def apply(self, R: np.ndarray, *, overwrite_r: bool = False) -> np.ndarray:
+        """``S^-1 R`` for an ``(N_omega, N_y)`` tensor, returned in Fortran
+        order. ``R`` is left unchanged unless ``overwrite_r``, in which case
+        its buffer may hold the result. Only the y-columns of ``R`` that hold
+        a non-zero are transformed: the DST of a zero column is zero."""
+        if overwrite_r:
+            G = self._dst(R.T)
+        else:
+            live = np.flatnonzero(np.any(R, axis=0))
+            G = self._dst(R.T[live])  # a copy of the live columns
+            if live.size < R.shape[1]:
+                full = np.zeros(R.shape[::-1])
+                full[live] = G
+                G = full
         G /= self.mass_eig
         shifts = self.shifts
         for el in self.elements:
@@ -271,15 +313,21 @@ def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTenso
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     B, _ = _as_tensor(system, rhs)
-    norm_b = math.sqrt(float(np.vdot(B, B)))
+    norm_b = float(np.linalg.norm(B))
     if norm_b == 0.0:
         return SolutionTensor(np.zeros_like(B), 0, 0.0)
     inverse = TensorPreconditioner.build(system)
     X = inverse.apply(B)
+    b_columns = np.flatnonzero(np.any(B, axis=0))
     applies, previous = 1, math.inf
     while True:
-        R = B - kron_matvec(system, X)
-        relres = math.sqrt(float(np.vdot(R, R))) / norm_b
+        # B - S X in the buffer of S X; only the non-zero columns of B are
+        # read, so a C-ordered B is never traversed against that buffer
+        R = kron_matvec(system, X)
+        np.negative(R, out=R)
+        for j in b_columns:
+            R[:, j] += B[:, j]
+        relres = float(np.linalg.norm(R)) / norm_b
         if relres <= rel_tol:
             return SolutionTensor(X, applies, relres)
         if not (math.isfinite(relres) and relres <= 0.5 * previous):
@@ -292,5 +340,6 @@ def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTenso
                 iterations=applies,
             )
         previous = relres
-        X += inverse.apply(R)
+        X += inverse.apply(R, overwrite_r=True)
+        del R  # freed before the next residual is allocated
         applies += 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdiff import solver
 from fracdiff.error_analysis import discretize
 from fracdiff.fem1d import assemble_weighted_matrices
 from fracdiff.femomega import OmegaGrid, assemble_omega_matrices
@@ -14,11 +16,12 @@ from fracdiff.solver import (
     KroneckerSystem,
     SolutionTensor,
     SolverError,
+    TensorPreconditioner,
     cylinder_rhs,
     kron_matvec,
     solve,
 )
-from fracdiff.spectral import benchmark_problem
+from fracdiff.spectral import BoxDomain, FractionalProblem, benchmark_problem, modal_function
 
 
 def make_system(d=1, n=8, mesh=None, alpha=0.0):
@@ -97,6 +100,22 @@ class TestKronMatvec:
         for _ in range(100):
             x = rng.standard_normal(system.n_total)
             assert float(x @ kron_matvec(system, x)) > 0.0
+
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_column_blocks_match_unblocked_products_bitwise(self, monkeypatch, layout):
+        # blocks of 4 y-columns over 21: five full blocks and a ragged one
+        system = make_system(d=2, n=7, mesh=hp_mesh(5, 0.125, 1.5, 0.7), alpha=-0.3)
+        assert system.n_y == 21
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 4 * (3 * 8 * system.n_omega))
+        X = np.asarray(np.random.default_rng(4).standard_normal((system.n_omega, system.n_y)),
+                       order=layout)
+        want = system.omega.A_stiff @ (system.y.B_mass @ X.T).T
+        want += system.omega.A_mass @ (system.y.B_stiff @ X.T).T
+        got = kron_matvec(system, X)
+        assert got.flags.f_contiguous
+        assert got.tobytes() == want.tobytes()
+        flat = kron_matvec(system, X.reshape(-1, order="F"))
+        assert flat.tobytes() == want.reshape(-1, order="F").tobytes()
 
 
 def jacobi_pcg_reference(system, rhs, rel_tol):
@@ -208,6 +227,13 @@ class TestSolve:
         with pytest.raises(SolverError):
             solve(system, rhs)
 
+    def test_nan_load_raises(self):
+        system = make_system(d=2, n=6, mesh=hp_mesh(3, 0.125, 1.0, 0.7))
+        load = np.ones(system.n_omega)
+        load[4] = np.nan
+        with pytest.raises(SolverError):
+            solve(system, cylinder_rhs(system, load))
+
     def test_invalid_tolerance(self):
         system = make_system()
         for tol in (0.0, -1e-9):
@@ -304,3 +330,57 @@ class TestTrace:
         assert np.all(rhs[:, 1:] == 0.0)
         with pytest.raises(ValueError):
             cylinder_rhs(system, np.ones(system.n_omega + 1))
+
+
+class TestPreconditionerApply:
+    @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(4, 0.125, 2.0, 0.7)])
+    @pytest.mark.parametrize("columns", [[0], [0, 3], [2, 5]])
+    def test_sparse_columns_match_full_transform_bitwise(self, mesh, columns):
+        system = make_system(d=2, n=9, mesh=mesh, alpha=0.3)
+        inverse = TensorPreconditioner.build(system)
+        rng = np.random.default_rng(11)
+        R = np.zeros((system.n_omega, system.n_y))
+        R[:, columns] = rng.standard_normal((system.n_omega, len(columns)))
+        # the in-place path transforms every column, zero or not
+        want = inverse.apply(np.asfortranarray(R), overwrite_r=True)
+        assert want.tobytes() == inverse.apply(R).tobytes()
+
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_apply_leaves_input_unchanged(self, layout):
+        system = make_system(d=2, n=6, mesh=hp_mesh(4, 0.125, 2.0, 0.7), alpha=-0.4)
+        inverse = TensorPreconditioner.build(system)
+        rng = np.random.default_rng(12)
+        dense = rng.standard_normal((system.n_omega, system.n_y))
+        one_column = cylinder_rhs(system, rng.standard_normal(system.n_omega))
+        for R in (dense, one_column):
+            R = np.asarray(R, order=layout)
+            kept = R.copy()
+            inverse.apply(R)
+            assert R.tobytes() == kept.tobytes()
+
+
+class TestWorkingSet:
+    """Peak of the traced allocations during ``solve``, in arrays of
+    ``N_total`` doubles: solution, residual and vertex factors (two for
+    h-FEM) plus the fixed column-block budget of ``kron_matvec`` and, for
+    hp-FEM, the element blocks of the inverse. Both the one-apply solve and
+    a solve that refines until it stalls are traced."""
+
+    @pytest.mark.parametrize("scheme,bound", [("hfem", 4.5), ("hpfem", 4.25)])
+    def test_peak_in_full_size_arrays(self, scheme, bound):
+        domain = BoxDomain(2)
+        data = modal_function(domain, [((1, 1), 1.0), ((2, 3), -0.5), ((5, 5), 0.7)])
+        level = discretize(FractionalProblem(s=0.8, domain=domain, f=data), scheme, 128)
+        full = 8 * level.system.n_total
+        for rel_tol in (1e-9, 1e-14):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                try:
+                    solve(level.system, level.rhs, rel_tol=rel_tol)
+                except SolverError as exc:
+                    assert rel_tol < 1e-9 and exc.iterations >= 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (peak - before) / full <= bound
