@@ -24,6 +24,12 @@ class MeshError(ValueError):
     graded or scaled node underflowed to its neighbour."""
 
 
+def _check_first_node(nodes: tuple[float, ...], rule: str, log10_width: float):
+    """Reject a first node that underflowed to 0, naming the width ``rule`` asked for."""
+    if nodes[1] == 0.0:
+        raise MeshError(f"the first element width {rule} = 10**{log10_width:.1f} underflows to 0")
+
+
 @dataclass(frozen=True)
 class YMesh:
     """Partition ``0 = y_0 < ... < y_M = Y`` with per-element degrees."""
@@ -64,6 +70,7 @@ def graded_mesh(M: int, mu: float, Y: float) -> YMesh:
     if Y <= 0.0:
         raise ValueError("Y must be positive")
     nodes = tuple((m / M) ** (1.0 / mu) * Y for m in range(M + 1))
+    _check_first_node(nodes, "(1/M)**(1/mu)*Y", math.log10(Y) - math.log10(M) / mu)
     return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M)
 
 
@@ -77,6 +84,7 @@ def geometric_mesh(M: int, sigma: float, Y: float) -> YMesh:
     if Y <= 0.0:
         raise ValueError("Y must be positive")
     nodes = (0.0,) + tuple(sigma ** (M - m) * Y for m in range(1, M + 1))
+    _check_first_node(nodes, "sigma**(M-1)*Y", (M - 1) * math.log10(sigma) + math.log10(Y))
     return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M)
 
 
@@ -87,14 +95,15 @@ def linear_degree_vector(mesh: YMesh, beta: float) -> tuple[int, ...]:
     On a geometric mesh this is the tightest integer rule above the lower
     degree band; the upper band holds with at most one extra degree of
     slack. For ratios above 1/2 the second element is shorter than the first
-    and the clamp applies.
+    and the clamp applies. ``ln h_m - ln h_1`` does not overflow as ``h_m/h_1`` does.
     """
     if beta <= 0.0:
         raise ValueError("slope beta must be positive")
     h = mesh.h
+    log_h1 = math.log(h[0])
     p = [1]
     for m in range(2, mesh.M + 1):
-        p.append(max(1, math.ceil(1.0 + beta * math.log(h[m - 1] / h[0]))))
+        p.append(max(1, math.ceil(1.0 + beta * (math.log(h[m - 1]) - log_h1))))
     return tuple(p)
 
 

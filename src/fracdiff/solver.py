@@ -18,15 +18,17 @@ one LDL^T sweep that runs over all shifts at once. Iterative refinement with
 the same factorization brings the true residual below the requested
 tolerance.
 
-Working set of ``solve`` beyond its right-hand side, in arrays of
-``N_total`` doubles: the solution, the residual (formed in the buffer of
-``S X`` and transformed in place by the next refinement step) and the vertex
-factors of the tridiagonal (two arrays for h-FEM, where every y-dof is a
-vertex; ``2 M / N_y`` of one for hp-FEM). On top come a fixed budget of
-column blocks in :func:`kron_matvec` and, for hp-FEM, the block temporaries
-of one element at a time. The first application of the inverse transforms
-only the non-zero y-columns of the right-hand side: one for the cylinder
-right-hand side.
+Every ``(N_omega, N_y)`` tensor this module returns is in Fortran order. The
+cylinder right-hand side holds one resident column: its other columns are
+zero pages that are never written. Working set of ``solve`` beyond it, in
+arrays of ``N_total`` doubles: the solution, the residual (formed in the
+buffer of ``S X`` and transformed in place by the next refinement step) and
+the vertex factors of the tridiagonal (two arrays for h-FEM, where every
+y-dof is a vertex; ``2 M / N_y`` of one for hp-FEM). On top come a fixed
+budget of column blocks in :func:`kron_matvec` and, for hp-FEM, the block
+temporaries of one element at a time. The first application of the inverse
+transforms only the non-zero y-columns of the right-hand side: one for the
+cylinder right-hand side.
 """
 
 from __future__ import annotations
@@ -113,12 +115,12 @@ def kron_matvec(system: KroneckerSystem, x) -> np.ndarray:
 
 
 def cylinder_rhs(system: KroneckerSystem, load: np.ndarray) -> np.ndarray:
-    """Right-hand side tensor: the base-domain load enters through the
-    single y-dof supported at the bottom of the cylinder (dof 0)."""
+    """Fortran-ordered right-hand side: the base-domain load fills column 0, the
+    y-dof at the bottom of the cylinder; only that column is resident."""
     load = np.asarray(load, dtype=float)
     if load.shape != (system.n_omega,):
         raise ValueError(f"expected load vector of length {system.n_omega}")
-    rhs = np.zeros((system.n_omega, system.n_y))
+    rhs = np.zeros((system.n_omega, system.n_y), order="F")
     rhs[:, 0] = load
     return rhs
 
@@ -318,15 +320,10 @@ def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTenso
         return SolutionTensor(np.zeros_like(B), 0, 0.0)
     inverse = TensorPreconditioner.build(system)
     X = inverse.apply(B)
-    b_columns = np.flatnonzero(np.any(B, axis=0))
     applies, previous = 1, math.inf
     while True:
-        # B - S X in the buffer of S X; only the non-zero columns of B are
-        # read, so a C-ordered B is never traversed against that buffer
         R = kron_matvec(system, X)
-        np.negative(R, out=R)
-        for j in b_columns:
-            R[:, j] += B[:, j]
+        np.subtract(B, R, out=R)
         relres = float(np.linalg.norm(R)) / norm_b
         if relres <= rel_tol:
             return SolutionTensor(X, applies, relres)

@@ -225,7 +225,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("command", ["solve", "study", "compare"])
     @pytest.mark.parametrize("scheme,flag,value,cause", [
-        ("hfem", "--mu", "1e-3", "mesh nodes must be strictly increasing"),
+        ("hfem", "--mu", "1e-3", "the first element width (1/M)**(1/mu)*Y = 10**-902.8 "
+                                 "underflows to 0"),
         ("hpfem", "--y-mult", "1e-300", "the stiffness scale 1/h**2 is not finite"),
         ("hpfem", "--beta", "1e6", "weighted rule on"),
     ], ids=["mu", "y_mult", "beta"])
@@ -242,24 +243,32 @@ class TestSolveCommand:
         assert f"solver failure: {scheme} s=0.5 d=1 n=8: " in err
         assert cause in err
 
-    @pytest.mark.parametrize("scheme,s,cause", [
-        ("hfem", "0.02", None),
-        ("hpfem", "0.01", "element 1: width"),
-        ("hpfem", "0.014", "element 121: weighted rule on"),
+    @pytest.mark.parametrize("scheme,s,n,cause", [
+        pytest.param("hfem", "0.02", "8", None, id="hfem-0.02-None"),
+        pytest.param("hpfem", "0.01", "8", "element 1: width", id="hpfem-0.01-element 1: width"),
+        pytest.param("hpfem", "0.014", "8", "element 121: weighted rule on",
+                     id="hpfem-0.014-element 121: weighted rule on"),
+        pytest.param("hpfem", "0.005", "8", "element 1: width 1.3e-315",
+                     id="hpfem-0.005-n8-subnormal width"),
+        pytest.param("hpfem", "0.01", "64", "element 1: width 2.6e-315",
+                     id="hpfem-0.01-n64-subnormal width"),
     ])
-    def test_small_order_level_ends_in_bounded_memory(self, tmp_path, scheme, s, cause):
+    def test_small_order_level_ends_in_bounded_memory(self, tmp_path, scheme, s, n, cause):
         # hfem: element 2 has y_1/y_2 = 2**(-1/mu) below eps, so the weighted
         # rule must form ln(rho) without cancellation. hpfem: elements of
         # degree near 178 would fit the point cap only after ~2**33 geometric
-        # splits, and at s=0.01 the first element is too thin for its stiffness.
-        done = run_cli_capped(["solve", "--scheme", scheme, "--s", s, "--d", "1", "--n", "8",
+        # splits, and at s=0.01 the first element is too thin for its stiffness;
+        # at s=0.005 (n=8) and s=0.01 (n=64) it is subnormal, so the degree
+        # rule must not divide by it.
+        done = run_cli_capped(["solve", "--scheme", scheme, "--s", s, "--d", "1", "--n", n,
                                "--out", str(tmp_path / "x")])
         assert "Traceback" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
         if cause is None:
             assert done.returncode == 0, done.stderr
         else:
             assert done.returncode == 3, done.stderr
-            assert f"solver failure: {scheme} s={s} d=1 n=8: {cause}" in done.stderr
+            assert f"solver failure: {scheme} s={s} d=1 n={n}: {cause}" in done.stderr
 
     def test_solver_failure_names_the_level(self, tmp_path, capsys):
         code = run_cli(
@@ -429,6 +438,10 @@ def test_cli_import_leaves_quadrature_modules_unloaded():
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert run_cli(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "FAIL" not in out
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS  geometric mesh identities",
+            "PASS  graded first element size",
+            "PASS  exact solve manufactured solution",
+            "PASS  implicit operator vs dense Kronecker form",
+            "all 4 selftest checks passed",
+        ]

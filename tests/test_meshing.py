@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fracdiff.fem1d import YDofMap
 from fracdiff.meshing import (
+    MeshError,
     build_ymesh,
     geometric_mesh,
     graded_mesh,
@@ -67,6 +68,11 @@ class TestGeometricMesh:
         mesh = geometric_mesh(1, 0.125, 2.0)
         assert np.allclose(mesh.nodes, [0.0, 2.0], atol=1e-15)
 
+    def test_underflowed_first_node_names_the_width(self):
+        # 0.125**399 * 2 = 10**(-399 log10 8 + log10 2) = 10**-360.0
+        with pytest.raises(MeshError, match=r"sigma\*\*\(M-1\)\*Y = 10\*\*-360\.0 underflows"):
+            geometric_mesh(400, 0.125, 2.0)
+
     @settings(max_examples=50, deadline=None)
     @given(M=st.integers(min_value=2, max_value=30), sigma=ratios, Y=heights)
     def test_identities(self, M, sigma, Y):
@@ -85,6 +91,15 @@ class TestLinearDegreeVector:
     def test_first_degree_is_one(self):
         mesh = geometric_mesh(5, 0.3, 1.0)
         assert linear_degree_vector(mesh, 2.3)[0] == 1
+
+    def test_subnormal_first_width(self):
+        # h_1 = 0.125**349 * 2 is subnormal: h_350/h_1 overflows, ln h_350 - ln h_1 does not
+        mesh = geometric_mesh(350, 0.125, 2.0)
+        assert 0.0 < mesh.h[0] < np.finfo(float).tiny
+        p = linear_degree_vector(mesh, 0.7)
+        # h_m/h_1 = 7 * 8**(m-2), as in test_second_degree_reference_value
+        assert p[:2] == (1, 3)
+        assert p[-1] == math.ceil(1 + 0.7 * (math.log(7.0) + 348 * math.log(8.0))) == 509
 
     def test_second_degree_reference_value(self):
         # h_2/h_1 = (1-sigma)/sigma = 7, ceil(1 + 0.7*ln 7) = 3

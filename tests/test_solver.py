@@ -164,6 +164,19 @@ class TestSolve:
         assert np.linalg.norm(ref - w) / np.linalg.norm(w) < 1e-8
         assert np.linalg.norm(sol.coefficients - ref) / np.linalg.norm(ref) < 1e-8
 
+    @pytest.mark.parametrize("mesh,alpha", [(graded_mesh(16, 0.1, 2.5), 0.6),
+                                            (hp_mesh(8, 0.125, 2.5, 0.7), -0.6)],
+                             ids=["graded", "hp"])
+    def test_rhs_layout_does_not_change_the_result(self, mesh, alpha):
+        system = make_system(d=2, n=8, mesh=mesh, alpha=alpha)
+        rhs = np.random.default_rng(5).standard_normal((system.n_omega, system.n_y))
+        # just below the residual of one apply, so one refinement step runs
+        rel_tol = 0.99 * solve(system, rhs, rel_tol=1.0).residual
+        c = solve(system, np.ascontiguousarray(rhs), rel_tol=rel_tol)
+        f = solve(system, np.asfortranarray(rhs), rel_tol=rel_tol)
+        assert c.coefficients.tobytes() == f.coefficients.tobytes()
+        assert c.iterations == f.iterations == 2
+
     def test_zero_rhs(self):
         system = make_system()
         sol = solve(system, np.zeros((system.n_omega, system.n_y)))
@@ -327,6 +340,7 @@ class TestTrace:
         load = np.ones(system.n_omega)
         rhs = cylinder_rhs(system, load)
         assert rhs.shape == (system.n_omega, system.n_y)
+        assert rhs.flags.f_contiguous
         assert np.all(rhs[:, 1:] == 0.0)
         with pytest.raises(ValueError):
             cylinder_rhs(system, np.ones(system.n_omega + 1))
