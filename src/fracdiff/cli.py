@@ -17,7 +17,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 from . import error_analysis as ea
@@ -35,22 +36,60 @@ class ConfigError(ValueError):
     pass
 
 
+def parse_modes(text: str) -> list[tuple[tuple[int, ...], float]]:
+    """Parse ``k[,l]=coef;...`` into (index, coefficient) pairs."""
+    out = []
+    for part in text.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            lhs, rhs = part.split("=")
+            index = tuple(int(tok) for tok in lhs.split(","))
+            out.append((index, float(rhs)))
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse mode entry {part!r}: {exc}") from exc
+    if not out:
+        raise ConfigError("empty mode list")
+    return out
+
+
+def _cell_counts(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _switch(text: str) -> bool:
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return value in ("1", "true", "yes")
+
+
+def _option(default, parse, help_text: str):
+    """A RunConfig field that is also an option: flag ``--name`` (dashes for
+    underscores) and config-file key ``name``, both read as text and parsed
+    by ``parse``."""
+    return field(default=default, metadata={"parse": parse, "help": help_text})
+
+
 @dataclass
 class RunConfig:
-    scheme: str = "hfem"
-    s: float = 0.5
-    d: int = 2
-    levels: int = 3
-    n: list[int] | None = None
-    tol: float = 1e-9
-    out: str = "fracdiff_run"
-    mu: float | None = None
-    sigma: float = 0.125
-    beta: float = 0.7
-    m_mult: float = 1.0
-    y_mult: float = 1.0
-    modes: list[tuple[tuple[int, ...], float]] | None = None
-    deterministic: bool = False
+    scheme: str = _option("hfem", str, "extended-direction scheme: hfem or hpfem")
+    s: float = _option(0.5, float, "fractional order in (0,1)")
+    d: int = _option(2, int, "base-domain dimension: 1 or 2")
+    levels: int = _option(3, int, "number of refinement levels")
+    n: list[int] | None = _option(None, _cell_counts, "explicit comma-separated cell counts")
+    tol: float = _option(1e-9, float, "solver relative tolerance")
+    out: str = _option("fracdiff_run", str, "output path base")
+    mu: float | None = _option(None, float, "grading parameter override")
+    sigma: float = _option(0.125, float, "geometric ratio override")
+    beta: float = _option(0.7, float, "degree-vector slope override")
+    m_mult: float = _option(1.0, float, "multiplier on the element-count rule")
+    y_mult: float = _option(1.0, float, "multiplier on the truncation height rule")
+    modes: list[tuple[tuple[int, ...], float]] | None = _option(
+        None, parse_modes, "right-hand side modes 'k[,l]=coef;...'")
+    deterministic: bool = _option(
+        False, _switch, "zero wall-clock columns for byte-stable output")
 
     def validate(self):
         if self.scheme not in ("hfem", "hpfem"):
@@ -88,54 +127,9 @@ class RunConfig:
                 raise ConfigError("the data is zero: every merged mode coefficient is 0")
 
 
-def parse_modes(text: str) -> list[tuple[tuple[int, ...], float]]:
-    """Parse ``k[,l]=coef;...`` into (index, coefficient) pairs."""
-    out = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            lhs, rhs = part.split("=")
-            index = tuple(int(tok) for tok in lhs.split(","))
-            out.append((index, float(rhs)))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse mode entry {part!r}: {exc}") from exc
-    if not out:
-        raise ConfigError("empty mode list")
-    return out
-
-
-def _cell_counts(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",")]
-
-
-def _switch(text: str) -> bool:
-    value = text.lower()
-    if value not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return value in ("1", "true", "yes")
-
-
 # Every option of solve/study/compare, keyed by its RunConfig field: the text
-# parser and the help. The flag is ``--name`` with dashes for underscores and
-# the config-file key is ``name``; both are read as text and parsed here.
-OPTIONS = {
-    "scheme": (str, "extended-direction scheme: hfem or hpfem"),
-    "s": (float, "fractional order in (0,1)"),
-    "d": (int, "base-domain dimension: 1 or 2"),
-    "levels": (int, "number of refinement levels"),
-    "n": (_cell_counts, "explicit comma-separated cell counts"),
-    "tol": (float, "solver relative tolerance"),
-    "out": (str, "output path base"),
-    "mu": (float, "grading parameter override"),
-    "sigma": (float, "geometric ratio override"),
-    "beta": (float, "degree-vector slope override"),
-    "m_mult": (float, "multiplier on the element-count rule"),
-    "y_mult": (float, "multiplier on the truncation height rule"),
-    "modes": (parse_modes, "right-hand side modes 'k[,l]=coef;...'"),
-    "deterministic": (_switch, "zero wall-clock columns for byte-stable output"),
-}
+# parser and the help.
+OPTIONS = {f.name: (f.metadata["parse"], f.metadata["help"]) for f in fields(RunConfig)}
 
 
 def read_config_file(path: str) -> dict:
@@ -175,29 +169,6 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
-def _run_scheme(cfg: RunConfig, scheme: str) -> list[ea.StudyRow]:
-    return ea.run_convergence_study(
-        scheme, cfg.s, cfg.d, cfg.levels, cfg.n, f_entries=cfg.modes, tol=cfg.tol,
-        mu=cfg.mu, sigma=cfg.sigma, beta=cfg.beta, m_mult=cfg.m_mult, y_mult=cfg.y_mult,
-    )
-
-
-def _row_record(row: ea.StudyRow, deterministic: bool) -> dict:
-    wall_ms = 0.0 if deterministic else row.wall_time * 1000.0
-    return {
-        "h_omega": row.h_omega,
-        "N_omega": row.N_omega,
-        "M": row.M,
-        "N_Y": row.N_Y,
-        "N_total": row.N_total,
-        "Y": row.Y,
-        "energy_error": row.energy_error,
-        "trace_hs_error": row.trace_hs_error,
-        "iters": row.solve_iterations,
-        "wall_ms": wall_ms,
-    }
-
-
 def _with_ext(path: Path, ext: str) -> Path:
     return path.with_name(path.name + ext)
 
@@ -208,26 +179,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, rows: list[ea.StudyRow], deterministic: bool):
-    lines = [CSV_COLUMNS]
-    for row in rows:
-        rec = _row_record(row, deterministic)
-        lines.append(",".join(_fmt(rec[col]) for col in CSV_COLUMNS.split(",")))
+def write_csv(path: Path, rows: list[ea.StudyRow]):
+    columns = CSV_COLUMNS.split(",")
+    lines = [CSV_COLUMNS] + [",".join(_fmt(getattr(row, c)) for c in columns) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_json(path: Path, cfg: RunConfig, results: dict[str, list[ea.StudyRow]]):
-    payload = {"config": asdict(cfg), "results": {}}
+def write_json(path: Path, cfg: RunConfig, records: dict[str, dict]):
+    payload = {"config": asdict(cfg), "results": records}
     if cfg.modes is not None:
         payload["config"]["modes"] = [
             {"index": list(idx), "coefficient": c} for idx, c in cfg.modes
         ]
-    for scheme, rows in results.items():
-        payload["results"][scheme] = {
-            "rows": [_row_record(r, cfg.deterministic) for r in rows],
-            "orders": ea.observed_orders(rows),
-            "orders_log_normalized": ea.observed_orders(rows, log_power=cfg.s),
-        }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -256,43 +219,42 @@ def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, out_base: 
     _with_ext(out_base, "_fig_error_vs_dof.csv").write_text("\n".join(lines) + "\n")
 
 
-def _print_orders(scheme: str, rows: list[ea.StudyRow], s: float):
-    if len(rows) < 2:
-        return
-    plain = ea.observed_orders(rows)
-    normalized = ea.observed_orders(rows, log_power=s)
-    print(f"{scheme}: observed orders {['%.3f' % o for o in plain]}")
-    print(f"{scheme}: log-normalized orders {['%.3f' % o for o in normalized]}")
-
-
-def cmd_solve(cfg: RunConfig, study: bool) -> int:
-    results = {cfg.scheme: _run_scheme(cfg, cfg.scheme)}
+def cmd_run(cfg: RunConfig, command: str) -> int:
+    """``solve``/``study`` run ``cfg.scheme`` and ``compare`` runs both
+    schemes. Every verb writes the CSV (one per scheme for ``compare``) and
+    the JSON; ``study`` and ``compare`` add the orders and the figure data."""
+    if command == "study" and (cfg.levels if cfg.n is None else len(cfg.n)) < 2:
+        raise ConfigError("figure data needs at least 2 study rows")
+    schemes = ("hfem", "hpfem") if command == "compare" else (cfg.scheme,)
+    results = {}
+    for scheme in schemes:
+        rows = ea.run_convergence_study(
+            scheme, cfg.s, cfg.d, cfg.levels, cfg.n, f_entries=cfg.modes, tol=cfg.tol,
+            mu=cfg.mu, sigma=cfg.sigma, beta=cfg.beta, m_mult=cfg.m_mult, y_mult=cfg.y_mult,
+        )
+        results[scheme] = [replace(r, wall_ms=0.0) for r in rows] if cfg.deterministic else rows
+    records = {
+        scheme: {"rows": [asdict(r) for r in rows], "orders": ea.observed_orders(rows),
+                 "orders_log_normalized": ea.observed_orders(rows, log_power=cfg.s)}
+        for scheme, rows in results.items()
+    }
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(_with_ext(out, ".csv"), results[cfg.scheme], cfg.deterministic)
-    write_json(_with_ext(out, ".json"), cfg, results)
-    if study:
-        _print_orders(cfg.scheme, results[cfg.scheme], cfg.s)
+    for scheme, rows in results.items():
+        write_csv(_with_ext(out, f"_{scheme}.csv" if command == "compare" else ".csv"), rows)
+    write_json(_with_ext(out, ".json"), cfg, records)
+    if command != "solve":
         emit_figure_data(results, cfg.s, out)
-    print(f"wrote {_with_ext(out, '.csv')}")
-    return 0
-
-
-def cmd_compare(cfg: RunConfig) -> int:
-    results = {scheme: _run_scheme(cfg, scheme) for scheme in ("hfem", "hpfem")}
-    out = Path(cfg.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    for scheme, rows in results.items():
-        write_csv(_with_ext(out, f"_{scheme}.csv"), rows, cfg.deterministic)
-    write_json(_with_ext(out, ".json"), cfg, results)
-    emit_figure_data(results, cfg.s, out)
-    for scheme, rows in results.items():
-        _print_orders(scheme, rows, cfg.s)
+        for scheme, record in records.items():
+            for label, key in (("observed", "orders"), ("log-normalized", "orders_log_normalized")):
+                if record[key]:
+                    print(f"{scheme}: {label} orders {['%.3f' % o for o in record[key]]}")
+    if command != "compare":
+        print(f"wrote {_with_ext(out, '.csv')}")
+        return 0
     err, n_h, n_hp = ea.dof_gap(results["hfem"], results["hpfem"])
-    print(
-        f"error level {err:.6g}: hfem needs {n_h} dofs, hpfem needs {n_hp} dofs "
-        f"(ratio {n_h / n_hp:.1f}x)"
-    )
+    print(f"error level {err:.6g}: hfem needs {n_h} dofs, hpfem needs {n_hp} dofs "
+          f"(ratio {n_h / n_hp:.1f}x)")
     return 0
 
 
@@ -343,6 +305,7 @@ def cmd_selftest() -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for name, (parse, text) in OPTIONS.items():
@@ -365,12 +328,7 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return cmd_selftest()
     try:
-        cfg = build_config(args)
-        if args.command == "study" and (cfg.levels if cfg.n is None else len(cfg.n)) < 2:
-            raise ConfigError("figure data needs at least 2 study rows")
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        return cmd_solve(cfg, study=args.command == "study")
+        return cmd_run(build_config(args), args.command)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

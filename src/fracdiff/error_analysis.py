@@ -49,12 +49,15 @@ DIRECT_CHECK_MAX_DOFS = 5000
 
 @dataclass(frozen=True)
 class StudyRow:
-    """One refinement level of a convergence study.
+    """One refinement level of a convergence study, and the run record the
+    CLI writes: the fields are the CSV columns in order and the keys of the
+    JSON ``rows``.
 
     ``N_Y`` is the constrained system size ``sum(p_m)``, i.e. the
     unconstrained piecewise-polynomial dimension ``1 + sum(p_m)`` minus the
     dof pinned at the top of the cylinder; ``N_total = N_omega * N_Y``.
-    ``wall_time`` is in seconds.
+    ``iters`` counts the solver's applies of the inverse and ``wall_ms`` is
+    the level's wall time in milliseconds.
     """
 
     h_omega: float
@@ -65,8 +68,8 @@ class StudyRow:
     Y: float
     energy_error: float
     trace_hs_error: float
-    solve_iterations: int
-    wall_time: float
+    iters: int
+    wall_ms: float
 
 
 def exact_data_product(problem: FractionalProblem) -> float:
@@ -343,7 +346,7 @@ def run_level(
     except MemoryError as exc:
         raise SolverError(f"{where}: out of memory ({str(exc) or 'no detail'})") from exc
     grid = level.grid
-    wall = time.perf_counter() - t0
+    wall_ms = (time.perf_counter() - t0) * 1000.0
     return StudyRow(
         h_omega=grid.h_omega,
         N_omega=grid.n_dofs,
@@ -353,8 +356,8 @@ def run_level(
         Y=level.mesh.Y,
         energy_error=err,
         trace_hs_error=tr_err,
-        solve_iterations=sol.iterations,
-        wall_time=wall,
+        iters=sol.iterations,
+        wall_ms=wall_ms,
     )
 
 

@@ -20,14 +20,22 @@ import numpy as np
 
 
 class MeshError(ValueError):
-    """The mesh nodes are not strictly increasing, e.g. because a strongly
+    """The mesh cannot be built: its element count, height or a degree is not
+    finite, or its nodes are not strictly increasing, e.g. because a strongly
     graded or scaled node underflowed to its neighbour."""
 
 
-def _check_first_node(nodes: tuple[float, ...], rule: str, log10_width: float):
-    """Reject a first node that underflowed to 0, naming the width ``rule`` asked for."""
-    if nodes[1] == 0.0:
+def _check_first_width(width: float, rule: str, log10_width: float):
+    """Reject a first node that underflows to 0, naming the width ``rule``
+    asks for; checked before the nodes are built, so a huge ``M`` fails fast."""
+    if width == 0.0:
         raise MeshError(f"the first element width {rule} = 10**{log10_width:.1f} underflows to 0")
+
+
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise MeshError(f"{name} = {value} is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,9 @@ def graded_mesh(M: int, mu: float, Y: float) -> YMesh:
         raise ValueError(f"grading parameter mu={mu} must lie in (0, 1]")
     if Y <= 0.0:
         raise ValueError("Y must be positive")
+    _check_first_width((1 / M) ** (1.0 / mu) * Y, "(1/M)**(1/mu)*Y",
+                       math.log10(Y) - math.log10(M) / mu)
     nodes = tuple((m / M) ** (1.0 / mu) * Y for m in range(M + 1))
-    _check_first_node(nodes, "(1/M)**(1/mu)*Y", math.log10(Y) - math.log10(M) / mu)
     return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M)
 
 
@@ -83,8 +92,9 @@ def geometric_mesh(M: int, sigma: float, Y: float) -> YMesh:
         raise ValueError(f"geometric ratio sigma={sigma} must lie in (0, 1)")
     if Y <= 0.0:
         raise ValueError("Y must be positive")
+    _check_first_width(sigma ** (M - 1) * Y, "sigma**(M-1)*Y",
+                       (M - 1) * math.log10(sigma) + math.log10(Y))
     nodes = (0.0,) + tuple(sigma ** (M - m) * Y for m in range(1, M + 1))
-    _check_first_node(nodes, "sigma**(M-1)*Y", (M - 1) * math.log10(sigma) + math.log10(Y))
     return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M)
 
 
@@ -95,7 +105,8 @@ def linear_degree_vector(mesh: YMesh, beta: float) -> tuple[int, ...]:
     On a geometric mesh this is the tightest integer rule above the lower
     degree band; the upper band holds with at most one extra degree of
     slack. For ratios above 1/2 the second element is shorter than the first
-    and the clamp applies. ``ln h_m - ln h_1`` does not overflow as ``h_m/h_1`` does.
+    and the clamp applies. ``ln h_m - ln h_1`` does not overflow as ``h_m/h_1``
+    does; a degree that overflows raises :class:`MeshError`.
     """
     if beta <= 0.0:
         raise ValueError("slope beta must be positive")
@@ -103,7 +114,8 @@ def linear_degree_vector(mesh: YMesh, beta: float) -> tuple[int, ...]:
     log_h1 = math.log(h[0])
     p = [1]
     for m in range(2, mesh.M + 1):
-        p.append(max(1, math.ceil(1.0 + beta * (math.log(h[m - 1]) - log_h1))))
+        degree = 1.0 + beta * max(math.log(h[m - 1]) - log_h1, 0.0)
+        p.append(math.ceil(_finite(f"element {m}: the degree 1 + beta*ln(h_m/h_1)", degree)))
     return tuple(p)
 
 
@@ -133,7 +145,15 @@ def check_h_omega(h_omega: float):
 
 
 def _truncation_height(h_omega: float, lambda1: float, y_mult: float) -> float:
-    return y_mult * max(3.0 * abs(math.log(h_omega)) / math.sqrt(lambda1), 1.0)
+    Y = y_mult * max(3.0 * abs(math.log(h_omega)) / math.sqrt(lambda1), 1.0)
+    return _finite("the truncation height Y", Y)
+
+
+def _element_count(numerator: float, denominator: float) -> int:
+    """``max(1, ceil(numerator/denominator))``; a ratio that overflows raises
+    :class:`MeshError`."""
+    count = numerator / denominator if denominator > 0.0 else math.inf
+    return max(1, math.ceil(_finite("the element count M", count)))
 
 
 def select_params_h(
@@ -149,7 +169,7 @@ def select_params_h(
     check_h_omega(h_omega)
     if mu is None:
         mu = 0.8 * s
-    M = math.ceil(m_mult / h_omega)
+    M = _element_count(m_mult, h_omega)
     Y = _truncation_height(h_omega, lambda1, y_mult)
     return DiscretizationParams(scheme="hfem", M=M, Y=Y, mu=mu)
 
@@ -169,7 +189,7 @@ def select_params_hp(
     check_h_omega(h_omega)
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma={sigma} must lie in (0, 1)")
-    M = max(1, math.ceil(1.75 * m_mult * abs(math.log(h_omega)) / (s * abs(math.log(sigma)))))
+    M = _element_count(1.75 * m_mult * abs(math.log(h_omega)), s * abs(math.log(sigma)))
     Y = _truncation_height(h_omega, lambda1, y_mult)
     return DiscretizationParams(scheme="hpfem", M=M, Y=Y, sigma=sigma, beta=beta)
 

@@ -12,6 +12,7 @@ import pytest
 
 import fracdiff
 from fracdiff.cli import CSV_COLUMNS, OPTIONS, RunConfig, main, parse_modes, read_config_file
+from fracdiff.error_analysis import StudyRow
 from fracdiff.meshing import hp_mesh
 
 QUICK = ["--s", "0.5", "--d", "1", "--levels", "3", "--deterministic"]
@@ -229,15 +230,21 @@ class TestSolveCommand:
                                  "underflows to 0"),
         ("hpfem", "--y-mult", "1e-300", "the stiffness scale 1/h**2 is not finite"),
         ("hpfem", "--beta", "1e6", "weighted rule on"),
-    ], ids=["mu", "y_mult", "beta"])
+        ("hfem", "--m-mult", "1e308", "the element count M = inf is not finite"),
+        ("hpfem", "--m-mult", "1e308", "the element count M = inf is not finite"),
+        ("hfem", "--y-mult", "1e308", "the truncation height Y = inf is not finite"),
+        ("hpfem", "--beta", "1e308", "element 2: the degree 1 + beta*ln(h_m/h_1) = inf "
+                                     "is not finite"),
+    ], ids=["mu", "y_mult", "beta", "hfem-m_mult-inf", "hpfem-m_mult-inf", "y_mult-inf",
+            "beta-inf"])
     def test_level_that_cannot_be_built_exits_3(self, tmp_path, capsys, command, scheme,
                                                  flag, value, cause):
         argv = [command, "--s", "0.5", "--d", "1", "--n", "8,16", flag, value,
                 "--out", str(tmp_path / "x")]
         if command != "compare":
             argv += ["--scheme", scheme]
-        elif flag == "--y-mult":
-            scheme = "hfem"  # compare runs hfem first, and the height breaks it too
+        elif flag != "--beta":
+            scheme = "hfem"  # compare runs hfem first, and only --beta leaves it intact
         assert run_cli(argv) == 3
         err = capsys.readouterr().err
         assert f"solver failure: {scheme} s=0.5 d=1 n=8: " in err
@@ -252,6 +259,10 @@ class TestSolveCommand:
                      id="hpfem-0.005-n8-subnormal width"),
         pytest.param("hpfem", "0.01", "64", "element 1: width 2.6e-315",
                      id="hpfem-0.01-n64-subnormal width"),
+        pytest.param("hpfem", "1e-320", "8", "the element count M = inf is not finite",
+                     id="hpfem-1e-320-n8-element count"),
+        pytest.param("hpfem", "1e-9", "8", "the first element width sigma**(M-1)*Y = "
+                     "10**-1580407476.0 underflows to 0", id="hpfem-1e-9-n8-first width"),
     ])
     def test_small_order_level_ends_in_bounded_memory(self, tmp_path, scheme, s, n, cause):
         # hfem: element 2 has y_1/y_2 = 2**(-1/mu) below eps, so the weighted
@@ -259,7 +270,9 @@ class TestSolveCommand:
         # degree near 178 would fit the point cap only after ~2**33 geometric
         # splits, and at s=0.01 the first element is too thin for its stiffness;
         # at s=0.005 (n=8) and s=0.01 (n=64) it is subnormal, so the degree
-        # rule must not divide by it.
+        # rule must not divide by it. At s=1e-320 the element count overflows;
+        # at s=1e-9 it is 1.75e9, and the first width must be rejected before
+        # the nodes are built.
         done = run_cli_capped(["solve", "--scheme", scheme, "--s", s, "--d", "1", "--n", n,
                                "--out", str(tmp_path / "x")])
         assert "Traceback" not in done.stderr
@@ -268,7 +281,7 @@ class TestSolveCommand:
             assert done.returncode == 0, done.stderr
         else:
             assert done.returncode == 3, done.stderr
-            assert f"solver failure: {scheme} s={s} d=1 n={n}: {cause}" in done.stderr
+            assert f"solver failure: {scheme} s={float(s):g} d=1 n={n}: {cause}" in done.stderr
 
     def test_solver_failure_names_the_level(self, tmp_path, capsys):
         code = run_cli(
@@ -370,6 +383,23 @@ class TestStudyAndCompare:
         assert dofs == sorted(dofs)
         payload = json.loads((tmp_path / "cmp.json").read_text())
         assert set(payload["results"]) == {"hfem", "hpfem"}
+
+    def test_compare_writes_the_csv_of_solve_for_each_scheme(self, tmp_path):
+        assert run_cli(["compare", *QUICK, "--out", str(tmp_path / "cmp")]) == 0
+        for scheme in ("hfem", "hpfem"):
+            out = tmp_path / scheme
+            assert run_cli(["solve", "--scheme", scheme, *QUICK, "--out", str(out)]) == 0
+            assert ((tmp_path / f"cmp_{scheme}.csv").read_bytes()
+                    == (tmp_path / f"{scheme}.csv").read_bytes())
+
+    def test_json_rows_are_the_study_row_fields(self, tmp_path):
+        assert run_cli(["study", "--scheme", "hfem", *QUICK, "--out", str(tmp_path / "s")]) == 0
+        payload = json.loads((tmp_path / "s.json").read_text())
+        names = [f.name for f in fields(StudyRow)]
+        assert CSV_COLUMNS.split(",") == names
+        for row in payload["results"]["hfem"]["rows"]:
+            assert list(row) == sorted(names)  # the JSON is written with sorted keys
+            assert row["wall_ms"] == 0.0
 
     def test_reproduce_figures_script(self, tmp_path):
         script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"

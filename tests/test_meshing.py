@@ -172,6 +172,12 @@ class TestParamSelection:
         lam = 2 * math.pi**2
         assert select_params_hp(1 / 32, 0.2, lam).M > select_params_hp(1 / 32, 0.8, lam).M
 
+    def test_hp_element_count_with_underflowing_denominator(self):
+        # s*|ln sigma| underflows to 0 for the smallest subnormal s: the
+        # rule's ratio is infinite, not a division by zero
+        with pytest.raises(MeshError, match=r"the element count M = inf is not finite"):
+            select_params_hp(1 / 8, 5e-324, math.pi**2, sigma=0.99)
+
     def test_rejects_large_mesh_size(self):
         with pytest.raises(ValueError):
             select_params_h(0.6, 0.5, math.pi**2)
