@@ -14,21 +14,24 @@ into one extended-direction system ``omega*B_mass + B_stiff`` per base
 eigenvalue ``omega``. Each of those is solved exactly: the bumps of every
 element are condensed onto the vertex dofs through the element's own
 generalized eigenpairs, and the remaining vertex tridiagonal is factored by
-one LDL^T sweep that runs over all shifts at once. Iterative refinement with
-the same factorization brings the true residual below the requested
-tolerance.
+one LDL^T sweep that runs over all distinct shifts at once (in d=2 the modes
+``(k, l)`` and ``(l, k)`` share one). Iterative refinement with the same
+factorization brings the true residual below the requested tolerance.
 
 Every ``(N_omega, N_y)`` tensor this module returns is in Fortran order. The
 cylinder right-hand side holds one resident column: its other columns are
 zero pages that are never written. Working set of ``solve`` beyond it, in
-arrays of ``N_total`` doubles: the solution, the residual (formed in the
-buffer of ``S X`` and transformed in place by the next refinement step) and
-the vertex factors of the tridiagonal (two arrays for h-FEM, where every
-y-dof is a vertex; ``2 M / N_y`` of one for hp-FEM). On top come a fixed
-budget of column blocks in :func:`kron_matvec` and, for hp-FEM, the block
-temporaries of one element at a time. The first application of the inverse
-transforms only the non-zero y-columns of the right-hand side: one for the
-cylinder right-hand side.
+arrays of ``N_total`` doubles: the solution and the vertex factors of the
+tridiagonal (for h-FEM, where every y-dof is a vertex, two arrays in d=1 and
+about one in d=2; for hp-FEM ``2 M / N_y`` of that). The residual norm is
+summed over column blocks, and the residual tensor is allocated only by a
+check that does not pass; the next refinement step transforms it in place.
+On top comes a fixed budget of ``_BLOCK_BYTES`` blocks: the column blocks of
+the operator product, the shift blocks of the element condensation and the
+factor rows gathered for the modes in d=2. A converging h-FEM d=2 solve
+holds about 2.5 arrays, one that refines about 3.4. The first application
+of the inverse transforms only the non-zero y-columns of the right-hand
+side: one for the cylinder right-hand side.
 """
 
 from __future__ import annotations
@@ -87,8 +90,25 @@ def _as_tensor(system: KroneckerSystem, x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-# Bytes of the temporaries of one column block of :func:`kron_matvec`.
+# Bytes of the temporaries of one block: a column block of the operator
+# product (:func:`kron_matvec` and the residual of :func:`solve`), and a
+# shift-column block of the element condensation or a block of gathered pivot
+# rows in :meth:`TensorPreconditioner.apply`.
 _BLOCK_BYTES = 4 << 20
+
+
+def _block_columns(n_omega: int) -> int:
+    """Y-columns per block of :func:`kron_matvec`: three ``(N_omega, block)``
+    temporaries fit ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (3 * 8 * n_omega))
+
+
+def _product_block(system: KroneckerSystem, XT: np.ndarray, cols: slice, out: np.ndarray):
+    """``S X`` on the y-columns ``cols`` into ``out``, given ``XT = X^T``
+    C-contiguous; every entry is summed in the same order as by the
+    unblocked products."""
+    out[...] = system.omega.A_stiff @ (system.y.B_mass[cols] @ XT).T
+    out += system.omega.A_mass @ (system.y.B_stiff[cols] @ XT).T
 
 
 def kron_matvec(system: KroneckerSystem, x) -> np.ndarray:
@@ -103,14 +123,10 @@ def kron_matvec(system: KroneckerSystem, x) -> np.ndarray:
     X, flat = _as_tensor(system, x)
     XT = np.ascontiguousarray(X.T)
     n_omega, n_y = X.shape
-    Am, As = system.omega.A_mass, system.omega.A_stiff
-    Bm, Bs = system.y.B_mass, system.y.B_stiff
     out = np.empty((n_omega, n_y), order="F")
-    step = max(1, _BLOCK_BYTES // (3 * 8 * n_omega))
+    step = _block_columns(n_omega)
     for j in range(0, n_y, step):
-        cols = slice(j, j + step)
-        out[:, cols] = As @ (Bm[cols] @ XT).T
-        out[:, cols] += Am @ (Bs[cols] @ XT).T
+        _product_block(system, XT, slice(j, j + step), out[:, j:j + step])
     return out.reshape(-1, order="F") if flat else out
 
 
@@ -157,6 +173,21 @@ class _Bumps:
         return 1.0 / np.add.outer(self.theta, shifts)
 
 
+def _shift_blocks(n: int, bumps: int) -> list[slice]:
+    """Slices of ``n`` shift columns whose condensation temporaries for an
+    element of up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column the
+    coupling (at most two rows of bumps), ``1/(omega + theta)``, one product
+    and the result.
+
+    No block is one column wide unless ``n`` is 1: ``np.einsum`` reduces
+    over the bumps in another order when the shift axis has length 1, so a
+    one-column block would not be bitwise equal to the unblocked
+    contraction. A last column left over joins the block before it."""
+    step = max(2, _BLOCK_BYTES // (8 * (4 * bumps + 2)))
+    starts = range(0, max(n - 1, 1), step)
+    return [slice(j, j + step) for j in starts[:-1]] + [slice(starts[-1], n)]
+
+
 def _element_blocks(B, dofmap) -> dict[int, np.ndarray]:
     """The bump rows of the y-matrix ``B`` as one dense ``(bumps, 2 +
     bumps)`` block per element ``m`` (1-based) that has bumps: columns 0 and
@@ -195,9 +226,10 @@ class TensorPreconditioner:
     base_shape: tuple      # (n - 1,) * d: the interior nodes per base axis
     mass_eig: np.ndarray   # base-direction mass eigenvalue of every mode
     shifts: np.ndarray     # generalized eigenvalue omega of every mode
+    factor: np.ndarray | None  # factor column of every mode; None: column j is mode j (d=1)
     elements: list         # _Bumps of every element with degree >= 2
-    pivots: np.ndarray     # (vertices, shifts): D of the vertex LDL^T
-    lower: np.ndarray      # (vertices - 1, shifts): subdiagonal of L
+    pivots: np.ndarray     # (vertices, distinct shifts): D of the vertex LDL^T
+    lower: np.ndarray      # (vertices - 1, distinct shifts): subdiagonal of L
 
     @classmethod
     def build(cls, system: KroneckerSystem) -> "TensorPreconditioner":
@@ -205,14 +237,18 @@ class TensorPreconditioner:
         mass, stiff = _p1_eigenvalues(grid.n)
         mass_eig = reduce(np.multiply.outer, [mass] * grid.d).ravel()
         shifts = reduce(np.add.outer, [stiff / mass] * grid.d).ravel()
+        # modes (k, l) and (l, k) of d=2 share a shift, and so a factorization
+        distinct, factor = np.unique(shifts, return_inverse=True)
+        if np.array_equal(distinct, shifts):
+            factor = None
 
         Bm, Bs, dofmap = system.y.B_mass.tocsr(), system.y.B_stiff.tocsr(), system.y.dofmap
         if not (np.all(np.isfinite(Bm.data)) and np.all(np.isfinite(Bs.data))):
             raise SolverError("the y-matrices are not finite (element sizes over- or underflow)")
         nv = dofmap.M
-        diag = np.outer(Bm.diagonal()[:nv], shifts)
+        diag = np.outer(Bm.diagonal()[:nv], distinct)
         diag += Bs.diagonal()[:nv, None]
-        off = np.outer(Bm.diagonal(1)[:nv - 1], shifts)
+        off = np.outer(Bm.diagonal(1)[:nv - 1], distinct)
         off += Bs.diagonal(1)[:nv - 1, None]
 
         elements = []
@@ -227,10 +263,10 @@ class TensorPreconditioner:
             el = _Bumps(slice(m - 1, m - 1 + nverts),
                         slice(dofmap.bump_starts[m - 1], dofmap.bump_starts[m]),
                         W, theta, Xm[:, :nverts].T @ W, Xs[:, :nverts].T @ W)
-            inv = el.inverse_diagonal(shifts)
+            inv = el.inverse_diagonal(distinct)
             if not np.all(inv > 0.0):
                 raise _pivot_error(f"bump block of element {m}")
-            C = el.coupling(shifts)
+            C = el.coupling(distinct)
             diag[el.verts] -= np.sum(C * C * inv, axis=1)
             if nverts == 2:
                 off[m - 1] -= np.sum(C[0] * C[1] * inv, axis=0)
@@ -242,7 +278,7 @@ class TensorPreconditioner:
         if not np.all(diag > 0.0):
             raise _pivot_error("vertex tridiagonal")
         return cls(base_shape=(grid.n - 1,) * grid.d, mass_eig=mass_eig, shifts=shifts,
-                   elements=elements, pivots=diag, lower=off)
+                   factor=factor, elements=elements, pivots=diag, lower=off)
 
     def _dst(self, T: np.ndarray) -> np.ndarray:
         """Orthonormal DST-I over the base-domain axes of a ``(rows,
@@ -252,6 +288,12 @@ class TensorPreconditioner:
         out = scipy.fft.dstn(T.reshape(-1, *self.base_shape), type=1, axes=axes,
                              norm="ortho", overwrite_x=True)
         return out.reshape(T.shape)
+
+    def _factor_rows(self, A: np.ndarray, rows) -> np.ndarray:
+        """Rows of the vertex factor ``A`` (``pivots`` or ``lower``) for
+        every mode: a view where each mode has its own column (d=1), else
+        gathered from the distinct-shift columns."""
+        return A[rows] if self.factor is None else np.take(A[rows], self.factor, axis=-1)
 
     def apply(self, R: np.ndarray, *, overwrite_r: bool = False) -> np.ndarray:
         """``S^-1 R`` for an ``(N_omega, N_y)`` tensor, returned in Fortran
@@ -269,20 +311,29 @@ class TensorPreconditioner:
                 G = full
         G /= self.mass_eig
         shifts = self.shifts
+        blocks = _shift_blocks(shifts.size, max((el.theta.size for el in self.elements),
+                                                default=1))
         for el in self.elements:
-            t = el.W.T @ G[el.bumps]
-            G[el.bumps] = t
-            G[el.verts] -= np.einsum("ikn,kn->in", el.coupling(shifts),
-                                     t * el.inverse_diagonal(shifts))
-        L, nv = self.lower, self.pivots.shape[0]
+            G[el.bumps] = el.W.T @ G[el.bumps]
+            for c in blocks:
+                G[el.verts, c] -= np.einsum("ikn,kn->in", el.coupling(shifts[c]),
+                                            G[el.bumps, c] * el.inverse_diagonal(shifts[c]))
+        L, D, factor_rows = self.lower, self.pivots, self._factor_rows
+        nv = D.shape[0]
         for i in range(nv - 1):
-            G[i + 1] -= L[i] * G[i]
-        G[:nv] /= self.pivots
+            G[i + 1] -= factor_rows(L, i) * G[i]
+        step = max(1, _BLOCK_BYTES // (8 * G.shape[1]))
+        for j in range(0, nv, step):
+            rows = slice(j, min(j + step, nv))
+            G[rows] /= factor_rows(D, rows)
         for i in range(nv - 2, -1, -1):
-            G[i] -= L[i] * G[i + 1]
+            G[i] -= factor_rows(L, i) * G[i + 1]
         for el in self.elements:
-            z = G[el.bumps] - np.einsum("ikn,in->kn", el.coupling(shifts), G[el.verts])
-            G[el.bumps] = el.W @ (z * el.inverse_diagonal(shifts))
+            for c in blocks:
+                z = G[el.bumps, c] - np.einsum("ikn,in->kn", el.coupling(shifts[c]),
+                                               G[el.verts, c])
+                G[el.bumps, c] = z * el.inverse_diagonal(shifts[c])
+            G[el.bumps] = el.W @ G[el.bumps]
         return self._dst(G).T
 
 
@@ -300,6 +351,41 @@ class SolutionTensor:
         """Coefficients of the unique y-basis function supported at the
         bottom of the cylinder; nodal values of the trace."""
         return self.coefficients[:, 0].copy()
+
+
+def _residual(system: KroneckerSystem, B: np.ndarray, X: np.ndarray, norm_b: float,
+              rel_tol: float) -> tuple[float, np.ndarray | None]:
+    """``||B - S X|| / norm_b`` over the column blocks of :func:`kron_matvec`,
+    and the Fortran-ordered residual ``B - S X`` when that exceeds
+    ``rel_tol`` (else None).
+
+    Blocks go to one scratch block until the running norm passes
+    ``rel_tol``; only then is the residual allocated, the blocks before
+    that one computed again into it and the rest written straight into it.
+    The norm is summed block by block, so it may differ from
+    ``np.linalg.norm`` of the residual in the last bits."""
+    XT = np.ascontiguousarray(X.T)
+    n_omega, n_y = X.shape
+    step = _block_columns(n_omega)
+
+    def residual_block(j, out):
+        cols = slice(j, j + step)
+        _product_block(system, XT, cols, out)
+        np.subtract(B[:, cols], out, out=out)
+
+    scratch = np.empty((n_omega, min(step, n_y)), order="F")
+    sumsq, R = 0.0, None
+    for j in range(0, n_y, step):
+        block = R[:, j:j + step] if R is not None else scratch[:, :min(step, n_y - j)]
+        residual_block(j, block)
+        sumsq += float(np.vdot(block.T, block.T))  # .T: vdot copies F-ordered input
+        if R is None and math.sqrt(sumsq) / norm_b > rel_tol:
+            R = np.empty((n_omega, n_y), order="F")
+            R[:, j:j + step] = block
+            del scratch, block  # freed before the earlier blocks are recomputed
+            for k in range(0, j, step):
+                residual_block(k, R[:, k:k + step])
+    return math.sqrt(sumsq) / norm_b, R
 
 
 def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTensor:
@@ -322,9 +408,7 @@ def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTenso
     X = inverse.apply(B)
     applies, previous = 1, math.inf
     while True:
-        R = kron_matvec(system, X)
-        np.subtract(B, R, out=R)
-        relres = float(np.linalg.norm(R)) / norm_b
+        relres, R = _residual(system, B, X, norm_b, rel_tol)
         if relres <= rel_tol:
             return SolutionTensor(X, applies, relres)
         if not (math.isfinite(relres) and relres <= 0.5 * previous):
