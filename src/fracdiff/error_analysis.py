@@ -88,7 +88,7 @@ def energy_error(problem: FractionalProblem, load: np.ndarray, trace) -> float:
 
     Tiny negative radicands (down to ``-1e-12 * I_exact``) are clamped to
     zero; anything larger signals an inconsistent (under-resolved) solve and
-    raises.
+    raises :class:`~fracdiff.solver.SolverError`.
     """
     trace = np.asarray(trace, dtype=float)
     i_exact = exact_data_product(problem)
@@ -97,7 +97,7 @@ def energy_error(problem: FractionalProblem, load: np.ndarray, trace) -> float:
     if radicand < 0.0:
         if radicand >= -1e-12 * problem.d_s * abs(i_exact):
             return 0.0
-        raise ValueError(
+        raise SolverError(
             f"energy identity produced negative radicand {radicand:.3e}; "
             "solver tolerance too loose for this level"
         )

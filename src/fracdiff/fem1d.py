@@ -3,10 +3,10 @@ degenerate weight ``y**alpha``.
 
 Trial functions are hierarchical Lobatto shape functions on each element
 (vertex hats plus integrated-Legendre bumps); the discrete space constrains
-the value at the top of the interval to zero. The module assembles the
-weighted mass and stiffness matrices, provides Gauss-Lobatto nodes, the
-nodal interpolation operator used for verification, and point evaluation of
-hierarchical expansions.
+the value at the top of the interval to zero. The module forms the
+weighted element mass and stiffness matrices (the assembled pair is derived
+from them), provides Gauss-Lobatto nodes, the nodal interpolation operator
+used for verification, and point evaluation of hierarchical expansions.
 
 Degrees of freedom are ordered vertex dofs first (by node index, the vertex
 at the top excluded), then per-element bump dofs by element and degree. The
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -218,29 +218,43 @@ class YDofMap:
 
 @dataclass(frozen=True)
 class WeightedMatrices:
-    """Weighted mass/stiffness pair on the constrained space."""
+    """Weighted mass/stiffness pair on the constrained space, stored as its
+    element matrices: ``groups`` holds ``(ms, mass, stiff)`` for elements
+    ``ms`` (1-based) of one degree ``p``, each matrix of shape ``(len(ms),
+    p+1, p+1)`` in the local rows of :meth:`YDofMap.element_table`. The CSR
+    matrices ``B_mass`` and ``B_stiff`` are assembled from them on first use."""
 
-    B_mass: sparse.csr_matrix
-    B_stiff: sparse.csr_matrix
-    alpha: float
+    groups: tuple
     mesh: YMesh
-    dofmap: YDofMap
 
-    @property
-    def n_dofs(self) -> int:
-        return self.dofmap.n_dofs
+    n_dofs = property(lambda self: self.dofmap.n_dofs)
+    dofmap = cached_property(lambda self: YDofMap(degrees=self.mesh.degrees))
+    B_mass = cached_property(lambda self: self._assembled(1))
+    B_stiff = cached_property(lambda self: self._assembled(2))
+
+    def _assembled(self, which: int) -> sparse.csr_matrix:
+        parts = []
+        for group in self.groups:
+            table = self.dofmap.element_table(group[0])
+            k = table.shape[1]
+            gi, gj = np.repeat(table, k, axis=1).ravel(), np.tile(table, k).ravel()
+            keep = (gi >= 0) & (gj >= 0)  # the constrained top vertex is dropped
+            parts.append((group[which].ravel()[keep], gi[keep], gj[keep]))
+        vals, rows, cols = map(np.concatenate, zip(*parts))
+        return sparse.coo_matrix((vals, (rows, cols)), shape=(self.n_dofs,) * 2).tocsr()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results are rejected below
 def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatrices:
-    """Assemble ``int y**alpha tau_j tau_l dy`` and
+    """The element matrices of ``int y**alpha tau_j tau_l dy`` and
     ``int y**alpha tau_j' tau_l' dy`` over the constrained space.
 
     Unsplit Gauss-Legendre elements of one degree and one point count share
     their reference nodes and so their shape tables; only the weights
-    differ, and each such group is assembled by one stacked contraction. The
+    differ, and each such group is formed by one stacked contraction. The
     Gauss-Jacobi first element and every split element are groups of one.
+    A non-finite ``1/h**2`` or element matrix raises :class:`MeshError` naming the element.
     """
-    dofmap = YDofMap(degrees=mesh.degrees)
     nodes = np.asarray(mesh.nodes)
     width = np.diff(nodes)
     short = np.flatnonzero(width * width < 1.0 / np.finfo(float).max)
@@ -248,7 +262,7 @@ def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatri
         m = int(short[0]) + 1
         raise MeshError(f"element {m}: width {width[m - 1]:.2g} is so small that "
                         "the stiffness scale 1/h**2 is not finite")
-    groups = []  # (elements, reference nodes t, weights of shape (elements, len(t)))
+    rules = []  # (elements, reference nodes t, weights of shape (elements, len(t)))
     shared: dict[tuple[int, int], list[int]] = {}
     for m, p in enumerate(mesh.degrees, start=1):
         a, b = nodes[m - 1], nodes[m]
@@ -260,33 +274,26 @@ def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatri
             pts, wts = weighted_rule(a, b, alpha, 2 * p)
         except QuadratureError as exc:
             raise QuadratureError(f"element {m}: {exc}") from exc
-        groups.append((np.array([m]), (pts - a) / (b - a), wts[None, :]))
+        rules.append((np.array([m]), (pts - a) / (b - a), wts[None, :]))
     for (p, points), ms in shared.items():
         ms = np.array(ms)
         _, wts = _gl_rule(nodes[ms - 1, None], nodes[ms, None], alpha, points)
-        groups.append((ms, (_leggauss(points)[0] + 1.0) / 2.0, wts))
+        rules.append((ms, (_leggauss(points)[0] + 1.0) / 2.0, wts))
 
-    rows, cols, mass_vals, stiff_vals = [], [], [], []
-    for ms, t, wts in groups:
+    groups = []
+    for ms, t, wts in rules:
         p = mesh.degrees[ms[0] - 1]
-        k = p + 1
         B, D = shape_values(p, t), shape_derivatives(p, t)
         h = width[ms - 1]
         mass = (B * wts[:, None, :]) @ B.T
         stiff = ((D * wts[:, None, :]) @ D.T) / (h * h)[:, None, None]
-        table = dofmap.element_table(ms)
-        gi, gj = np.repeat(table, k, axis=1).ravel(), np.tile(table, k).ravel()
-        keep = (gi >= 0) & (gj >= 0)
-        rows.append(gi[keep])
-        cols.append(gj[keep])
-        mass_vals.append(mass.ravel()[keep])
-        stiff_vals.append(stiff.ravel()[keep])
-    n = dofmap.n_dofs
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    B_mass = sparse.coo_matrix((np.concatenate(mass_vals), (rows, cols)), shape=(n, n)).tocsr()
-    B_stiff = sparse.coo_matrix((np.concatenate(stiff_vals), (rows, cols)), shape=(n, n)).tocsr()
-    return WeightedMatrices(B_mass=B_mass, B_stiff=B_stiff, alpha=alpha, mesh=mesh, dofmap=dofmap)
+        groups.append((ms, mass, stiff))
+    bad = [m for ms, mass, stiff in groups for m in ms[~np.isfinite(mass + stiff).all(axis=(1, 2))]]
+    if bad:
+        m = min(bad)
+        raise MeshError(f"element {m}: the weighted element matrices on [{nodes[m - 1]:.2g}, "
+                        f"{nodes[m]:.2g}] are not finite (y**{alpha:g} or the width overflows)")
+    return WeightedMatrices(groups=tuple(groups), mesh=mesh)
 
 
 def interpolate_iyp(xi, mesh: YMesh) -> np.ndarray:

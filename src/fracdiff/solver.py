@@ -11,12 +11,12 @@ which the dense equivalent of the operator is exactly
 1964). The uniform P1/Q1 base matrices have closed-form sine eigenvectors,
 so an orthonormal DST-I diagonalizes the base direction and ``S`` splits
 into one extended-direction system ``omega*B_mass + B_stiff`` per base
-eigenvalue ``omega``. Each of those is solved exactly: the bumps of every
-element are condensed onto the vertex dofs through the element's own
-generalized eigenpairs, and the remaining vertex tridiagonal is factored by
-one LDL^T sweep that runs over all distinct shifts at once (in d=2 the modes
-``(k, l)`` and ``(l, k)`` share one). Iterative refinement with the same
-factorization brings the true residual below the requested tolerance.
+eigenvalue ``omega``. Each is solved exactly from the y-element matrices: the
+bumps of every element are condensed onto the vertex dofs through the
+element's own generalized eigenpairs, and the vertex tridiagonal is factored
+by one LDL^T sweep over all distinct shifts at once (in d=2 the modes ``(k,
+l)`` and ``(l, k)`` share one). Iterative refinement brings the true residual,
+the one product with the assembled ``B_mass`` and ``B_stiff``, below tolerance.
 
 Every ``(N_omega, N_y)`` tensor this module returns is in Fortran order. The
 cylinder right-hand side holds one resident column: its other columns are
@@ -49,9 +49,9 @@ from .femomega import OmegaMatrices
 
 
 class SolverError(RuntimeError):
-    """The level could not be built, the extended-direction factorization
-    met non-finite y-matrices or a non-positive pivot, or iterative
-    refinement stopped short of the requested tolerance."""
+    """The level could not be built, the y-factorization met a non-positive
+    pivot, refinement stopped short of ``rel_tol`` or the energy identity
+    failed; non-finite y-element matrices are a ``MeshError`` of assembly."""
 
     def __init__(self, message: str, residual: float = math.nan, iterations: int = 0):
         super().__init__(message)
@@ -177,7 +177,7 @@ def _shift_blocks(n: int, bumps: int) -> list[slice]:
     """Slices of ``n`` shift columns whose condensation temporaries for an
     element of up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column the
     coupling (at most two rows of bumps), ``1/(omega + theta)``, one product
-    and the result.
+    and the result in ``apply``; the build's two products take 7/4 of that.
 
     No block is one column wide unless ``n`` is 1: ``np.einsum`` reduces
     over the bumps in another order when the shift axis has length 1, so a
@@ -186,24 +186,6 @@ def _shift_blocks(n: int, bumps: int) -> list[slice]:
     step = max(2, _BLOCK_BYTES // (8 * (4 * bumps + 2)))
     starts = range(0, max(n - 1, 1), step)
     return [slice(j, j + step) for j in starts[:-1]] + [slice(starts[-1], n)]
-
-
-def _element_blocks(B, dofmap) -> dict[int, np.ndarray]:
-    """The bump rows of the y-matrix ``B`` as one dense ``(bumps, 2 +
-    bumps)`` block per element ``m`` (1-based) that has bumps: columns 0 and
-    1 couple to the element's vertices, the rest to its own bumps. Bump rows
-    have no other entries, so one pass over them fills every block."""
-    nv, starts = dofmap.M, dofmap.bump_starts
-    rows = B[nv:].tocoo()
-    r, c = rows.row + nv, rows.col
-    e = np.searchsorted(starts, r, side="right") - 1  # 0-based element of each row
-    k = np.diff(starts)
-    offsets = np.concatenate(([0], np.cumsum(k * (k + 2))))
-    local_col = np.where(c >= nv, c - starts[e] + 2, c - e)
-    flat = np.bincount(offsets[e] + (r - starts[e]) * (k[e] + 2) + local_col,
-                       weights=rows.data, minlength=offsets[-1])
-    return {i + 1: flat[offsets[i]:offsets[i + 1]].reshape(k[i], k[i] + 2)
-            for i in np.flatnonzero(k)}
 
 
 def _pivot_error(where: str) -> SolverError:
@@ -233,6 +215,12 @@ class TensorPreconditioner:
 
     @classmethod
     def build(cls, system: KroneckerSystem) -> "TensorPreconditioner":
+        """Factor every distinct shift from the y-element matrices (checked
+        finite where they are formed). Rows 0 and 1 of element m are the
+        vertices m-1 and m (the top one constrained); summed, at most two
+        entries a vertex, they give the vertex tridiagonal, onto which the
+        bump rows ``2:`` are condensed in ascending element order, in shift
+        blocks."""
         grid = system.omega.grid
         mass, stiff = _p1_eigenvalues(grid.n)
         mass_eig = reduce(np.multiply.outer, [mass] * grid.d).ravel()
@@ -242,34 +230,38 @@ class TensorPreconditioner:
         if np.array_equal(distinct, shifts):
             factor = None
 
-        Bm, Bs, dofmap = system.y.B_mass.tocsr(), system.y.B_stiff.tocsr(), system.y.dofmap
-        if not (np.all(np.isfinite(Bm.data)) and np.all(np.isfinite(Bs.data))):
-            raise SolverError("the y-matrices are not finite (element sizes over- or underflow)")
-        nv = dofmap.M
-        diag = np.outer(Bm.diagonal()[:nv], distinct)
-        diag += Bs.diagonal()[:nv, None]
-        off = np.outer(Bm.diagonal(1)[:nv - 1], distinct)
-        off += Bs.diagonal(1)[:nv - 1, None]
+        nv, starts = system.y.dofmap.M, system.y.dofmap.bump_starts
+        vertex = np.zeros((2, 2, nv))  # (mass, stiffness) x (diagonal, superdiagonal)
+        for ms, *pair in system.y.groups:
+            inner = ms < nv
+            for B, (d, o) in zip(pair, vertex):
+                d[ms - 1] += B[:, 0, 0]
+                d[ms[inner]] += B[inner, 1, 1]
+                o[ms[inner] - 1] = B[inner, 0, 1]
+        diag, off = np.outer(vertex[0, 0], distinct), np.outer(vertex[0, 1, :-1], distinct)
+        diag += vertex[1, 0, :, None]
+        off += vertex[1, 1, :-1, None]
 
         elements = []
-        stiff_blocks = _element_blocks(Bs, dofmap)
-        for m, Xm in _element_blocks(Bm, dofmap).items():
-            Xs = stiff_blocks[m]
+        blocks = _shift_blocks(distinct.size, max(system.y.mesh.degrees) - 1)
+        for m, Xm, Xs in sorted(((m, Xm[2:], Xs[2:]) for ms, mass, stiff in system.y.groups
+                                 for m, Xm, Xs in zip(ms, mass, stiff) if len(Xm) > 2),
+                                key=lambda e: e[0]):
             nverts = 2 if m < nv else 1
             try:
                 theta, W = scipy.linalg.eigh(Xs[:, 2:], Xm[:, 2:])
             except np.linalg.LinAlgError as exc:
                 raise _pivot_error(f"bump block of element {m}") from exc
-            el = _Bumps(slice(m - 1, m - 1 + nverts),
-                        slice(dofmap.bump_starts[m - 1], dofmap.bump_starts[m]),
+            el = _Bumps(slice(m - 1, m - 1 + nverts), slice(starts[m - 1], starts[m]),
                         W, theta, Xm[:, :nverts].T @ W, Xs[:, :nverts].T @ W)
-            inv = el.inverse_diagonal(distinct)
-            if not np.all(inv > 0.0):
-                raise _pivot_error(f"bump block of element {m}")
-            C = el.coupling(distinct)
-            diag[el.verts] -= np.sum(C * C * inv, axis=1)
-            if nverts == 2:
-                off[m - 1] -= np.sum(C[0] * C[1] * inv, axis=0)
+            for c in blocks:
+                inv = el.inverse_diagonal(distinct[c])
+                if not np.all(inv > 0.0):
+                    raise _pivot_error(f"bump block of element {m}")
+                C = el.coupling(distinct[c])
+                diag[el.verts, c] -= np.sum(C * C * inv, axis=1)
+                if nverts == 2:
+                    off[m - 1, c] -= np.sum(C[0] * C[1] * inv, axis=0)
             elements.append(el)
 
         for i in range(nv - 1):
@@ -393,10 +385,10 @@ def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTenso
     ``||B - S X|| / ||B||`` is at most ``rel_tol``.
 
     ``iterations`` counts applications of the inverse. Raises
-    :class:`SolverError` on non-finite y-matrices, a non-positive pivot or
-    when a refinement step fails to halve the residual: below 1 that is
-    ``rel_tol`` under the attainable floor, at or above 1 (no better than
-    ``X = 0``) an inverse that is inaccurate on this mesh.
+    :class:`SolverError` on a non-positive pivot or when a refinement step
+    fails to halve the residual: below 1 that is ``rel_tol`` under the
+    attainable floor, at or above 1 (no better than ``X = 0``) an inverse
+    that is inaccurate on this mesh.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")

@@ -225,21 +225,24 @@ class TestSolveCommand:
         assert "floor" not in err
 
     @pytest.mark.parametrize("command", ["solve", "study", "compare"])
-    @pytest.mark.parametrize("scheme,flag,value,cause", [
-        ("hfem", "--mu", "1e-3", "the first element width (1/M)**(1/mu)*Y = 10**-902.8 "
-                                 "underflows to 0"),
-        ("hpfem", "--y-mult", "1e-300", "the stiffness scale 1/h**2 is not finite"),
-        ("hpfem", "--beta", "1e6", "weighted rule on"),
-        ("hfem", "--m-mult", "1e308", "the element count M = inf is not finite"),
-        ("hpfem", "--m-mult", "1e308", "the element count M = inf is not finite"),
-        ("hfem", "--y-mult", "1e308", "the truncation height Y = inf is not finite"),
-        ("hpfem", "--beta", "1e308", "element 2: the degree 1 + beta*ln(h_m/h_1) = inf "
-                                     "is not finite"),
+    @pytest.mark.parametrize("scheme,s,flag,value,cause", [
+        ("hfem", "0.5", "--mu", "1e-3", "the first element width (1/M)**(1/mu)*Y = 10**-902.8 "
+                                        "underflows to 0"),
+        ("hpfem", "0.5", "--y-mult", "1e-300", "the stiffness scale 1/h**2 is not finite"),
+        ("hpfem", "0.5", "--beta", "1e6", "weighted rule on"),
+        ("hfem", "0.5", "--m-mult", "1e308", "the element count M = inf is not finite"),
+        ("hpfem", "0.5", "--m-mult", "1e308", "the element count M = inf is not finite"),
+        ("hfem", "0.5", "--y-mult", "1e308", "the truncation height Y = inf is not finite"),
+        ("hpfem", "0.5", "--beta", "1e308", "element 2: the degree 1 + beta*ln(h_m/h_1) = inf "
+                                            "is not finite"),
+        # y**0.6 overflows on the first element, whose top is near 1e284
+        ("hfem", "0.2", "--y-mult", "1e290", "element 1: the weighted element matrices on "),
+        ("hpfem", "0.2", "--y-mult", "1e290", "element 1: the weighted element matrices on "),
     ], ids=["mu", "y_mult", "beta", "hfem-m_mult-inf", "hpfem-m_mult-inf", "y_mult-inf",
-            "beta-inf"])
-    def test_level_that_cannot_be_built_exits_3(self, tmp_path, capsys, command, scheme,
+            "beta-inf", "hfem-y_mult-overflow", "hpfem-y_mult-overflow"])
+    def test_level_that_cannot_be_built_exits_3(self, tmp_path, capsys, command, scheme, s,
                                                  flag, value, cause):
-        argv = [command, "--s", "0.5", "--d", "1", "--n", "8,16", flag, value,
+        argv = [command, "--s", s, "--d", "1", "--n", "8,16", flag, value,
                 "--out", str(tmp_path / "x")]
         if command != "compare":
             argv += ["--scheme", scheme]
@@ -247,7 +250,7 @@ class TestSolveCommand:
             scheme = "hfem"  # compare runs hfem first, and only --beta leaves it intact
         assert run_cli(argv) == 3
         err = capsys.readouterr().err
-        assert f"solver failure: {scheme} s=0.5 d=1 n=8: " in err
+        assert f"solver failure: {scheme} s={s} d=1 n=8: " in err
         assert cause in err
 
     @pytest.mark.parametrize("scheme,s,n,cause", [
@@ -304,6 +307,25 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert ("solver failure: hfem s=0.8 d=2 n=8: out of memory "
                 "(Unable to allocate 90.3 MiB for an array)") in err
+        assert "Traceback" not in err
+
+    def test_negative_energy_radicand_exits_3_and_names_the_level(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        solve = fracdiff.error_analysis.solve
+
+        def overshooting(*args, **kwargs):
+            # a trace 1.5 times too large puts I_h above I_exact
+            sol = solve(*args, **kwargs)
+            sol.coefficients *= 1.5
+            return sol
+
+        monkeypatch.setattr(fracdiff.error_analysis, "solve", overshooting)
+        code = run_cli(["solve", "--scheme", "hfem", "--s", "0.5", "--d", "1", "--n", "8",
+                        "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("solver failure: hfem s=0.5 d=1 n=8: energy identity produced negative "
+                "radicand") in err
         assert "Traceback" not in err
 
     @pytest.mark.xfail(strict=True, reason=(

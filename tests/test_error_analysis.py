@@ -123,7 +123,7 @@ class TestEnergyError:
         problem = benchmark_problem(0.5, 1)
         grid = OmegaGrid(1, 8)
         giant = 100.0 * exact_nodal_trace(problem, grid)
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError, match="negative radicand"):
             energy_error(problem, assemble_load(grid, problem), giant)
 
 

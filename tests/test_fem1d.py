@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fracdiff.fem1d import (
     weighted_rule,
 )
 from fracdiff.meshing import (
+    MeshError,
     YMesh,
     build_ymesh,
     graded_mesh,
@@ -223,6 +225,23 @@ class TestAssembly:
         mesh = graded_mesh(14, 0.2, 1.3)
         W = assemble_weighted_matrices(mesh, alpha=alpha)
         np.linalg.cholesky(W.B_mass.toarray())
+
+    def test_assembled_matrices_follow_the_element_groups(self):
+        W = assemble_weighted_matrices(hp_mesh(4, 0.125, 2.0, 0.7), alpha=0.3)
+        assert W.B_mass is W.B_mass  # derived once
+        flipped = replace(W, groups=tuple((ms, mass, -stiff) for ms, mass, stiff in W.groups))
+        assert (flipped.B_stiff != -W.B_stiff).nnz == 0
+        assert (flipped.B_mass != W.B_mass).nnz == 0
+
+    @pytest.mark.parametrize("mesh,element", [
+        (YMesh(Y=1e300, nodes=(0.0, 1.0, 1e300), degrees=(1, 2)), 2),
+        (hp_mesh(4, 0.125, 1e300, 0.7), 1),
+    ], ids=["top-element", "every-element"])
+    def test_non_finite_element_matrices_name_the_element(self, mesh, element):
+        # y**0.5 times a width near 1e300 overflows; no RuntimeWarning escapes
+        with pytest.raises(MeshError, match=rf"^element {element}: the weighted element "
+                                            r"matrices on \[.*\] are not finite"):
+            assemble_weighted_matrices(mesh, alpha=0.5)
 
 
 # a geometric ratio so small that every element above y_1 needs split rules

@@ -260,9 +260,10 @@ class TestSolve:
 
     def test_dense_factorization_oracle(self):
         # unweighted half-order case against a direct dense solve
-        level = discretize(benchmark_problem(0.5, 1), "hfem", 12)
+        problem = benchmark_problem(0.5, 1)
+        level = discretize(problem, "hfem", 12)
         system, rhs = level.system, level.rhs
-        assert system.y.alpha == 0.0
+        assert problem.alpha == 0.0
         assert system.n_total <= 400
         sol = solve(system, rhs, rel_tol=1e-12)
         dense = dense_operator(system)
@@ -333,7 +334,8 @@ class TestSolve:
         # negated stiffness: omega*B_mass - B_stiff is indefinite for the
         # smallest shifts, so the factorization meets a non-positive pivot
         system = make_system(d=1, n=8, mesh=mesh, alpha=0.3)
-        flipped = replace(system.y, B_stiff=-system.y.B_stiff)
+        flipped = replace(system.y, groups=tuple((ms, mass, -stiff)
+                                                 for ms, mass, stiff in system.y.groups))
         system = KroneckerSystem(system.omega, flipped)
         with pytest.raises(SolverError) as err:
             solve(system, np.ones((system.n_omega, system.n_y)))
@@ -453,6 +455,38 @@ class TestPreconditionerApply:
         assert solver._shift_blocks(system.n_omega, bumps)[0].stop == step
         assert inverse.apply(R).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("mesh", [graded_mesh(9, 0.35, 1.8), graded_mesh(1, 1.0, 1.0)])
+    def test_vertex_factors_match_the_assembled_tridiagonal_bitwise(self, mesh):
+        # h-FEM has no bumps: the LDL^T sweep of omega*B_mass + B_stiff read
+        # off the assembled matrices must be what the element sums give
+        system = make_system(d=2, n=7, mesh=mesh, alpha=-0.2)
+        inverse = TensorPreconditioner.build(system)
+        omega = np.unique(inverse.shifts)
+        Bm, Bs = system.y.B_mass, system.y.B_stiff
+        diag = np.outer(Bm.diagonal(), omega) + Bs.diagonal()[:, None]
+        off = np.outer(Bm.diagonal(1), omega) + Bs.diagonal(1)[:, None]
+        for i in range(mesh.M - 1):
+            off[i] /= diag[i]
+            diag[i + 1] -= off[i] * off[i] * diag[i]
+        assert inverse.pivots.tobytes() == diag.tobytes()
+        assert inverse.lower.tobytes() == off.tobytes()
+
+    @pytest.mark.parametrize("step", [2, 3, 5, 16])
+    @pytest.mark.parametrize("d,n", [(1, 42), (2, 9)])
+    def test_build_condenses_in_shift_blocks_bitwise(self, monkeypatch, d, n, step):
+        # 41 or 36 distinct shifts: with 2 or 5 per block (d=1) and 5 (d=2)
+        # one column is left over, and it joins the block before it; up to
+        # 21 bumps, enough for np.sum to reduce a lone column in another order
+        system = make_system(d=d, n=n, mesh=hp_mesh(6, 0.125, 2.0, 2.0), alpha=-0.3)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 40)
+        want = TensorPreconditioner.build(system)
+        bumps = max(el.theta.size for el in want.elements)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", step * 8 * (4 * bumps + 2))
+        assert solver._shift_blocks(want.pivots.shape[1], bumps)[0].stop == step
+        got = TensorPreconditioner.build(system)
+        assert got.pivots.tobytes() == want.pivots.tobytes()
+        assert got.lower.tobytes() == want.lower.tobytes()
+
     @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(4, 0.125, 2.0, 0.7)])
     @pytest.mark.parametrize("columns", [[0], [0, 3], [2, 5]])
     def test_sparse_columns_match_full_transform_bitwise(self, mesh, columns):
@@ -510,3 +544,18 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert (peak - before) / full <= bound
+
+    def test_build_peak_is_its_factors_and_one_block_budget(self):
+        # hp-FEM s=0.8 d=2 n=512: the kept factors are 20 MB; condensing
+        # every element over all distinct shifts at once peaked at 80 MB
+        level = discretize(benchmark_problem(0.8, 2), "hpfem", 512)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            inverse = TensorPreconditioner.build(level.system)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inverse.elements
+        assert peak - kept <= 2 * solver._BLOCK_BYTES
+        assert kept - before < 0.3 * 8 * level.system.n_total
