@@ -5,8 +5,8 @@ Verbs:
 * ``solve``    run the configured refinement levels and write CSV/JSON;
 * ``study``    same, plus an observed-order summary and figure data files;
 * ``compare``  run both schemes and emit comparison figure data;
-* ``selftest`` check the mesh rules, the exact solve and the operator that
-  ``solve`` runs.
+* ``selftest`` check the mesh rules, the exact solve and its operator, and
+  the trace-only run path that ``solve`` runs with its certificate.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
@@ -79,7 +79,7 @@ class RunConfig:
     d: int = _option(2, int, "base-domain dimension: 1 or 2")
     levels: int = _option(3, int, "number of refinement levels")
     n: list[int] | None = _option(None, _cell_counts, "explicit comma-separated cell counts")
-    tol: float = _option(1e-9, float, "solver relative tolerance")
+    tol: float = _option(1e-9, float, "certificate margin: 0 < d_s*omega**s*r_h <= 1 + tol")
     out: str = _option("fracdiff_run", str, "output path base")
     mu: float | None = _option(None, float, "grading parameter override")
     sigma: float = _option(0.125, float, "geometric ratio override")
@@ -260,6 +260,7 @@ def cmd_run(cfg: RunConfig, command: str) -> int:
 
 def cmd_selftest() -> int:
     import numpy as np
+    import scipy.linalg
 
     from . import meshing, solver, spectral
 
@@ -294,6 +295,22 @@ def cmd_selftest() -> int:
     x = rng.standard_normal(system.n_total)
     err = np.linalg.norm(solver.kron_matvec(system, x) - dense @ x) / np.linalg.norm(dense @ x)
     checks.append(("implicit operator vs dense Kronecker form", bool(err < 1e-13)))
+
+    # the run path: the trace of a d=1 level against a dense solve of
+    # w*B_mass + B_stiff per eigenpair of the dense base pencil
+    problem = spectral.benchmark_problem(0.3, 1)
+    level = ea.discretize(problem, "hfem", 6)
+    omega, wm = level.system.omega, level.weighted
+    shifts, V = scipy.linalg.eigh(omega.A_stiff.toarray(), omega.A_mass.toarray())
+    r = np.array([np.linalg.solve(w * wm.B_mass.toarray() + wm.B_stiff.toarray(),
+                                  np.eye(wm.n_dofs)[0])[0] for w in shifts])
+    want = V @ (r * (V.T @ level.load))
+    got = solver.solve_trace(level.grid, wm, level.load, s=problem.s, d_s=problem.d_s,
+                             margin=1e-9)
+    checks.append(("trace-only run path vs dense per-mode solve",
+                   bool(np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want))))
+    ratio = problem.d_s * shifts**problem.s * solver.y_resolvent(wm, shifts)
+    checks.append(("y-resolvent certificate", bool(np.all((ratio > 0.0) & (ratio <= 1.0)))))
 
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .femomega import (
     unit_gauss_rule,
 )
 from .meshing import MeshError, YMesh, build_ymesh, select_params_h, select_params_hp
-from .solver import KroneckerSystem, SolutionTensor, SolverError, cylinder_rhs, solve
+from .solver import KroneckerSystem, SolutionTensor, SolverError, cylinder_rhs, solve_trace
 from .spectral import (
     BoxDomain,
     FractionalProblem,
@@ -56,8 +56,9 @@ class StudyRow:
     ``N_Y`` is the constrained system size ``sum(p_m)``, i.e. the
     unconstrained piecewise-polynomial dimension ``1 + sum(p_m)`` minus the
     dof pinned at the top of the cylinder; ``N_total = N_omega * N_Y``.
-    ``iters`` counts the solver's applies of the inverse and ``wall_ms`` is
-    the level's wall time in milliseconds.
+    ``iters`` is 1: the trace-only solve is one fold of the y-direction per
+    distinct shift, with no refinement step. ``wall_ms`` is the level's wall
+    time in milliseconds.
     """
 
     h_omega: float
@@ -87,7 +88,7 @@ def energy_error(problem: FractionalProblem, load: np.ndarray, trace) -> float:
     read off the level's load vector ``d_s * int f * eta_i``.
 
     Tiny negative radicands (down to ``-1e-12 * I_exact``) are clamped to
-    zero; anything larger signals an inconsistent (under-resolved) solve and
+    zero; anything larger signals a trace inconsistent with the data and
     raises :class:`~fracdiff.solver.SolverError`.
     """
     trace = np.asarray(trace, dtype=float)
@@ -98,8 +99,8 @@ def energy_error(problem: FractionalProblem, load: np.ndarray, trace) -> float:
         if radicand >= -1e-12 * problem.d_s * abs(i_exact):
             return 0.0
         raise SolverError(
-            f"energy identity produced negative radicand {radicand:.3e}; "
-            "solver tolerance too loose for this level"
+            f"energy identity produced negative radicand {radicand:.3e}: int f*tr u_h "
+            "exceeds its exact value (is the certificate margin tol too loose?)"
         )
     return math.sqrt(radicand)
 
@@ -272,16 +273,19 @@ def _default_mode_count(problem: FractionalProblem) -> int:
 
 @dataclass(frozen=True)
 class Discretization:
-    """The tensor system of one refinement level: the base grid, the
-    extended-direction mesh and its weighted matrices, the Kronecker
-    operator, the base-domain load and the cylinder right-hand side."""
+    """One refinement level: the base grid, the extended-direction mesh and
+    its weighted matrices, and the base-domain load. The Kronecker operator
+    and the cylinder right-hand side of the full tensor system are built on
+    first use; the run path reads neither."""
 
     grid: OmegaGrid
     mesh: YMesh
     weighted: WeightedMatrices
-    system: KroneckerSystem
     load: np.ndarray
-    rhs: np.ndarray
+
+    system = cached_property(
+        lambda self: KroneckerSystem(assemble_omega_matrices(self.grid), self.weighted))
+    rhs = cached_property(lambda self: cylinder_rhs(self.system, self.load))
 
 
 def discretize(
@@ -312,10 +316,8 @@ def discretize(
         raise ValueError(f"unknown scheme {scheme!r}")
     mesh = build_ymesh(params)
     weighted = assemble_weighted_matrices(mesh, alpha=problem.alpha)
-    system = KroneckerSystem(assemble_omega_matrices(grid), weighted)
-    load = assemble_load(grid, problem)
-    return Discretization(grid=grid, mesh=mesh, weighted=weighted, system=system,
-                          load=load, rhs=cylinder_rhs(system, load))
+    return Discretization(grid=grid, mesh=mesh, weighted=weighted,
+                          load=assemble_load(grid, problem))
 
 
 def run_level(
@@ -329,16 +331,19 @@ def run_level(
     """Discretize, solve, and measure a single refinement level;
     ``mesh_overrides`` are the keyword parameters of :func:`discretize`.
 
-    A level whose mesh or weighted quadrature cannot be built, whose solve
-    fails, or that runs out of memory anywhere raises :class:`SolverError`
-    prefixed with the level."""
+    Only the trace at ``y = 0`` is computed (:func:`~fracdiff.solver.solve_trace`),
+    and ``tol`` is the margin of its certificate. A level whose mesh or
+    weighted quadrature cannot be built, whose certificate fails, or that
+    runs out of memory anywhere raises :class:`SolverError` prefixed with
+    the level."""
     t0 = time.perf_counter()
     where = f"{scheme} s={problem.s:g} d={problem.domain.d} n={n}"
     try:
         level = discretize(problem, scheme, n, **mesh_overrides)
-        sol = solve(level.system, level.rhs, rel_tol=tol)
-        err = energy_error(problem, level.load, sol.trace)
-        tr_err = trace_hs_error(problem, level.grid, sol.trace, _default_mode_count(problem))
+        trace = solve_trace(level.grid, level.weighted, level.load, s=problem.s,
+                            d_s=problem.d_s, margin=tol)
+        err = energy_error(problem, level.load, trace)
+        tr_err = trace_hs_error(problem, level.grid, trace, _default_mode_count(problem))
     except SolverError as exc:
         raise SolverError(f"{where}: {exc}", exc.residual, exc.iterations) from exc
     except (MeshError, QuadratureError) as exc:
@@ -352,11 +357,11 @@ def run_level(
         N_omega=grid.n_dofs,
         M=level.mesh.M,
         N_Y=level.weighted.n_dofs,
-        N_total=level.system.n_total,
+        N_total=grid.n_dofs * level.weighted.n_dofs,
         Y=level.mesh.Y,
         energy_error=err,
         trace_hs_error=tr_err,
-        iters=sol.iterations,
+        iters=1,
         wall_ms=wall_ms,
     )
 

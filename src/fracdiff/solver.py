@@ -1,22 +1,34 @@
 """Exact solver for the tensor-product system
 ``S = B_mass (x) A_stiff + B_stiff (x) A_mass``.
 
-The coefficient tensor is stored as an ``(N_omega, N_y)`` array; the flat
-vector interface uses the layout that lists all base-domain coefficients of
-the first y-basis function first (Fortran flattening of the tensor), under
-which the dense equivalent of the operator is exactly
-``kron(B_mass, A_stiff) + kron(B_stiff, A_mass)``.
+Both solvers rest on fast diagonalization (Lynch, Rice & Thomas, 1964). The
+uniform P1/Q1 base matrices have closed-form sine eigenvectors, so an
+orthonormal DST-I diagonalizes the base direction and ``S`` splits into one
+extended-direction system ``omega*B_mass + B_stiff`` per base eigenvalue
+``omega``; in d=2 the modes ``(k, l)`` and ``(l, k)`` share one shift.
 
-``solve`` inverts ``S`` by fast diagonalization (Lynch, Rice & Thomas,
-1964). The uniform P1/Q1 base matrices have closed-form sine eigenvectors,
-so an orthonormal DST-I diagonalizes the base direction and ``S`` splits
-into one extended-direction system ``omega*B_mass + B_stiff`` per base
-eigenvalue ``omega``. Each is solved exactly from the y-element matrices: the
-bumps of every element are condensed onto the vertex dofs through the
-element's own generalized eigenpairs, and the vertex tridiagonal is factored
-by one LDL^T sweep over all distinct shifts at once (in d=2 the modes ``(k,
-l)`` and ``(l, k)`` share one). Iterative refinement brings the true residual,
-the one product with the assembled ``B_mass`` and ``B_stiff``, below tolerance.
+The run path, :func:`solve_trace`, needs only the trace at ``y = 0`` of the
+solution for the cylinder right-hand side ``e0 (x) load``: it is
+``DST(r_h(omega)/m * DST(load))`` with ``m`` the base mass eigenvalues and
+``r_h(omega) = e0^T (omega*B_mass + B_stiff)^-1 e0`` one scalar per distinct
+shift. :func:`y_resolvent` folds ``r_h`` through the y-element matrices,
+never through the assembled pair, and the certificate ``0 < d_s *
+omega**s * r_h <= 1 + margin`` stands in for a residual check. Working set:
+a few arrays of ``N_omega`` doubles and a fixed budget of ``_BLOCK_BYTES``
+shift blocks; no ``(N_omega, N_y)`` array and no base-domain matrix.
+
+``solve`` computes the whole coefficient tensor and checks it; it is the
+oracle of the tests and of ``selftest``. The tensor is stored as an
+``(N_omega, N_y)`` array; the flat vector interface uses the layout that
+lists all base-domain coefficients of the first y-basis function first
+(Fortran flattening of the tensor), under which the dense equivalent of the
+operator is exactly ``kron(B_mass, A_stiff) + kron(B_stiff, A_mass)``. Each
+shift's system is solved from the y-element matrices: the bumps of every
+element are condensed onto the vertex dofs through the element's own
+generalized eigenpairs, and the vertex tridiagonal is factored by one LDL^T
+sweep over all distinct shifts at once. Iterative refinement brings the true
+residual, the one product with the assembled ``B_mass`` and ``B_stiff``,
+below tolerance.
 
 Every ``(N_omega, N_y)`` tensor this module returns is in Fortran order. The
 cylinder right-hand side holds one resident column: its other columns are
@@ -45,13 +57,14 @@ import scipy.fft
 import scipy.linalg
 
 from .fem1d import WeightedMatrices
-from .femomega import OmegaMatrices
+from .femomega import OmegaGrid, OmegaMatrices
 
 
 class SolverError(RuntimeError):
-    """The level could not be built, the y-factorization met a non-positive
-    pivot, refinement stopped short of ``rel_tol`` or the energy identity
-    failed; non-finite y-element matrices are a ``MeshError`` of assembly."""
+    """The level could not be built, the y-resolvent certificate failed, the
+    y-factorization met a non-positive pivot, refinement stopped short of
+    ``rel_tol`` or the energy identity failed; non-finite y-element matrices
+    are a ``MeshError`` of assembly."""
 
     def __init__(self, message: str, residual: float = math.nan, iterations: int = 0):
         super().__init__(message)
@@ -91,9 +104,10 @@ def _as_tensor(system: KroneckerSystem, x) -> tuple[np.ndarray, bool]:
 
 
 # Bytes of the temporaries of one block: a column block of the operator
-# product (:func:`kron_matvec` and the residual of :func:`solve`), and a
-# shift-column block of the element condensation or a block of gathered pivot
-# rows in :meth:`TensorPreconditioner.apply`.
+# product (:func:`kron_matvec` and the residual of :func:`solve`), a
+# shift-column block of the element condensation (the fold of
+# :func:`y_resolvent` and the build and apply of the full solve's inverse), or
+# a block of gathered pivot rows in :meth:`TensorPreconditioner.apply`.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -150,6 +164,42 @@ def _p1_eigenvalues(n: int) -> tuple[np.ndarray, np.ndarray]:
     return h * (1.0 - 2.0 * sin2 / 3.0), 4.0 * sin2 / h
 
 
+@dataclass(frozen=True)
+class _BaseModes:
+    """The sine eigenmodes of the uniform P1/Q1 base pencil, in the row-major
+    order of the interior nodes: the mass eigenvalue and the generalized
+    eigenvalue (shift) of every mode, the ascending distinct shifts and the
+    distinct-shift column of every mode (None when every mode has its own
+    shift: in d=1, and never in d=2, where ``(k, l)`` and ``(l, k)`` share
+    one)."""
+
+    base_shape: tuple      # (n - 1,) * d: the interior nodes per base axis
+    mass_eig: np.ndarray
+    shifts: np.ndarray
+    distinct: np.ndarray
+    factor: np.ndarray | None
+
+
+def _base_modes(grid: OmegaGrid) -> _BaseModes:
+    mass, stiff = _p1_eigenvalues(grid.n)
+    mass_eig = reduce(np.multiply.outer, [mass] * grid.d).ravel()
+    shifts = reduce(np.add.outer, [stiff / mass] * grid.d).ravel()
+    distinct, factor = np.unique(shifts, return_inverse=True)
+    if np.array_equal(distinct, shifts):
+        factor = None
+    return _BaseModes((grid.n - 1,) * grid.d, mass_eig, shifts, distinct, factor)
+
+
+def _dst(T: np.ndarray, base_shape: tuple) -> np.ndarray:
+    """Orthonormal DST-I over the base-domain axes of a ``(rows, N_omega)``
+    tensor or an ``(N_omega,)`` vector, in place when ``T`` is C-contiguous;
+    it is its own inverse."""
+    axes = tuple(range(1, 1 + len(base_shape)))
+    out = scipy.fft.dstn(T.reshape(-1, *base_shape), type=1, axes=axes, norm="ortho",
+                         overwrite_x=True)
+    return out.reshape(T.shape)
+
+
 @dataclass
 class _Bumps:
     """One element's bump block in its generalized eigenbasis:
@@ -166,7 +216,9 @@ class _Bumps:
 
     def coupling(self, shifts: np.ndarray) -> np.ndarray:
         """``omega*P + Q`` for every shift, shape ``(verts, bumps, shifts)``."""
-        return self.P[:, :, None] * shifts + self.Q[:, :, None]
+        C = self.P[:, :, None] * shifts
+        C += self.Q[:, :, None]
+        return C
 
     def inverse_diagonal(self, shifts: np.ndarray) -> np.ndarray:
         """``1/(omega + theta)``, shape ``(bumps, shifts)``."""
@@ -177,7 +229,9 @@ def _shift_blocks(n: int, bumps: int) -> list[slice]:
     """Slices of ``n`` shift columns whose condensation temporaries for an
     element of up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column the
     coupling (at most two rows of bumps), ``1/(omega + theta)``, one product
-    and the result in ``apply``; the build's two products take 7/4 of that.
+    and the result in ``apply``; the build's two products take 7/4 of that,
+    the fold of :func:`y_resolvent` the coupling, ``1/(omega + theta)`` and
+    about a dozen rows of one column each.
 
     No block is one column wide unless ``n`` is 1: ``np.einsum`` reduces
     over the bumps in another order when the shift axis has length 1, so a
@@ -193,6 +247,112 @@ def _pivot_error(where: str) -> SolverError:
         f"non-positive pivot in the extended-direction factorization ({where}): "
         "the y-matrix pair is not symmetric positive definite"
     )
+
+
+def _by_element(y: WeightedMatrices) -> list:
+    """``(m, mass, stiff)`` of every element of ``y``, in ascending ``m``."""
+    return sorted(((m, Xm, Xs) for ms, mass, stiff in y.groups
+                   for m, Xm, Xs in zip(ms, mass, stiff)), key=lambda e: e[0])
+
+
+def _condense(y: WeightedMatrices, m: int, Xm: np.ndarray, Xs: np.ndarray) -> _Bumps:
+    """The :class:`_Bumps` of element ``m`` (degree >= 2) from its element
+    matrices; its vertex rows are the dofs among vertices ``m-1`` and
+    ``m``."""
+    nverts = 2 if m < y.dofmap.M else 1
+    try:
+        theta, W = scipy.linalg.eigh(Xs[2:, 2:], Xm[2:, 2:])
+    except np.linalg.LinAlgError as exc:
+        raise _pivot_error(f"bump block of element {m}") from exc
+    starts = y.dofmap.bump_starts
+    return _Bumps(slice(m - 1, m - 1 + nverts), slice(starts[m - 1], starts[m]), W, theta,
+                  Xm[2:, :nverts].T @ W, Xs[2:, :nverts].T @ W)
+
+
+def _two_port(Xm: np.ndarray, Xs: np.ndarray, el: _Bumps | None, w: np.ndarray):
+    """The vertex Schur complement ``E = K_vv - K_vb K_bb^-1 K_bv`` of one
+    element with ``K = w*mass + stiff`` at the shifts ``w``, as ``(E00, E11,
+    g, rho0, rho1)``: the coupling ``g = -E01`` and the row sums ``rho =
+    E 1``. The stiffness annihilates constants, so the row sums are formed
+    from the mass alone, ``rho = w*(M_vv 1 - K_vb K_bb^-1 M_bv 1)``. The
+    fold reads only ``E00`` of the top element, whose vertex 1 is
+    constrained; with bumps, that vertex has no row in its :class:`_Bumps`
+    and the rest is None."""
+    E00 = w * Xm[0, 0] + Xs[0, 0]
+    if el is not None:
+        # sum_k C_ik C_jk / (w + theta_k), contracted without a temporary
+        C, inv = el.coupling(w), el.inverse_diagonal(w)
+        E00 -= np.einsum("kn,kn,kn->n", C[0], C[0], inv)
+        if C.shape[0] == 1:
+            return E00, None, None, None, None
+    E11 = w * Xm[1, 1] + Xs[1, 1]
+    g = -(w * Xm[0, 1] + Xs[0, 1])
+    rho = np.multiply.outer(Xm[:2, :2].sum(axis=1), w)
+    if el is not None:
+        E11 -= np.einsum("kn,kn,kn->n", C[1], C[1], inv)
+        g += np.einsum("kn,kn,kn->n", C[0], C[1], inv)
+        rho -= w * np.einsum("ikn,kn,k->in", C, inv, el.P.sum(axis=0))
+    return E00, E11, g, rho[0], rho[1]
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # the certificate rejects them
+def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
+    """``r_h(w) = e0^T (w*B_mass + B_stiff)^-1 e0`` at every shift ``w``,
+    read from the element matrices, never from the assembled pair.
+
+    Each element's bumps are condensed onto its two vertices (through the
+    generalized eigenpairs of its bump block), and the chain of these 2x2
+    Schur complements is folded from the constrained top vertex down to
+    vertex 0: the admittance ``q`` seen from a vertex becomes
+    ``rho0 + g*(rho1 + q)/(g + rho1 + q)`` through an element with ``g > 0``,
+    which subtracts nothing, and ``E00 - g**2/(E11 + q)`` through a
+    mass-dominated one; ``r_h = 1/q``. Eliminating with the off-diagonals
+    and row sums as the data is the GTH idea (Grassmann, Taksar & Heyman,
+    1985); the sums of element entries that an elimination of the assembled
+    matrices works with lose r_h on strongly graded meshes. Runs in shift
+    blocks: the working set beyond the result is a fixed budget."""
+    elements = _by_element(y)
+    bumps = {m: _condense(y, m, Xm, Xs) for m, Xm, Xs in elements if len(Xm) > 2}
+    r = np.empty(shifts.size)
+    for c in _shift_blocks(shifts.size, max(y.mesh.degrees) - 1):
+        w = shifts[c]
+        (m, Xm, Xs), *below = elements[::-1]
+        q = _two_port(Xm, Xs, bumps.get(m), w)[0]
+        for m, Xm, Xs in below:
+            E00, E11, g, rho0, rho1 = _two_port(Xm, Xs, bumps.get(m), w)
+            t = rho1 + q
+            q = np.where(g > 0.0, rho0 + g * t / (g + t), E00 - g * g / (E11 + q))
+        r[c] = 1.0 / q
+    return r
+
+
+def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: float, d_s: float,
+                margin: float) -> np.ndarray:
+    """Nodal trace at ``y = 0`` of the solution of ``S X = e0 (x) load``:
+    ``DST(r_h/m * DST(load))`` with ``r_h`` from :func:`y_resolvent`, one
+    fold per distinct shift, and ``m`` the base mass eigenvalues.
+
+    The certificate ``0 < d_s * w**s * r_h(w) <= 1 + margin`` is checked at
+    every distinct shift: the exact extension gives 1, and the Galerkin
+    subspace and the truncation can only lower it. A violation raises
+    :class:`SolverError` naming the first shift that fails."""
+    modes = _base_modes(grid)
+    r = y_resolvent(y, modes.distinct)
+    ratio = d_s * modes.distinct**s * r
+    bad = np.flatnonzero(~((ratio > 0.0) & (ratio <= 1.0 + margin)))
+    if bad.size:
+        j = bad[0]
+        raise SolverError(
+            f"y-resolvent certificate failed at {bad.size} of {ratio.size} shifts, first at "
+            f"shift omega={modes.distinct[j]:.6g}: d_s*omega**s*r_h = {ratio[j]:.6g} is "
+            f"not in (0, 1 + {margin:g}]"
+        )
+    if modes.factor is not None:
+        r = r[modes.factor]
+    G = _dst(np.array(load, dtype=float), modes.base_shape)  # a copy: overwritten in place
+    G *= r
+    G /= modes.mass_eig
+    return _dst(G, modes.base_shape)
 
 
 @dataclass
@@ -221,16 +381,10 @@ class TensorPreconditioner:
         entries a vertex, they give the vertex tridiagonal, onto which the
         bump rows ``2:`` are condensed in ascending element order, in shift
         blocks."""
-        grid = system.omega.grid
-        mass, stiff = _p1_eigenvalues(grid.n)
-        mass_eig = reduce(np.multiply.outer, [mass] * grid.d).ravel()
-        shifts = reduce(np.add.outer, [stiff / mass] * grid.d).ravel()
-        # modes (k, l) and (l, k) of d=2 share a shift, and so a factorization
-        distinct, factor = np.unique(shifts, return_inverse=True)
-        if np.array_equal(distinct, shifts):
-            factor = None
+        modes = _base_modes(system.omega.grid)
+        distinct = modes.distinct
 
-        nv, starts = system.y.dofmap.M, system.y.dofmap.bump_starts
+        nv = system.y.dofmap.M
         vertex = np.zeros((2, 2, nv))  # (mass, stiffness) x (diagonal, superdiagonal)
         for ms, *pair in system.y.groups:
             inner = ms < nv
@@ -244,23 +398,17 @@ class TensorPreconditioner:
 
         elements = []
         blocks = _shift_blocks(distinct.size, max(system.y.mesh.degrees) - 1)
-        for m, Xm, Xs in sorted(((m, Xm[2:], Xs[2:]) for ms, mass, stiff in system.y.groups
-                                 for m, Xm, Xs in zip(ms, mass, stiff) if len(Xm) > 2),
-                                key=lambda e: e[0]):
-            nverts = 2 if m < nv else 1
-            try:
-                theta, W = scipy.linalg.eigh(Xs[:, 2:], Xm[:, 2:])
-            except np.linalg.LinAlgError as exc:
-                raise _pivot_error(f"bump block of element {m}") from exc
-            el = _Bumps(slice(m - 1, m - 1 + nverts), slice(starts[m - 1], starts[m]),
-                        W, theta, Xm[:, :nverts].T @ W, Xs[:, :nverts].T @ W)
+        for m, Xm, Xs in _by_element(system.y):
+            if len(Xm) == 2:
+                continue
+            el = _condense(system.y, m, Xm, Xs)
             for c in blocks:
                 inv = el.inverse_diagonal(distinct[c])
                 if not np.all(inv > 0.0):
                     raise _pivot_error(f"bump block of element {m}")
                 C = el.coupling(distinct[c])
                 diag[el.verts, c] -= np.sum(C * C * inv, axis=1)
-                if nverts == 2:
+                if el.P.shape[0] == 2:
                     off[m - 1, c] -= np.sum(C[0] * C[1] * inv, axis=0)
             elements.append(el)
 
@@ -269,17 +417,11 @@ class TensorPreconditioner:
             diag[i + 1] -= off[i] * off[i] * diag[i]
         if not np.all(diag > 0.0):
             raise _pivot_error("vertex tridiagonal")
-        return cls(base_shape=(grid.n - 1,) * grid.d, mass_eig=mass_eig, shifts=shifts,
-                   factor=factor, elements=elements, pivots=diag, lower=off)
+        return cls(base_shape=modes.base_shape, mass_eig=modes.mass_eig, shifts=modes.shifts,
+                   factor=modes.factor, elements=elements, pivots=diag, lower=off)
 
     def _dst(self, T: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I over the base-domain axes of a ``(rows,
-        N_omega)`` tensor, in place when ``T`` is C-contiguous; it is its own
-        inverse."""
-        axes = tuple(range(1, 1 + len(self.base_shape)))
-        out = scipy.fft.dstn(T.reshape(-1, *self.base_shape), type=1, axes=axes,
-                             norm="ortho", overwrite_x=True)
-        return out.reshape(T.shape)
+        return _dst(T, self.base_shape)
 
     def _factor_rows(self, A: np.ndarray, rows) -> np.ndarray:
         """Rows of the vertex factor ``A`` (``pivots`` or ``lower``) for

@@ -5,15 +5,16 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import fracdiff
 from fracdiff.cli import CSV_COLUMNS, OPTIONS, RunConfig, main, parse_modes, read_config_file
-from fracdiff.error_analysis import StudyRow
+from fracdiff.error_analysis import StudyRow, discretize
 from fracdiff.meshing import hp_mesh
+from fracdiff.spectral import benchmark_problem
 
 QUICK = ["--s", "0.5", "--d", "1", "--levels", "3", "--deterministic"]
 
@@ -33,6 +34,20 @@ def run_cli_capped(argv, address_space=4_000_000_000, timeout=120):
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run([sys.executable, "-m", "fracdiff.cli", *argv], preexec_fn=limit,
                           env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def scale_y_elements(monkeypatch, factor):
+    """Make every level's y-element matrices ``factor`` times their value:
+    r_h, and with it the certificate ``d_s*omega**s*r_h``, scales by
+    ``1/factor``."""
+    assemble = fracdiff.error_analysis.assemble_weighted_matrices
+
+    def scaled(*args, **kwargs):
+        weighted = assemble(*args, **kwargs)
+        return replace(weighted, groups=tuple(
+            (ms, factor * mass, factor * stiff) for ms, mass, stiff in weighted.groups))
+
+    monkeypatch.setattr(fracdiff.error_analysis, "assemble_weighted_matrices", scaled)
 
 
 def selection_rule(scheme, n, mu=None, sigma=0.125, beta=0.7, m_mult=1.0, y_mult=1.0):
@@ -202,27 +217,30 @@ class TestSolveCommand:
         assert len(lines) == 3
         assert lines[1].startswith("0.1,")
 
-    def test_solver_failure_exits_3(self, tmp_path, capsys):
-        # tolerance far below attainable precision: refinement stalls
+    def test_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # element matrices half as large double d_s*omega**s*r_h
+        scale_y_elements(monkeypatch, 0.5)
         code = run_cli(
             ["solve", "--scheme", "hfem", "--s", "0.2", "--d", "1", "--n", "64",
-             "--tol", "1e-30", "--out", str(tmp_path / "x")]
+             "--out", str(tmp_path / "x")]
         )
         assert code == 3
         err = capsys.readouterr().err
         assert "solver failure" in err
-        assert "below the attainable floor" in err
+        assert "y-resolvent certificate failed at 63 of 63 shifts" in err
 
-    def test_inaccurate_inverse_is_not_called_a_floor(self, tmp_path, capsys):
-        # mu=0.05 grades the first element to ~1e-19 of Y; the refined
-        # residual ends above 1, i.e. worse than X = 0
+    def test_extreme_grading_matches_the_exact_resolvent(self, tmp_path, exact_energy_error):
+        # mu=0.05 grades the first element to ~1e-19 of Y, where the full
+        # solve's refinement ends above relative residual 1; the fold still
+        # matches the exact elimination, and the large error is the mesh's
         code = run_cli(["solve", "--scheme", "hfem", "--s", "0.5", "--d", "1", "--n", "8",
                         "--mu", "0.05", "--out", str(tmp_path / "x")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "solver failure: hfem s=0.5 d=1 n=8: residual stalled" in err
-        assert "inaccurate" in err
-        assert "floor" not in err
+        assert code == 0
+        with open(tmp_path / "x.csv") as f:
+            (row,) = csv.DictReader(f)
+        problem = benchmark_problem(0.5, 1)
+        want = exact_energy_error(problem, discretize(problem, "hfem", 8, mu=0.05))
+        assert float(row["energy_error"]) == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("command", ["solve", "study", "compare"])
     @pytest.mark.parametrize("scheme,s,flag,value,cause", [
@@ -286,21 +304,25 @@ class TestSolveCommand:
             assert done.returncode == 3, done.stderr
             assert f"solver failure: {scheme} s={float(s):g} d=1 n={n}: {cause}" in done.stderr
 
-    def test_solver_failure_names_the_level(self, tmp_path, capsys):
+    def test_solver_failure_names_the_level(self, tmp_path, capsys, monkeypatch):
+        # element matrices half as large double d_s*omega**s*r_h: the
+        # certificate's bound 1 + tol fails at every shift
+        scale_y_elements(monkeypatch, 0.5)
         code = run_cli(
             ["solve", "--scheme", "hpfem", "--s", "0.35", "--d", "2", "--n", "8,12",
-             "--tol", "1e-30", "--out", str(tmp_path / "x")]
+             "--out", str(tmp_path / "x")]
         )
         assert code == 3
         err = capsys.readouterr().err
-        for part in ("hpfem", "s=0.35", "d=2", "n=8"):
-            assert part in err
+        assert ("solver failure: hpfem s=0.35 d=2 n=8: y-resolvent certificate failed at "
+                "28 of 28 shifts, first at shift omega=19.") in err
+        assert "Traceback" not in err
 
     def test_out_of_memory_exits_3_and_names_the_level(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 90.3 MiB for an array")
 
-        monkeypatch.setattr(fracdiff.error_analysis, "solve", exhausted)
+        monkeypatch.setattr(fracdiff.error_analysis, "solve_trace", exhausted)
         code = run_cli(["solve", "--scheme", "hfem", "--s", "0.8", "--d", "2", "--n", "8",
                         "--out", str(tmp_path / "x")])
         assert code == 3
@@ -311,15 +333,13 @@ class TestSolveCommand:
 
     def test_negative_energy_radicand_exits_3_and_names_the_level(self, tmp_path, capsys,
                                                                    monkeypatch):
-        solve = fracdiff.error_analysis.solve
+        solve_trace = fracdiff.error_analysis.solve_trace
 
         def overshooting(*args, **kwargs):
             # a trace 1.5 times too large puts I_h above I_exact
-            sol = solve(*args, **kwargs)
-            sol.coefficients *= 1.5
-            return sol
+            return 1.5 * solve_trace(*args, **kwargs)
 
-        monkeypatch.setattr(fracdiff.error_analysis, "solve", overshooting)
+        monkeypatch.setattr(fracdiff.error_analysis, "solve_trace", overshooting)
         code = run_cli(["solve", "--scheme", "hfem", "--s", "0.5", "--d", "1", "--n", "8",
                         "--out", str(tmp_path / "x")])
         assert code == 3
@@ -328,10 +348,8 @@ class TestSolveCommand:
                 "radicand") in err
         assert "Traceback" not in err
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "residual floor (ROADMAP item 1): with M=12 geometric elements the "
-        "refined solve stalls at 1.26e-9, above the default tol 1e-9"))
     def test_hp_level_with_more_elements_reaches_tol(self, tmp_path):
+        # M=12 geometric elements: the full solve stalls at 1.26e-9 here
         code = run_cli(
             ["solve", "--scheme", "hpfem", "--s", "0.5", "--d", "1", "--n", "16",
              "--m-mult", "2", "--out", str(tmp_path / "x")]
@@ -344,7 +362,6 @@ class TestSolveCommand:
         ("hfem", "y_mult", 2.0),
         ("hpfem", "sigma", 0.3),
         ("hpfem", "beta", 1.4),
-        # at 2 the hp levels from n=16 on stop at the residual floor (exit 3)
         ("hpfem", "m_mult", 1.5),
         ("hpfem", "y_mult", 2.0),
     ])
@@ -383,6 +400,16 @@ class TestStudyAndCompare:
         assert code == 2
         assert "figure data needs at least 2 study rows" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scheme,levels", [("hpfem", "6"), ("hfem", "8")])
+    def test_small_order_study_completes(self, tmp_path, capsys, scheme, levels):
+        # the paper's s=0.2 d=1 studies: the full solve stalls at the
+        # residual floor on hp n=128 and h n=1024
+        code = run_cli(["study", "--scheme", scheme, "--s", "0.2", "--d", "1",
+                        "--levels", levels, "--out", str(tmp_path / "x")])
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads((tmp_path / "x.json").read_text())
+        assert len(payload["results"][scheme]["rows"]) == int(levels)
 
     def test_study_emits_figure_data(self, tmp_path):
         out = tmp_path / "study"
@@ -495,5 +522,7 @@ class TestSelftest:
             "PASS  graded first element size",
             "PASS  exact solve manufactured solution",
             "PASS  implicit operator vs dense Kronecker form",
-            "all 4 selftest checks passed",
+            "PASS  trace-only run path vs dense per-mode solve",
+            "PASS  y-resolvent certificate",
+            "all 6 selftest checks passed",
         ]

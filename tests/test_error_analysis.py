@@ -1,8 +1,8 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -312,52 +312,45 @@ class TestStudyDriver:
         with pytest.raises(ValueError):
             run_level(problem, "spectral", 8)
 
+    @pytest.mark.parametrize("name", ["assemble_omega_matrices", "cylinder_rhs"])
+    def test_run_level_builds_no_full_tensor_system(self, monkeypatch, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name} called on the run path")
 
-def refined_resolvent(weighted, w):
-    """``e0' (w B_mass + B_stiff)^-1 e0`` from a diagonally scaled dense
-    Cholesky solve, iteratively refined with extended-precision residuals."""
-    exact = w * weighted.B_mass.toarray().astype(np.longdouble) + weighted.B_stiff.toarray()
-    scale = 1.0 / np.sqrt(np.diag(exact).astype(float))
-    scaled = scale[:, None] * exact * scale[None, :]
-    factor = scipy.linalg.cho_factor(scaled.astype(float), lower=True)
-    e0 = np.zeros(scale.size)
-    e0[0] = 1.0
-    x = scipy.linalg.cho_solve(factor, e0)
-    for _ in range(3):
-        x = x + scipy.linalg.cho_solve(factor, (e0 - scaled @ x).astype(float))
-    return float(x[0] * scale[0] ** 2)
+        monkeypatch.setattr(error_analysis, name, forbidden)
+        row = run_level(benchmark_problem(0.5, 2), "hpfem", 8)
+        assert row.N_total == 49 * row.N_Y
 
 
 class TestSolverAccuracy:
-    def test_energy_error_matches_exact_discrete_value(self):
-        # hp, s=0.2: the identity-based energy error amplifies the solver's
-        # relative error about 1e5-fold, so a single application of the
-        # exact inverse in double precision is not accurate enough
+    def test_energy_error_matches_exact_discrete_value(self, exact_energy_error):
+        # hp, s=0.2: the identity-based energy error amplifies the relative
+        # error of the trace about 1e5-fold. The reference eliminates the
+        # element matrices in 60-digit arithmetic; a long-double refined
+        # solve of the assembled matrices, whose summed entries are rounded,
+        # is 1.9e-6 off it here
         s, n = 0.2, 128
         domain = BoxDomain(1)
         problem = FractionalProblem(
             s=s, domain=domain, f=modal_function(domain, SIX_MODE_LOAD)
         )
         row = run_level(problem, "hpfem", n)
+        want = exact_energy_error(problem, discretize(problem, "hpfem", n), digits=60)
+        assert row.energy_error == pytest.approx(want, rel=1e-8)
 
-        # every plain sine is an eigenvector of the uniform P1 pencil, so the
-        # exact discrete solution splits into one resolvent per mode
-        level = discretize(problem, "hpfem", n)
-        weighted, h = level.weighted, level.grid.h
-        i_h = 0.0
-        for (k,), c in SIX_MODE_LOAD:
-            cos = math.cos(k * math.pi * h)
-            mass, stiff = h * (4.0 + 2.0 * cos) / 6.0, (2.0 - 2.0 * cos) / h
-            gamma = 2.0 * (1.0 - cos) / ((k * math.pi) ** 2 * h)
-            r = refined_resolvent(weighted, stiff / mass)
-            i_h += problem.d_s * (c * gamma) ** 2 * r / mass * n / 2.0
-        want = math.sqrt(problem.d_s * (exact_data_product(problem) - i_h))
-        assert row.energy_error == pytest.approx(want, rel=1e-6)
+    def test_solver_failure_names_the_level(self, monkeypatch):
+        # element matrices half as large double r_h, and so the certificate
+        # d_s*omega**s*r_h, at every shift
+        assemble = error_analysis.assemble_weighted_matrices
 
-    def test_solver_failure_names_the_level(self):
+        def halved(*args, **kwargs):
+            weighted = assemble(*args, **kwargs)
+            return replace(weighted, groups=tuple(
+                (ms, 0.5 * mass, 0.5 * stiff) for ms, mass, stiff in weighted.groups))
+
+        monkeypatch.setattr(error_analysis, "assemble_weighted_matrices", halved)
         problem = benchmark_problem(0.4, 1)
         with pytest.raises(SolverError) as err:
-            run_level(problem, "hfem", 16, tol=1e-30)
-        assert str(err.value).startswith("hfem s=0.4 d=1 n=16: ")
-        assert err.value.residual > 0.0
-        assert err.value.iterations >= 2
+            run_level(problem, "hfem", 16)
+        assert str(err.value).startswith(
+            "hfem s=0.4 d=1 n=16: y-resolvent certificate failed at 15 of 15 shifts")

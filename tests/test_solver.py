@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdiff import solver
-from fracdiff.error_analysis import discretize
+from fracdiff.error_analysis import discretize, run_level
 from fracdiff.fem1d import assemble_weighted_matrices
 from fracdiff.femomega import OmegaGrid, assemble_omega_matrices
 from fracdiff.meshing import graded_mesh, hp_mesh
@@ -21,6 +23,8 @@ from fracdiff.solver import (
     cylinder_rhs,
     kron_matvec,
     solve,
+    solve_trace,
+    y_resolvent,
 )
 from fracdiff.spectral import BoxDomain, FractionalProblem, benchmark_problem, modal_function
 
@@ -423,6 +427,111 @@ class TestTrace:
             cylinder_rhs(system, np.ones(system.n_omega + 1))
 
 
+def _sampled_shifts(level):
+    """The lowest, a middle and the top distinct shift of a level."""
+    distinct = solver._base_modes(level.grid).distinct
+    return distinct[[0, distinct.size // 2, -1]]
+
+
+class TestYResolvent:
+    @pytest.mark.parametrize("scheme,s,n", [("hfem", 0.2, 16), ("hfem", 0.2, 64),
+                                            ("hpfem", 0.2, 16), ("hpfem", 0.5, 16)])
+    def test_fold_matches_exact_elimination(self, exact_resolvent, scheme, s, n):
+        # the vertex sweep of the full solve is off by 2e-14 to 5e-13 on
+        # three of these levels
+        level = discretize(benchmark_problem(s, 1), scheme, n)
+        shifts = _sampled_shifts(level)
+        got = y_resolvent(level.weighted, shifts)
+        for w, r in zip(shifts, got):
+            want = exact_resolvent(level.weighted, w)
+            assert abs(Fraction(float(r)) - want) <= 1e-14 * want
+
+    def test_fold_matches_exact_elimination_with_more_elements(self, exact_resolvent):
+        # hp s=0.2 n=16 with twice the elements (436 y-dofs): the vertex
+        # sweep is off by 1e-8 to 3e-8; exact rationals take too long here,
+        # so the reference is a 60-digit elimination
+        level = discretize(benchmark_problem(0.2, 1), "hpfem", 16, m_mult=2.0)
+        shifts = _sampled_shifts(level)
+        got = y_resolvent(level.weighted, shifts)
+        for w, r in zip(shifts, got):
+            want = exact_resolvent(level.weighted, w, digits=60)
+            assert abs(Decimal(float(r)) - want) <= Decimal(1e-14) * want
+
+    def test_one_element_chain(self):
+        # r_h = 1/E00 of the single element, its top vertex constrained
+        for mesh in (graded_mesh(1, 1.0, 1.5), replace(hp_mesh(1, 0.2, 1.5, 0.7), degrees=(4,))):
+            weighted = assemble_weighted_matrices(mesh, alpha=0.3)
+            shifts = np.array([0.5, 30.0, 4e3])
+            dense = [np.linalg.inv(w * weighted.B_mass.toarray() + weighted.B_stiff.toarray())[0, 0]
+                     for w in shifts]
+            assert y_resolvent(weighted, shifts) == pytest.approx(dense, rel=1e-13)
+
+    def test_shift_blocks_do_not_change_the_fold(self, monkeypatch):
+        level = discretize(benchmark_problem(0.2, 1), "hpfem", 42)
+        shifts = solver._base_modes(level.grid).distinct
+        want = y_resolvent(level.weighted, shifts)
+        bumps = max(level.mesh.degrees) - 1
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 8 * (4 * bumps + 2))
+        assert len(solver._shift_blocks(shifts.size, bumps)) > 1
+        assert np.array_equal(y_resolvent(level.weighted, shifts), want)
+
+
+# the benchmark workloads' levels with n <= 64
+_WORKLOAD_LEVELS = [(scheme, s, d, n) for scheme, s, d in [("hfem", 0.8, 2), ("hpfem", 0.8, 2),
+                                                            ("hpfem", 0.2, 1), ("hfem", 0.2, 1)]
+                    for n in (8, 16, 32, 64)]
+
+
+class TestSolveTrace:
+    @pytest.mark.parametrize("scheme,s,d,n", _WORKLOAD_LEVELS)
+    def test_matches_the_full_solve(self, scheme, s, d, n):
+        problem = benchmark_problem(s, d)
+        level = discretize(problem, scheme, n)
+        load = np.random.default_rng(n).standard_normal(level.grid.n_dofs)
+        full = solve(level.system, cylinder_rhs(level.system, load), rel_tol=1e-9)
+        got = solve_trace(level.grid, level.weighted, load, s=s, d_s=problem.d_s, margin=1e-9)
+        # the full solve vouches for its trace only to about its residual,
+        # which reaches 1e-10 on the hp s=0.2 levels; the fold is exact to
+        # rounding (TestYResolvent). Measured: at most 0.35 times the
+        # residual, and 1.9e-12 where that is smaller (hp s=0.8 n=64)
+        rel = np.linalg.norm(got - full.trace) / np.linalg.norm(full.trace)
+        assert rel <= max(1e-11, full.residual)
+
+    def test_leaves_the_load_unchanged(self):
+        problem = benchmark_problem(0.5, 2)
+        level = discretize(problem, "hpfem", 9)
+        load = level.load.copy()
+        solve_trace(level.grid, level.weighted, level.load, s=0.5, d_s=problem.d_s, margin=1e-9)
+        assert level.load.tobytes() == load.tobytes()
+
+    def test_margin_is_the_slack_of_the_certificate(self):
+        # hfem s=0.5 n=64 reaches d_s*omega**s*r_h = 0.99977 at its lowest
+        # shift; element matrices 0.999 times too small push that to 1.00077
+        problem = benchmark_problem(0.5, 1)
+        level = discretize(problem, "hfem", 64)
+        scaled = replace(level.weighted, groups=tuple(
+            (ms, 0.999 * mass, 0.999 * stiff) for ms, mass, stiff in level.weighted.groups))
+        args = (level.grid, scaled, level.load)
+        solve_trace(*args, s=0.5, d_s=problem.d_s, margin=1e-3)
+        with pytest.raises(SolverError, match="first at shift omega=9.8"):
+            solve_trace(*args, s=0.5, d_s=problem.d_s, margin=1e-4)
+
+    @pytest.mark.parametrize("factor", [0.5, -1.0], ids=["above", "below"])
+    def test_certificate_names_the_first_failing_shift(self, factor):
+        # scaling both element matrices by c scales r_h by 1/c: 0.5 doubles
+        # d_s*omega**s*r_h, and -1 makes it negative
+        problem = benchmark_problem(0.5, 1)
+        level = discretize(problem, "hfem", 8)
+        scaled = replace(level.weighted, groups=tuple(
+            (ms, factor * mass, factor * stiff) for ms, mass, stiff in level.weighted.groups))
+        first = solver._base_modes(level.grid).distinct[0]
+        with pytest.raises(SolverError) as err:
+            solve_trace(level.grid, scaled, level.load, s=0.5, d_s=problem.d_s, margin=1e-9)
+        message = str(err.value)
+        assert message.startswith("y-resolvent certificate failed at 7 of 7 shifts")
+        assert f"shift omega={first:.6g}" in message
+
+
 class TestPreconditionerApply:
     @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(4, 0.125, 2.0, 0.7)])
     def test_one_factorization_per_distinct_shift(self, mesh):
@@ -532,12 +641,13 @@ class TestWorkingSet:
         domain = BoxDomain(2)
         data = modal_function(domain, [((1, 1), 1.0), ((2, 3), -0.5), ((5, 5), 0.7)])
         level = discretize(FractionalProblem(s=0.8, domain=domain, f=data), scheme, 128)
-        full = 8 * level.system.n_total
+        system, rhs = level.system, level.rhs  # built on first use
+        full = 8 * system.n_total
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             try:
-                assert solve(level.system, level.rhs, rel_tol=rel_tol).iterations == 1
+                assert solve(system, rhs, rel_tol=rel_tol).iterations == 1
             except SolverError as exc:
                 assert rel_tol < 1e-9 and exc.iterations >= 2
             peak = tracemalloc.get_traced_memory()[1]
@@ -549,13 +659,34 @@ class TestWorkingSet:
         # hp-FEM s=0.8 d=2 n=512: the kept factors are 20 MB; condensing
         # every element over all distinct shifts at once peaked at 80 MB
         level = discretize(benchmark_problem(0.8, 2), "hpfem", 512)
+        system = level.system  # built on first use
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            inverse = TensorPreconditioner.build(level.system)
+            inverse = TensorPreconditioner.build(system)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert inverse.elements
         assert peak - kept <= 2 * solver._BLOCK_BYTES
-        assert kept - before < 0.3 * 8 * level.system.n_total
+        assert kept - before < 0.3 * 8 * system.n_total
+
+    @pytest.mark.parametrize("scheme,bound", [("hfem", 0.15), ("hpfem", 0.9)])
+    def test_run_level_peak_in_full_size_arrays(self, scheme, bound):
+        # the run path holds arrays of N_omega doubles and the fold's shift
+        # blocks, never an N_total array; measured 0.13 (h-FEM) and 0.85
+        # (hp-FEM: 21 y-dofs, so the block budget weighs more)
+        domain = BoxDomain(2)
+        data = modal_function(domain, [((1, 1), 1.0), ((2, 3), -0.5), ((5, 5), 0.7)])
+        problem = FractionalProblem(s=0.8, domain=domain, f=data)
+        level = discretize(problem, scheme, 128)
+        full = 8 * level.grid.n_dofs * level.weighted.n_dofs
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            row = run_level(problem, scheme, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.N_total * 8 == full
+        assert (peak - before) / full <= bound
