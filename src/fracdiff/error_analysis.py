@@ -57,7 +57,8 @@ class StudyRow:
     unconstrained piecewise-polynomial dimension ``1 + sum(p_m)`` minus the
     dof pinned at the top of the cylinder; ``N_total = N_omega * N_Y``.
     ``iters`` is 1: the trace-only solve is one fold of the y-direction per
-    distinct shift, with no refinement step. ``wall_ms`` is the level's wall
+    distinct shift, with no refinement step; the column stays so that the
+    output format does not change. ``wall_ms`` is the level's wall
     time in milliseconds.
     """
 
@@ -344,9 +345,7 @@ def run_level(
                             d_s=problem.d_s, margin=tol)
         err = energy_error(problem, level.load, trace)
         tr_err = trace_hs_error(problem, level.grid, trace, _default_mode_count(problem))
-    except SolverError as exc:
-        raise SolverError(f"{where}: {exc}", exc.residual, exc.iterations) from exc
-    except (MeshError, QuadratureError) as exc:
+    except (SolverError, MeshError, QuadratureError) as exc:
         raise SolverError(f"{where}: {exc}") from exc
     except MemoryError as exc:
         raise SolverError(f"{where}: out of memory ({str(exc) or 'no detail'})") from exc

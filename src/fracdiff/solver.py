@@ -225,19 +225,20 @@ class _Bumps:
         return 1.0 / np.add.outer(self.theta, shifts)
 
 
-def _shift_blocks(n: int, bumps: int) -> list[slice]:
+def _shift_blocks(n: int, bumps: int, rows: int = 2) -> list[slice]:
     """Slices of ``n`` shift columns whose condensation temporaries for an
     element of up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column the
-    coupling (at most two rows of bumps), ``1/(omega + theta)``, one product
-    and the result in ``apply``; the build's two products take 7/4 of that,
-    the fold of :func:`y_resolvent` the coupling, ``1/(omega + theta)`` and
-    about a dozen rows of one column each.
+    coupling (at most two rows of bumps), ``1/(omega + theta)`` and its
+    ``omega + theta``, and ``rows`` rows of one column each. In ``apply``
+    those are one product and the result (the default ``rows``), the build's
+    two products take 7/4 of that, and the fold of :func:`y_resolvent`
+    holds up to ``_FOLD_ROWS``.
 
     No block is one column wide unless ``n`` is 1: ``np.einsum`` reduces
     over the bumps in another order when the shift axis has length 1, so a
     one-column block would not be bitwise equal to the unblocked
     contraction. A last column left over joins the block before it."""
-    step = max(2, _BLOCK_BYTES // (8 * (4 * bumps + 2)))
+    step = max(2, _BLOCK_BYTES // (8 * (4 * bumps + rows)))
     starts = range(0, max(n - 1, 1), step)
     return [slice(j, j + step) for j in starts[:-1]] + [slice(starts[-1], n)]
 
@@ -269,30 +270,38 @@ def _condense(y: WeightedMatrices, m: int, Xm: np.ndarray, Xs: np.ndarray) -> _B
                   Xm[2:, :nverts].T @ W, Xs[2:, :nverts].T @ W)
 
 
-def _two_port(Xm: np.ndarray, Xs: np.ndarray, el: _Bumps | None, w: np.ndarray):
-    """The vertex Schur complement ``E = K_vv - K_vb K_bb^-1 K_bv`` of one
-    element with ``K = w*mass + stiff`` at the shifts ``w``, as ``(E00, E11,
-    g, rho0, rho1)``: the coupling ``g = -E01`` and the row sums ``rho =
-    E 1``. The stiffness annihilates constants, so the row sums are formed
-    from the mass alone, ``rho = w*(M_vv 1 - K_vb K_bb^-1 M_bv 1)``. The
-    fold reads only ``E00`` of the top element, whose vertex 1 is
-    constrained; with bumps, that vertex has no row in its :class:`_Bumps`
-    and the rest is None."""
+def _top_admittance(Xm: np.ndarray, Xs: np.ndarray, el: _Bumps | None,
+                    w: np.ndarray) -> np.ndarray:
+    """``E00`` of the vertex Schur complement of the top element, whose
+    vertex 1 is constrained, with ``K = w*mass + stiff`` at the shifts
+    ``w``: the admittance the fold of :func:`y_resolvent` starts from."""
     E00 = w * Xm[0, 0] + Xs[0, 0]
     if el is not None:
-        # sum_k C_ik C_jk / (w + theta_k), contracted without a temporary
+        # sum_k C_0k C_0k / (w + theta_k), contracted without a temporary
         C, inv = el.coupling(w), el.inverse_diagonal(w)
         E00 -= np.einsum("kn,kn,kn->n", C[0], C[0], inv)
-        if C.shape[0] == 1:
-            return E00, None, None, None, None
-    E11 = w * Xm[1, 1] + Xs[1, 1]
+    return E00
+
+
+def _two_port(Xm: np.ndarray, Xs: np.ndarray, el: _Bumps | None, w: np.ndarray):
+    """The vertex Schur complement ``E = K_vv - K_vb K_bb^-1 K_bv`` of one
+    element with ``K = w*mass + stiff`` at the shifts ``w``, as ``(g, rho0,
+    rho1)``: the coupling ``g = -E01`` and the row sums ``rho = E 1``. The
+    stiffness annihilates constants, so the row sums are formed from the
+    mass alone, ``rho = w*(M_vv 1 - K_vb K_bb^-1 M_bv 1)``."""
     g = -(w * Xm[0, 1] + Xs[0, 1])
     rho = np.multiply.outer(Xm[:2, :2].sum(axis=1), w)
     if el is not None:
-        E11 -= np.einsum("kn,kn,kn->n", C[1], C[1], inv)
+        C, inv = el.coupling(w), el.inverse_diagonal(w)
         g += np.einsum("kn,kn,kn->n", C[0], C[1], inv)
         rho -= w * np.einsum("ikn,kn,k->in", C, inv, el.P.sum(axis=0))
-    return E00, E11, g, rho[0], rho[1]
+    return g, rho[0], rho[1]
+
+
+# Rows of one shift column that the fold holds besides the coupling and
+# 1/(omega + theta) (see _shift_blocks): the two-port's outputs, their
+# products with the shifts and the fold's own temporaries.
+_FOLD_ROWS = 12
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # the certificate rejects them
@@ -304,24 +313,25 @@ def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     generalized eigenpairs of its bump block), and the chain of these 2x2
     Schur complements is folded from the constrained top vertex down to
     vertex 0: the admittance ``q`` seen from a vertex becomes
-    ``rho0 + g*(rho1 + q)/(g + rho1 + q)`` through an element with ``g > 0``,
-    which subtracts nothing, and ``E00 - g**2/(E11 + q)`` through a
-    mass-dominated one; ``r_h = 1/q``. Eliminating with the off-diagonals
-    and row sums as the data is the GTH idea (Grassmann, Taksar & Heyman,
-    1985); the sums of element entries that an elimination of the assembled
-    matrices works with lose r_h on strongly graded meshes. Runs in shift
-    blocks: the working set beyond the result is a fixed budget."""
+    ``rho0 + g*t/(g + t)`` with ``t = rho1 + q`` through an element; ``r_h
+    = 1/q``. That equals ``E00 - g**2/(E11 + q)``, and ``g + t = E11 + q``
+    is positive for a positive definite pair, but for ``g > 0`` nothing is
+    subtracted. Eliminating with the off-diagonals and row sums as the data
+    is the GTH idea (Grassmann, Taksar & Heyman, 1985); the sums of element
+    entries that an elimination of the assembled matrices works with lose
+    r_h on strongly graded meshes. Runs in shift blocks: the working set
+    beyond the result is a fixed budget."""
     elements = _by_element(y)
     bumps = {m: _condense(y, m, Xm, Xs) for m, Xm, Xs in elements if len(Xm) > 2}
     r = np.empty(shifts.size)
-    for c in _shift_blocks(shifts.size, max(y.mesh.degrees) - 1):
+    for c in _shift_blocks(shifts.size, max(y.mesh.degrees) - 1, _FOLD_ROWS):
         w = shifts[c]
         (m, Xm, Xs), *below = elements[::-1]
-        q = _two_port(Xm, Xs, bumps.get(m), w)[0]
+        q = _top_admittance(Xm, Xs, bumps.get(m), w)
         for m, Xm, Xs in below:
-            E00, E11, g, rho0, rho1 = _two_port(Xm, Xs, bumps.get(m), w)
+            g, rho0, rho1 = _two_port(Xm, Xs, bumps.get(m), w)
             t = rho1 + q
-            q = np.where(g > 0.0, rho0 + g * t / (g + t), E00 - g * g / (E11 + q))
+            q = rho0 + g * t / (g + t)
         r[c] = 1.0 / q
     return r
 
@@ -420,9 +430,6 @@ class TensorPreconditioner:
         return cls(base_shape=modes.base_shape, mass_eig=modes.mass_eig, shifts=modes.shifts,
                    factor=modes.factor, elements=elements, pivots=diag, lower=off)
 
-    def _dst(self, T: np.ndarray) -> np.ndarray:
-        return _dst(T, self.base_shape)
-
     def _factor_rows(self, A: np.ndarray, rows) -> np.ndarray:
         """Rows of the vertex factor ``A`` (``pivots`` or ``lower``) for
         every mode: a view where each mode has its own column (d=1), else
@@ -435,10 +442,10 @@ class TensorPreconditioner:
         its buffer may hold the result. Only the y-columns of ``R`` that hold
         a non-zero are transformed: the DST of a zero column is zero."""
         if overwrite_r:
-            G = self._dst(R.T)
+            G = _dst(R.T, self.base_shape)
         else:
             live = np.flatnonzero(np.any(R, axis=0))
-            G = self._dst(R.T[live])  # a copy of the live columns
+            G = _dst(R.T[live], self.base_shape)  # a copy of the live columns
             if live.size < R.shape[1]:
                 full = np.zeros(R.shape[::-1])
                 full[live] = G
@@ -468,7 +475,7 @@ class TensorPreconditioner:
                                                G[el.verts, c])
                 G[el.bumps, c] = z * el.inverse_diagonal(shifts[c])
             G[el.bumps] = el.W @ G[el.bumps]
-        return self._dst(G).T
+        return _dst(G, self.base_shape).T
 
 
 @dataclass

@@ -294,6 +294,17 @@ class TestSolve:
         assert err.value.residual > 0.0
         assert err.value.iterations >= 2
         assert "stalled" in str(err.value)
+        assert "below the attainable floor" in str(err.value)
+
+    def test_inaccurate_inverse_is_not_called_a_floor(self):
+        # mu=0.05 grades the first element to ~1e-19 of Y: the refined
+        # residual ends above 1, i.e. worse than X = 0
+        level = discretize(benchmark_problem(0.5, 1), "hfem", 8, mu=0.05)
+        with pytest.raises(SolverError) as err:
+            solve(level.system, level.rhs, rel_tol=1e-9)
+        assert err.value.residual >= 1.0
+        assert "inaccurate" in str(err.value)
+        assert "floor" not in str(err.value)
 
     def test_hp_2d_matches_dense_solve(self):
         system = make_system(d=2, n=6, mesh=hp_mesh(4, 0.125, 1.5, 0.7), alpha=-0.6)
@@ -471,8 +482,8 @@ class TestYResolvent:
         shifts = solver._base_modes(level.grid).distinct
         want = y_resolvent(level.weighted, shifts)
         bumps = max(level.mesh.degrees) - 1
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 8 * (4 * bumps + 2))
-        assert len(solver._shift_blocks(shifts.size, bumps)) > 1
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 8 * (4 * bumps + solver._FOLD_ROWS))
+        assert solver._shift_blocks(shifts.size, bumps, solver._FOLD_ROWS)[0].stop == 5
         assert np.array_equal(y_resolvent(level.weighted, shifts), want)
 
 
@@ -670,6 +681,24 @@ class TestWorkingSet:
         assert inverse.elements
         assert peak - kept <= 2 * solver._BLOCK_BYTES
         assert kept - before < 0.3 * 8 * system.n_total
+
+    @pytest.mark.parametrize("scheme,s", [("hfem", 0.8), ("hpfem", 0.2)])
+    def test_fold_peak_is_its_result_and_one_block_budget(self, scheme, s):
+        # 300,000 shifts in 7 blocks (h-FEM) or 65 (hp-FEM, degree 26);
+        # measured 0.67 and 0.95 of the budget beyond the result
+        level = discretize(benchmark_problem(s, 1), scheme, 64)
+        shifts = np.linspace(10.0, 1e5, 300_000)
+        bumps = max(level.mesh.degrees) - 1
+        assert len(solver._shift_blocks(shifts.size, bumps, solver._FOLD_ROWS)) >= 7
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            r = y_resolvent(level.weighted, shifts)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept - before <= r.nbytes + 4096
+        assert peak - kept <= solver._BLOCK_BYTES
 
     @pytest.mark.parametrize("scheme,bound", [("hfem", 0.15), ("hpfem", 0.9)])
     def test_run_level_peak_in_full_size_arrays(self, scheme, bound):
