@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy import sparse
-from scipy.special import roots_jacobi
 
 from .meshing import MeshError, YMesh
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Gauss-Legendre rules are enlarged until the analyticity estimate for the
 # weight puts the truncation error below 1e-20; elements too close to the
@@ -95,9 +97,53 @@ def gauss_lobatto_points(q: int, interval=(-1.0, 1.0)) -> np.ndarray:
     return pts
 
 
+def _orthonormal_values(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
+    """``p_n(x)``, ``p_n'(x)`` and ``sum_{k<n} p_k(x)**2`` for the
+    polynomials of the three-term recurrence ``off[k] p_{k+1} = (x - diag[k])
+    p_k - off[k-1] p_{k-1}`` from ``p_0 = 1``, ``n = len(diag)``: orthonormal
+    up to the factor ``1/sqrt(mu_0)``."""
+    p0, p1 = np.zeros_like(x), np.ones_like(x)
+    d0, d1 = np.zeros_like(x), np.zeros_like(x)
+    total = np.zeros_like(x)
+    for a, b, b_below in zip(diag, off, (0.0, *off[:-1])):
+        total += p1 * p1
+        p0, p1, d0, d1 = (p1, ((x - a) * p1 - b_below * p0) / b,
+                          d1, (p1 + (x - a) * d1 - b_below * d0) / b)
+    return p1, d1, total
+
+
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n``-point Gauss-Jacobi rule for the weight ``(1-x)**a *
+    (1+x)**b`` on ``[-1, 1]``, ``a, b > -1``, nodes ascending.
+
+    Golub-Welsch (Golub & Welsch, Math. Comp. 1969) gives the nodes as the
+    eigenvalues of the Jacobi matrix; two Newton steps on its three-term
+    recurrence refine them. The weights are the Christoffel numbers ``mu_0 /
+    sum_{k<n} p_k(x_i)**2`` of the orthonormal polynomials at the refined
+    nodes, with ``mu_0 = 2**(a+b+1) B(a+1, b+1)``: within 3e-13 relative of
+    40-digit weights for ``n <= 100`` and ``b`` in ``(-1, 1)``, where the
+    derivative formula ``~ 1/((1 - x_i**2) P_n'(x_i)**2)`` was off by up to
+    1.2e-11 next to the singular end."""
+    k = np.arange(1, n + 1, dtype=float)
+    c = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):  # k = 1 when a + b = 0, replaced below
+        diag = (b * b - a * a) / ((c - 2.0) * c)
+    diag[0] = (b - a) / (a + b + 2.0)
+    off = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (c * c * (c + 1.0) * (c - 1.0))
+    off[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    off = np.sqrt(off)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    for _ in range(2):
+        p, dp, _ = _orthonormal_values(x, diag, off)
+        x -= p / dp
+    mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                   - math.lgamma(a + b + 2.0))
+    return x, mu0 / _orthonormal_values(x, diag, off)[2]
+
+
 @lru_cache(maxsize=None)
 def _gauss_lobatto_reference(q: int) -> np.ndarray:
-    x = roots_jacobi(q - 1, 1.0, 1.0)[0] if q > 1 else np.empty(0)
+    x = _gauss_jacobi(q - 1, 1.0, 1.0)[0] if q > 1 else np.empty(0)
     x = 0.5 * (x - x[::-1])  # enforce exact symmetry
     return np.concatenate(([-1.0], x, [1.0]))
 
@@ -110,7 +156,7 @@ def _leggauss(n: int):
 @lru_cache(maxsize=None)
 def _jacobi_unit_rule(n: int, alpha: float):
     # nodes/weights with sum(w*g(t)) = int_0^1 t**alpha * g(t) dt
-    x, w = roots_jacobi(n, 0.0, alpha)
+    x, w = _gauss_jacobi(n, 0.0, alpha)
     return (x + 1.0) / 2.0, w * 2.0 ** (-alpha - 1.0)
 
 
@@ -233,6 +279,8 @@ class WeightedMatrices:
     B_stiff = cached_property(lambda self: self._assembled(2))
 
     def _assembled(self, which: int) -> sparse.csr_matrix:
+        from scipy import sparse  # the full solve's oracle; the run path never assembles
+
         parts = []
         for group in self.groups:
             table = self.dofmap.element_table(group[0])

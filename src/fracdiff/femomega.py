@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .spectral import FractionalProblem
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,8 @@ class OmegaGrid:
 
     d: int
     n: int
+    # the sine_hat_integrals vectors of this grid by frequency (see sine_hats)
+    _sine_hats = cached_property(lambda self: {})
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -53,6 +58,8 @@ class OmegaGrid:
 
 
 def _p1_factors(n: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    from scipy import sparse
+
     h = 1.0 / n
     m = n - 1
     main_mass = np.full(m, 2.0 * h / 3.0)
@@ -74,6 +81,10 @@ class OmegaMatrices:
 
 
 def assemble_omega_matrices(grid: OmegaGrid) -> OmegaMatrices:
+    """The assembled base-domain pair of the full solve, the tests' oracle;
+    the run path reads only the closed-form sine eigenpairs."""
+    from scipy import sparse
+
     m1, k1 = _p1_factors(grid.n)
     d = grid.d
     A_mass = reduce(sparse.kron, [m1] * d).tocsr()
@@ -102,6 +113,18 @@ def sine_hat_integrals(grid: OmegaGrid, k: int) -> np.ndarray:
     return (vals @ t)[:-1] + (vals @ (1.0 - t))[1:]
 
 
+def sine_hats(grid: OmegaGrid, ks) -> list[np.ndarray]:
+    """:func:`sine_hat_integrals` of every frequency in ``ks``. Each distinct
+    frequency is computed once per grid, so once per level for the load and
+    the trace error together, and kept read-only with the grid."""
+    table = grid._sine_hats
+    for k in ks:
+        if k not in table:
+            table[k] = sine_hat_integrals(grid, k)
+            table[k].setflags(write=False)
+    return [table[k] for k in ks]
+
+
 def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
     """Load vector ``d_s * int f * eta_i dx``; the cylinder right-hand side
     is this vector placed in the unique y-dof supported at ``y = 0``. Each
@@ -109,5 +132,5 @@ def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
     the Kronecker product of the 1-D sine-hat integrals."""
     out = np.zeros(grid.n_dofs)
     for index, coef in problem.f.modes:
-        out += coef * reduce(np.kron, [sine_hat_integrals(grid, k) for k in index])
+        out += coef * reduce(np.kron, sine_hats(grid, index))
     return problem.d_s * out

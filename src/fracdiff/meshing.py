@@ -14,6 +14,7 @@ domain; the mesh itself holds only its nodes and degrees.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,8 +195,51 @@ def select_params_hp(
     return DiscretizationParams(scheme="hpfem", M=M, Y=Y, sigma=sigma, beta=beta)
 
 
+# Bytes a level keeps per element besides its element matrices: the node in
+# the mesh's tuple (a pointer and a float object) and the degree's slot.
+_NODE_BYTES = 48
+
+
+def _square_sum(a: float, b: float, lo: int, hi: int) -> float:
+    """``sum((a + b*j)**2 for j in range(lo, hi + 1))`` in closed form."""
+    count = hi - lo + 1
+    if count <= 0:
+        return 0.0
+    squares = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) / 6
+    return count * a * a + a * b * (lo + hi) * count + b * b * squares
+
+
+def y_storage_bytes(params: DiscretizationParams) -> float:
+    """A lower bound on the bytes the extended direction of the level keeps,
+    from ``M`` and the degrees alone: per element its node and its two
+    ``(p+1) x (p+1)`` element matrices. The hp degrees are bounded below by
+    :func:`linear_degree_vector` without its ceiling: on the geometric mesh
+    ``ln(h_m/h_1) = (m-1)*|ln sigma| + ln(1 - sigma)`` for ``m >= 2``."""
+    M = params.M
+    if params.scheme == "hfem":
+        squares = 4.0 * M
+    else:
+        # p_m + 1 >= 2 + beta*max(0, j*|ln sigma| + ln(1 - sigma)), j = m - 1
+        slope, offset = -math.log(params.sigma), math.log1p(-params.sigma)
+        j0 = min(M, max(1, math.ceil(-offset / slope)))
+        squares = 4.0 * j0 + _square_sum(2.0 + params.beta * offset, params.beta * slope, j0, M - 1)
+    return M * _NODE_BYTES + 16.0 * squares
+
+
+def physical_memory_bytes() -> int:
+    """The machine's physical memory, from the page size and count."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def build_ymesh(params: DiscretizationParams) -> YMesh:
-    """Materialize the mesh (and degree vector) described by ``params``."""
+    """Materialize the mesh (and degree vector) described by ``params``.
+
+    A level whose :func:`y_storage_bytes` exceeds the physical memory raises
+    :class:`MeshError` before any node is built."""
+    need, have = y_storage_bytes(params), physical_memory_bytes()
+    if need > have:
+        raise MeshError(f"M = {params.M} elements keep at least {need:.3g} bytes in the "
+                        f"extended direction, more than the {have:.3g} bytes of physical memory")
     if params.scheme == "hfem":
         return graded_mesh(params.M, params.mu, params.Y)
     if params.scheme == "hpfem":

@@ -53,8 +53,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .fem1d import WeightedMatrices
 from .femomega import OmegaGrid, OmegaMatrices
@@ -106,8 +104,9 @@ def _as_tensor(system: KroneckerSystem, x) -> tuple[np.ndarray, bool]:
 # Bytes of the temporaries of one block: a column block of the operator
 # product (:func:`kron_matvec` and the residual of :func:`solve`), a
 # shift-column block of the element condensation (the fold of
-# :func:`y_resolvent` and the build and apply of the full solve's inverse), or
-# a block of gathered pivot rows in :meth:`TensorPreconditioner.apply`.
+# :func:`y_resolvent` and the build and apply of the full solve's inverse), a
+# block of gathered pivot rows in :meth:`TensorPreconditioner.apply`, or (a
+# quarter of it) a block of lines of the sine transform :func:`_dst`.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -190,14 +189,39 @@ def _base_modes(grid: OmegaGrid) -> _BaseModes:
     return _BaseModes((grid.n - 1,) * grid.d, mass_eig, shifts, distinct, factor)
 
 
+def _dst_axis(X: np.ndarray):
+    """Orthonormal DST-I along axis 1 of the ``(a, n, b)`` array ``X``, in
+    place: the sine coefficients of a line are ``-Im(rfft(e)) / sqrt(2(n+1))``
+    at ``1..n`` for its odd extension ``e = (0, x, 0, -reversed x)`` of
+    length ``2(n+1)``. Lines go in blocks whose extension and spectrum fit
+    a quarter of ``_BLOCK_BYTES``, small enough that the transform never
+    sets the peak of :func:`solve` (and faster than larger blocks); each
+    line is transformed on its own, so the block size changes no bit."""
+    a, n, b = X.shape
+    lines = max(1, _BLOCK_BYTES // (4 * 8 * (2 * (n + 1) + 2 * (n + 2))))
+    cols = min(b, lines)
+    rows = max(1, lines // b)
+    scale = -1.0 / math.sqrt(2.0 * (n + 1))
+    for i in range(0, a, rows):
+        for j in range(0, b, cols):
+            block = X[i:i + rows, :, j:j + cols]
+            ext = np.empty((block.shape[0], 2 * (n + 1), block.shape[2]))
+            ext[:, 0] = ext[:, n + 1] = 0.0
+            ext[:, 1:n + 1] = block
+            np.negative(block[:, ::-1], out=ext[:, n + 2:])
+            np.multiply(np.fft.rfft(ext, axis=1).imag[:, 1:n + 1], scale, out=block)
+
+
 def _dst(T: np.ndarray, base_shape: tuple) -> np.ndarray:
     """Orthonormal DST-I over the base-domain axes of a ``(rows, N_omega)``
-    tensor or an ``(N_omega,)`` vector, in place when ``T`` is C-contiguous;
-    it is its own inverse."""
-    axes = tuple(range(1, 1 + len(base_shape)))
-    out = scipy.fft.dstn(T.reshape(-1, *base_shape), type=1, axes=axes, norm="ortho",
-                         overwrite_x=True)
-    return out.reshape(T.shape)
+    tensor or an ``(N_omega,)`` vector, one axis at a time; in place when
+    ``T`` is C-contiguous, else on a copy. It is its own inverse."""
+    T = np.ascontiguousarray(T, dtype=float)
+    X = T.reshape(-1, *base_shape)
+    for k, n in enumerate(base_shape):
+        _dst_axis(X.reshape(X.shape[0] * math.prod(base_shape[:k]), n,
+                            math.prod(base_shape[k + 1:])))
+    return T
 
 
 @dataclass
@@ -262,9 +286,14 @@ def _condense(y: WeightedMatrices, m: int, Xm: np.ndarray, Xs: np.ndarray) -> _B
     ``m``."""
     nverts = 2 if m < y.dofmap.M else 1
     try:
-        theta, W = scipy.linalg.eigh(Xs[2:, 2:], Xm[2:, 2:])
+        # W = L^-T V with L L^T the bump mass and V the eigenvectors of
+        # L^-1 Sbb L^-T (LAPACK's sygv, itype 1); the explicit inverse of L
+        # costs fewer calls than triangular solves on blocks this small
+        Linv = np.linalg.inv(np.linalg.cholesky(Xm[2:, 2:]))
+        theta, V = np.linalg.eigh(Linv @ Xs[2:, 2:] @ Linv.T)
     except np.linalg.LinAlgError as exc:
         raise _pivot_error(f"bump block of element {m}") from exc
+    W = Linv.T @ V
     starts = y.dofmap.bump_starts
     return _Bumps(slice(m - 1, m - 1 + nverts), slice(starts[m - 1], starts[m]), W, theta,
                   Xm[2:, :nverts].T @ W, Xs[2:, :nverts].T @ W)

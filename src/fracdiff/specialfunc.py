@@ -5,7 +5,9 @@ This module provides the scalar building blocks used by the exact-solution
 machinery: evaluation of ``K_nu`` for real order (production path plus an
 independent integral-representation cross-check), the profile ``psi_s`` with
 its closed-form first derivative, and the coefficient recurrence behind the
-representation of its higher derivatives.
+representation of its higher derivatives. Only oracles and tests evaluate
+``K_nu``, never the run path, so each function imports scipy where it calls
+it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 # Practical evaluation range; K_nu overflows float64 long before this for
 # small arguments, so callers stay well inside.
@@ -53,6 +54,8 @@ def bessel_k(nu, z) -> float | np.ndarray:
     arr, scalar = _as_float_array(z)
     if np.any(arr <= 0.0) or np.any(~np.isfinite(arr)):
         raise ValueError("bessel_k requires z > 0")
+    from scipy import special
+
     out = special.kv(order, arr)
     return float(out) if scalar else out
 
@@ -124,6 +127,8 @@ def psi(profile: PsiProfile, z) -> float | np.ndarray:
     arr, scalar = _as_float_array(z)
     if np.any(arr < 0.0):
         raise ValueError("psi requires z >= 0")
+    from scipy import special
+
     out = np.ones_like(arr)
     pos = arr > 0.0
     if np.any(pos):
@@ -178,6 +183,8 @@ def psi_nth_derivative(profile: PsiProfile, n: int, z) -> float | np.ndarray:
     arr, scalar = _as_float_array(z)
     if np.any(arr <= 0.0):
         raise ValueError("psi_nth_derivative requires z > 0")
+    from scipy import special
+
     coeffs = derivative_coeffs(n)
     s = profile.s
     out = np.zeros_like(arr)

@@ -247,7 +247,9 @@ class TestSolveCommand:
         ("hfem", "0.5", "--mu", "1e-3", "the first element width (1/M)**(1/mu)*Y = 10**-902.8 "
                                         "underflows to 0"),
         ("hpfem", "0.5", "--y-mult", "1e-300", "the stiffness scale 1/h**2 is not finite"),
-        ("hpfem", "0.5", "--beta", "1e6", "weighted rule on"),
+        # degrees near 2e6: the element matrices could never fit, which the
+        # storage estimate says before any node is built
+        ("hpfem", "0.5", "--beta", "1e6", "M = 4 elements keep at least "),
         ("hfem", "0.5", "--m-mult", "1e308", "the element count M = inf is not finite"),
         ("hpfem", "0.5", "--m-mult", "1e308", "the element count M = inf is not finite"),
         ("hfem", "0.5", "--y-mult", "1e308", "the truncation height Y = inf is not finite"),
@@ -282,8 +284,8 @@ class TestSolveCommand:
                      id="hpfem-0.01-n64-subnormal width"),
         pytest.param("hpfem", "1e-320", "8", "the element count M = inf is not finite",
                      id="hpfem-1e-320-n8-element count"),
-        pytest.param("hpfem", "1e-9", "8", "the first element width sigma**(M-1)*Y = "
-                     "10**-1580407476.0 underflows to 0", id="hpfem-1e-9-n8-first width"),
+        pytest.param("hpfem", "1e-9", "8", "M = 1750000000 elements keep at least ",
+                     id="hpfem-1e-9-n8-storage"),
     ])
     def test_small_order_level_ends_in_bounded_memory(self, tmp_path, scheme, s, n, cause):
         # hfem: element 2 has y_1/y_2 = 2**(-1/mu) below eps, so the weighted
@@ -292,8 +294,8 @@ class TestSolveCommand:
         # splits, and at s=0.01 the first element is too thin for its stiffness;
         # at s=0.005 (n=8) and s=0.01 (n=64) it is subnormal, so the degree
         # rule must not divide by it. At s=1e-320 the element count overflows;
-        # at s=1e-9 it is 1.75e9, and the first width must be rejected before
-        # the nodes are built.
+        # at s=1e-9 it is 1.75e9, and the level's storage estimate must reject
+        # it before the nodes are built.
         done = run_cli_capped(["solve", "--scheme", scheme, "--s", s, "--d", "1", "--n", n,
                                "--out", str(tmp_path / "x")])
         assert "Traceback" not in done.stderr
@@ -303,6 +305,23 @@ class TestSolveCommand:
         else:
             assert done.returncode == 3, done.stderr
             assert f"solver failure: {scheme} s={float(s):g} d=1 n={n}: {cause}" in done.stderr
+
+    @pytest.mark.parametrize("scheme,M", [("hfem", 8_000_000_000_000),
+                                          ("hpfem", 3_500_000_000_000)])
+    def test_level_beyond_physical_memory_exits_3_before_building_nodes(self, tmp_path,
+                                                                        scheme, M):
+        # M = m_mult/h (h-FEM) or 1.75*m_mult*|ln h|/(s*|ln sigma|) (hp-FEM):
+        # millions of times the physical memory of any machine. The child has
+        # an address-space cap and a timeout, so a level that starts building
+        # its nodes fails there instead of exhausting the machine
+        done = run_cli_capped(["solve", "--scheme", scheme, "--s", "0.5", "--d", "1", "--n", "8",
+                               "--m-mult", "1e12", "--out", str(tmp_path / "x")],
+                              address_space=1_000_000_000, timeout=60)
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr
+        assert (f"solver failure: {scheme} s=0.5 d=1 n=8: M = {M} elements keep at least "
+                in done.stderr)
+        assert "bytes of physical memory" in done.stderr
 
     def test_solver_failure_names_the_level(self, tmp_path, capsys, monkeypatch):
         # element matrices half as large double d_s*omega**s*r_h: the
@@ -503,15 +522,32 @@ class TestRejectedBeforeAnyLevel:
                      "modes: mode (1,) has a non-finite coefficient inf")
 
 
-def test_cli_import_leaves_quadrature_modules_unloaded():
-    # scipy.integrate (and the scipy.optimize it imports) serve only oracles
+def test_cli_import_leaves_quadrature_modules_unloaded(tmp_path):
+    # scipy serves only selftest, the oracles and the tests: a fresh
+    # interpreter loads no scipy module to import the CLI, nor to solve with
+    # either scheme in d=1 and d=2
     src = str(Path(fracdiff.__file__).resolve().parents[1])
-    code = ("import sys, fracdiff.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    code = f"""if True:
+        import json, sys
+        import fracdiff.cli
+
+        def loaded():
+            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+        seen = {{"import": loaded()}}
+        for scheme in ("hfem", "hpfem"):
+            for d in ("1", "2"):
+                code = fracdiff.cli.main(["solve", "--scheme", scheme, "--d", d, "--n", "8,12",
+                                          "--out", {str(tmp_path / "run")!r}])
+                seen[f"{{scheme}} d={{d}}"] = loaded() + ([] if code == 0 else [f"exit {{code}}"])
+        print(json.dumps(seen))
+        """
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert list(seen) == ["import", "hfem d=1", "hfem d=2", "hpfem d=1", "hpfem d=2"]
+    assert all(modules == [] for modules in seen.values()), seen
 
 
 class TestSelftest:

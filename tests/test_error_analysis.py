@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdiff import error_analysis
+from fracdiff import error_analysis, femomega
 from fracdiff.error_analysis import (
     StudyRow,
     direct_energy_error_small,
@@ -320,6 +320,53 @@ class TestStudyDriver:
         monkeypatch.setattr(error_analysis, name, forbidden)
         row = run_level(benchmark_problem(0.5, 2), "hpfem", 8)
         assert row.N_total == 49 * row.N_Y
+
+
+class TestSineHatReuse:
+    """Each 1-D sine-hat vector is computed once per distinct frequency per
+    level, with the arithmetic of one call per mode and axis."""
+
+    LOAD = [((1, 1), 1.0), ((2, 3), -0.5), ((3, 2), 0.25), ((5, 5), 0.7), ((1, 4), -0.3)]
+
+    def test_run_level_computes_each_frequency_once(self, monkeypatch):
+        calls = []
+        compute = femomega.sine_hat_integrals
+
+        def counted(grid, k):
+            calls.append((grid.n, k))
+            return compute(grid, k)
+
+        monkeypatch.setattr(femomega, "sine_hat_integrals", counted)
+        domain = BoxDomain(2)
+        problem = FractionalProblem(s=0.8, domain=domain, f=modal_function(domain, self.LOAD))
+        for n in (8, 16):
+            run_level(problem, "hfem", n)
+        k_modes = error_analysis._default_mode_count(problem)
+        ks = {k for index in domain.modes_by_eigenvalue(k_modes) for k in index}
+        assert sorted(calls) == sorted((n, k) for n in (8, 16) for k in ks)
+
+    def test_load_and_trace_error_are_bitwise_the_per_mode_products(self):
+        domain = BoxDomain(2)
+        problem = FractionalProblem(s=0.8, domain=domain, f=modal_function(domain, self.LOAD))
+        grid = OmegaGrid(2, 12)
+        load = assemble_load(grid, problem)
+        want = np.zeros(grid.n_dofs)
+        for index, coef in problem.f.modes:
+            want += coef * np.kron(*(femomega.sine_hat_integrals(grid, k) for k in index))
+        assert load.tobytes() == (problem.d_s * want).tobytes()
+
+        trace = np.random.default_rng(8).standard_normal(grid.n_dofs)
+        k_modes = error_analysis._default_mode_count(problem)
+        indices = domain.modes_by_eigenvalue(k_modes)
+        exact = {idx: c for idx, _, c in solve_fractional(problem).orthonormal_items()}
+        value_sq = 0.0
+        for idx in indices:
+            T = trace
+            for k in idx:
+                T = femomega.sine_hat_integrals(grid, k) @ T.reshape(grid.n - 1, -1)
+            c = exact.get(idx, 0.0) - 2.0 * float(T[0])
+            value_sq += domain.eigenvalue(idx) ** problem.s * c * c
+        assert trace_hs_error(problem, grid, trace, k_modes) == math.sqrt(value_sq)
 
 
 class TestSolverAccuracy:

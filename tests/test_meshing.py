@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdiff import meshing
 from fracdiff.fem1d import YDofMap
 from fracdiff.meshing import (
     MeshError,
@@ -15,6 +16,7 @@ from fracdiff.meshing import (
     linear_degree_vector,
     select_params_h,
     select_params_hp,
+    y_storage_bytes,
 )
 
 mesh_sizes = st.integers(min_value=1, max_value=40)
@@ -193,3 +195,33 @@ class TestParamSelection:
         params_h = select_params_h(1 / 16, 0.8, 2 * math.pi**2)
         mesh_h = build_ymesh(params_h)
         assert mesh_h.degrees == (1,) * params_h.M
+
+
+class TestStorageEstimate:
+    @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
+    @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 64, 1 / 1024])
+    @pytest.mark.parametrize("m_mult,sigma,beta", [(1.0, 0.125, 0.7), (3.0, 0.125, 0.7),
+                                                   (2.0, 0.6, 2.0), (1.0, 0.95, 0.3)])
+    def test_is_a_lower_bound_on_nodes_and_element_matrices(self, scheme, s, h, m_mult,
+                                                             sigma, beta):
+        if scheme == "hfem":
+            params = select_params_h(h, s, math.pi**2, m_mult=m_mult)
+        else:
+            params = select_params_hp(h, s, math.pi**2, sigma=sigma, beta=beta, m_mult=m_mult)
+        mesh = build_ymesh(params)
+        kept = params.M * meshing._NODE_BYTES + 16 * sum((p + 1) ** 2 for p in mesh.degrees)
+        # measured 0.58 to 1 of it over these cases
+        assert 0.5 * kept <= y_storage_bytes(params) <= kept
+
+    def test_level_beyond_physical_memory_is_rejected_before_its_nodes(self, monkeypatch):
+        params = select_params_h(1 / 8, 0.5, math.pi**2)
+        monkeypatch.setattr(meshing, "physical_memory_bytes", lambda: 800)
+
+        def no_nodes(*args):
+            raise AssertionError("nodes built")
+
+        monkeypatch.setattr(meshing, "graded_mesh", no_nodes)
+        with pytest.raises(MeshError, match=r"^M = 8 elements keep at least 896 bytes in the "
+                                            r"extended direction, more than the 800 bytes"):
+            build_ymesh(params)

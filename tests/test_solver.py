@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -397,15 +398,46 @@ class TestExactSolveOracle:
         got = solve(system, rhs, rel_tol=1e-10).coefficients.reshape(-1, order="F")
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
-    @pytest.mark.xfail(strict=True, raises=SolverError, reason=(
-        "residual floor (ROADMAP item 1): refinement stalls at 1.69e-10 on this "
-        "18-dof geometric case"))
-    def test_small_geometric_case_reaches_tol(self):
-        # a case the random search above draws now and then (d=1, n=2,
-        # alpha=-0.9375, degrees 1, 3, 6, 8)
-        system = make_system(d=1, n=2, mesh=hp_mesh(4, 0.0546875, 0.5, 0.7), alpha=-0.9375)
-        rhs = np.random.default_rng(0).standard_normal((system.n_omega, system.n_y))
-        solve(system, rhs, rel_tol=1e-10)
+
+class TestSineTransform:
+    """``_dst`` from numpy's real FFT of the odd extension against scipy's
+    orthonormal DST-I."""
+
+    @staticmethod
+    def scipy_dst(T, base_shape):
+        axes = tuple(range(1, 1 + len(base_shape)))
+        return scipy.fft.dstn(T.reshape(-1, *base_shape), type=1, axes=axes,
+                              norm="ortho").reshape(T.shape)
+
+    @pytest.mark.parametrize("shape,base_shape", [
+        ((63,), (63,)), ((1, 63), (63,)), ((37, 64), (64,)),
+        ((39 * 39,), (39, 39)), ((1, 40 * 40), (40, 40)), ((23, 40 * 40), (40, 40)),
+    ])
+    def test_matches_scipy_in_place(self, shape, base_shape):
+        T = np.random.default_rng(3).standard_normal(shape)
+        want = self.scipy_dst(T, base_shape)
+        got = solver._dst(T, base_shape)
+        assert got is T
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        back = solver._dst(got, base_shape)
+        assert np.max(np.abs(back - self.scipy_dst(want, base_shape))) <= 1e-15 * np.max(np.abs(want))
+
+    def test_transposed_input_is_transformed_on_a_copy(self):
+        R = np.asfortranarray(np.random.default_rng(4).standard_normal((7, 5)))
+        want = self.scipy_dst(np.ascontiguousarray(R), (5,))
+        kept = R.copy()
+        got = solver._dst(R, (5,))
+        assert R.tobytes() == kept.tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("lines", [1, 2, 7])
+    @pytest.mark.parametrize("shape,base_shape", [((9, 30), (30,)), ((3, 30 * 30), (30, 30))])
+    def test_line_blocks_change_no_bit(self, monkeypatch, shape, base_shape, lines):
+        T = np.random.default_rng(5).standard_normal(shape)
+        want = solver._dst(T.copy(), base_shape)
+        n = base_shape[0]
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", lines * 4 * 8 * (2 * (n + 1) + 2 * (n + 2)))
+        assert solver._dst(T, base_shape).tobytes() == want.tobytes()
 
 
 class TestTrace:
@@ -467,6 +499,18 @@ class TestYResolvent:
         for w, r in zip(shifts, got):
             want = exact_resolvent(level.weighted, w, digits=60)
             assert abs(Decimal(float(r)) - want) <= Decimal(1e-14) * want
+
+    def test_small_geometric_case_matches_exact_elimination(self, exact_resolvent):
+        # a case the random search of TestExactSolveOracle draws now and then
+        # (d=1, n=2, alpha=-0.9375, degrees 1, 3, 6, 8). The full solve's
+        # residual here is rounding noise near 1e-10: 3.4e-11 after one
+        # application, 3.0e-10 after the next; 3.0e-10 and 2.0e-10 with other
+        # forms of the bump eigen-reduction. The fold is exact to 1e-14
+        system = make_system(d=1, n=2, mesh=hp_mesh(4, 0.0546875, 0.5, 0.7), alpha=-0.9375)
+        shifts = np.array([0.5, 30.0, 4e3, *solver._base_modes(system.omega.grid).distinct])
+        for w, r in zip(shifts, y_resolvent(system.y, shifts)):
+            want = exact_resolvent(system.y, w)
+            assert abs(Fraction(float(r)) - want) <= 1e-14 * want
 
     def test_one_element_chain(self):
         # r_h = 1/E00 of the single element, its top vertex constrained
