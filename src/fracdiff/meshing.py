@@ -195,35 +195,48 @@ def select_params_hp(
     return DiscretizationParams(scheme="hpfem", M=M, Y=Y, sigma=sigma, beta=beta)
 
 
-# Bytes a level keeps per element besides its element matrices: the node in
-# the mesh's tuple (a pointer and a float object) and the degree's slot.
-_NODE_BYTES = 48
+# Bytes a level keeps per element besides its element matrices: the node (a
+# float object and its slot in the mesh's tuple) and the degree's slot.
+_NODE_BYTES = 40
+# Bytes assembly holds per element until it returns, besides the element
+# matrices and the quadrature weights: the node and width arrays, the
+# element's entry in its group's index array and the slot of its number in
+# the group's list. Numbers above 256, beyond CPython's small-int cache, are
+# int objects of 28 bytes.
+_ASSEMBLY_BYTES = 32
+_INT_BYTES, _CACHED_INTS = 28, 256
 
 
-def _square_sum(a: float, b: float, lo: int, hi: int) -> float:
-    """``sum((a + b*j)**2 for j in range(lo, hi + 1))`` in closed form."""
+def _power_sums(a: float, b: float, lo: int, hi: int) -> tuple[float, float]:
+    """``sum(a + b*j)`` and ``sum((a + b*j)**2)`` over ``j = lo..hi`` in
+    closed form."""
     count = hi - lo + 1
     if count <= 0:
-        return 0.0
-    squares = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) / 6
-    return count * a * a + a * b * (lo + hi) * count + b * b * squares
+        return 0.0, 0.0
+    sum_j = (lo + hi) * count / 2
+    sum_j2 = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) / 6
+    return count * a + b * sum_j, count * a * a + 2 * a * b * sum_j + b * b * sum_j2
 
 
 def y_storage_bytes(params: DiscretizationParams) -> float:
-    """A lower bound on the bytes the extended direction of the level keeps,
-    from ``M`` and the degrees alone: per element its node and its two
-    ``(p+1) x (p+1)`` element matrices. The hp degrees are bounded below by
+    """A lower bound on the peak bytes of the extended direction while the
+    level is built and assembled, from ``M`` and the degrees alone: per
+    element its node, its two ``(p+1) x (p+1)`` element matrices, its at
+    least ``p + 2`` quadrature weights and what assembly holds besides (see
+    ``_ASSEMBLY_BYTES``). The hp degrees are bounded below by
     :func:`linear_degree_vector` without its ceiling: on the geometric mesh
     ``ln(h_m/h_1) = (m-1)*|ln sigma| + ln(1 - sigma)`` for ``m >= 2``."""
     M = params.M
     if params.scheme == "hfem":
-        squares = 4.0 * M
+        linear, squares = 2.0 * M, 4.0 * M  # the sums of p + 1 and (p + 1)**2
     else:
         # p_m + 1 >= 2 + beta*max(0, j*|ln sigma| + ln(1 - sigma)), j = m - 1
         slope, offset = -math.log(params.sigma), math.log1p(-params.sigma)
         j0 = min(M, max(1, math.ceil(-offset / slope)))
-        squares = 4.0 * j0 + _square_sum(2.0 + params.beta * offset, params.beta * slope, j0, M - 1)
-    return M * _NODE_BYTES + 16.0 * squares
+        linear, squares = _power_sums(2.0 + params.beta * offset, params.beta * slope, j0, M - 1)
+        linear, squares = linear + 2.0 * j0, squares + 4.0 * j0
+    return (M * (_NODE_BYTES + _ASSEMBLY_BYTES) + 16.0 * squares + 8.0 * (linear + M)
+            + _INT_BYTES * max(0, M - _CACHED_INTS))
 
 
 def physical_memory_bytes() -> int:
@@ -238,8 +251,9 @@ def build_ymesh(params: DiscretizationParams) -> YMesh:
     :class:`MeshError` before any node is built."""
     need, have = y_storage_bytes(params), physical_memory_bytes()
     if need > have:
-        raise MeshError(f"M = {params.M} elements keep at least {need:.3g} bytes in the "
-                        f"extended direction, more than the {have:.3g} bytes of physical memory")
+        raise MeshError(f"M = {params.M} elements keep at least {need:.3g} bytes while the "
+                        f"extended direction is assembled, more than the {have:.3g} bytes of "
+                        "physical memory")
     if params.scheme == "hfem":
         return graded_mesh(params.M, params.mu, params.Y)
     if params.scheme == "hpfem":

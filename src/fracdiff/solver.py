@@ -30,20 +30,9 @@ sweep over all distinct shifts at once. Iterative refinement brings the true
 residual, the one product with the assembled ``B_mass`` and ``B_stiff``,
 below tolerance.
 
-Every ``(N_omega, N_y)`` tensor this module returns is in Fortran order. The
-cylinder right-hand side holds one resident column: its other columns are
-zero pages that are never written. Working set of ``solve`` beyond it, in
-arrays of ``N_total`` doubles: the solution and the vertex factors of the
-tridiagonal (for h-FEM, where every y-dof is a vertex, two arrays in d=1 and
-about one in d=2; for hp-FEM ``2 M / N_y`` of that). The residual norm is
-summed over column blocks, and the residual tensor is allocated only by a
-check that does not pass; the next refinement step transforms it in place.
-On top comes a fixed budget of ``_BLOCK_BYTES`` blocks: the column blocks of
-the operator product, the shift blocks of the element condensation and the
-factor rows gathered for the modes in d=2. A converging h-FEM d=2 solve
-holds about 2.5 arrays, one that refines about 3.4. The first application
-of the inverse transforms only the non-zero y-columns of the right-hand
-side: one for the cylinder right-hand side.
+Every ``(N_omega, N_y)`` tensor this module returns is in Fortran order.
+``solve`` is a plain reference for desk sizes: nothing in it bounds its
+working set, which is a few arrays of ``N_total`` doubles.
 """
 
 from __future__ import annotations
@@ -101,45 +90,20 @@ def _as_tensor(system: KroneckerSystem, x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-# Bytes of the temporaries of one block: a column block of the operator
-# product (:func:`kron_matvec` and the residual of :func:`solve`), a
-# shift-column block of the element condensation (the fold of
-# :func:`y_resolvent` and the build and apply of the full solve's inverse), a
-# block of gathered pivot rows in :meth:`TensorPreconditioner.apply`, or (a
-# quarter of it) a block of lines of the sine transform :func:`_dst`.
+# Bytes of the temporaries of one block: a shift-column block of the
+# element condensation in the fold of :func:`y_resolvent`, or (a quarter of
+# it) a block of lines of the sine transform :func:`_dst`.
 _BLOCK_BYTES = 4 << 20
-
-
-def _block_columns(n_omega: int) -> int:
-    """Y-columns per block of :func:`kron_matvec`: three ``(N_omega, block)``
-    temporaries fit ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // (3 * 8 * n_omega))
-
-
-def _product_block(system: KroneckerSystem, XT: np.ndarray, cols: slice, out: np.ndarray):
-    """``S X`` on the y-columns ``cols`` into ``out``, given ``XT = X^T``
-    C-contiguous; every entry is summed in the same order as by the
-    unblocked products."""
-    out[...] = system.omega.A_stiff @ (system.y.B_mass[cols] @ XT).T
-    out += system.omega.A_mass @ (system.y.B_stiff[cols] @ XT).T
 
 
 def kron_matvec(system: KroneckerSystem, x) -> np.ndarray:
     """Apply the operator: ``A_stiff X B_mass^T + A_mass X B_stiff^T`` on the
     matricized coefficients. Accepts flat vectors or tensors and returns the
-    same shape; a tensor result is in Fortran order.
-
-    Blocks of output columns are computed one at a time, so the working set
-    beyond the result is three ``(N_omega, block)`` temporaries (and a
-    transposed copy of a C-ordered tensor input); every entry is summed in
-    the same order as by the unblocked products."""
+    same shape; a tensor result is in Fortran order."""
     X, flat = _as_tensor(system, x)
-    XT = np.ascontiguousarray(X.T)
-    n_omega, n_y = X.shape
-    out = np.empty((n_omega, n_y), order="F")
-    step = _block_columns(n_omega)
-    for j in range(0, n_y, step):
-        _product_block(system, XT, slice(j, j + step), out[:, j:j + step])
+    out = system.omega.A_stiff @ (system.y.B_mass @ X.T).T
+    out += system.omega.A_mass @ (system.y.B_stiff @ X.T).T
+    out = np.asfortranarray(out)
     return out.reshape(-1, order="F") if flat else out
 
 
@@ -194,9 +158,8 @@ def _dst_axis(X: np.ndarray):
     place: the sine coefficients of a line are ``-Im(rfft(e)) / sqrt(2(n+1))``
     at ``1..n`` for its odd extension ``e = (0, x, 0, -reversed x)`` of
     length ``2(n+1)``. Lines go in blocks whose extension and spectrum fit
-    a quarter of ``_BLOCK_BYTES``, small enough that the transform never
-    sets the peak of :func:`solve` (and faster than larger blocks); each
-    line is transformed on its own, so the block size changes no bit."""
+    a quarter of ``_BLOCK_BYTES`` (faster than larger blocks); each line is
+    transformed on its own, so the block size changes no bit."""
     a, n, b = X.shape
     lines = max(1, _BLOCK_BYTES // (4 * 8 * (2 * (n + 1) + 2 * (n + 2))))
     cols = min(b, lines)
@@ -249,20 +212,23 @@ class _Bumps:
         return 1.0 / np.add.outer(self.theta, shifts)
 
 
-def _shift_blocks(n: int, bumps: int, rows: int = 2) -> list[slice]:
-    """Slices of ``n`` shift columns whose condensation temporaries for an
-    element of up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column the
-    coupling (at most two rows of bumps), ``1/(omega + theta)`` and its
-    ``omega + theta``, and ``rows`` rows of one column each. In ``apply``
-    those are one product and the result (the default ``rows``), the build's
-    two products take 7/4 of that, and the fold of :func:`y_resolvent`
-    holds up to ``_FOLD_ROWS``.
+# Rows of one shift column that the fold holds besides the coupling and
+# 1/(omega + theta) (see _shift_blocks): the two-port's outputs, their
+# products with the shifts and the fold's own temporaries.
+_FOLD_ROWS = 12
+
+
+def _shift_blocks(n: int, bumps: int) -> list[slice]:
+    """Slices of ``n`` shift columns whose fold temporaries for an element of
+    up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column the coupling (at
+    most two rows of bumps), ``1/(omega + theta)`` and its ``omega + theta``,
+    and ``_FOLD_ROWS`` rows of one column each.
 
     No block is one column wide unless ``n`` is 1: ``np.einsum`` reduces
     over the bumps in another order when the shift axis has length 1, so a
     one-column block would not be bitwise equal to the unblocked
     contraction. A last column left over joins the block before it."""
-    step = max(2, _BLOCK_BYTES // (8 * (4 * bumps + rows)))
+    step = max(2, _BLOCK_BYTES // (8 * (4 * bumps + _FOLD_ROWS)))
     starts = range(0, max(n - 1, 1), step)
     return [slice(j, j + step) for j in starts[:-1]] + [slice(starts[-1], n)]
 
@@ -327,12 +293,6 @@ def _two_port(Xm: np.ndarray, Xs: np.ndarray, el: _Bumps | None, w: np.ndarray):
     return g, rho[0], rho[1]
 
 
-# Rows of one shift column that the fold holds besides the coupling and
-# 1/(omega + theta) (see _shift_blocks): the two-port's outputs, their
-# products with the shifts and the fold's own temporaries.
-_FOLD_ROWS = 12
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # the certificate rejects them
 def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     """``r_h(w) = e0^T (w*B_mass + B_stiff)^-1 e0`` at every shift ``w``,
@@ -353,7 +313,7 @@ def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     elements = _by_element(y)
     bumps = {m: _condense(y, m, Xm, Xs) for m, Xm, Xs in elements if len(Xm) > 2}
     r = np.empty(shifts.size)
-    for c in _shift_blocks(shifts.size, max(y.mesh.degrees) - 1, _FOLD_ROWS):
+    for c in _shift_blocks(shifts.size, max(y.mesh.degrees) - 1):
         w = shifts[c]
         (m, Xm, Xs), *below = elements[::-1]
         q = _top_admittance(Xm, Xs, bumps.get(m), w)
@@ -418,8 +378,7 @@ class TensorPreconditioner:
         finite where they are formed). Rows 0 and 1 of element m are the
         vertices m-1 and m (the top one constrained); summed, at most two
         entries a vertex, they give the vertex tridiagonal, onto which the
-        bump rows ``2:`` are condensed in ascending element order, in shift
-        blocks."""
+        bump rows ``2:`` are condensed in ascending element order."""
         modes = _base_modes(system.omega.grid)
         distinct = modes.distinct
 
@@ -436,19 +395,17 @@ class TensorPreconditioner:
         off += vertex[1, 1, :-1, None]
 
         elements = []
-        blocks = _shift_blocks(distinct.size, max(system.y.mesh.degrees) - 1)
         for m, Xm, Xs in _by_element(system.y):
             if len(Xm) == 2:
                 continue
             el = _condense(system.y, m, Xm, Xs)
-            for c in blocks:
-                inv = el.inverse_diagonal(distinct[c])
-                if not np.all(inv > 0.0):
-                    raise _pivot_error(f"bump block of element {m}")
-                C = el.coupling(distinct[c])
-                diag[el.verts, c] -= np.sum(C * C * inv, axis=1)
-                if el.P.shape[0] == 2:
-                    off[m - 1, c] -= np.sum(C[0] * C[1] * inv, axis=0)
+            inv = el.inverse_diagonal(distinct)
+            if not np.all(inv > 0.0):
+                raise _pivot_error(f"bump block of element {m}")
+            C = el.coupling(distinct)
+            diag[el.verts] -= np.sum(C * C * inv, axis=1)
+            if el.P.shape[0] == 2:
+                off[m - 1] -= np.sum(C[0] * C[1] * inv, axis=0)
             elements.append(el)
 
         for i in range(nv - 1):
@@ -459,50 +416,27 @@ class TensorPreconditioner:
         return cls(base_shape=modes.base_shape, mass_eig=modes.mass_eig, shifts=modes.shifts,
                    factor=modes.factor, elements=elements, pivots=diag, lower=off)
 
-    def _factor_rows(self, A: np.ndarray, rows) -> np.ndarray:
-        """Rows of the vertex factor ``A`` (``pivots`` or ``lower``) for
-        every mode: a view where each mode has its own column (d=1), else
-        gathered from the distinct-shift columns."""
-        return A[rows] if self.factor is None else np.take(A[rows], self.factor, axis=-1)
-
-    def apply(self, R: np.ndarray, *, overwrite_r: bool = False) -> np.ndarray:
+    def apply(self, R: np.ndarray) -> np.ndarray:
         """``S^-1 R`` for an ``(N_omega, N_y)`` tensor, returned in Fortran
-        order. ``R`` is left unchanged unless ``overwrite_r``, in which case
-        its buffer may hold the result. Only the y-columns of ``R`` that hold
-        a non-zero are transformed: the DST of a zero column is zero."""
-        if overwrite_r:
-            G = _dst(R.T, self.base_shape)
-        else:
-            live = np.flatnonzero(np.any(R, axis=0))
-            G = _dst(R.T[live], self.base_shape)  # a copy of the live columns
-            if live.size < R.shape[1]:
-                full = np.zeros(R.shape[::-1])
-                full[live] = G
-                G = full
+        order; ``R`` is left unchanged."""
+        G = _dst(np.array(R.T, order="C"), self.base_shape)  # a copy: transformed in place
         G /= self.mass_eig
-        shifts = self.shifts
-        blocks = _shift_blocks(shifts.size, max((el.theta.size for el in self.elements),
-                                                default=1))
+        shifts, L, D = self.shifts, self.lower, self.pivots
+        if self.factor is not None:  # the factors of each mode's distinct shift
+            L, D = L[:, self.factor], D[:, self.factor]
         for el in self.elements:
             G[el.bumps] = el.W.T @ G[el.bumps]
-            for c in blocks:
-                G[el.verts, c] -= np.einsum("ikn,kn->in", el.coupling(shifts[c]),
-                                            G[el.bumps, c] * el.inverse_diagonal(shifts[c]))
-        L, D, factor_rows = self.lower, self.pivots, self._factor_rows
+            G[el.verts] -= np.einsum("ikn,kn->in", el.coupling(shifts),
+                                     G[el.bumps] * el.inverse_diagonal(shifts))
         nv = D.shape[0]
         for i in range(nv - 1):
-            G[i + 1] -= factor_rows(L, i) * G[i]
-        step = max(1, _BLOCK_BYTES // (8 * G.shape[1]))
-        for j in range(0, nv, step):
-            rows = slice(j, min(j + step, nv))
-            G[rows] /= factor_rows(D, rows)
+            G[i + 1] -= L[i] * G[i]
+        G[:nv] /= D
         for i in range(nv - 2, -1, -1):
-            G[i] -= factor_rows(L, i) * G[i + 1]
+            G[i] -= L[i] * G[i + 1]
         for el in self.elements:
-            for c in blocks:
-                z = G[el.bumps, c] - np.einsum("ikn,in->kn", el.coupling(shifts[c]),
-                                               G[el.verts, c])
-                G[el.bumps, c] = z * el.inverse_diagonal(shifts[c])
+            z = G[el.bumps] - np.einsum("ikn,in->kn", el.coupling(shifts), G[el.verts])
+            G[el.bumps] = z * el.inverse_diagonal(shifts)
             G[el.bumps] = el.W @ G[el.bumps]
         return _dst(G, self.base_shape).T
 
@@ -521,41 +455,6 @@ class SolutionTensor:
         """Coefficients of the unique y-basis function supported at the
         bottom of the cylinder; nodal values of the trace."""
         return self.coefficients[:, 0].copy()
-
-
-def _residual(system: KroneckerSystem, B: np.ndarray, X: np.ndarray, norm_b: float,
-              rel_tol: float) -> tuple[float, np.ndarray | None]:
-    """``||B - S X|| / norm_b`` over the column blocks of :func:`kron_matvec`,
-    and the Fortran-ordered residual ``B - S X`` when that exceeds
-    ``rel_tol`` (else None).
-
-    Blocks go to one scratch block until the running norm passes
-    ``rel_tol``; only then is the residual allocated, the blocks before
-    that one computed again into it and the rest written straight into it.
-    The norm is summed block by block, so it may differ from
-    ``np.linalg.norm`` of the residual in the last bits."""
-    XT = np.ascontiguousarray(X.T)
-    n_omega, n_y = X.shape
-    step = _block_columns(n_omega)
-
-    def residual_block(j, out):
-        cols = slice(j, j + step)
-        _product_block(system, XT, cols, out)
-        np.subtract(B[:, cols], out, out=out)
-
-    scratch = np.empty((n_omega, min(step, n_y)), order="F")
-    sumsq, R = 0.0, None
-    for j in range(0, n_y, step):
-        block = R[:, j:j + step] if R is not None else scratch[:, :min(step, n_y - j)]
-        residual_block(j, block)
-        sumsq += float(np.vdot(block.T, block.T))  # .T: vdot copies F-ordered input
-        if R is None and math.sqrt(sumsq) / norm_b > rel_tol:
-            R = np.empty((n_omega, n_y), order="F")
-            R[:, j:j + step] = block
-            del scratch, block  # freed before the earlier blocks are recomputed
-            for k in range(0, j, step):
-                residual_block(k, R[:, k:k + step])
-    return math.sqrt(sumsq) / norm_b, R
 
 
 def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTensor:
@@ -578,7 +477,8 @@ def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTenso
     X = inverse.apply(B)
     applies, previous = 1, math.inf
     while True:
-        relres, R = _residual(system, B, X, norm_b, rel_tol)
+        R = B - kron_matvec(system, X)
+        relres = float(np.linalg.norm(R)) / norm_b
         if relres <= rel_tol:
             return SolutionTensor(X, applies, relres)
         if not (math.isfinite(relres) and relres <= 0.5 * previous):
@@ -591,6 +491,5 @@ def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTenso
                 iterations=applies,
             )
         previous = relres
-        X += inverse.apply(R, overwrite_r=True)
-        del R  # freed before the next residual is allocated
+        X += inverse.apply(R)
         applies += 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdiff import meshing
-from fracdiff.fem1d import YDofMap
+from fracdiff.fem1d import QuadratureError, YDofMap, assemble_weighted_matrices
 from fracdiff.meshing import (
     MeshError,
     build_ymesh,
@@ -197,31 +198,69 @@ class TestParamSelection:
         assert mesh_h.degrees == (1,) * params_h.M
 
 
+def _assembly_peak(params, alpha: float) -> int:
+    """Traced peak bytes of building the level's y-mesh and assembling its
+    element matrices."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assemble_weighted_matrices(build_ymesh(params), alpha=alpha)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _no_nodes(*args):
+    raise AssertionError("nodes built")
+
+
 class TestStorageEstimate:
     @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
     @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("h", [1 / 8, 1 / 64, 1 / 1024])
     @pytest.mark.parametrize("m_mult,sigma,beta", [(1.0, 0.125, 0.7), (3.0, 0.125, 0.7),
                                                    (2.0, 0.6, 2.0), (1.0, 0.95, 0.3)])
-    def test_is_a_lower_bound_on_nodes_and_element_matrices(self, scheme, s, h, m_mult,
-                                                             sigma, beta):
+    def test_is_a_lower_bound_on_the_assembly_peak(self, scheme, s, h, m_mult, sigma, beta):
         if scheme == "hfem":
             params = select_params_h(h, s, math.pi**2, m_mult=m_mult)
         else:
             params = select_params_hp(h, s, math.pi**2, sigma=sigma, beta=beta, m_mult=m_mult)
         mesh = build_ymesh(params)
         kept = params.M * meshing._NODE_BYTES + 16 * sum((p + 1) ** 2 for p in mesh.degrees)
-        # measured 0.58 to 1 of it over these cases
-        assert 0.5 * kept <= y_storage_bytes(params) <= kept
+        need = y_storage_bytes(params)
+        assert 0.5 * kept <= need
+        try:
+            assert need <= _assembly_peak(params, 1.0 - 2.0 * s)
+        except QuadratureError:
+            # no weighted rule reaches degree 176 (hp s=0.2 h=1/1024 sigma=0.6
+            # beta=2): the level fails before it holds its element matrices
+            assert max(mesh.degrees) >= 176
+
+    @pytest.mark.parametrize("s", [0.5, 0.2])
+    def test_level_whose_assembly_outgrows_memory_is_rejected_before_its_nodes(self,
+                                                                               monkeypatch, s):
+        # h-FEM M = 2e4 keeps 112 bytes per element (nodes, degrees, group
+        # indices and element matrices); building and assembling it peaks at
+        # 325 (s=0.5) and 313 (s=0.2) bytes per element, and the estimate
+        # counts 188 of them. Memory of 150 bytes per element holds what the
+        # level keeps, but not its assembly
+        params = select_params_h(1 / 8, s, math.pi**2, m_mult=2500)
+        M = params.M
+        assert M == 20_000
+        peak = _assembly_peak(params, 1.0 - 2.0 * s)
+        assert 180 * M <= y_storage_bytes(params) <= peak
+        have = 150 * M
+        assert 112 * M < have < peak
+        monkeypatch.setattr(meshing, "physical_memory_bytes", lambda: have)
+        monkeypatch.setattr(meshing, "graded_mesh", _no_nodes)
+        with pytest.raises(MeshError, match=r"^M = 20000 elements keep at least 3\.75e\+06 bytes"):
+            build_ymesh(params)
 
     def test_level_beyond_physical_memory_is_rejected_before_its_nodes(self, monkeypatch):
         params = select_params_h(1 / 8, 0.5, math.pi**2)
         monkeypatch.setattr(meshing, "physical_memory_bytes", lambda: 800)
-
-        def no_nodes(*args):
-            raise AssertionError("nodes built")
-
-        monkeypatch.setattr(meshing, "graded_mesh", no_nodes)
-        with pytest.raises(MeshError, match=r"^M = 8 elements keep at least 896 bytes in the "
-                                            r"extended direction, more than the 800 bytes"):
+        monkeypatch.setattr(meshing, "graded_mesh", _no_nodes)
+        with pytest.raises(MeshError, match=r"^M = 8 elements keep at least 1\.28e\+03 bytes while "
+                                            r"the extended direction is assembled, more than the "
+                                            r"800 bytes"):
             build_ymesh(params)

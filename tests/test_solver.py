@@ -93,12 +93,29 @@ class TestKronMatvec:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((system.n_omega, system.n_y))
         flat = kron_matvec(system, X.reshape(-1, order="F"))
-        assert np.allclose(flat.reshape(X.shape, order="F"), kron_matvec(system, X))
+        tensor = kron_matvec(system, X)
+        assert tensor.flags.f_contiguous
+        assert np.allclose(flat.reshape(X.shape, order="F"), tensor)
 
     def test_dimension_mismatch(self):
         system = make_system()
         with pytest.raises(ValueError):
             kron_matvec(system, np.zeros(system.n_total + 1))
+
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_layout_does_not_change_the_product_bitwise(self, layout):
+        # A_stiff (B_mass X^T)^T + A_mass (B_stiff X^T)^T, the same bits for a
+        # C- or Fortran-ordered X, and within rounding of the dense operator
+        system = make_system(d=2, n=7, mesh=hp_mesh(5, 0.125, 1.5, 0.7), alpha=-0.3)
+        X = np.random.default_rng(4).standard_normal((system.n_omega, system.n_y))
+        want = kron_matvec(system, np.asfortranarray(X))
+        got = kron_matvec(system, np.asarray(X, order=layout))
+        assert got.flags.f_contiguous
+        assert got.tobytes() == want.tobytes()
+        flat = kron_matvec(system, X.reshape(-1, order="F"))
+        assert flat.tobytes() == want.reshape(-1, order="F").tobytes()
+        dense = dense_operator(system) @ X.reshape(-1, order="F")
+        assert np.max(np.abs(flat - dense)) <= 1e-13 * np.abs(dense).max()
 
     def test_positive_definite(self):
         system = make_system(d=1, n=10, mesh=graded_mesh(7, 0.3, 1.2), alpha=0.5)
@@ -106,23 +123,6 @@ class TestKronMatvec:
         for _ in range(100):
             x = rng.standard_normal(system.n_total)
             assert float(x @ kron_matvec(system, x)) > 0.0
-
-    @pytest.mark.parametrize("layout", ["F", "C"])
-    def test_column_blocks_match_unblocked_products_bitwise(self, monkeypatch, layout):
-        # blocks of 4 y-columns over 21: five full blocks and a ragged one
-        system = make_system(d=2, n=7, mesh=hp_mesh(5, 0.125, 1.5, 0.7), alpha=-0.3)
-        assert system.n_y == 21
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 4 * (3 * 8 * system.n_omega))
-        X = np.asarray(np.random.default_rng(4).standard_normal((system.n_omega, system.n_y)),
-                       order=layout)
-        want = system.omega.A_stiff @ (system.y.B_mass @ X.T).T
-        want += system.omega.A_mass @ (system.y.B_stiff @ X.T).T
-        got = kron_matvec(system, X)
-        assert got.flags.f_contiguous
-        assert got.tobytes() == want.tobytes()
-        flat = kron_matvec(system, X.reshape(-1, order="F"))
-        assert flat.tobytes() == want.reshape(-1, order="F").tobytes()
-
 
 def jacobi_pcg_reference(system, rhs, rel_tol):
     # oracle: diagonally scaled conjugate gradients on the operator
@@ -169,7 +169,7 @@ def refinement_reference(system, rhs, rel_tol):
         if relres <= rel_tol or not relres <= 0.5 * previous:
             return X, applies, relres, relres > rel_tol
         previous = relres
-        X += inverse.apply(R, overwrite_r=True)
+        X += inverse.apply(R)
         applies += 1
 
 
@@ -206,13 +206,8 @@ class TestSolve:
     @pytest.mark.parametrize("mesh,alpha", [(graded_mesh(16, 0.1, 2.5), 0.6),
                                             (hp_mesh(8, 0.125, 2.5, 0.7), -0.6)],
                              ids=["graded", "hp"])
-    def test_blocked_residual_matches_full_residual(self, monkeypatch, mesh, alpha, d, n,
-                                                    case):
+    def test_matches_the_reference_refinement(self, mesh, alpha, d, n, case):
         system = make_system(d=d, n=n, mesh=mesh, alpha=alpha)
-        # residual blocks of 3 y-columns, so the crossing of rel_tol can fall
-        # after the first block and the blocks before it are recomputed
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 3 * (3 * 8 * system.n_omega))
-        assert system.n_y > 6
         rhs = np.asfortranarray(np.random.default_rng(5).standard_normal(
             (system.n_omega, system.n_y)))
         first = refinement_reference(system, rhs, 1.0)[2]
@@ -224,38 +219,13 @@ class TestSolve:
             with pytest.raises(SolverError) as err:
                 solve(system, rhs, rel_tol=rel_tol)
             assert err.value.iterations == applies
-            assert abs(err.value.residual - relres) <= 1e-14 * relres
+            assert err.value.residual == relres
         else:
             assert applies == {"converging": 1, "refining": 2}[case]
             sol = solve(system, rhs, rel_tol=rel_tol)
             assert sol.coefficients.tobytes() == X.tobytes()
             assert sol.iterations == applies
-            assert abs(sol.residual - relres) <= 1e-14 * relres
-
-    @pytest.mark.parametrize("crossing", [0, 2, 6, None])
-    def test_residual_allocated_from_the_crossing_block(self, monkeypatch, crossing):
-        system = make_system(d=2, n=8, mesh=hp_mesh(8, 0.125, 2.5, 0.7), alpha=-0.6)
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 3 * (3 * 8 * system.n_omega))
-        shape = (system.n_omega, system.n_y)
-        rng = np.random.default_rng(2)
-        B, X = (np.asfortranarray(rng.standard_normal(shape)) for _ in range(2))
-        want = B - kron_matvec(system, X)
-        norm_b = np.linalg.norm(B)
-        # the relative residual summed up to the start and the end of each
-        # 3-column block; rel_tol falls between them in the crossing block
-        ends = np.sqrt(np.cumsum(np.add.reduceat(np.sum(want * want, axis=0),
-                                                 np.arange(0, system.n_y, 3)))) / norm_b
-        starts = np.concatenate(([0.0], ends[:-1]))
-        assert ends.size > 7
-        rel_tol = (2.0 * ends[-1] if crossing is None
-                   else 0.5 * (starts[crossing] + ends[crossing]))
-        relres, R = solver._residual(system, B, X, norm_b, rel_tol)
-        assert abs(relres - np.linalg.norm(want) / norm_b) <= 1e-14 * relres
-        if crossing is None:
-            assert R is None
-        else:
-            assert R.flags.f_contiguous
-            assert R.tobytes() == want.tobytes()
+            assert sol.residual == relres
 
     def test_zero_rhs(self):
         system = make_system()
@@ -527,8 +497,30 @@ class TestYResolvent:
         want = y_resolvent(level.weighted, shifts)
         bumps = max(level.mesh.degrees) - 1
         monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 8 * (4 * bumps + solver._FOLD_ROWS))
-        assert solver._shift_blocks(shifts.size, bumps, solver._FOLD_ROWS)[0].stop == 5
+        assert solver._shift_blocks(shifts.size, bumps)[0].stop == 5
         assert np.array_equal(y_resolvent(level.weighted, shifts), want)
+
+
+    @pytest.mark.parametrize("step", [2, 3, 5, 16])
+    @pytest.mark.parametrize("d,n", [(1, 42), (2, 9)])
+    @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(6, 0.125, 2.0, 0.7),
+                                      hp_mesh(6, 0.125, 2.0, 2.0)],
+                             ids=["graded", "hp", "hp-many-bumps"])
+    def test_shift_blocks_match_one_block_bitwise(self, monkeypatch, mesh, d, n, step):
+        # 41 or 36 distinct shifts: with 2 or 5 per block (d=1) and 5 (d=2)
+        # one column is left over, and it joins the block before it; up to
+        # 21 bumps an element on the last mesh, none on the first
+        system = make_system(d=d, n=n, mesh=mesh, alpha=-0.3)
+        shifts = solver._base_modes(system.omega.grid).distinct
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 40)
+        bumps = max(mesh.degrees) - 1
+        assert len(solver._shift_blocks(shifts.size, bumps)) == 1
+        want = y_resolvent(system.y, shifts)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", step * 8 * (4 * bumps + solver._FOLD_ROWS))
+        blocks = solver._shift_blocks(shifts.size, bumps)
+        assert blocks[0].stop == step
+        assert blocks[-1].stop == shifts.size
+        assert y_resolvent(system.y, shifts).tobytes() == want.tobytes()
 
 
 # the benchmark workloads' levels with n <= 64
@@ -605,20 +597,6 @@ class TestPreconditionerApply:
         assert inverse.factor is None
         assert inverse.pivots.shape[1] == inverse.shifts.size
 
-    @pytest.mark.parametrize("step", [2, 3, 5, 16])
-    @pytest.mark.parametrize("d,n", [(1, 42), (2, 6)])
-    def test_shift_blocks_match_unblocked_condensation_bitwise(self, monkeypatch, d, n, step):
-        # 41 or 25 shift columns: with 2 or 5 (d=1), 2 or 3 (d=2) per block
-        # one column is left over, and it joins the block before it
-        system = make_system(d=d, n=n, mesh=hp_mesh(6, 0.125, 2.0, 0.7), alpha=-0.3)
-        inverse = TensorPreconditioner.build(system)
-        bumps = max(el.theta.size for el in inverse.elements)
-        R = np.random.default_rng(4).standard_normal((system.n_omega, system.n_y))
-        want = inverse.apply(R)
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", step * 8 * (4 * bumps + 2))
-        assert solver._shift_blocks(system.n_omega, bumps)[0].stop == step
-        assert inverse.apply(R).tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("mesh", [graded_mesh(9, 0.35, 1.8), graded_mesh(1, 1.0, 1.0)])
     def test_vertex_factors_match_the_assembled_tridiagonal_bitwise(self, mesh):
         # h-FEM has no bumps: the LDL^T sweep of omega*B_mass + B_stiff read
@@ -635,33 +613,30 @@ class TestPreconditionerApply:
         assert inverse.pivots.tobytes() == diag.tobytes()
         assert inverse.lower.tobytes() == off.tobytes()
 
-    @pytest.mark.parametrize("step", [2, 3, 5, 16])
-    @pytest.mark.parametrize("d,n", [(1, 42), (2, 9)])
-    def test_build_condenses_in_shift_blocks_bitwise(self, monkeypatch, d, n, step):
-        # 41 or 36 distinct shifts: with 2 or 5 per block (d=1) and 5 (d=2)
-        # one column is left over, and it joins the block before it; up to
-        # 21 bumps, enough for np.sum to reduce a lone column in another order
-        system = make_system(d=d, n=n, mesh=hp_mesh(6, 0.125, 2.0, 2.0), alpha=-0.3)
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 40)
-        want = TensorPreconditioner.build(system)
-        bumps = max(el.theta.size for el in want.elements)
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", step * 8 * (4 * bumps + 2))
-        assert solver._shift_blocks(want.pivots.shape[1], bumps)[0].stop == step
-        got = TensorPreconditioner.build(system)
-        assert got.pivots.tobytes() == want.pivots.tobytes()
-        assert got.lower.tobytes() == want.lower.tobytes()
+    @pytest.mark.parametrize("d,n", [(1, 24), (2, 9)])
+    @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(4, 0.125, 2.0, 0.7)],
+                             ids=["graded", "hp"])
+    def test_apply_matches_dense_solve(self, mesh, d, n):
+        # measured at most 7e-15 (condition numbers 94 to 3.9e3)
+        system = make_system(d=d, n=n, mesh=mesh, alpha=0.3)
+        R = np.random.default_rng(11).standard_normal((system.n_omega, system.n_y))
+        want = np.linalg.solve(dense_operator(system), R.reshape(-1, order="F"))
+        got = TensorPreconditioner.build(system).apply(R)
+        assert got.flags.f_contiguous
+        got = got.reshape(-1, order="F")
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-13
 
     @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(4, 0.125, 2.0, 0.7)])
     @pytest.mark.parametrize("columns", [[0], [0, 3], [2, 5]])
-    def test_sparse_columns_match_full_transform_bitwise(self, mesh, columns):
+    def test_sparse_columns_match_dense_solve(self, mesh, columns):
+        # right-hand sides with a few nonzero y-columns, the cylinder one
+        # among them; measured at most 2.5e-15
         system = make_system(d=2, n=9, mesh=mesh, alpha=0.3)
-        inverse = TensorPreconditioner.build(system)
-        rng = np.random.default_rng(11)
         R = np.zeros((system.n_omega, system.n_y))
-        R[:, columns] = rng.standard_normal((system.n_omega, len(columns)))
-        # the in-place path transforms every column, zero or not
-        want = inverse.apply(np.asfortranarray(R), overwrite_r=True)
-        assert want.tobytes() == inverse.apply(R).tobytes()
+        R[:, columns] = np.random.default_rng(11).standard_normal((system.n_omega, len(columns)))
+        want = np.linalg.solve(dense_operator(system), R.reshape(-1, order="F"))
+        got = TensorPreconditioner.build(system).apply(R).reshape(-1, order="F")
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-13
 
     @pytest.mark.parametrize("layout", ["F", "C"])
     def test_apply_leaves_input_unchanged(self, layout):
@@ -678,53 +653,9 @@ class TestPreconditionerApply:
 
 
 class TestWorkingSet:
-    """Peak of the traced allocations during ``solve`` at d=2 n=128, in
-    arrays of ``N_total`` doubles. The solve that converges on its first
-    residual check holds the solution and the vertex factors (about one
-    array for h-FEM, where every y-dof is a vertex and d=2 halves them);
-    the solve that refines until it stalls adds the residual. On top comes
-    the fixed budget of column and shift blocks, which at this size is a
-    large part of an hp-FEM array."""
-
-    @pytest.mark.parametrize("scheme,rel_tol,bound", [
-        pytest.param("hfem", 1e-9, 2.6, id="hfem-converging"),
-        pytest.param("hfem", 1e-14, 3.5, id="hfem-refining"),
-        pytest.param("hpfem", 1e-9, 3.4, id="hpfem-converging"),
-        pytest.param("hpfem", 1e-14, 3.9, id="hpfem-refining"),
-    ])
-    def test_peak_in_full_size_arrays(self, scheme, rel_tol, bound):
-        domain = BoxDomain(2)
-        data = modal_function(domain, [((1, 1), 1.0), ((2, 3), -0.5), ((5, 5), 0.7)])
-        level = discretize(FractionalProblem(s=0.8, domain=domain, f=data), scheme, 128)
-        system, rhs = level.system, level.rhs  # built on first use
-        full = 8 * system.n_total
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            try:
-                assert solve(system, rhs, rel_tol=rel_tol).iterations == 1
-            except SolverError as exc:
-                assert rel_tol < 1e-9 and exc.iterations >= 2
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - before) / full <= bound
-
-    def test_build_peak_is_its_factors_and_one_block_budget(self):
-        # hp-FEM s=0.8 d=2 n=512: the kept factors are 20 MB; condensing
-        # every element over all distinct shifts at once peaked at 80 MB
-        level = discretize(benchmark_problem(0.8, 2), "hpfem", 512)
-        system = level.system  # built on first use
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            inverse = TensorPreconditioner.build(system)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert inverse.elements
-        assert peak - kept <= 2 * solver._BLOCK_BYTES
-        assert kept - before < 0.3 * 8 * system.n_total
+    """Peak of the traced allocations of the run path: the fold of
+    :func:`y_resolvent` and a whole ``run_level``. The full solve is a
+    reference for desk sizes and has no working-set bound."""
 
     @pytest.mark.parametrize("scheme,s", [("hfem", 0.8), ("hpfem", 0.2)])
     def test_fold_peak_is_its_result_and_one_block_budget(self, scheme, s):
@@ -733,7 +664,7 @@ class TestWorkingSet:
         level = discretize(benchmark_problem(s, 1), scheme, 64)
         shifts = np.linspace(10.0, 1e5, 300_000)
         bumps = max(level.mesh.degrees) - 1
-        assert len(solver._shift_blocks(shifts.size, bumps, solver._FOLD_ROWS)) >= 7
+        assert len(solver._shift_blocks(shifts.size, bumps)) >= 7
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
