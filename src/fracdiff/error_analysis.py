@@ -29,7 +29,7 @@ from .femomega import (
     OmegaGrid,
     assemble_load,
     assemble_omega_matrices,
-    sine_hats,
+    sine_hat_integrals,
     unit_gauss_rule,
 )
 from .meshing import MeshError, YMesh, build_ymesh, select_params_h, select_params_hp
@@ -233,8 +233,8 @@ def _mode_inner_with_trace(grid: OmegaGrid, index, trace: np.ndarray) -> float:
     """Quadrature of ``int tr_h * phi_hat_k dx`` (orthonormal): the nodal
     trace contracted with one 1-D sine-hat vector per axis, slowest first."""
     T = trace
-    for hat in sine_hats(grid, index):
-        T = hat @ T.reshape(grid.n - 1, -1)
+    for k in index:
+        T = sine_hat_integrals(grid, k) @ T.reshape(grid.n - 1, -1)
     return 2.0 ** (grid.d / 2.0) * float(T[0])
 
 

@@ -323,9 +323,9 @@ def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatri
         except QuadratureError as exc:
             raise QuadratureError(f"element {m}: {exc}") from exc
         rules.append((np.array([m]), (pts - a) / (b - a), wts[None, :]))
-    for (p, points), ms in shared.items():
-        ms = np.array(ms)
-        _, wts = _gl_rule(nodes[ms - 1, None], nodes[ms, None], alpha, points)
+    for p, points in list(shared):
+        ms = np.array(shared.pop((p, points)))  # its list is freed before the contractions
+        wts = _gl_rule(nodes[ms - 1, None], nodes[ms, None], alpha, points)[1]
         rules.append((ms, (_leggauss(points)[0] + 1.0) / 2.0, wts))
 
     groups = []

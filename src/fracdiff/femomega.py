@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,8 +28,6 @@ class OmegaGrid:
 
     d: int
     n: int
-    # the sine_hat_integrals vectors of this grid by frequency (see sine_hats)
-    _sine_hats = cached_property(lambda self: {})
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -101,28 +99,13 @@ def unit_gauss_rule(npts: int):
 
 
 def sine_hat_integrals(grid: OmegaGrid, k: int) -> np.ndarray:
-    """Per-node integrals ``int_0^1 sin(k*pi*x) * hat_i(x) dx`` computed with
-    the 8-point Gauss rule on every cell."""
+    """Per-node integrals ``int_0^1 sin(k*pi*x) * hat_i(x) dx`` in closed
+    form, ``sin(k*pi*x_i) * 4*sin(k*pi*h/2)**2 / ((k*pi)**2 * h)``; the
+    half-angle factor avoids the cancellation in ``1 - cos(k*pi*h)``."""
     if k < 1:
         raise ValueError("frequency index must be >= 1")
-    n, h = grid.n, grid.h
-    t, w = unit_gauss_rule(8)
-    vals = np.sin(k * math.pi * h * (np.arange(n)[:, None] + t)) * (w * h)  # (cell, point)
-    # node i gets the rising hat of the cell on its left and the falling
-    # hat of the cell on its right
-    return (vals @ t)[:-1] + (vals @ (1.0 - t))[1:]
-
-
-def sine_hats(grid: OmegaGrid, ks) -> list[np.ndarray]:
-    """:func:`sine_hat_integrals` of every frequency in ``ks``. Each distinct
-    frequency is computed once per grid, so once per level for the load and
-    the trace error together, and kept read-only with the grid."""
-    table = grid._sine_hats
-    for k in ks:
-        if k not in table:
-            table[k] = sine_hat_integrals(grid, k)
-            table[k].setflags(write=False)
-    return [table[k] for k in ks]
+    w, h = k * math.pi, grid.h
+    return np.sin(w * grid.interior_nodes) * (4.0 * math.sin(w * h / 2.0) ** 2 / (w * w * h))
 
 
 def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
@@ -132,5 +115,5 @@ def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
     the Kronecker product of the 1-D sine-hat integrals."""
     out = np.zeros(grid.n_dofs)
     for index, coef in problem.f.modes:
-        out += coef * reduce(np.kron, sine_hats(grid, index))
+        out += coef * reduce(np.kron, [sine_hat_integrals(grid, k) for k in index])
     return problem.d_s * out

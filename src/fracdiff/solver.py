@@ -375,24 +375,16 @@ class TensorPreconditioner:
     @classmethod
     def build(cls, system: KroneckerSystem) -> "TensorPreconditioner":
         """Factor every distinct shift from the y-element matrices (checked
-        finite where they are formed). Rows 0 and 1 of element m are the
-        vertices m-1 and m (the top one constrained); summed, at most two
-        entries a vertex, they give the vertex tridiagonal, onto which the
-        bump rows ``2:`` are condensed in ascending element order."""
+        finite where they are formed). The vertex tridiagonal is read off
+        the assembled ``B_mass`` and ``B_stiff``, and the bump rows ``2:``
+        of every element are condensed onto it in ascending element order."""
         modes = _base_modes(system.omega.grid)
         distinct = modes.distinct
 
         nv = system.y.dofmap.M
-        vertex = np.zeros((2, 2, nv))  # (mass, stiffness) x (diagonal, superdiagonal)
-        for ms, *pair in system.y.groups:
-            inner = ms < nv
-            for B, (d, o) in zip(pair, vertex):
-                d[ms - 1] += B[:, 0, 0]
-                d[ms[inner]] += B[inner, 1, 1]
-                o[ms[inner] - 1] = B[inner, 0, 1]
-        diag, off = np.outer(vertex[0, 0], distinct), np.outer(vertex[0, 1, :-1], distinct)
-        diag += vertex[1, 0, :, None]
-        off += vertex[1, 1, :-1, None]
+        Bm, Bs = system.y.B_mass, system.y.B_stiff  # the vertex dofs come first
+        diag = np.outer(Bm.diagonal()[:nv], distinct) + Bs.diagonal()[:nv, None]
+        off = np.outer(Bm.diagonal(1)[:nv - 1], distinct) + Bs.diagonal(1)[:nv - 1, None]
 
         elements = []
         for m, Xm, Xs in _by_element(system.y):

@@ -323,27 +323,10 @@ class TestStudyDriver:
 
 
 class TestSineHatReuse:
-    """Each 1-D sine-hat vector is computed once per distinct frequency per
-    level, with the arithmetic of one call per mode and axis."""
+    """The load and the trace error take one closed-form sine-hat vector
+    per mode and axis."""
 
     LOAD = [((1, 1), 1.0), ((2, 3), -0.5), ((3, 2), 0.25), ((5, 5), 0.7), ((1, 4), -0.3)]
-
-    def test_run_level_computes_each_frequency_once(self, monkeypatch):
-        calls = []
-        compute = femomega.sine_hat_integrals
-
-        def counted(grid, k):
-            calls.append((grid.n, k))
-            return compute(grid, k)
-
-        monkeypatch.setattr(femomega, "sine_hat_integrals", counted)
-        domain = BoxDomain(2)
-        problem = FractionalProblem(s=0.8, domain=domain, f=modal_function(domain, self.LOAD))
-        for n in (8, 16):
-            run_level(problem, "hfem", n)
-        k_modes = error_analysis._default_mode_count(problem)
-        ks = {k for index in domain.modes_by_eigenvalue(k_modes) for k in index}
-        assert sorted(calls) == sorted((n, k) for n in (8, 16) for k in ks)
 
     def test_load_and_trace_error_are_bitwise_the_per_mode_products(self):
         domain = BoxDomain(2)

@@ -597,17 +597,35 @@ class TestPreconditionerApply:
         assert inverse.factor is None
         assert inverse.pivots.shape[1] == inverse.shifts.size
 
-    @pytest.mark.parametrize("mesh", [graded_mesh(9, 0.35, 1.8), graded_mesh(1, 1.0, 1.0)])
+    @pytest.mark.parametrize("mesh", [graded_mesh(9, 0.35, 1.8), graded_mesh(1, 1.0, 1.0),
+                                      hp_mesh(5, 0.125, 2.0, 0.7)])
     def test_vertex_factors_match_the_assembled_tridiagonal_bitwise(self, mesh):
-        # h-FEM has no bumps: the LDL^T sweep of omega*B_mass + B_stiff read
-        # off the assembled matrices must be what the element sums give
+        # build reads the vertex tridiagonal off the assembled B_mass and
+        # B_stiff; it must be the element sums (rows 0 and 1 of element m
+        # are vertices m-1 and m, at most two terms a vertex), and the
+        # bumps (hp) condensed onto it in ascending element order
         system = make_system(d=2, n=7, mesh=mesh, alpha=-0.2)
         inverse = TensorPreconditioner.build(system)
         omega = np.unique(inverse.shifts)
-        Bm, Bs = system.y.B_mass, system.y.B_stiff
-        diag = np.outer(Bm.diagonal(), omega) + Bs.diagonal()[:, None]
-        off = np.outer(Bm.diagonal(1), omega) + Bs.diagonal(1)[:, None]
-        for i in range(mesh.M - 1):
+        nv = mesh.M
+        pair = np.zeros((2, 2, nv))  # (mass, stiffness) x (diagonal, superdiagonal)
+        elements = solver._by_element(system.y)
+        for m, *X in elements:
+            for B, (d, o) in zip(X, pair):
+                d[m - 1] += B[0, 0]
+                if m < nv:
+                    d[m] += B[1, 1]
+                    o[m - 1] = B[0, 1]
+        diag = np.outer(pair[0, 0], omega) + pair[1, 0][:, None]
+        off = np.outer(pair[0, 1, :-1], omega) + pair[1, 1, :-1, None]
+        for m, Xm, Xs in elements:
+            if len(Xm) > 2:
+                el = solver._condense(system.y, m, Xm, Xs)
+                C, inv = el.coupling(omega), el.inverse_diagonal(omega)
+                diag[el.verts] -= np.sum(C * C * inv, axis=1)
+                if m < nv:
+                    off[m - 1] -= np.sum(C[0] * C[1] * inv, axis=0)
+        for i in range(nv - 1):
             off[i] /= diag[i]
             diag[i + 1] -= off[i] * off[i] * diag[i]
         assert inverse.pivots.tobytes() == diag.tobytes()
