@@ -29,7 +29,7 @@ from .femomega import (
     OmegaGrid,
     assemble_load,
     assemble_omega_matrices,
-    sine_hat_integrals,
+    distinct_sine_hats,
     unit_gauss_rule,
 )
 from .meshing import MeshError, YMesh, build_ymesh, select_params_h, select_params_hp
@@ -229,12 +229,13 @@ def _singular_bottom_rule(h1: float, alpha: float, s: float, npts: int):
     return np.concatenate(all_pts), np.concatenate(all_wts)
 
 
-def _mode_inner_with_trace(grid: OmegaGrid, index, trace: np.ndarray) -> float:
+def _mode_inner_with_trace(grid: OmegaGrid, hats: dict, index, trace: np.ndarray) -> float:
     """Quadrature of ``int tr_h * phi_hat_k dx`` (orthonormal): the nodal
-    trace contracted with one 1-D sine-hat vector per axis, slowest first."""
+    trace contracted with the 1-D sine-hat vector ``hats[k]`` of each axis,
+    slowest first."""
     T = trace
     for k in index:
-        T = sine_hat_integrals(grid, k) @ T.reshape(grid.n - 1, -1)
+        T = hats[k] @ T.reshape(grid.n - 1, -1)
     return 2.0 ** (grid.d / 2.0) * float(T[0])
 
 
@@ -246,16 +247,18 @@ def trace_hs_error(
 ) -> float:
     """Fractional-norm trace error of the projection on the first
     ``k_modes`` orthonormal eigenfunctions:
-    ``sqrt(sum_k lambda_k**s * (u_k - (tr_h, phi_k))**2)``."""
+    ``sqrt(sum_k lambda_k**s * (u_k - (tr_h, phi_k))**2)``, with one
+    sine-hat vector per distinct frequency."""
     trace = np.asarray(trace, dtype=float)
     indices = problem.domain.modes_by_eigenvalue(k_modes)
     exact = {idx: coef for idx, _, coef in solve_fractional(problem).orthonormal_items()}
     if any(idx not in indices for idx in exact):
         raise ValueError("k_modes must cover every mode of the data (plus margin)")
+    hats = distinct_sine_hats(grid, indices)
     value_sq = 0.0
     for idx in indices:
         lam = problem.domain.eigenvalue(idx)
-        c = exact.get(idx, 0.0) - _mode_inner_with_trace(grid, idx, trace)
+        c = exact.get(idx, 0.0) - _mode_inner_with_trace(grid, hats, idx, trace)
         value_sq += lam**problem.s * c * c
     return math.sqrt(value_sq)
 

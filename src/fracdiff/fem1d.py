@@ -48,33 +48,53 @@ def shape_values(q: int, t) -> np.ndarray:
     functions ``1-t`` and ``t``; row ``k >= 2`` is the integrated-Legendre
     bump of degree ``k``, vanishing at both endpoints.
     """
-    if q < 1:
-        raise ValueError("element degree must be >= 1")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = 2.0 * t - 1.0
-    out = np.empty((q + 1, t.size))
-    out[0] = 1.0 - t
-    out[1] = t
-    if q >= 2:
-        V = npleg.legvander(x, q)  # columns P_0..P_q
-        k = np.arange(2, q + 1)
-        out[2:] = ((V[:, 2:] - V[:, :-2]) / np.sqrt(2.0 * (2.0 * k - 1.0))).T
-    return out
+    t = _reference_points(q, t)
+    return _shape_values(q, t, _legendre_rows(t, q) if q >= 2 else None)
 
 
 def shape_derivatives(q: int, t) -> np.ndarray:
     """Reference-element derivatives of :func:`shape_values`."""
+    t = _reference_points(q, t)
+    return _shape_derivatives(q, t.size, _legendre_rows(t, q - 1) if q >= 2 else None)
+
+
+def _reference_points(q: int, t) -> np.ndarray:
     if q < 1:
         raise ValueError("element degree must be >= 1")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = 2.0 * t - 1.0
+    return np.atleast_1d(np.asarray(t, dtype=float))
+
+
+def _legendre_rows(t: np.ndarray, degree: int) -> np.ndarray:
+    """``P_0..P_degree`` at ``2t - 1`` as rows, shape ``(degree+1, len(t))``,
+    by the ``legvander`` recurrence. Every entry depends on its own point
+    and degree only, so the rows of a longer ``t`` or a higher degree hold
+    these bitwise."""
+    return npleg.legvander(2.0 * t - 1.0, degree).T
+
+
+def _bump_scale(q: int) -> np.ndarray:
+    """``sqrt(2(2k - 1))`` for the bumps ``k = 2..q``, as a column."""
+    return np.sqrt(2.0 * (2.0 * np.arange(2, q + 1) - 1.0))[:, None]
+
+
+def _shape_values(q: int, t: np.ndarray, P: np.ndarray | None) -> np.ndarray:
+    """:func:`shape_values` from the Legendre rows ``P`` (at least ``q+1``)."""
     out = np.empty((q + 1, t.size))
+    out[0] = 1.0 - t
+    out[1] = t
+    if q >= 2:
+        np.subtract(P[2:q + 1], P[:q - 1], out=out[2:])
+        out[2:] /= _bump_scale(q)
+    return out
+
+
+def _shape_derivatives(q: int, points: int, P: np.ndarray | None) -> np.ndarray:
+    """:func:`shape_derivatives` from the Legendre rows ``P`` (at least ``q``)."""
+    out = np.empty((q + 1, points))
     out[0] = -1.0
     out[1] = 1.0
     if q >= 2:
-        V = npleg.legvander(x, q - 1)
-        k = np.arange(2, q + 1)
-        out[2:] = (np.sqrt(2.0 * (2.0 * k - 1.0)) * V[:, 1:]).T
+        np.multiply(_bump_scale(q), P[1:q], out=out[2:])
     return out
 
 
@@ -150,7 +170,13 @@ def _gauss_lobatto_reference(q: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
-    return npleg.leggauss(n)
+    """The ``n``-point Gauss-Legendre nodes mapped to ``(0, 1)`` and the
+    weights on ``[-1, 1]``, read-only."""
+    x, w = npleg.leggauss(n)
+    t = (x + 1.0) / 2.0
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 @lru_cache(maxsize=None)
@@ -181,24 +207,31 @@ def weighted_rule(a: float, b: float, alpha: float, polydeg: int):
     return _gl_weighted_rule(a, b, alpha, polydeg)
 
 
-def _gl_point_count(a: float, b: float, polydeg: int) -> int:
-    """Gauss-Legendre points for ``y**alpha * f`` on ``[a, b]``, ``a > 0``:
-    exactness for ``f`` plus the analyticity estimate for the weight.
+@np.errstate(over="ignore", divide="ignore")  # a huge count is a split, never a rule
+def _gl_point_counts(a: np.ndarray, b: np.ndarray, polydeg) -> np.ndarray:
+    """Gauss-Legendre points for ``y**alpha * f`` on every ``[a, b]``, ``a >
+    0``, as floats: exactness for ``f`` plus the analyticity estimate for
+    the weight.
 
     The weight is analytic inside the Bernstein ellipse of parameter
     ``rho = (sqrt(b) + sqrt(a)) / (sqrt(b) - sqrt(a))``; ``ln(rho)`` is formed
-    with ``log1p`` so that it stays positive when ``a/b`` is below eps."""
-    ra, rb = math.sqrt(a), math.sqrt(b)
-    log_rho = math.log1p(2.0 * ra * (ra + rb) / (b - a))
-    return polydeg // 2 + 1 + math.ceil(_LOG_TARGET / (2.0 * log_rho))
+    with ``log1p`` so that it stays positive when ``a/b`` is below eps. That
+    is ``math.log1p`` mapped over the elements: numpy's log1p differs from
+    the C library's in the last bit for about 2% of arguments, and a count
+    next to an integer would follow it."""
+    ra, rb = np.sqrt(a), np.sqrt(b)
+    arg = 2.0 * ra * (ra + rb) / (b - a)
+    log_rho = np.fromiter(map(math.log1p, arg.tolist()), float, arg.size)
+    return polydeg // 2 + 1 + np.ceil(_LOG_TARGET / (2.0 * log_rho))
 
 
 def _gl_rule(a, b, alpha, n):
     """The ``n``-point Gauss-Legendre rule on ``[a, b]`` with the weight
     absorbed; ``a`` and ``b`` may be ``(E, 1)`` columns, one rule per row."""
-    x, w = _leggauss(n)
-    pts = a + (x + 1.0) / 2.0 * (b - a)
-    return pts, w * (b - a) / 2.0 * pts**alpha
+    t, w = _leggauss(n)
+    h = b - a
+    pts = a + t * h
+    return pts, w * h / 2.0 * pts**alpha
 
 
 def _gl_weighted_rule(a, b, alpha, polydeg):
@@ -207,9 +240,9 @@ def _gl_weighted_rule(a, b, alpha, polydeg):
     ``_MAX_GL_POINTS`` points each."""
     for depth in range(_MAX_SPLIT_DEPTH + 1):
         cuts = np.geomspace(a, b, 2**depth + 1)
-        n = max(_gl_point_count(lo, hi, polydeg) for lo, hi in zip(cuts[:-1], cuts[1:]))
+        n = _gl_point_counts(cuts[:-1], cuts[1:], polydeg).max()
         if n <= _MAX_GL_POINTS:
-            pts, wts = _gl_rule(cuts[:-1, None], cuts[1:, None], alpha, n)
+            pts, wts = _gl_rule(cuts[:-1, None], cuts[1:, None], alpha, int(n))
             return pts.ravel(), wts.ravel()
         if polydeg // 2 + 2 > _MAX_GL_POINTS:
             break  # splitting lowers only the analyticity part of the count
@@ -292,6 +325,74 @@ class WeightedMatrices:
         return sparse.coo_matrix((vals, (rows, cols)), shape=(self.n_dofs,) * 2).tocsr()
 
 
+def _element_rules(nodes: np.ndarray, degrees: np.ndarray, alpha: float) -> list:
+    """The quadrature of every element of a mesh with these ``nodes`` and
+    ``degrees`` as ``(elements, reference nodes t,
+    weights of shape (elements, len(t)))``: first the Gauss-Jacobi first
+    element and every split element, each alone and in ascending order,
+    then the unsplit Gauss-Legendre elements, grouped by degree and point
+    count (their shared reference nodes), groups in the order of their first
+    element."""
+    points = _gl_point_counts(nodes[1:-1], nodes[2:], 2 * degrees[1:])  # elements 2..M
+    shared = points <= _MAX_GL_POINTS
+    rules = []
+    for m in [1, *(np.flatnonzero(~shared) + 2).tolist()]:
+        a, b = nodes[m - 1], nodes[m]
+        try:
+            pts, wts = weighted_rule(a, b, alpha, 2 * int(degrees[m - 1]))
+        except QuadratureError as exc:
+            raise QuadratureError(f"element {m}: {exc}") from exc
+        rules.append((np.array([m]), (pts - a) / (b - a), wts[None, :]))
+    ms = np.flatnonzero(shared) + 2
+    key = degrees[ms - 1] * (_MAX_GL_POINTS + 1) + points[ms - 2].astype(np.intp)
+    order = np.argsort(key, kind="stable")  # by group, ascending within each
+    ms, key = ms[order], key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    for first, start, stop in sorted(zip(ms[starts].tolist(), starts, starts[1:] + [ms.size])):
+        group = ms[start:stop]
+        n = int(points[first - 2])
+        wts = _gl_rule(nodes[group - 1, None], nodes[group, None], alpha, n)[1]
+        rules.append((group, _leggauss(n)[0], wts))
+    return rules
+
+
+# Bytes of one chunk of the Legendre table that assembly evaluates: rules
+# are taken in order while their points times the chunk's highest degree
+# fit; a rule that needs more is a chunk of its own, whose table is no
+# larger than the shape functions of its element.
+_TABLE_BYTES = 1 << 18
+
+
+def _table_chunks(rules: list, degrees: np.ndarray):
+    """Consecutive runs of ``rules`` whose Legendre table fits ``_TABLE_BYTES``."""
+    chunk, rows, top = [], 0, 0
+    for rule in rules:
+        p, n = degrees[rule[0][0] - 1], rule[1].size
+        if chunk and 8 * (rows + n) * (max(top, p) + 1) > _TABLE_BYTES:
+            yield chunk
+            chunk, rows, top = [], 0, 0
+        chunk.append(rule)
+        rows, top = rows + n, max(top, p)
+    if chunk:
+        yield chunk
+
+
+def _chunk_shapes(chunk: list, degrees: np.ndarray) -> list:
+    """``(B, D)``, the values and derivatives of the shape functions at the
+    reference nodes, of every rule of ``chunk``, cut from one Legendre table
+    on all their nodes; bitwise :func:`shape_values` and
+    :func:`shape_derivatives`. The table is freed on return."""
+    ps = [int(degrees[ms[0] - 1]) for ms, _, _ in chunk]
+    top = max(ps)
+    P = _legendre_rows(np.concatenate([t for _, t, _ in chunk]), top) if top >= 2 else None
+    shapes, start = [], 0
+    for p, (_, t, _) in zip(ps, chunk):
+        rows = None if P is None else P[:, start:start + t.size]
+        shapes.append((_shape_values(p, t, rows), _shape_derivatives(p, t.size, rows)))
+        start += t.size
+    return shapes
+
+
 @np.errstate(over="ignore", invalid="ignore")  # non-finite results are rejected below
 def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatrices:
     """The element matrices of ``int y**alpha tau_j tau_l dy`` and
@@ -301,7 +402,10 @@ def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatri
     their reference nodes and so their shape tables; only the weights
     differ, and each such group is formed by one stacked contraction. The
     Gauss-Jacobi first element and every split element are groups of one.
-    A non-finite ``1/h**2`` or element matrix raises :class:`MeshError` naming the element.
+    Point counts and groups are array operations; the shape tables come
+    from one Legendre table per level, evaluated in chunks of at most
+    ``_TABLE_BYTES``. A non-finite ``1/h**2`` or element matrix raises
+    :class:`MeshError` naming the element.
     """
     nodes = np.asarray(mesh.nodes)
     width = np.diff(nodes)
@@ -310,32 +414,14 @@ def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatri
         m = int(short[0]) + 1
         raise MeshError(f"element {m}: width {width[m - 1]:.2g} is so small that "
                         "the stiffness scale 1/h**2 is not finite")
-    rules = []  # (elements, reference nodes t, weights of shape (elements, len(t)))
-    shared: dict[tuple[int, int], list[int]] = {}
-    for m, p in enumerate(mesh.degrees, start=1):
-        a, b = nodes[m - 1], nodes[m]
-        points = _gl_point_count(a, b, 2 * p) if a > 0.0 else 0
-        if 0 < points <= _MAX_GL_POINTS:
-            shared.setdefault((p, points), []).append(m)
-            continue
-        try:
-            pts, wts = weighted_rule(a, b, alpha, 2 * p)
-        except QuadratureError as exc:
-            raise QuadratureError(f"element {m}: {exc}") from exc
-        rules.append((np.array([m]), (pts - a) / (b - a), wts[None, :]))
-    for p, points in list(shared):
-        ms = np.array(shared.pop((p, points)))  # its list is freed before the contractions
-        wts = _gl_rule(nodes[ms - 1, None], nodes[ms, None], alpha, points)[1]
-        rules.append((ms, (_leggauss(points)[0] + 1.0) / 2.0, wts))
-
+    degrees = np.asarray(mesh.degrees)
     groups = []
-    for ms, t, wts in rules:
-        p = mesh.degrees[ms[0] - 1]
-        B, D = shape_values(p, t), shape_derivatives(p, t)
-        h = width[ms - 1]
-        mass = (B * wts[:, None, :]) @ B.T
-        stiff = ((D * wts[:, None, :]) @ D.T) / (h * h)[:, None, None]
-        groups.append((ms, mass, stiff))
+    for chunk in _table_chunks(_element_rules(nodes, degrees, alpha), degrees):
+        for (ms, _, wts), (B, D) in zip(chunk, _chunk_shapes(chunk, degrees)):
+            h = width[ms - 1]
+            mass = (B * wts[:, None, :]) @ B.T
+            stiff = ((D * wts[:, None, :]) @ D.T) / (h * h)[:, None, None]
+            groups.append((ms, mass, stiff))
     bad = [m for ms, mass, stiff in groups for m in ms[~np.isfinite(mass + stiff).all(axis=(1, 2))]]
     if bad:
         m = min(bad)

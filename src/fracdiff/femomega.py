@@ -108,12 +108,20 @@ def sine_hat_integrals(grid: OmegaGrid, k: int) -> np.ndarray:
     return np.sin(w * grid.interior_nodes) * (4.0 * math.sin(w * h / 2.0) ** 2 / (w * w * h))
 
 
+def distinct_sine_hats(grid: OmegaGrid, indices) -> dict[int, np.ndarray]:
+    """:func:`sine_hat_integrals` of every distinct frequency of the mode
+    ``indices``, computed once each."""
+    return {k: sine_hat_integrals(grid, k) for k in {k for index in indices for k in index}}
+
+
 def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
     """Load vector ``d_s * int f * eta_i dx``; the cylinder right-hand side
     is this vector placed in the unique y-dof supported at ``y = 0``. Each
     mode of ``f`` is a product of sines, so its part of ``int f * eta_i`` is
-    the Kronecker product of the 1-D sine-hat integrals."""
+    the Kronecker product of the 1-D sine-hat integrals, one vector per
+    distinct frequency."""
+    hats = distinct_sine_hats(grid, (index for index, _ in problem.f.modes))
     out = np.zeros(grid.n_dofs)
     for index, coef in problem.f.modes:
-        out += coef * reduce(np.kron, [sine_hat_integrals(grid, k) for k in index])
+        out += coef * reduce(np.kron, [hats[k] for k in index])
     return problem.d_s * out

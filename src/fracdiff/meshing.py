@@ -199,12 +199,17 @@ def select_params_hp(
 # float object and its slot in the mesh's tuple) and the degree's slot.
 _NODE_BYTES = 40
 # Bytes assembly holds per element until it returns, besides the element
-# matrices and the quadrature weights: the node and width arrays, the
-# element's entry in its group's index array and the slot of its number in
-# the group's list. Numbers above 256, beyond CPython's small-int cache, are
-# int objects of 28 bytes.
+# matrices and the quadrature weights: the node, width and degree arrays and
+# the element's entry in its group's index array.
 _ASSEMBLY_BYTES = 32
-_INT_BYTES, _CACHED_INTS = 28, 256
+# Bytes per element beyond the first 256 that forming the quadrature
+# weights adds to the peak, counted low. The node, width and degree arrays,
+# the point counts and the arrays that group the elements (about 57 bytes)
+# live while each group's weights are formed in four arrays of its points;
+# most elements of a graded mesh share one rule, and its arrays make the
+# peak: 226-261 bytes per element traced for h-FEM at M = 2e4 and 8e4, of
+# which the estimate counts 188.
+_WEIGHTS_PEAK_BYTES, _WEIGHTS_PEAK_FROM = 28, 256
 
 
 def _power_sums(a: float, b: float, lo: int, hi: int) -> tuple[float, float]:
@@ -223,7 +228,9 @@ def y_storage_bytes(params: DiscretizationParams) -> float:
     level is built and assembled, from ``M`` and the degrees alone: per
     element its node, its two ``(p+1) x (p+1)`` element matrices, its at
     least ``p + 2`` quadrature weights and what assembly holds besides (see
-    ``_ASSEMBLY_BYTES``). The hp degrees are bounded below by
+    ``_ASSEMBLY_BYTES``), all held when the contractions end, and an
+    allowance for the earlier peak of forming the weights
+    (``_WEIGHTS_PEAK_BYTES``). The hp degrees are bounded below by
     :func:`linear_degree_vector` without its ceiling: on the geometric mesh
     ``ln(h_m/h_1) = (m-1)*|ln sigma| + ln(1 - sigma)`` for ``m >= 2``."""
     M = params.M
@@ -236,7 +243,7 @@ def y_storage_bytes(params: DiscretizationParams) -> float:
         linear, squares = _power_sums(2.0 + params.beta * offset, params.beta * slope, j0, M - 1)
         linear, squares = linear + 2.0 * j0, squares + 4.0 * j0
     return (M * (_NODE_BYTES + _ASSEMBLY_BYTES) + 16.0 * squares + 8.0 * (linear + M)
-            + _INT_BYTES * max(0, M - _CACHED_INTS))
+            + _WEIGHTS_PEAK_BYTES * max(0, M - _WEIGHTS_PEAK_FROM))
 
 
 def physical_memory_bytes() -> int:

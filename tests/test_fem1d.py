@@ -31,6 +31,7 @@ from fracdiff.meshing import (
     select_params_hp,
 )
 from fracdiff.specialfunc import PsiProfile, psi, psi_prime
+from y_reference import element_loop_assembly, legendre_shapes
 
 
 def single_element_mesh():
@@ -364,6 +365,63 @@ class TestAssemblyAgainstElementLoop:
         monkeypatch.setattr(fem1d, "_MAX_SPLIT_DEPTH", 0)
         with pytest.raises(QuadratureError, match=r"^element 2: weighted rule on \["):
             assemble_weighted_matrices(SPLIT_MESH, alpha=0.3)
+
+
+def _same_groups(got, want):
+    assert len(got.groups) == len(want.groups)
+    for (ms, mass, stiff), (ms_w, mass_w, stiff_w) in zip(got.groups, want.groups):
+        assert ms.tobytes() == ms_w.tobytes()
+        assert mass.tobytes() == mass_w.tobytes()
+        assert stiff.tobytes() == stiff_w.tobytes()
+
+
+class TestAssemblyAgainstPerElementReference:
+    """Array point counts and grouping, and shape tables cut from one
+    Legendre table, against the per-element loop of ``y_reference``:
+    bitwise the same groups, in the same order."""
+
+    MESHES = {
+        "graded": graded_mesh(14, 0.2, 1.3),
+        "hfem-s0.2-n1024": build_ymesh(select_params_h(1 / 1024, 0.2, math.pi**2)),
+        "hp": hp_mesh(8, 0.125, 2.0, 0.7),
+        "hp-many-bumps": hp_mesh(6, 0.125, 2.0, 2.0),
+        "hp-s0.2-n256": build_ymesh(select_params_hp(1 / 256, 0.2, math.pi**2)),
+        "geometric-split": SPLIT_MESH,
+        "M1-p5": YMesh(Y=2.0, nodes=(0.0, 2.0), degrees=(5,)),
+        # 23/ln(rho) of the second element is within a bit of 18, and
+        # numpy's log1p (not the C library's) would round it above
+        "count-at-an-integer": YMesh(Y=3.142116680056627, nodes=(0.0, 1.0, 3.142116680056627),
+                                     degrees=(1, 2)),
+    }
+
+    @pytest.mark.parametrize("table_bytes", [None, 1, 40_000], ids=["one-chunk", "rule-chunks",
+                                                                    "several-chunks"])
+    @pytest.mark.parametrize("alpha", [-0.6, 0.6])
+    @pytest.mark.parametrize("name", list(MESHES))
+    def test_groups_are_bitwise_the_element_loop(self, monkeypatch, name, alpha, table_bytes):
+        mesh = self.MESHES[name]
+        if table_bytes is not None:
+            monkeypatch.setattr(fem1d, "_TABLE_BYTES", table_bytes)
+        _same_groups(assemble_weighted_matrices(mesh, alpha=alpha),
+                     element_loop_assembly(mesh, alpha))
+
+    @pytest.mark.parametrize("table_bytes,chunks", [(1, 24), (40_000, 7), (1 << 40, 1)])
+    def test_table_budget_sets_the_chunks(self, table_bytes, chunks, monkeypatch):
+        # hp s=0.2 n=256: 24 elements of distinct degrees 1..35, a rule each;
+        # a rule larger than the budget is a chunk of its own
+        mesh = self.MESHES["hp-s0.2-n256"]
+        monkeypatch.setattr(fem1d, "_TABLE_BYTES", table_bytes)
+        degrees = np.asarray(mesh.degrees)
+        rules = fem1d._element_rules(np.asarray(mesh.nodes), degrees, 0.6)
+        assert len(rules) == 24
+        assert len(list(fem1d._table_chunks(rules, degrees))) == chunks
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 26])
+    def test_shape_tables_are_bitwise_one_legvander_each(self, q):
+        t = np.random.default_rng(q).random(40)
+        B, D = legendre_shapes(q, t)
+        assert shape_values(q, t).tobytes() == B.tobytes()
+        assert shape_derivatives(q, t).tobytes() == D.tobytes()
 
 
 class TestDofMap:

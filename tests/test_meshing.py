@@ -241,7 +241,7 @@ class TestStorageEstimate:
                                                                                monkeypatch, s):
         # h-FEM M = 2e4 keeps 112 bytes per element (nodes, degrees, group
         # indices and element matrices); building and assembling it peaks at
-        # 252 (s=0.5) and 244 (s=0.2) bytes per element, and the estimate
+        # 261 (s=0.5) and 253 (s=0.2) bytes per element, and the estimate
         # counts 188 of them. Memory of 150 bytes per element holds what the
         # level keeps, but not its assembly
         params = select_params_h(1 / 8, s, math.pi**2, m_mult=2500)

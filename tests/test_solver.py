@@ -28,6 +28,7 @@ from fracdiff.solver import (
     y_resolvent,
 )
 from fracdiff.spectral import BoxDomain, FractionalProblem, benchmark_problem, modal_function
+from y_reference import element_loop_fold
 
 
 def make_system(d=1, n=8, mesh=None, alpha=0.0):
@@ -446,6 +447,14 @@ def _sampled_shifts(level):
     return distinct[[0, distinct.size // 2, -1]]
 
 
+def _log_uniform_shifts(level, count=12, seed=2017):
+    """``count`` distinct shifts of a level drawn log-uniformly, seeded,
+    between its lowest and its top distinct shift."""
+    distinct = solver._base_modes(level.grid).distinct
+    rng = np.random.default_rng(seed)
+    return np.unique(np.exp(rng.uniform(np.log(distinct[0]), np.log(distinct[-1]), count)))
+
+
 class TestYResolvent:
     @pytest.mark.parametrize("scheme,s,n", [("hfem", 0.2, 16), ("hfem", 0.2, 64),
                                             ("hpfem", 0.2, 16), ("hpfem", 0.5, 16)])
@@ -454,6 +463,18 @@ class TestYResolvent:
         # three of these levels
         level = discretize(benchmark_problem(s, 1), scheme, n)
         shifts = _sampled_shifts(level)
+        got = y_resolvent(level.weighted, shifts)
+        for w, r in zip(shifts, got):
+            want = exact_resolvent(level.weighted, w)
+            assert abs(Fraction(float(r)) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("scheme,n", [("hfem", 64), ("hpfem", 16)])
+    def test_fold_matches_exact_elimination_across_the_shift_range(self, exact_resolvent,
+                                                                    scheme, n):
+        # twelve seeded log-uniform shifts between the lowest and the top one
+        level = discretize(benchmark_problem(0.2, 1), scheme, n)
+        shifts = _log_uniform_shifts(level)
+        assert shifts.size == 12
         got = y_resolvent(level.weighted, shifts)
         for w, r in zip(shifts, got):
             want = exact_resolvent(level.weighted, w)
@@ -521,6 +542,39 @@ class TestYResolvent:
         assert blocks[0].stop == step
         assert blocks[-1].stop == shifts.size
         assert y_resolvent(system.y, shifts).tobytes() == want.tobytes()
+
+
+class TestFoldAgainstPerElementReference:
+    """The fold with the degree-1 elements read from the group arrays and
+    folded in runs, against one ``_two_port`` call per element
+    (``y_reference``): bitwise the same resolvent."""
+
+    @pytest.mark.parametrize("alpha", [-0.3, 0.4])
+    @pytest.mark.parametrize("d,n", [(1, 42), (2, 9)])
+    @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(6, 0.125, 2.0, 0.7),
+                                      hp_mesh(6, 0.125, 2.0, 2.0), hp_mesh(5, 1e-4, 1.5, 0.7),
+                                      graded_mesh(1, 1.0, 1.5)],
+                             ids=["graded", "hp", "hp-many-bumps", "geometric-split", "M1"])
+    @pytest.mark.parametrize("step", [None, 3])
+    def test_fold_is_bitwise_the_element_loop(self, monkeypatch, mesh, d, n, alpha, step):
+        # the geometric-split mesh has split elements above the Gauss-Jacobi
+        # first one; step 3 cuts the 41 (d=1) or 36 (d=2) shifts into blocks
+        system = make_system(d=d, n=n, mesh=mesh, alpha=alpha)
+        shifts = solver._base_modes(system.omega.grid).distinct
+        if step is not None:
+            bumps = max(mesh.degrees) - 1
+            monkeypatch.setattr(solver, "_BLOCK_BYTES", step * 8 * (4 * bumps + solver._FOLD_ROWS))
+            assert len(solver._shift_blocks(shifts.size, bumps)) >= 11
+        want = element_loop_fold(system.y, shifts)
+        assert y_resolvent(system.y, shifts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scheme,s,d,n", [("hfem", 0.8, 2, 64), ("hpfem", 0.8, 2, 64),
+                                              ("hpfem", 0.2, 1, 64), ("hfem", 0.2, 1, 256)])
+    def test_workload_levels_are_bitwise_the_element_loop(self, scheme, s, d, n):
+        level = discretize(benchmark_problem(s, d), scheme, n)
+        shifts = solver._base_modes(level.grid).distinct
+        want = element_loop_fold(level.weighted, shifts)
+        assert y_resolvent(level.weighted, shifts).tobytes() == want.tobytes()
 
 
 # the benchmark workloads' levels with n <= 64

@@ -1,0 +1,93 @@
+"""Per-element reference forms of the extended direction, for bitwise tests.
+
+``element_loop_assembly`` builds the element matrices one element at a
+time: its point count by the scalar formula, its shape tables by one
+``legvander`` call each (``legendre_shapes``). ``element_loop_fold`` folds the
+resolvent through every element's two-port with
+:func:`~fracdiff.solver._two_port`, degree 1 included. The program does the
+same arithmetic with array operations, so both must agree bitwise.
+"""
+
+import math
+
+import numpy as np
+
+from fracdiff import fem1d, solver
+from fracdiff.fem1d import WeightedMatrices, weighted_rule
+
+
+def legendre_shapes(q: int, t: np.ndarray):
+    """Values and derivatives of the hierarchical shape functions of degree
+    ``q`` at ``t``, each row from its own ``legvander`` table."""
+    x = 2.0 * t - 1.0
+    B, D = np.empty((q + 1, t.size)), np.empty((q + 1, t.size))
+    B[0], B[1], D[0], D[1] = 1.0 - t, t, -1.0, 1.0
+    if q >= 2:
+        k = np.arange(2, q + 1)
+        V = np.polynomial.legendre.legvander(x, q)
+        B[2:] = ((V[:, 2:] - V[:, :-2]) / np.sqrt(2.0 * (2.0 * k - 1.0))).T
+        V = np.polynomial.legendre.legvander(x, q - 1)
+        D[2:] = (np.sqrt(2.0 * (2.0 * k - 1.0)) * V[:, 1:]).T
+    return B, D
+
+
+def gl_point_count(a: float, b: float, polydeg: int) -> int:
+    """Gauss-Legendre points of one element ``[a, b]``, ``a > 0``, in scalar
+    arithmetic."""
+    ra, rb = math.sqrt(a), math.sqrt(b)
+    log_rho = math.log1p(2.0 * ra * (ra + rb) / (b - a))
+    return polydeg // 2 + 1 + math.ceil(fem1d._LOG_TARGET / (2.0 * log_rho))
+
+
+def element_loop_assembly(mesh, alpha):
+    """:func:`~fracdiff.fem1d.assemble_weighted_matrices` by a loop over the
+    elements, with the same groups in the same order: the Gauss-Jacobi
+    first element and the split elements alone, then the elements of one
+    degree and point count in the order of their first element."""
+    nodes = np.asarray(mesh.nodes)
+    width = np.diff(nodes)
+    rules = []
+    shared = {}
+    for m, p in enumerate(mesh.degrees, start=1):
+        a, b = nodes[m - 1], nodes[m]
+        points = gl_point_count(a, b, 2 * p) if a > 0.0 else 0
+        if 0 < points <= fem1d._MAX_GL_POINTS:
+            shared.setdefault((p, points), []).append(m)
+            continue
+        pts, wts = weighted_rule(a, b, alpha, 2 * p)
+        rules.append((np.array([m]), (pts - a) / (b - a), wts[None, :]))
+    for (p, points), ms in shared.items():
+        ms = np.array(ms)
+        x, w = np.polynomial.legendre.leggauss(points)
+        a, b = nodes[ms - 1, None], nodes[ms, None]
+        pts = a + (x + 1.0) / 2.0 * (b - a)
+        rules.append((ms, (x + 1.0) / 2.0, w * (b - a) / 2.0 * pts**alpha))
+    groups = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ms, t, wts in rules:
+            p = mesh.degrees[ms[0] - 1]
+            B, D = legendre_shapes(p, t)
+            h = width[ms - 1]
+            mass = (B * wts[:, None, :]) @ B.T
+            stiff = ((D * wts[:, None, :]) @ D.T) / (h * h)[:, None, None]
+            groups.append((ms, mass, stiff))
+    return WeightedMatrices(groups=tuple(groups), mesh=mesh)
+
+
+def element_loop_fold(y, shifts):
+    """:func:`~fracdiff.solver.y_resolvent` with one
+    :func:`~fracdiff.solver._two_port` call per element below the top."""
+    elements = solver._by_element(y)
+    bumps = {m: solver._condense(y, m, Xm, Xs) for m, Xm, Xs in elements if len(Xm) > 2}
+    r = np.empty(shifts.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c in solver._shift_blocks(shifts.size, max(y.mesh.degrees) - 1):
+            w = shifts[c]
+            (m, Xm, Xs), *below = elements[::-1]
+            q = solver._top_admittance(Xm, Xs, bumps.get(m), w)
+            for m, Xm, Xs in below:
+                g, rho0, rho1 = solver._two_port(Xm, Xs, bumps.get(m), w)
+                t = rho1 + q
+                q = rho0 + g * t / (g + t)
+            r[c] = 1.0 / q
+    return r
