@@ -28,7 +28,7 @@ from .solver import SolverError
 from .spectral import BoxDomain, modal_function
 
 CSV_COLUMNS = (
-    "h_omega,N_omega,M,N_Y,N_total,Y,energy_error,trace_hs_error,iters,wall_ms"
+    "h_omega,N_omega,M,N_Y,N_total,Y,energy_error,trace_hs_error,wall_ms"
 )
 
 

@@ -56,10 +56,7 @@ class StudyRow:
     ``N_Y`` is the constrained system size ``sum(p_m)``, i.e. the
     unconstrained piecewise-polynomial dimension ``1 + sum(p_m)`` minus the
     dof pinned at the top of the cylinder; ``N_total = N_omega * N_Y``.
-    ``iters`` is 1: the trace-only solve is one fold of the y-direction per
-    distinct shift, with no refinement step; the column stays so that the
-    output format does not change. ``wall_ms`` is the level's wall
-    time in milliseconds.
+    ``wall_ms`` is the level's wall time in milliseconds.
     """
 
     h_omega: float
@@ -70,7 +67,6 @@ class StudyRow:
     Y: float
     energy_error: float
     trace_hs_error: float
-    iters: int
     wall_ms: float
 
 
@@ -363,7 +359,6 @@ def run_level(
         Y=level.mesh.Y,
         energy_error=err,
         trace_hs_error=tr_err,
-        iters=1,
         wall_ms=wall_ms,
     )
 

@@ -20,21 +20,19 @@ a few arrays of ``N_omega`` doubles and a fixed budget of ``_BLOCK_BYTES``
 shift blocks; no ``(N_omega, N_y)`` array and no base-domain matrix.
 
 ``solve`` computes the whole coefficient tensor and checks it; it is the
-oracle of the tests and of ``selftest``. The tensor is stored as an
-``(N_omega, N_y)`` array; the flat vector interface uses the layout that
-lists all base-domain coefficients of the first y-basis function first
-(Fortran flattening of the tensor), under which the dense equivalent of the
-operator is exactly ``kron(B_mass, A_stiff) + kron(B_stiff, A_mass)``. Each
-shift's system is solved from the y-element matrices: the bumps of every
-element are condensed onto the vertex dofs through the element's own
-generalized eigenpairs, and the vertex tridiagonal is factored by one LDL^T
-sweep over all distinct shifts at once. Iterative refinement brings the true
-residual, the one product with the assembled ``B_mass`` and ``B_stiff``,
-below tolerance.
+oracle of the tests. The tensor is stored as an ``(N_omega, N_y)`` array;
+the flat vector interface uses the layout that lists all base-domain
+coefficients of the first y-basis function first (Fortran flattening of the
+tensor), under which the dense equivalent of the operator is exactly
+``kron(B_mass, A_stiff) + kron(B_stiff, A_mass)``. Each shift's system is
+the dense assembled pair ``omega*B_mass + B_stiff``, solved by LAPACK, and
+iterative refinement brings the true residual, the one product with the
+assembled ``B_mass`` and ``B_stiff``, below tolerance.
 
 Every ``(N_omega, N_y)`` tensor this module returns is in Fortran order.
 ``solve`` is a plain reference for desk sizes: nothing in it bounds its
-working set, which is a few arrays of ``N_total`` doubles.
+working set, which is the dense pairs (distinct shifts times ``N_y**2``
+doubles) and a few arrays of ``N_total`` doubles.
 """
 
 from __future__ import annotations
@@ -50,10 +48,11 @@ from .femomega import OmegaGrid, OmegaMatrices
 
 
 class SolverError(RuntimeError):
-    """The level could not be built, the y-resolvent certificate failed, the
-    y-factorization met a non-positive pivot, refinement stopped short of
-    ``rel_tol`` or the energy identity failed; non-finite y-element matrices
-    are a ``MeshError`` of assembly."""
+    """The level could not be built, the y-resolvent certificate failed, a
+    bump block of the fold or an assembled pair of the full solve met a
+    non-positive pivot, refinement stopped short of ``rel_tol`` or the
+    energy identity failed; non-finite y-element matrices are a
+    ``MeshError`` of assembly."""
 
     def __init__(self, message: str, residual: float = math.nan, iterations: int = 0):
         super().__init__(message)
@@ -132,15 +131,14 @@ def _p1_eigenvalues(n: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _BaseModes:
     """The sine eigenmodes of the uniform P1/Q1 base pencil, in the row-major
-    order of the interior nodes: the mass eigenvalue and the generalized
-    eigenvalue (shift) of every mode, the ascending distinct shifts and the
+    order of the interior nodes: the mass eigenvalue of every mode, the
+    ascending distinct generalized eigenvalues (shifts) and the
     distinct-shift column of every mode (None when every mode has its own
     shift: in d=1, and never in d=2, where ``(k, l)`` and ``(l, k)`` share
     one)."""
 
     base_shape: tuple      # (n - 1,) * d: the interior nodes per base axis
     mass_eig: np.ndarray
-    shifts: np.ndarray
     distinct: np.ndarray
     factor: np.ndarray | None
 
@@ -152,7 +150,7 @@ def _base_modes(grid: OmegaGrid) -> _BaseModes:
     distinct, factor = np.unique(shifts, return_inverse=True)
     if np.array_equal(distinct, shifts):
         factor = None
-    return _BaseModes((grid.n - 1,) * grid.d, mass_eig, shifts, distinct, factor)
+    return _BaseModes((grid.n - 1,) * grid.d, mass_eig, distinct, factor)
 
 
 def _dst_axis(X: np.ndarray):
@@ -191,14 +189,10 @@ def _dst(T: np.ndarray, base_shape: tuple) -> np.ndarray:
 
 @dataclass
 class _Bumps:
-    """One element's bump block in its generalized eigenbasis:
+    """One element's bump block in its generalized eigenbasis ``W``:
     ``W^T Sbb W = diag(theta)`` and ``W^T Mbb W = I``; ``P`` and ``Q`` are
-    the vertex-bump mass and stiffness couplings in that basis. Both dof
-    ranges are contiguous."""
+    the vertex-bump mass and stiffness couplings in that basis."""
 
-    verts: slice
-    bumps: slice
-    W: np.ndarray
     theta: np.ndarray
     P: np.ndarray
     Q: np.ndarray
@@ -237,24 +231,11 @@ def _shift_blocks(n: int, bumps: int) -> list[slice]:
     return [slice(j, j + step) for j in starts[:-1]] + [slice(starts[-1], n)]
 
 
-def _pivot_error(where: str) -> SolverError:
-    return SolverError(
-        f"non-positive pivot in the extended-direction factorization ({where}): "
-        "the y-matrix pair is not symmetric positive definite"
-    )
-
-
-def _by_element(y: WeightedMatrices) -> list:
-    """``(m, mass, stiff)`` of every element of ``y``, in ascending ``m``."""
-    return sorted(((m, Xm, Xs) for ms, mass, stiff in y.groups
-                   for m, Xm, Xs in zip(ms, mass, stiff)), key=lambda e: e[0])
-
-
 def _condense(y: WeightedMatrices, m: int, Xm: np.ndarray, Xs: np.ndarray) -> _Bumps:
     """The :class:`_Bumps` of element ``m`` (degree >= 2) from its element
     matrices; its vertex rows are the dofs among vertices ``m-1`` and
-    ``m``."""
-    nverts = 2 if m < y.dofmap.M else 1
+    ``m``, the top one constrained."""
+    nverts = 2 if m < y.mesh.M else 1
     try:
         # W = L^-T V with L L^T the bump mass and V the eigenvectors of
         # L^-1 Sbb L^-T (LAPACK's sygv, itype 1); the explicit inverse of L
@@ -262,11 +243,12 @@ def _condense(y: WeightedMatrices, m: int, Xm: np.ndarray, Xs: np.ndarray) -> _B
         Linv = np.linalg.inv(np.linalg.cholesky(Xm[2:, 2:]))
         theta, V = np.linalg.eigh(Linv @ Xs[2:, 2:] @ Linv.T)
     except np.linalg.LinAlgError as exc:
-        raise _pivot_error(f"bump block of element {m}") from exc
+        raise SolverError(
+            f"non-positive pivot in the extended-direction factorization (bump block of "
+            f"element {m}): the y-matrix pair is not symmetric positive definite"
+        ) from exc
     W = Linv.T @ V
-    starts = y.dofmap.bump_starts
-    return _Bumps(slice(m - 1, m - 1 + nverts), slice(starts[m - 1], starts[m]), W, theta,
-                  Xm[2:, :nverts].T @ W, Xs[2:, :nverts].T @ W)
+    return _Bumps(theta, Xm[2:, :nverts].T @ W, Xs[2:, :nverts].T @ W)
 
 
 def _top_admittance(Xm: np.ndarray, Xs: np.ndarray, el: _Bumps | None,
@@ -417,81 +399,45 @@ def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: fl
 
 @dataclass
 class TensorPreconditioner:
-    """Exact inverse of ``S`` by fast diagonalization; in :func:`solve` it is
-    the preconditioner of iterative refinement.
+    """Exact inverse of ``S``: the sine transform in the base direction and
+    a dense solve of the assembled pair ``omega*B_mass + B_stiff`` in y; in
+    :func:`solve` it is the preconditioner of iterative refinement. It
+    holds one dense pair per distinct shift, distinct shifts times
+    ``N_y**2`` doubles: a reference for desk sizes."""
 
-    Rows of the working tensor are y-dofs, columns base-domain eigenmodes,
-    so every step below is vectorized over all shifts ``omega``; Python
-    loops run over elements and vertices only.
-    """
-
-    base_shape: tuple      # (n - 1,) * d: the interior nodes per base axis
-    mass_eig: np.ndarray   # base-direction mass eigenvalue of every mode
-    shifts: np.ndarray     # generalized eigenvalue omega of every mode
-    factor: np.ndarray | None  # factor column of every mode; None: column j is mode j (d=1)
-    elements: list         # _Bumps of every element with degree >= 2
-    pivots: np.ndarray     # (vertices, distinct shifts): D of the vertex LDL^T
-    lower: np.ndarray      # (vertices - 1, distinct shifts): subdiagonal of L
+    modes: _BaseModes
+    pairs: np.ndarray  # (distinct shifts, N_y, N_y): omega*B_mass + B_stiff
 
     @classmethod
     def build(cls, system: KroneckerSystem) -> "TensorPreconditioner":
-        """Factor every distinct shift from the y-element matrices (checked
-        finite where they are formed). The vertex tridiagonal is read off
-        the assembled ``B_mass`` and ``B_stiff``, and the bump rows ``2:``
-        of every element are condensed onto it in ascending element order."""
+        """The dense assembled pair of every distinct shift, each checked
+        positive definite by a Cholesky factorization."""
         modes = _base_modes(system.omega.grid)
-        distinct = modes.distinct
-
-        nv = system.y.dofmap.M
-        Bm, Bs = system.y.B_mass, system.y.B_stiff  # the vertex dofs come first
-        diag = np.outer(Bm.diagonal()[:nv], distinct) + Bs.diagonal()[:nv, None]
-        off = np.outer(Bm.diagonal(1)[:nv - 1], distinct) + Bs.diagonal(1)[:nv - 1, None]
-
-        elements = []
-        for m, Xm, Xs in _by_element(system.y):
-            if len(Xm) == 2:
-                continue
-            el = _condense(system.y, m, Xm, Xs)
-            inv = el.inverse_diagonal(distinct)
-            if not np.all(inv > 0.0):
-                raise _pivot_error(f"bump block of element {m}")
-            C = el.coupling(distinct)
-            diag[el.verts] -= np.sum(C * C * inv, axis=1)
-            if el.P.shape[0] == 2:
-                off[m - 1] -= np.sum(C[0] * C[1] * inv, axis=0)
-            elements.append(el)
-
-        for i in range(nv - 1):
-            off[i] /= diag[i]
-            diag[i + 1] -= off[i] * off[i] * diag[i]
-        if not np.all(diag > 0.0):
-            raise _pivot_error("vertex tridiagonal")
-        return cls(base_shape=modes.base_shape, mass_eig=modes.mass_eig, shifts=modes.shifts,
-                   factor=modes.factor, elements=elements, pivots=diag, lower=off)
+        pairs = np.multiply.outer(modes.distinct, system.y.B_mass.toarray())
+        pairs += system.y.B_stiff.toarray()
+        for w, K in zip(modes.distinct, pairs):
+            try:
+                np.linalg.cholesky(K)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    f"non-positive pivot in the dense factorization at shift omega={w:.6g}: "
+                    "the assembled y-matrix pair is not numerically positive definite"
+                ) from exc
+        return cls(modes, pairs)
 
     def apply(self, R: np.ndarray) -> np.ndarray:
         """``S^-1 R`` for an ``(N_omega, N_y)`` tensor, returned in Fortran
-        order; ``R`` is left unchanged."""
-        G = _dst(np.array(R.T, order="C"), self.base_shape)  # a copy: transformed in place
-        G /= self.mass_eig
-        shifts, L, D = self.shifts, self.lower, self.pivots
-        if self.factor is not None:  # the factors of each mode's distinct shift
-            L, D = L[:, self.factor], D[:, self.factor]
-        for el in self.elements:
-            G[el.bumps] = el.W.T @ G[el.bumps]
-            G[el.verts] -= np.einsum("ikn,kn->in", el.coupling(shifts),
-                                     G[el.bumps] * el.inverse_diagonal(shifts))
-        nv = D.shape[0]
-        for i in range(nv - 1):
-            G[i + 1] -= L[i] * G[i]
-        G[:nv] /= D
-        for i in range(nv - 2, -1, -1):
-            G[i] -= L[i] * G[i + 1]
-        for el in self.elements:
-            z = G[el.bumps] - np.einsum("ikn,in->kn", el.coupling(shifts), G[el.verts])
-            G[el.bumps] = z * el.inverse_diagonal(shifts)
-            G[el.bumps] = el.W @ G[el.bumps]
-        return _dst(G, self.base_shape).T
+        order; ``R`` is left unchanged. The modes of one shift are solved in
+        one call, each as a system of its own, so sharing a pair changes no
+        bit."""
+        base_shape, factor = self.modes.base_shape, self.modes.factor
+        G = _dst(np.array(R.T, order="C"), base_shape)  # a copy: transformed in place
+        G /= self.modes.mass_eig
+        shift_of = np.arange(G.shape[1]) if factor is None else factor
+        for j, K in enumerate(self.pairs):
+            cols = shift_of == j
+            G[:, cols] = np.linalg.solve(K, G[:, cols].T[:, :, None])[:, :, 0].T
+        return _dst(G, base_shape).T
 
 
 @dataclass
@@ -514,11 +460,14 @@ def solve(system: KroneckerSystem, rhs, rel_tol: float = 1e-10) -> SolutionTenso
     """Exact solve refined until the true relative residual
     ``||B - S X|| / ||B||`` is at most ``rel_tol``.
 
-    ``iterations`` counts applications of the inverse. Raises
-    :class:`SolverError` on a non-positive pivot or when a refinement step
-    fails to halve the residual: below 1 that is ``rel_tol`` under the
-    attainable floor, at or above 1 (no better than ``X = 0``) an inverse
-    that is inaccurate on this mesh.
+    ``iterations`` counts applications of the inverse
+    (:class:`TensorPreconditioner`). Raises :class:`SolverError` on an
+    assembled pair that is not numerically positive definite, or when a
+    refinement step fails to halve the residual: below 1 that is
+    ``rel_tol`` under the attainable floor, at or above 1 (no better than
+    ``X = 0``) an inverse that is inaccurate on this mesh. Working set: the
+    inverse's dense pairs and a few arrays of ``N_total`` doubles, desk
+    sizes only.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")

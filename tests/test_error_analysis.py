@@ -254,7 +254,6 @@ class TestStudyDriver:
         assert len(rows) == 3
         for row in rows:
             assert row.N_total == row.N_omega * row.N_Y
-            assert row.iters >= 1
             assert row.wall_ms > 0.0
             assert row.Y >= 1.0
         assert rows[0].h_omega == pytest.approx(1 / 8)
@@ -268,7 +267,7 @@ class TestStudyDriver:
         def make_row(h, e):
             return StudyRow(
                 h_omega=h, N_omega=1, M=1, N_Y=1, N_total=1, Y=1.0,
-                energy_error=e, trace_hs_error=0.0, iters=1, wall_ms=0.0,
+                energy_error=e, trace_hs_error=0.0, wall_ms=0.0,
             )
 
         rows = [make_row(0.1, 1.0), make_row(0.05, 0.5), make_row(0.025, 0.25)]
@@ -280,7 +279,7 @@ class TestStudyDriver:
         def make_row(n_total, e):
             return StudyRow(
                 h_omega=0.1, N_omega=1, M=1, N_Y=1, N_total=n_total, Y=1.0,
-                energy_error=e, trace_hs_error=0.0, iters=1, wall_ms=0.0,
+                energy_error=e, trace_hs_error=0.0, wall_ms=0.0,
             )
 
         ref = [make_row(100, 0.5), make_row(1000, 0.1)]

@@ -268,15 +268,33 @@ class TestSolve:
         assert "stalled" in str(err.value)
         assert "below the attainable floor" in str(err.value)
 
-    def test_inaccurate_inverse_is_not_called_a_floor(self):
-        # mu=0.05 grades the first element to ~1e-19 of Y: the refined
-        # residual ends above 1, i.e. worse than X = 0
-        level = discretize(benchmark_problem(0.5, 1), "hfem", 8, mu=0.05)
+    def test_inaccurate_inverse_is_not_called_a_floor(self, monkeypatch):
+        # an inverse three times too large: the residual is -2B after the
+        # first application and 4B after the second, worse than X = 0
+        system = make_system(d=1, n=10, mesh=graded_mesh(6, 0.3, 1.5), alpha=0.4)
+        rhs = np.random.default_rng(9).standard_normal((system.n_omega, system.n_y))
+        exact = TensorPreconditioner.apply
+        monkeypatch.setattr(TensorPreconditioner, "apply", lambda self, R: 3.0 * exact(self, R))
         with pytest.raises(SolverError) as err:
-            solve(level.system, level.rhs, rel_tol=1e-9)
-        assert err.value.residual >= 1.0
+            solve(system, rhs, rel_tol=1e-9)
+        assert err.value.residual == pytest.approx(4.0, rel=1e-9)
+        assert err.value.iterations == 2
+        assert "no better than X = 0" in str(err.value)
         assert "inaccurate" in str(err.value)
         assert "floor" not in str(err.value)
+
+    def test_steep_grading_is_a_pivot_error_naming_the_shift(self):
+        # mu=0.05 grades the first element to ~1e-19 of Y: the assembled
+        # pair of the lowest shift is not numerically positive definite
+        level = discretize(benchmark_problem(0.5, 1), "hfem", 8, mu=0.05)
+        first = solver._base_modes(level.grid).distinct[0]
+        with pytest.raises(SolverError) as err:
+            solve(level.system, level.rhs, rel_tol=1e-9)
+        message = str(err.value)
+        assert "pivot" in message
+        assert f"shift omega={first:.6g}" in message
+        assert "assembled" in message
+        assert "floor" not in message
 
     def test_hp_2d_matches_dense_solve(self):
         system = make_system(d=2, n=6, mesh=hp_mesh(4, 0.125, 1.5, 0.7), alpha=-0.6)
@@ -324,9 +342,11 @@ class TestSolve:
         flipped = replace(system.y, groups=tuple((ms, mass, -stiff)
                                                  for ms, mass, stiff in system.y.groups))
         system = KroneckerSystem(system.omega, flipped)
+        first = solver._base_modes(system.omega.grid).distinct[0]
         with pytest.raises(SolverError) as err:
             solve(system, np.ones((system.n_omega, system.n_y)))
         assert "pivot" in str(err.value)
+        assert f"shift omega={first:.6g}" in str(err.value)
 
 
 def _ymesh(family, M, grading, Y):
@@ -512,6 +532,17 @@ class TestYResolvent:
                      for w in shifts]
             assert y_resolvent(weighted, shifts) == pytest.approx(dense, rel=1e-13)
 
+    @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
+    def test_fold_caches_no_dof_map(self, scheme):
+        # the fold takes M from the mesh: a dof map built on the way would
+        # stay cached on the matrices as long as they live
+        problem = benchmark_problem(0.2, 1)
+        level = discretize(problem, scheme, 64)
+        weighted = assemble_weighted_matrices(level.mesh, alpha=problem.alpha)
+        assert "dofmap" not in vars(weighted)
+        y_resolvent(weighted, solver._base_modes(level.grid).distinct)
+        assert "dofmap" not in vars(weighted)
+
     def test_shift_blocks_do_not_change_the_fold(self, monkeypatch):
         level = discretize(benchmark_problem(0.2, 1), "hpfem", 42)
         shifts = solver._base_modes(level.grid).distinct
@@ -635,55 +666,28 @@ class TestSolveTrace:
 
 class TestPreconditionerApply:
     @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(4, 0.125, 2.0, 0.7)])
-    def test_one_factorization_per_distinct_shift(self, mesh):
+    def test_one_dense_pair_per_distinct_shift(self, mesh):
+        # the pairs are w*B_mass + B_stiff of the dense assembled matrices,
+        # one per distinct shift, and expanding them to one pair a mode
+        # changes no bit of the result
         system = make_system(d=2, n=9, mesh=mesh, alpha=0.3)
         inverse = TensorPreconditioner.build(system)
-        distinct = np.unique(inverse.shifts).size
-        assert distinct < inverse.shifts.size
-        assert inverse.pivots.shape[1] == inverse.lower.shape[1] == distinct
-        expanded = replace(inverse, factor=None, pivots=inverse.pivots[:, inverse.factor],
-                           lower=inverse.lower[:, inverse.factor])
+        modes = inverse.modes
+        assert modes.distinct.size < modes.mass_eig.size
+        Bm, Bs = system.y.B_mass.toarray(), system.y.B_stiff.toarray()
+        assert inverse.pairs.shape == (modes.distinct.size, system.n_y, system.n_y)
+        for w, K in zip(modes.distinct, inverse.pairs):
+            assert K.tobytes() == (w * Bm + Bs).tobytes()
+        expanded = replace(inverse, modes=replace(modes, factor=None),
+                           pairs=inverse.pairs[modes.factor])
         R = np.random.default_rng(6).standard_normal((system.n_omega, system.n_y))
         assert inverse.apply(R).tobytes() == expanded.apply(R).tobytes()
 
-    def test_every_d1_shift_has_its_own_factorization(self):
-        inverse = TensorPreconditioner.build(make_system(d=1, n=12))
-        assert inverse.factor is None
-        assert inverse.pivots.shape[1] == inverse.shifts.size
-
-    @pytest.mark.parametrize("mesh", [graded_mesh(9, 0.35, 1.8), graded_mesh(1, 1.0, 1.0),
-                                      hp_mesh(5, 0.125, 2.0, 0.7)])
-    def test_vertex_factors_match_the_assembled_tridiagonal_bitwise(self, mesh):
-        # build reads the vertex tridiagonal off the assembled B_mass and
-        # B_stiff; it must be the element sums (rows 0 and 1 of element m
-        # are vertices m-1 and m, at most two terms a vertex), and the
-        # bumps (hp) condensed onto it in ascending element order
-        system = make_system(d=2, n=7, mesh=mesh, alpha=-0.2)
+    def test_every_d1_shift_has_its_own_pair(self):
+        system = make_system(d=1, n=12)
         inverse = TensorPreconditioner.build(system)
-        omega = np.unique(inverse.shifts)
-        nv = mesh.M
-        pair = np.zeros((2, 2, nv))  # (mass, stiffness) x (diagonal, superdiagonal)
-        elements = solver._by_element(system.y)
-        for m, *X in elements:
-            for B, (d, o) in zip(X, pair):
-                d[m - 1] += B[0, 0]
-                if m < nv:
-                    d[m] += B[1, 1]
-                    o[m - 1] = B[0, 1]
-        diag = np.outer(pair[0, 0], omega) + pair[1, 0][:, None]
-        off = np.outer(pair[0, 1, :-1], omega) + pair[1, 1, :-1, None]
-        for m, Xm, Xs in elements:
-            if len(Xm) > 2:
-                el = solver._condense(system.y, m, Xm, Xs)
-                C, inv = el.coupling(omega), el.inverse_diagonal(omega)
-                diag[el.verts] -= np.sum(C * C * inv, axis=1)
-                if m < nv:
-                    off[m - 1] -= np.sum(C[0] * C[1] * inv, axis=0)
-        for i in range(nv - 1):
-            off[i] /= diag[i]
-            diag[i + 1] -= off[i] * off[i] * diag[i]
-        assert inverse.pivots.tobytes() == diag.tobytes()
-        assert inverse.lower.tobytes() == off.tobytes()
+        assert inverse.modes.factor is None
+        assert inverse.pairs.shape == (system.n_omega, system.n_y, system.n_y)
 
     @pytest.mark.parametrize("d,n", [(1, 24), (2, 9)])
     @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(4, 0.125, 2.0, 0.7)],

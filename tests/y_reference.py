@@ -77,7 +77,8 @@ def element_loop_assembly(mesh, alpha):
 def element_loop_fold(y, shifts):
     """:func:`~fracdiff.solver.y_resolvent` with one
     :func:`~fracdiff.solver._two_port` call per element below the top."""
-    elements = solver._by_element(y)
+    elements = sorted(((m, Xm, Xs) for ms, mass, stiff in y.groups
+                       for m, Xm, Xs in zip(ms.tolist(), mass, stiff)), key=lambda e: e[0])
     bumps = {m: solver._condense(y, m, Xm, Xs) for m, Xm, Xs in elements if len(Xm) > 2}
     r = np.empty(shifts.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
