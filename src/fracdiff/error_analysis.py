@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -335,9 +335,17 @@ def run_level(
     and ``tol`` is the margin of its certificate. A level whose mesh or
     weighted quadrature cannot be built, whose certificate fails, or that
     runs out of memory anywhere raises :class:`SolverError` prefixed with
-    the level."""
+    the level.
+
+    Both errors are linear in the data, so the level is solved for the data
+    scaled by a power of two (exact) to a largest coefficient in [0.5, 1),
+    and the errors are scaled back: ``f_k**2`` neither overflows nor
+    underflows."""
     t0 = time.perf_counter()
     where = f"{scheme} s={problem.s:g} d={problem.domain.d} n={n}"
+    scale = math.frexp(max((abs(c) for _, c in problem.f.modes), default=0.0))[1]
+    problem = replace(problem, f=replace(problem.f, modes=tuple(
+        (index, math.ldexp(c, -scale)) for index, c in problem.f.modes)))
     try:
         level = discretize(problem, scheme, n, **mesh_overrides)
         trace = solve_trace(level.grid, level.weighted, level.load, s=problem.s,
@@ -357,8 +365,8 @@ def run_level(
         N_Y=level.weighted.n_dofs,
         N_total=grid.n_dofs * level.weighted.n_dofs,
         Y=level.mesh.Y,
-        energy_error=err,
-        trace_hs_error=tr_err,
+        energy_error=math.ldexp(err, scale),
+        trace_hs_error=math.ldexp(tr_err, scale),
         wall_ms=wall_ms,
     )
 

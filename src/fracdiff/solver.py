@@ -12,12 +12,13 @@ solution for the cylinder right-hand side ``e0 (x) load``: it is
 ``DST(r_h(omega)/m * DST(load))`` with ``m`` the base mass eigenvalues and
 ``r_h(omega) = e0^T (omega*B_mass + B_stiff)^-1 e0`` one scalar per distinct
 shift. :func:`y_resolvent` folds ``r_h`` through the y-element matrices,
-never through the assembled pair: the degree-1 elements, all of h-FEM, as
-affine two-ports read off the group arrays with in-place ufuncs, the
-elements with bumps one two-port at a time. The certificate ``0 < d_s *
-omega**s * r_h <= 1 + margin`` stands in for a residual check. Working set:
-a few arrays of ``N_omega`` doubles and a fixed budget of ``_BLOCK_BYTES``
-shift blocks; no ``(N_omega, N_y)`` array and no base-domain matrix.
+never through the assembled pair, in one loop over the elements of every
+degree: per-element scalars read off the group arrays, in-place ufuncs on
+two buffers, and for an element with bumps its pole sums, formed and freed
+before the next element. The certificate ``0 < d_s * omega**s * r_h <= 1 +
+margin`` stands in for a residual check. Working set: a few arrays of
+``N_omega`` doubles and a fixed budget of ``_BLOCK_BYTES`` shift blocks; no
+``(N_omega, N_y)`` array and no base-domain matrix.
 
 ``solve`` computes the whole coefficient tensor and checks it; it is the
 oracle of the tests. The tensor is stored as an ``(N_omega, N_y)`` array;
@@ -209,10 +210,9 @@ class _Bumps:
 
 
 # Rows of one shift column that the fold holds besides the coupling and
-# 1/(omega + theta) (see _shift_blocks): the admittance, the two-port's
-# outputs, their products with the shifts and the fold's own temporaries. A
-# run of degree-1 elements holds three of them: the admittance and the two
-# buffers of _fold_affine.
+# 1/(omega + theta) (see _shift_blocks): the shifts, the admittance and the
+# fold's two buffers (see _rows), an element's pole sums and the contraction
+# temporaries that form them. An element without bumps uses the first four.
 _FOLD_ROWS = 12
 
 
@@ -264,67 +264,52 @@ def _top_admittance(Xm: np.ndarray, Xs: np.ndarray, el: _Bumps | None,
     return E00
 
 
-def _two_port(Xm: np.ndarray, Xs: np.ndarray, el: _Bumps | None, w: np.ndarray):
-    """The vertex Schur complement ``E = K_vv - K_vb K_bb^-1 K_bv`` of one
-    element with ``K = w*mass + stiff`` at the shifts ``w``, as ``(g, rho0,
-    rho1)``: the coupling ``g = -E01`` and the row sums ``rho = E 1``. The
-    stiffness annihilates constants, so the row sums are formed from the
-    mass alone, ``rho = w*(M_vv 1 - K_vb K_bb^-1 M_bv 1)``."""
-    g = -(w * Xm[0, 1] + Xs[0, 1])
-    rho = np.multiply.outer(Xm[:2, :2].sum(axis=1), w)
-    if el is not None:
-        C, inv = el.coupling(w), el.inverse_diagonal(w)
-        g += np.einsum("kn,kn,kn->n", C[0], C[1], inv)
-        rho -= w * np.einsum("ikn,kn,k->in", C, inv, el.P.sum(axis=0))
-    return g, rho[0], rho[1]
+def _pole_sums(el: _Bumps, w: np.ndarray):
+    """What the bumps of one element add to its two-port at the shifts
+    ``w``: ``sum_k C_0k C_1k / (w + theta_k)``, added to the coupling
+    ``g``, and ``w * sum_k C_ik Pbar_k / (w + theta_k)`` (``Pbar`` the
+    column sums of ``P``), subtracted from the row sums ``rho_i``. The
+    coupling and ``1/(w + theta)`` are freed on return."""
+    C, inv = el.coupling(w), el.inverse_diagonal(w)
+    return (np.einsum("kn,kn,kn->n", C[0], C[1], inv),
+            w * np.einsum("ikn,kn,k->in", C, inv, el.P.sum(axis=0)))
 
 
 def _fold_chain(y: WeightedMatrices):
     """The element data of the fold, read from the group arrays: ``(top,
-    bumps, affine)``.
-
-    ``top`` is ``(Xm, Xs)`` of the top element, and ``bumps`` maps every
-    element of degree >= 2 to its ``(Xm, Xs)``. Column ``m-1`` of the ``(4,
-    M)`` array ``affine`` holds ``-m01``, ``s01``, ``m00 + m01`` and ``m10 +
-    m11`` of a degree-1 element ``m`` with mass ``m`` and stiffness ``s``:
-    its two-port at a shift ``w`` is ``g = -(w*m01 + s01)`` and ``rho_i =
-    w*(m_i0 + m_i1)``."""
-    M = y.mesh.M
+    chain)``. ``top`` is ``(Xm, Xs, bumps)`` of the top element; ``chain``
+    lists every element below it, topmost first, as ``(-m01, s01, m00 +
+    m01, m10 + m11, bumps)`` with ``m`` and ``s`` its mass and stiffness.
+    Rows 0-1 are the vertex block at every degree, so the element's
+    two-port at a shift ``w`` is ``g = -(w*m01 + s01)`` and ``rho_i =
+    w*(m_i0 + m_i1)`` plus its :func:`_pole_sums`. ``bumps`` is the
+    :class:`_Bumps` of an element of degree >= 2 (condensed in ascending
+    order, so a pivot error names the lowest element), None for degree 1."""
+    M = y.mesh.M  # not y.dofmap: building it would outlive the call
     top, bumps, affine = None, {}, np.empty((4, M))
     for ms, mass, stiff in y.groups:
         if ms[-1] == M:
             top = mass[-1], stiff[-1]
-        if mass.shape[1] == 2:
-            affine[:, ms - 1] = (-mass[:, 0, 1], stiff[:, 0, 1], mass[:, 0, 0] + mass[:, 0, 1],
-                                 mass[:, 1, 0] + mass[:, 1, 1])
-        else:
+        affine[:, ms - 1] = (-mass[:, 0, 1], stiff[:, 0, 1], mass[:, 0, 0] + mass[:, 0, 1],
+                             mass[:, 1, 0] + mass[:, 1, 1])
+        if mass.shape[1] > 2:
             bumps.update(zip(ms.tolist(), zip(mass, stiff)))
-    return top, bumps, affine
+    condensed = {m: _condense(y, m, *bumps[m]) for m in sorted(bumps)}
+    below = affine[:, -2::-1].tolist()  # elements M-1 down to 1
+    return (*top, condensed.get(M)), list(zip(*below, map(condensed.get, range(M - 1, 0, -1))))
 
 
-def _fold_affine(affine: np.ndarray, w: np.ndarray, q: np.ndarray):
-    """Fold the admittance ``q`` in place down through the degree-1 elements
-    whose ``affine`` columns are given, topmost last: ``t = rho1 + q``, then
-    ``q = rho0 + g*t/(g + t)``. Nine ufunc calls an element on two buffers
-    of the block's length. Each product and sum is the one :func:`_two_port`
-    and the fold form for the element, with the operands swapped or the
-    sign moved, so the result is bitwise theirs.
-
-    Forming the rows ``g``, ``rho0`` and ``rho1`` of a chunk of elements at
-    once, which leaves five calls an element, was slower on the benchmark
-    levels: 8.1 against 6.5 ms for h-FEM n=1024 d=1, 0.73 against 0.49 ms
-    for n=64 d=2 (2 cores, numpy 2.4)."""
-    g, t = np.empty(w.size), np.empty(w.size)
-    for m01, s01, sum0, sum1 in affine[:, ::-1].T.tolist():
-        np.multiply(w, sum1, out=t)
-        t += q
-        np.multiply(w, m01, out=g)
-        g -= s01
-        np.add(g, t, out=q)
-        t *= g
-        t /= q
-        np.multiply(w, sum0, out=q)
-        q += t
+def _rows(n: int, count: int) -> list[np.ndarray]:
+    """``count`` rows of ``n`` doubles in one buffer, each starting 1 KiB
+    past a multiple of 4 KiB from the one before: rows that share their
+    address bits 0-11 make loads falsely wait on stores (4K aliasing). With
+    rows allocated one by one, ``solve --scheme hfem --s 0.8 --d 2 --n
+    1024`` took 1.8-2.2 s or 1.5-1.7 s depending only on the path of the
+    checkout, which moves the heap; 1.4-1.7 s with these rows (2 cores)."""
+    stride = -(-n // 512) * 512 + 128
+    buf = np.empty(count * stride + 511)
+    base = -buf.ctypes.data % 4096 // 8
+    return [buf[base + k * stride:][:n] for k in range(count)]
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # the certificate rejects them
@@ -342,28 +327,44 @@ def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     subtracted. Eliminating with the off-diagonals and row sums as the data
     is the GTH idea (Grassmann, Taksar & Heyman, 1985); the sums of element
     entries that an elimination of the assembled matrices works with lose
-    r_h on strongly graded meshes. Runs of degree-1 elements, all of h-FEM,
-    are folded by :func:`_fold_affine`; elements with bumps go one at a
-    time through :func:`_two_port`. Runs in shift blocks: the working set
-    beyond the result is a fixed budget."""
-    top, bumps, affine = _fold_chain(y)
-    M = y.mesh.M  # not y.dofmap: building it would outlive the call
-    condensed = {m: (Xm, Xs, _condense(y, m, Xm, Xs)) for m, (Xm, Xs) in sorted(bumps.items())}
-    top_el = condensed.pop(M)[2] if M in condensed else None
-    below = [*reversed(condensed), 0]  # descending
+    r_h on strongly graded meshes.
+
+    One loop folds every element below the top, whatever its degree, from
+    the scalars of :func:`_fold_chain` with in-place ufuncs on the rows
+    ``g`` and ``t``: nine calls an element of degree 1, and an element with
+    bumps adds its :func:`_pole_sums` in place. Each product and sum is the
+    one of the element's two-port with the operands swapped or the sign
+    moved, so the result is bitwise that of one two-port per element.
+    Forming the rows ``g``, ``rho0`` and ``rho1`` of a chunk of elements at
+    once, which leaves five calls an element, was slower on the benchmark
+    levels: 8.1 against 6.5 ms for h-FEM n=1024 d=1, 0.73 against 0.49 ms
+    for n=64 d=2 (2 cores, numpy 2.4). Runs in shift blocks: the working
+    set beyond the result is a fixed budget."""
+    top, chain = _fold_chain(y)
+    blocks = _shift_blocks(shifts.size, max(y.mesh.degrees) - 1)
+    rows = _rows(max(c.stop - c.start for c in blocks), 4)
     r = np.empty(shifts.size)
-    for c in _shift_blocks(shifts.size, max(y.mesh.degrees) - 1):
-        w = shifts[c]
-        q = _top_admittance(*top, top_el, w)
-        hi = M - 1
-        for m in below:
-            if hi > m:
-                _fold_affine(affine[:, m:hi], w, q)  # elements m+1..hi
-            if m:
-                g, rho0, rho1 = _two_port(*condensed[m], w)
-                t = rho1 + q
-                q = rho0 + g * t / (g + t)
-            hi = m - 1
+    for c in blocks:
+        w, q, g, t = (row[:c.stop - c.start] for row in rows)
+        w[:] = shifts[c]
+        q[:] = _top_admittance(*top, w)
+        for m01, s01, sum0, sum1, el in chain:
+            np.multiply(w, sum1, out=t)
+            np.multiply(w, m01, out=g)
+            g -= s01
+            if el is not None:
+                poles, rho = _pole_sums(el, w)
+                g += poles
+                t -= rho[1]
+            t += q
+            np.add(g, t, out=q)
+            t *= g
+            t /= q
+            np.multiply(w, sum0, out=q)
+            if el is not None:
+                q -= rho[0]
+                del poles, rho  # freed before the next element's coupling is formed
+            q += t
         r[c] = 1.0 / q
     return r
 

@@ -156,6 +156,18 @@ class TestSolveCommand:
             {"index": [2], "coefficient": 1.0},
         ]
 
+    @pytest.mark.parametrize("coef", ["1e160", "1e-300"])
+    def test_extreme_data_scale(self, tmp_path, coef):
+        # f_k**2 overflows at 1e160 and underflows to 0 at 1e-300; the
+        # errors are linear in f: coef times the energy error
+        # 0.0485488718134 of f_1 = 1
+        out = tmp_path / "x"
+        assert run_cli(["solve", "--d", "1", "--n", "8", "--modes", f"1={coef}",
+                        "--out", str(out)]) == 0
+        row = json.loads((tmp_path / "x.json").read_text())["results"]["hfem"]["rows"][0]
+        assert row["energy_error"] == pytest.approx(float(coef) * 0.0485488718134, rel=1e-11)
+        assert math.isfinite(row["trace_hs_error"]) and row["trace_hs_error"] > 0.0
+
     def test_bad_modes_exit_2(self, tmp_path):
         code = run_cli(
             ["solve", "--s", "0.5", "--d", "2", "--modes", "1=1.0", "--out", str(tmp_path / "x")]

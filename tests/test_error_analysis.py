@@ -320,6 +320,23 @@ class TestStudyDriver:
         row = run_level(benchmark_problem(0.5, 2), "hpfem", 8)
         assert row.N_total == 49 * row.N_Y
 
+    @pytest.mark.parametrize("scheme,d", [("hfem", 1), ("hpfem", 2)])
+    def test_errors_scale_with_the_data_by_powers_of_two(self, scheme, d):
+        # 2**530 squared overflows a double and 2**-1000 squared underflows
+        # to 0; the errors are linear in f, and scaling by a power of two
+        # is exact, so they are 2**k times those of the unscaled data
+        def errors(k):
+            domain = BoxDomain(d)
+            entries = [((1,) * d, math.ldexp(1.0, k)), ((2,) * d, math.ldexp(-0.7, k))]
+            problem = FractionalProblem(s=0.4, domain=domain, f=modal_function(domain, entries))
+            row = run_level(problem, scheme, 8)
+            return row.energy_error, row.trace_hs_error
+
+        base = errors(0)
+        assert all(e > 0.0 for e in base)
+        for k in (-1000, 0, 530):
+            assert errors(k) == tuple(math.ldexp(e, k) for e in base)
+
 
 class TestSineHatReuse:
     """The load and the trace error take one closed-form sine-hat vector

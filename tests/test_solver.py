@@ -475,12 +475,16 @@ def _log_uniform_shifts(level, count=12, seed=2017):
     return np.unique(np.exp(rng.uniform(np.log(distinct[0]), np.log(distinct[-1]), count)))
 
 
+# degree-1 elements above elements with bumps, which no mesh rule gives
+_INTERLEAVED = replace(hp_mesh(6, 0.125, 2.0, 0.7), degrees=(1, 3, 1, 4, 1, 2))
+
+
 class TestYResolvent:
     @pytest.mark.parametrize("scheme,s,n", [("hfem", 0.2, 16), ("hfem", 0.2, 64),
                                             ("hpfem", 0.2, 16), ("hpfem", 0.5, 16)])
     def test_fold_matches_exact_elimination(self, exact_resolvent, scheme, s, n):
-        # the vertex sweep of the full solve is off by 2e-14 to 5e-13 on
-        # three of these levels
+        # every sampled shift of each level against an exact rational
+        # elimination of the assembled pair
         level = discretize(benchmark_problem(s, 1), scheme, n)
         shifts = _sampled_shifts(level)
         got = y_resolvent(level.weighted, shifts)
@@ -501,9 +505,9 @@ class TestYResolvent:
             assert abs(Fraction(float(r)) - want) <= 1e-14 * want
 
     def test_fold_matches_exact_elimination_with_more_elements(self, exact_resolvent):
-        # hp s=0.2 n=16 with twice the elements (436 y-dofs): the vertex
-        # sweep is off by 1e-8 to 3e-8; exact rationals take too long here,
-        # so the reference is a 60-digit elimination
+        # hp s=0.2 n=16 with twice the elements (436 y-dofs); exact
+        # rationals take too long here, so the reference is a 60-digit
+        # elimination
         level = discretize(benchmark_problem(0.2, 1), "hpfem", 16, m_mult=2.0)
         shifts = _sampled_shifts(level)
         got = y_resolvent(level.weighted, shifts)
@@ -532,6 +536,14 @@ class TestYResolvent:
                      for w in shifts]
             assert y_resolvent(weighted, shifts) == pytest.approx(dense, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 43690])
+    def test_fold_rows_are_disjoint_and_1_kib_apart_modulo_4_kib(self, n):
+        rows = solver._rows(n, 4)
+        starts = [row.ctypes.data for row in rows]
+        assert [row.size for row in rows] == [n] * 4
+        assert [(a - starts[0]) % 4096 for a in starts] == [0, 1024, 2048, 3072]
+        assert all(b - a >= 8 * n for a, b in zip(starts, starts[1:]))
+
     @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
     def test_fold_caches_no_dof_map(self, scheme):
         # the fold takes M from the mesh: a dof map built on the way would
@@ -556,12 +568,12 @@ class TestYResolvent:
     @pytest.mark.parametrize("step", [2, 3, 5, 16])
     @pytest.mark.parametrize("d,n", [(1, 42), (2, 9)])
     @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(6, 0.125, 2.0, 0.7),
-                                      hp_mesh(6, 0.125, 2.0, 2.0)],
-                             ids=["graded", "hp", "hp-many-bumps"])
+                                      hp_mesh(6, 0.125, 2.0, 2.0), _INTERLEAVED],
+                             ids=["graded", "hp", "hp-many-bumps", "interleaved"])
     def test_shift_blocks_match_one_block_bitwise(self, monkeypatch, mesh, d, n, step):
         # 41 or 36 distinct shifts: with 2 or 5 per block (d=1) and 5 (d=2)
         # one column is left over, and it joins the block before it; up to
-        # 21 bumps an element on the last mesh, none on the first
+        # 21 bumps an element on the third mesh, none on the first
         system = make_system(d=d, n=n, mesh=mesh, alpha=-0.3)
         shifts = solver._base_modes(system.omega.grid).distinct
         monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 40)
@@ -576,16 +588,17 @@ class TestYResolvent:
 
 
 class TestFoldAgainstPerElementReference:
-    """The fold with the degree-1 elements read from the group arrays and
-    folded in runs, against one ``_two_port`` call per element
-    (``y_reference``): bitwise the same resolvent."""
+    """The fold, one in-place loop over per-element scalars read from the
+    group arrays, against one two-port per element
+    (``y_reference.element_loop_fold``): bitwise the same resolvent."""
 
     @pytest.mark.parametrize("alpha", [-0.3, 0.4])
     @pytest.mark.parametrize("d,n", [(1, 42), (2, 9)])
     @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(6, 0.125, 2.0, 0.7),
                                       hp_mesh(6, 0.125, 2.0, 2.0), hp_mesh(5, 1e-4, 1.5, 0.7),
-                                      graded_mesh(1, 1.0, 1.5)],
-                             ids=["graded", "hp", "hp-many-bumps", "geometric-split", "M1"])
+                                      graded_mesh(1, 1.0, 1.5), _INTERLEAVED],
+                             ids=["graded", "hp", "hp-many-bumps", "geometric-split", "M1",
+                                  "interleaved"])
     @pytest.mark.parametrize("step", [None, 3])
     def test_fold_is_bitwise_the_element_loop(self, monkeypatch, mesh, d, n, alpha, step):
         # the geometric-split mesh has split elements above the Gauss-Jacobi

@@ -2,10 +2,10 @@
 
 ``element_loop_assembly`` builds the element matrices one element at a
 time: its point count by the scalar formula, its shape tables by one
-``legvander`` call each (``legendre_shapes``). ``element_loop_fold`` folds the
-resolvent through every element's two-port with
-:func:`~fracdiff.solver._two_port`, degree 1 included. The program does the
-same arithmetic with array operations, so both must agree bitwise.
+``legvander`` call each (``legendre_shapes``). ``element_loop_fold`` forms
+every element's two-port on its own (``two_port``), degree 1 included, and
+folds the resolvent through them. The program does the same arithmetic with
+array operations and one in-place loop, so both must agree bitwise.
 """
 
 import math
@@ -74,9 +74,25 @@ def element_loop_assembly(mesh, alpha):
     return WeightedMatrices(groups=tuple(groups), mesh=mesh)
 
 
+def two_port(Xm: np.ndarray, Xs: np.ndarray, el, w: np.ndarray):
+    """The vertex Schur complement ``E = K_vv - K_vb K_bb^-1 K_bv`` of one
+    element with ``K = w*mass + stiff`` at the shifts ``w``, as ``(g, rho0,
+    rho1)``: the coupling ``g = -E01`` and the row sums ``rho = E 1``. The
+    stiffness annihilates constants, so the row sums are formed from the
+    mass alone, ``rho = w*(M_vv 1 - K_vb K_bb^-1 M_bv 1)``. ``el`` is the
+    element's ``solver._Bumps``, or None for degree 1."""
+    g = -(w * Xm[0, 1] + Xs[0, 1])
+    rho = np.multiply.outer(Xm[:2, :2].sum(axis=1), w)
+    if el is not None:
+        C, inv = el.coupling(w), el.inverse_diagonal(w)
+        g += np.einsum("kn,kn,kn->n", C[0], C[1], inv)
+        rho -= w * np.einsum("ikn,kn,k->in", C, inv, el.P.sum(axis=0))
+    return g, rho[0], rho[1]
+
+
 def element_loop_fold(y, shifts):
-    """:func:`~fracdiff.solver.y_resolvent` with one
-    :func:`~fracdiff.solver._two_port` call per element below the top."""
+    """:func:`~fracdiff.solver.y_resolvent` with one :func:`two_port` call
+    per element below the top."""
     elements = sorted(((m, Xm, Xs) for ms, mass, stiff in y.groups
                        for m, Xm, Xs in zip(ms.tolist(), mass, stiff)), key=lambda e: e[0])
     bumps = {m: solver._condense(y, m, Xm, Xs) for m, Xm, Xs in elements if len(Xm) > 2}
@@ -87,7 +103,7 @@ def element_loop_fold(y, shifts):
             (m, Xm, Xs), *below = elements[::-1]
             q = solver._top_admittance(Xm, Xs, bumps.get(m), w)
             for m, Xm, Xs in below:
-                g, rho0, rho1 = solver._two_port(Xm, Xs, bumps.get(m), w)
+                g, rho0, rho1 = two_port(Xm, Xs, bumps.get(m), w)
                 t = rho1 + q
                 q = rho0 + g * t / (g + t)
             r[c] = 1.0 / q
