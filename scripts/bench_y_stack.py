@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Before/after medians of the extended-direction work, as JSON.
 
-Runs, for two checkouts of this repository and alternating between them:
+Runs, for two checkouts of this repository and alternating between them
+(the "before" checkout first in even pairs, counting from 0, and the "after"
+checkout first in odd ones, so drift within a pair favours neither):
 
 * the benchmark workloads through each checkout's own ``perfbench/run.py``
   (untraced, seed 1), reading ``study_s``, ``peak_rss_mb``, ``setup_s`` and
@@ -87,7 +89,8 @@ def main(argv=None) -> int:
     runs = {side: {"workloads": {w: [] for w in WORKLOADS},
                    "scale": {f"{s}-n{n}": [] for s, n in SCALE_LEVELS}} for side in roots}
     for i in range(args.pairs):
-        for side, root in roots.items():
+        for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
+            root = roots[side]
             for w in WORKLOADS:
                 runs[side]["workloads"][w].append(workload_run(root, w, args.seconds))
             for scheme, n in SCALE_LEVELS:
@@ -100,7 +103,8 @@ def main(argv=None) -> int:
     report = {
         "machine": {"python": platform.python_version(), "machine": platform.machine(),
                     "nproc": len(os.sched_getaffinity(0)), "blas_threads": 1},
-        "protocol": (f"{args.pairs} alternating pairs; workloads: perfbench/run.py --seed 1 "
+        "protocol": (f"{args.pairs} pairs, before first in even pairs and after first in odd "
+                     "ones (counting from 0); workloads: perfbench/run.py --seed 1 "
                      f"--seconds {args.seconds:g} --trace 0; scale: fracdiff solve --s 0.8 --d 2 "
                      "in a fresh interpreter"),
         "workloads": {w: {key: summary(column("before", "workloads", w, key),

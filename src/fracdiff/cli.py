@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
@@ -179,10 +180,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_in_place(path: Path, text: str):
+    """Write ``text`` to ``path`` through the file's existing inode: open it
+    without truncating, write, then cut it at the end of the text. The bytes
+    are those of ``path.write_text(text)``, but a symlinked output is written
+    through and the file keeps its mode. Truncating a non-empty file to zero
+    bytes (``O_TRUNC``) makes some file systems (ext4 with ``auto_da_alloc``)
+    start writeback when it is closed, which made the output writes a sixth
+    of the wall time of a small study rerun over its outputs. A write that is
+    killed midway leaves a partial file, as the ``O_TRUNC`` write did:
+    neither is atomic."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        f.write(text)
+        f.truncate()
+
+
 def write_csv(path: Path, rows: list[ea.StudyRow]):
     columns = CSV_COLUMNS.split(",")
     lines = [CSV_COLUMNS] + [",".join(_fmt(getattr(row, c)) for c in columns) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    write_in_place(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: Path, cfg: RunConfig, records: dict[str, dict]):
@@ -191,7 +207,7 @@ def write_json(path: Path, cfg: RunConfig, records: dict[str, dict]):
         payload["config"]["modes"] = [
             {"index": list(idx), "coefficient": c} for idx, c in cfg.modes
         ]
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_in_place(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, out_base: Path):
@@ -205,7 +221,7 @@ def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, out_base: 
             lines.append(
                 f"{scheme},{_fmt(h)},{_fmt(row.energy_error)},{_fmt(h)},{_fmt(ref)}"
             )
-    _with_ext(out_base, "_fig_error_vs_h.csv").write_text("\n".join(lines) + "\n")
+    write_in_place(_with_ext(out_base, "_fig_error_vs_h.csv"), "\n".join(lines) + "\n")
 
     merged = [
         (row.N_total, scheme, row.energy_error)
@@ -216,7 +232,7 @@ def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, out_base: 
     lines = ["scheme,N_total,energy_error"]
     for n_total, scheme, err in merged:
         lines.append(f"{scheme},{n_total},{_fmt(err)}")
-    _with_ext(out_base, "_fig_error_vs_dof.csv").write_text("\n".join(lines) + "\n")
+    write_in_place(_with_ext(out_base, "_fig_error_vs_dof.csv"), "\n".join(lines) + "\n")
 
 
 def cmd_run(cfg: RunConfig, command: str) -> int:

@@ -73,10 +73,14 @@ class StudyRow:
 def exact_data_product(problem: FractionalProblem) -> float:
     """Closed modal form of ``int f * u dx`` for the exact fractional
     solution: ``sum_k lambda_k**(-s) * f_k**2`` in orthonormal
-    coefficients."""
-    return sum(
-        lam ** (-problem.s) * coef**2 for _, lam, coef in problem.f.orthonormal_items()
-    )
+    coefficients. The sum is taken over the coefficients scaled by
+    ``2**-f.scale_exponent`` and scaled back (exact), so it overflows only
+    when the product itself lies beyond the double range."""
+    scale = problem.f.scale_exponent
+    return math.ldexp(sum(
+        lam ** (-problem.s) * math.ldexp(coef, -scale) ** 2
+        for _, lam, coef in problem.f.orthonormal_items()
+    ), 2 * scale)
 
 
 def energy_error(problem: FractionalProblem, load: np.ndarray, trace) -> float:
@@ -343,7 +347,7 @@ def run_level(
     underflows."""
     t0 = time.perf_counter()
     where = f"{scheme} s={problem.s:g} d={problem.domain.d} n={n}"
-    scale = math.frexp(max((abs(c) for _, c in problem.f.modes), default=0.0))[1]
+    scale = problem.f.scale_exponent
     problem = replace(problem, f=replace(problem.f, modes=tuple(
         (index, math.ldexp(c, -scale)) for index, c in problem.f.modes)))
     try:

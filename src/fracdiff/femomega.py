@@ -118,10 +118,10 @@ def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
     """Load vector ``d_s * int f * eta_i dx``; the cylinder right-hand side
     is this vector placed in the unique y-dof supported at ``y = 0``. Each
     mode of ``f`` is a product of sines, so its part of ``int f * eta_i`` is
-    the Kronecker product of the 1-D sine-hat integrals, one vector per
-    distinct frequency."""
+    the Kronecker product (the raveled outer product) of the 1-D sine-hat
+    integrals, one vector per distinct frequency."""
     hats = distinct_sine_hats(grid, (index for index, _ in problem.f.modes))
     out = np.zeros(grid.n_dofs)
     for index, coef in problem.f.modes:
-        out += coef * reduce(np.kron, [hats[k] for k in index])
+        out += coef * reduce(np.multiply.outer, [hats[k] for k in index]).ravel()
     return problem.d_s * out

@@ -99,6 +99,14 @@ class ModalFunction:
         return [(index, self.domain.eigenvalue(index), coef * conv)
                 for index, coef in self.modes]
 
+    @property
+    def scale_exponent(self) -> int:
+        """Exponent ``e`` of the largest |coefficient| as ``math.frexp``
+        gives it (0 without modes). Dividing the coefficients by ``2**e`` is
+        exact and puts the largest in [0.5, 1), where its square neither
+        overflows nor underflows."""
+        return math.frexp(max((abs(c) for _, c in self.modes), default=0.0))[1]
+
 
 def modal_function(domain: BoxDomain, entries) -> ModalFunction:
     """Build a :class:`ModalFunction` from ``(index, coefficient)`` pairs,
@@ -162,8 +170,13 @@ def solve_fractional(problem: FractionalProblem) -> ModalFunction:
 
 def hs_norm(v: ModalFunction, s: float) -> float:
     """Fractional Sobolev norm ``sqrt(sum lambda_k**s * v_k**2)`` computed in
-    orthonormal coefficients; negative ``s`` gives the dual norm."""
-    return math.sqrt(sum(lam**s * coef**2 for _, lam, coef in v.orthonormal_items()))
+    orthonormal coefficients; negative ``s`` gives the dual norm. The sum is
+    taken over the coefficients scaled by ``2**-v.scale_exponent`` and the
+    root scaled back, so it overflows only when the norm itself lies beyond
+    the double range."""
+    scale = v.scale_exponent
+    return math.ldexp(math.sqrt(sum(lam**s * math.ldexp(coef, -scale) ** 2
+                                    for _, lam, coef in v.orthonormal_items())), scale)
 
 
 def exact_extended(problem: FractionalProblem, x, y) -> float | np.ndarray:

@@ -534,6 +534,56 @@ class TestRejectedBeforeAnyLevel:
                      "modes: mode (1,) has a non-finite coefficient inf")
 
 
+class TestOutputFiles:
+    """Every output is rewritten through its existing file: the bytes of a
+    fresh out path, the same inode, its mode kept, and a symlink written
+    through. Each study runs in its own directory with the relative out path
+    ``run``, so the JSON's config is the same in every directory."""
+
+    OUTPUTS = (".csv", ".json", "_fig_error_vs_h.csv", "_fig_error_vs_dof.csv")
+
+    def study(self, directory, monkeypatch, n):
+        directory.mkdir(exist_ok=True)
+        monkeypatch.chdir(directory)
+        assert run_cli(["study", "--d", "1", "--n", n, "--deterministic", "--out", "run"]) == 0
+        return {ext: directory / f"run{ext}" for ext in self.OUTPUTS}
+
+    def test_shorter_rerun_writes_the_bytes_of_a_fresh_out(self, tmp_path, monkeypatch):
+        longer = {ext: path.stat().st_size for ext, path in
+                  self.study(tmp_path / "reused", monkeypatch, "8,16,32").items()}
+        reused = self.study(tmp_path / "reused", monkeypatch, "8,16")
+        fresh = self.study(tmp_path / "fresh", monkeypatch, "8,16")
+        for ext in self.OUTPUTS:
+            assert reused[ext].stat().st_size < longer[ext]
+            assert reused[ext].read_bytes() == fresh[ext].read_bytes()
+
+    def test_symlinked_output_is_written_through(self, tmp_path, monkeypatch):
+        target = tmp_path / "kept.json"
+        target.write_text("x" * 100_000)
+        (tmp_path / "linked").mkdir()
+        (tmp_path / "linked" / "run.json").symlink_to(target)
+        linked = self.study(tmp_path / "linked", monkeypatch, "8,16")[".json"]
+        fresh = self.study(tmp_path / "fresh", monkeypatch, "8,16")[".json"]
+        assert linked.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_rewrite_keeps_the_file_mode(self, tmp_path, monkeypatch):
+        for path in self.study(tmp_path, monkeypatch, "8,16").values():
+            path.chmod(0o640)
+        for path in self.study(tmp_path, monkeypatch, "8,16,32").values():
+            assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_rewrite_keeps_the_inode(self, tmp_path, monkeypatch):
+        # a hard link holds each first inode, so a file created anew could
+        # not reuse its number
+        for ext, path in self.study(tmp_path, monkeypatch, "8,16,32").items():
+            os.link(path, tmp_path / f"held{ext}")
+        for ext, path in self.study(tmp_path, monkeypatch, "8,16").items():
+            held = tmp_path / f"held{ext}"
+            assert path.stat().st_ino == held.stat().st_ino
+            assert held.read_bytes() == path.read_bytes()
+
+
 def test_cli_import_leaves_quadrature_modules_unloaded(tmp_path):
     # scipy serves only selftest, the oracles and the tests: a fresh
     # interpreter loads no scipy module to import the CLI, nor to solve with

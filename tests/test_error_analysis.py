@@ -102,6 +102,26 @@ class TestEnergyError:
             math.sqrt(2.0) * math.pi / 4.0, rel=1e-14
         )
 
+    def test_exact_data_product_of_coefficients_whose_squares_overflow(self):
+        # f_10 = 2**516 squares to about 2**1031, beyond the double range, but
+        # lambda_10**(-0.9) < 2**-8.9 brings the product back into it; the
+        # product is quadratic in f, so it is 4**k times that of the unscaled data
+        def product(k):
+            domain = BoxDomain(1)
+            entries = [((10,), math.ldexp(1.0, k)), ((12,), math.ldexp(-0.75, k))]
+            return exact_data_product(
+                FractionalProblem(s=0.9, domain=domain, f=modal_function(domain, entries)))
+
+        for k in (-300, 0, 516):
+            assert product(k) == math.ldexp(product(0), 2 * k)
+
+    def test_exact_data_product_beyond_the_double_range_raises(self):
+        domain = BoxDomain(1)
+        problem = FractionalProblem(s=0.5, domain=domain,
+                                    f=modal_function(domain, [((1,), 1e160)]))
+        with pytest.raises(OverflowError):
+            exact_data_product(problem)
+
     def test_exact_trace_gives_small_error(self):
         problem = benchmark_problem(0.6, 1)
         errs = []

@@ -114,6 +114,46 @@ class TestHsNorm:
         nu, nf = hs_norm(u, s), hs_norm(f, -s)
         assert abs(nu - nf) <= 1e-14 * max(nf, 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("s", [0.3, -0.3])
+    def test_scales_with_the_coefficients_by_powers_of_two(self, d, s):
+        # 2**530 squared overflows a double and 2**-1000 squared underflows
+        # to 0; the norm is linear in v, and scaling by a power of two is
+        # exact, so it is 2**k times that of the unscaled coefficients
+        def norm(k):
+            domain = BoxDomain(d)
+            entries = [((1,) * d, math.ldexp(1.0, k)), ((2,) * d, math.ldexp(-0.7, k))]
+            return hs_norm(modal_function(domain, entries), s)
+
+        for k in (-1000, 0, 530):
+            assert norm(k) == math.ldexp(norm(0), k)
+
+    @pytest.mark.parametrize("coef", [1e160, 1e-300])
+    def test_extreme_coefficient(self, coef):
+        v = modal_function(BoxDomain(1), [((1,), coef)])
+        want = coef / math.sqrt(2) * math.pi**0.5
+        assert hs_norm(v, 0.5) == pytest.approx(want, rel=1e-14, abs=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.floats(min_value=-0.95, max_value=0.95),
+        d=st.sampled_from([1, 2]),
+        data=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=6),
+                st.floats(min_value=-50, max_value=50),
+                st.floats(min_value=1.0, max_value=2.0),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_bitwise_the_unscaled_sum_in_the_normal_range(self, s, d, data):
+        domain = BoxDomain(d)
+        v = modal_function(domain, [((k,) * d, c * 10.0**e) for k, e, c in data])
+        want = math.sqrt(sum(lam**s * coef**2 for _, lam, coef in v.orthonormal_items()))
+        assert hs_norm(v, s) == want
+
 
 class TestExactExtended:
     def test_trace_is_fractional_solution(self):
