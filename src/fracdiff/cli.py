@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -201,12 +201,19 @@ def write_csv(path: Path, rows: list[ea.StudyRow]):
     write_in_place(path, "\n".join(lines) + "\n")
 
 
+def _as_dict(record) -> dict:
+    """The fields of a dataclass record by name, read without the deep copy
+    of ``dataclasses.asdict``: the values of a ``RunConfig`` or a
+    ``StudyRow`` are numbers, strings and lists of them, which ``json``
+    writes the same either way."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def write_json(path: Path, cfg: RunConfig, records: dict[str, dict]):
-    payload = {"config": asdict(cfg), "results": records}
+    config = _as_dict(cfg)
     if cfg.modes is not None:
-        payload["config"]["modes"] = [
-            {"index": list(idx), "coefficient": c} for idx, c in cfg.modes
-        ]
+        config["modes"] = [{"index": list(idx), "coefficient": c} for idx, c in cfg.modes]
+    payload = {"config": config, "results": records}
     write_in_place(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -250,7 +257,7 @@ def cmd_run(cfg: RunConfig, command: str) -> int:
         )
         results[scheme] = [replace(r, wall_ms=0.0) for r in rows] if cfg.deterministic else rows
     records = {
-        scheme: {"rows": [asdict(r) for r in rows], "orders": ea.observed_orders(rows),
+        scheme: {"rows": [_as_dict(r) for r in rows], "orders": ea.observed_orders(rows),
                  "orders_log_normalized": ea.observed_orders(rows, log_power=cfg.s)}
         for scheme, rows in results.items()
     }

@@ -38,6 +38,7 @@ from .spectral import (
     BoxDomain,
     FractionalProblem,
     benchmark_problem,
+    dirichlet_eigenvalue,
     modal_function,
     solve_fractional,
     tail_energy,
@@ -229,16 +230,6 @@ def _singular_bottom_rule(h1: float, alpha: float, s: float, npts: int):
     return np.concatenate(all_pts), np.concatenate(all_wts)
 
 
-def _mode_inner_with_trace(grid: OmegaGrid, hats: dict, index, trace: np.ndarray) -> float:
-    """Quadrature of ``int tr_h * phi_hat_k dx`` (orthonormal): the nodal
-    trace contracted with the 1-D sine-hat vector ``hats[k]`` of each axis,
-    slowest first."""
-    T = trace
-    for k in index:
-        T = hats[k] @ T.reshape(grid.n - 1, -1)
-    return 2.0 ** (grid.d / 2.0) * float(T[0])
-
-
 def trace_hs_error(
     problem: FractionalProblem,
     grid: OmegaGrid,
@@ -247,19 +238,31 @@ def trace_hs_error(
 ) -> float:
     """Fractional-norm trace error of the projection on the first
     ``k_modes`` orthonormal eigenfunctions:
-    ``sqrt(sum_k lambda_k**s * (u_k - (tr_h, phi_k))**2)``, with one
-    sine-hat vector per distinct frequency."""
+    ``sqrt(sum_k lambda_k**s * (u_k - (tr_h, phi_k))**2)``.
+
+    The quadrature ``(tr_h, phi_k)`` contracts the nodal trace with the 1-D
+    sine-hat vector of each frequency of ``k``, one axis at a time, slowest
+    first, with one vector per distinct frequency. The contraction along
+    the first axis, the one with the whole trace, is made once per distinct
+    first frequency and shared by every mode that has it; the products are
+    those of one contraction chain per mode, so sharing changes no bit. The
+    eigenvalues of the generated indices are not checked again."""
     trace = np.asarray(trace, dtype=float)
     indices = problem.domain.modes_by_eigenvalue(k_modes)
     exact = {idx: coef for idx, _, coef in solve_fractional(problem).orthonormal_items()}
     if any(idx not in indices for idx in exact):
         raise ValueError("k_modes must cover every mode of the data (plus margin)")
     hats = distinct_sine_hats(grid, indices)
+    lines = trace.reshape(grid.n - 1, -1)
+    first = {k: hats[k] @ lines for k in {idx[0] for idx in indices}}
+    scale = 2.0 ** (grid.d / 2.0)
     value_sq = 0.0
     for idx in indices:
-        lam = problem.domain.eigenvalue(idx)
-        c = exact.get(idx, 0.0) - _mode_inner_with_trace(grid, hats, idx, trace)
-        value_sq += lam**problem.s * c * c
+        T = first[idx[0]]
+        for k in idx[1:]:
+            T = hats[k] @ T.reshape(grid.n - 1, -1)
+        c = exact.get(idx, 0.0) - scale * float(T[0])
+        value_sq += dirichlet_eigenvalue(idx)**problem.s * c * c
     return math.sqrt(value_sq)
 
 

@@ -5,7 +5,8 @@ Both solvers rest on fast diagonalization (Lynch, Rice & Thomas, 1964). The
 uniform P1/Q1 base matrices have closed-form sine eigenvectors, so an
 orthonormal DST-I diagonalizes the base direction and ``S`` splits into one
 extended-direction system ``omega*B_mass + B_stiff`` per base eigenvalue
-``omega``; in d=2 the modes ``(k, l)`` and ``(l, k)`` share one shift.
+``omega``; in d=2 the modes ``(k, l)`` and ``(l, k)`` share one shift, and
+the run path folds the triangle ``k <= l`` of them (:class:`_BaseModes`).
 
 The run path, :func:`solve_trace`, needs only the trace at ``y = 0`` of the
 solution for the cylinder right-hand side ``e0 (x) load``: it is
@@ -17,8 +18,10 @@ degree: per-element scalars read off the group arrays, in-place ufuncs on
 two buffers, and for an element with bumps its pole sums, formed and freed
 before the next element. The certificate ``0 < d_s * omega**s * r_h <= 1 +
 margin`` stands in for a residual check. Working set: a few arrays of
-``N_omega`` doubles and a fixed budget of ``_BLOCK_BYTES`` shift blocks; no
-``(N_omega, N_y)`` array and no base-domain matrix.
+``N_omega`` doubles (the load, its transform, and the triangle's shifts and
+``r_h``, half an array each) and a fixed budget of ``_BLOCK_BYTES`` shift
+and row blocks; no ``(N_omega, N_y)`` array, no base-domain matrix, and no
+array of ``N_omega`` shifts, mode indices or mass eigenvalues.
 
 ``solve`` computes the whole coefficient tensor and checks it; it is the
 oracle of the tests. The tensor is stored as an ``(N_omega, N_y)`` array;
@@ -131,27 +134,75 @@ def _p1_eigenvalues(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _BaseModes:
-    """The sine eigenmodes of the uniform P1/Q1 base pencil, in the row-major
-    order of the interior nodes: the mass eigenvalue of every mode, the
-    ascending distinct generalized eigenvalues (shifts) and the
-    distinct-shift column of every mode (None when every mode has its own
-    shift: in d=1, and never in d=2, where ``(k, l)`` and ``(l, k)`` share
-    one)."""
+    """The sine eigenmodes of the uniform P1/Q1 base pencil from the 1-D
+    factors: ``mass`` holds the 1-D mass eigenvalues ``m_k`` (mode ``(k,
+    l)`` has ``m_k*m_l`` in d=2) and ``shifts`` the distinct generalized
+    eigenvalues. In d=1 these are the 1-D ones, ``sigma_k = stiff_k /
+    m_k``, ascending. In d=2 they are the triangle ``sigma_k + sigma_l``,
+    ``k <= l``, row by row (:func:`_triangle_at`): float addition
+    commutes, so ``(l, k)`` has the shift of ``(k, l)`` and the triangle
+    holds every distinct shift. No two of its cells held one shift at the
+    n the tests check; one that did would only be folded twice. No array
+    of ``N_omega`` shifts is formed: sorting one into distinct shifts
+    (``np.unique``) took 1.3 ms of a 12 ms n=128 level and 0.63 s at
+    n=2048 (2 cores, numpy 2.4)."""
 
     base_shape: tuple      # (n - 1,) * d: the interior nodes per base axis
-    mass_eig: np.ndarray
-    distinct: np.ndarray
-    factor: np.ndarray | None
+    mass: np.ndarray
+    shifts: np.ndarray
+
+
+def _triangle_at(n: int) -> np.ndarray:
+    """``at[k]``: the cell ``(k, l)``, ``k <= l``, of the row-by-row
+    triangle of an ``n x n`` symmetric array is ``at[k] + l``."""
+    k = np.arange(n)
+    return k * (2 * n - k - 1) // 2
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of the rows of an ``n x n`` array in blocks of which three
+    arrays of doubles fit a quarter of ``_BLOCK_BYTES``."""
+    rows = max(1, _BLOCK_BYTES // (4 * 8 * 3 * n))
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def _base_modes(grid: OmegaGrid) -> _BaseModes:
     mass, stiff = _p1_eigenvalues(grid.n)
-    mass_eig = reduce(np.multiply.outer, [mass] * grid.d).ravel()
-    shifts = reduce(np.add.outer, [stiff / mass] * grid.d).ravel()
-    distinct, factor = np.unique(shifts, return_inverse=True)
-    if np.array_equal(distinct, shifts):
-        factor = None
-    return _BaseModes((grid.n - 1,) * grid.d, mass_eig, distinct, factor)
+    sigma = stiff / mass
+    if grid.d == 1:
+        return _BaseModes((grid.n - 1,), mass, sigma)
+    n = grid.n - 1
+    at, cols = _triangle_at(n), np.arange(n)
+    shifts = np.empty(n * (n + 1) // 2)
+    for b in _row_blocks(n):
+        # boolean indexing keeps row-major order: the block's triangle rows
+        upper = cols[b, None] <= cols
+        shifts[at[b.start] + b.start:at[b.stop - 1] + n] = np.add.outer(sigma[b], sigma)[upper]
+    return _BaseModes((n, n), mass, shifts)
+
+
+def _scale_modes(G: np.ndarray, modes: _BaseModes, r: np.ndarray):
+    """``G *= r`` then ``G /= m`` mode by mode, in place, for the
+    transformed ``(N_omega,)`` vector ``G``, ``r`` given at
+    ``modes.shifts`` and ``m`` the mass eigenvalue of the mode. In d=2 the
+    rows of ``G`` go in the blocks of :func:`_row_blocks`, reading ``r``
+    at the triangle cells of their modes and forming their mass
+    eigenvalues from the 1-D ones; each mode gets the products of the
+    full-array form, so the block size changes no bit."""
+    if len(modes.base_shape) == 1:
+        G *= r
+        G /= modes.mass
+        return
+    mass = modes.mass
+    n = mass.size
+    G = G.reshape(n, n)
+    at, cols = _triangle_at(n), np.arange(n)
+    for b in _row_blocks(n):
+        k = cols[b, None]
+        cell = at[np.minimum(k, cols)]
+        cell += np.maximum(k, cols)
+        G[b] *= r.take(cell)
+        G[b] /= np.multiply.outer(mass[b], mass)
 
 
 def _dst_axis(X: np.ndarray):
@@ -369,32 +420,39 @@ def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     return r
 
 
+def _certify(shifts: np.ndarray, r: np.ndarray, *, s: float, d_s: float, margin: float):
+    """Raise :class:`SolverError` unless ``0 < d_s * w**s * r_h(w) <= 1 +
+    margin`` at every shift ``w``, naming the smallest shift that fails
+    and how many distinct shifts fail. The ratios are freed on return."""
+    ratio = d_s * shifts**s * r
+    bad = np.flatnonzero(~((ratio > 0.0) & (ratio <= 1.0 + margin)))
+    if bad.size:
+        j = bad[np.argmin(shifts[bad])]
+        raise SolverError(
+            f"y-resolvent certificate failed at {np.unique(shifts[bad]).size} of "
+            f"{np.unique(shifts).size} shifts, first at shift omega={shifts[j]:.6g}: "
+            f"d_s*omega**s*r_h = {ratio[j]:.6g} is not in (0, 1 + {margin:g}]"
+        )
+
+
 def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: float, d_s: float,
                 margin: float) -> np.ndarray:
     """Nodal trace at ``y = 0`` of the solution of ``S X = e0 (x) load``:
     ``DST(r_h/m * DST(load))`` with ``r_h`` from :func:`y_resolvent`, one
-    fold per distinct shift, and ``m`` the base mass eigenvalues.
+    fold per distinct shift (the triangle of :class:`_BaseModes` in d=2),
+    and ``m`` the base mass eigenvalues. :func:`_scale_modes` applies
+    ``r_h`` and ``m`` to the transformed load in blocks of rows, from the
+    triangle and the 1-D factors: no array of ``N_omega`` shifts, indices,
+    ``r_h`` or mass eigenvalues is formed.
 
     The certificate ``0 < d_s * w**s * r_h(w) <= 1 + margin`` is checked at
-    every distinct shift: the exact extension gives 1, and the Galerkin
-    subspace and the truncation can only lower it. A violation raises
-    :class:`SolverError` naming the first shift that fails."""
+    every distinct shift (:func:`_certify`): the exact extension gives 1,
+    and the Galerkin subspace and the truncation can only lower it."""
     modes = _base_modes(grid)
-    r = y_resolvent(y, modes.distinct)
-    ratio = d_s * modes.distinct**s * r
-    bad = np.flatnonzero(~((ratio > 0.0) & (ratio <= 1.0 + margin)))
-    if bad.size:
-        j = bad[0]
-        raise SolverError(
-            f"y-resolvent certificate failed at {bad.size} of {ratio.size} shifts, first at "
-            f"shift omega={modes.distinct[j]:.6g}: d_s*omega**s*r_h = {ratio[j]:.6g} is "
-            f"not in (0, 1 + {margin:g}]"
-        )
-    if modes.factor is not None:
-        r = r[modes.factor]
+    r = y_resolvent(y, modes.shifts)
+    _certify(modes.shifts, r, s=s, d_s=d_s, margin=margin)
     G = _dst(np.array(load, dtype=float), modes.base_shape)  # a copy: overwritten in place
-    G *= r
-    G /= modes.mass_eig
+    _scale_modes(G, modes, r)
     return _dst(G, modes.base_shape)
 
 
@@ -406,17 +464,26 @@ class TensorPreconditioner:
     holds one dense pair per distinct shift, distinct shifts times
     ``N_y**2`` doubles: a reference for desk sizes."""
 
-    modes: _BaseModes
-    pairs: np.ndarray  # (distinct shifts, N_y, N_y): omega*B_mass + B_stiff
+    base_shape: tuple
+    mass_eig: np.ndarray  # (N_omega,): the mass eigenvalue of every mode
+    shifts: np.ndarray    # the distinct shifts, ascending
+    shift_of: np.ndarray  # (N_omega,): the index in shifts of every mode
+    pairs: np.ndarray     # (distinct shifts, N_y, N_y): omega*B_mass + B_stiff
 
     @classmethod
     def build(cls, system: KroneckerSystem) -> "TensorPreconditioner":
         """The dense assembled pair of every distinct shift, each checked
-        positive definite by a Cholesky factorization."""
-        modes = _base_modes(system.omega.grid)
-        pairs = np.multiply.outer(modes.distinct, system.y.B_mass.toarray())
+        positive definite by a Cholesky factorization. The modes are mapped
+        to their shifts by sorting the shift of every mode (``np.unique``),
+        as a reference for the triangle of :class:`_BaseModes`."""
+        grid = system.omega.grid
+        mass, stiff = _p1_eigenvalues(grid.n)
+        mass_eig = reduce(np.multiply.outer, [mass] * grid.d).ravel()
+        shifts, shift_of = np.unique(reduce(np.add.outer, [stiff / mass] * grid.d).ravel(),
+                                     return_inverse=True)
+        pairs = np.multiply.outer(shifts, system.y.B_mass.toarray())
         pairs += system.y.B_stiff.toarray()
-        for w, K in zip(modes.distinct, pairs):
+        for w, K in zip(shifts, pairs):
             try:
                 np.linalg.cholesky(K)
             except np.linalg.LinAlgError as exc:
@@ -424,21 +491,19 @@ class TensorPreconditioner:
                     f"non-positive pivot in the dense factorization at shift omega={w:.6g}: "
                     "the assembled y-matrix pair is not numerically positive definite"
                 ) from exc
-        return cls(modes, pairs)
+        return cls((grid.n - 1,) * grid.d, mass_eig, shifts, shift_of, pairs)
 
     def apply(self, R: np.ndarray) -> np.ndarray:
         """``S^-1 R`` for an ``(N_omega, N_y)`` tensor, returned in Fortran
         order; ``R`` is left unchanged. The modes of one shift are solved in
         one call, each as a system of its own, so sharing a pair changes no
         bit."""
-        base_shape, factor = self.modes.base_shape, self.modes.factor
-        G = _dst(np.array(R.T, order="C"), base_shape)  # a copy: transformed in place
-        G /= self.modes.mass_eig
-        shift_of = np.arange(G.shape[1]) if factor is None else factor
+        G = _dst(np.array(R.T, order="C"), self.base_shape)  # a copy: transformed in place
+        G /= self.mass_eig
         for j, K in enumerate(self.pairs):
-            cols = shift_of == j
+            cols = self.shift_of == j
             G[:, cols] = np.linalg.solve(K, G[:, cols].T[:, :, None])[:, :, 0].T
-        return _dst(G, base_shape).T
+        return _dst(G, self.base_shape).T
 
 
 @dataclass

@@ -36,8 +36,7 @@ class BoxDomain:
         return self.d * math.pi**2
 
     def eigenvalue(self, index) -> float:
-        index = _check_index(self, index)
-        return math.pi**2 * float(sum(k * k for k in index))
+        return dirichlet_eigenvalue(_check_index(self, index))
 
     def modes_by_eigenvalue(self, count: int) -> list[tuple[int, ...]]:
         """First ``count`` eigenmode indices ordered by eigenvalue
@@ -56,8 +55,19 @@ class BoxDomain:
         return list(zip(k[order].tolist(), l[order].tolist()))
 
 
+def dirichlet_eigenvalue(index: tuple[int, ...]) -> float:
+    """``pi**2 * sum(k_i**2)``, the eigenvalue of a valid index, which it
+    does not check: for indices that :meth:`BoxDomain.modes_by_eigenvalue`
+    generated or :meth:`BoxDomain.eigenvalue` checks."""
+    return math.pi**2 * float(sum(k * k for k in index))
+
+
 def _check_index(domain: BoxDomain, index) -> tuple[int, ...]:
-    index = tuple(int(k) for k in np.atleast_1d(index))
+    """``index`` as a tuple of ints, or ``ValueError``. A tuple of Python
+    ints, what the program passes, is taken as it is; anything else goes
+    through ``np.atleast_1d``."""
+    if type(index) is not tuple or not all(type(k) is int for k in index):
+        index = tuple(int(k) for k in np.atleast_1d(index))
     if len(index) != domain.d or any(k < 1 for k in index):
         raise ValueError(f"invalid eigenmode index {index} for d={domain.d}")
     return index

@@ -5,13 +5,22 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
 import fracdiff
-from fracdiff.cli import CSV_COLUMNS, OPTIONS, RunConfig, main, parse_modes, read_config_file
+from fracdiff.cli import (
+    CSV_COLUMNS,
+    OPTIONS,
+    RunConfig,
+    build_config,
+    main,
+    make_parser,
+    parse_modes,
+    read_config_file,
+)
 from fracdiff.error_analysis import StudyRow, discretize
 from fracdiff.meshing import hp_mesh
 from fracdiff.spectral import benchmark_problem
@@ -155,6 +164,21 @@ class TestSolveCommand:
             {"index": [1], "coefficient": 3.0},
             {"index": [2], "coefficient": 1.0},
         ]
+
+    def test_json_is_bytewise_that_of_the_asdict_config(self, tmp_path):
+        # the config is read field by field, not deep-copied by asdict:
+        # the bytes must not change
+        argv = ["solve", "--scheme", "hpfem", "--s", "0.6", "--d", "2", "--n", "8,16",
+                "--modes", "1,1=1.0;2,3=-0.5;3,2=0.25", "--deterministic",
+                "--out", str(tmp_path / "m")]
+        assert run_cli(argv) == 0
+        written = (tmp_path / "m.json").read_bytes()
+        cfg = build_config(make_parser().parse_args(argv))
+        config = asdict(cfg)
+        config["modes"] = [{"index": list(idx), "coefficient": c} for idx, c in cfg.modes]
+        payload = {"config": config, "results": json.loads(written)["results"]}
+        assert config["n"] == [8, 16]
+        assert written == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
     @pytest.mark.parametrize("coef", ["1e160", "1e-300"])
     def test_extreme_data_scale(self, tmp_path, coef):

@@ -388,6 +388,30 @@ class TestSineHatReuse:
         assert trace_hs_error(problem, grid, trace, k_modes) == math.sqrt(value_sq)
 
 
+class TestTraceErrorFirstAxis:
+    """``trace_hs_error`` contracts the trace along the first axis once per
+    distinct first frequency; every mode gets the products of its own
+    contraction chain."""
+
+    @pytest.mark.parametrize("d,n", [(1, 40), (2, 9), (2, 33)])
+    def test_bitwise_one_contraction_chain_per_mode(self, d, n):
+        domain = BoxDomain(d)
+        entries = SIX_MODE_LOAD if d == 1 else [((1, 1), 1.0), ((4, 2), -0.6), ((2, 5), 0.3)]
+        problem = FractionalProblem(s=0.3, domain=domain, f=modal_function(domain, entries))
+        grid = OmegaGrid(d, n)
+        trace = np.random.default_rng(n).standard_normal(grid.n_dofs)
+        k_modes = error_analysis._default_mode_count(problem)
+        exact = {idx: c for idx, _, c in solve_fractional(problem).orthonormal_items()}
+        value_sq = 0.0
+        for idx in domain.modes_by_eigenvalue(k_modes):
+            T = trace
+            for k in idx:
+                T = femomega.sine_hat_integrals(grid, k) @ T.reshape(grid.n - 1, -1)
+            c = exact.get(idx, 0.0) - 2.0 ** (d / 2.0) * float(T[0])
+            value_sq += domain.eigenvalue(idx) ** problem.s * c * c
+        assert trace_hs_error(problem, grid, trace, k_modes) == math.sqrt(value_sq)
+
+
 class TestSolverAccuracy:
     def test_energy_error_matches_exact_discrete_value(self, exact_energy_error):
         # hp, s=0.2: the identity-based energy error amplifies the relative

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fracdiff import solver
 from fracdiff.error_analysis import discretize, run_level
 from fracdiff.fem1d import assemble_weighted_matrices
-from fracdiff.femomega import OmegaGrid, assemble_omega_matrices
+from fracdiff.femomega import OmegaGrid, assemble_load, assemble_omega_matrices
 from fracdiff.meshing import graded_mesh, hp_mesh
 from fracdiff.solver import (
     KroneckerSystem,
@@ -28,7 +28,13 @@ from fracdiff.solver import (
     y_resolvent,
 )
 from fracdiff.spectral import BoxDomain, FractionalProblem, benchmark_problem, modal_function
-from y_reference import element_loop_fold
+from y_reference import element_loop_fold, unique_shifts, unique_solve_trace
+
+
+def _distinct(grid):
+    """The ascending distinct base-domain shifts of a grid, sorted out of
+    the shift of every mode."""
+    return unique_shifts(grid)[1]
 
 
 def make_system(d=1, n=8, mesh=None, alpha=0.0):
@@ -287,7 +293,7 @@ class TestSolve:
         # mu=0.05 grades the first element to ~1e-19 of Y: the assembled
         # pair of the lowest shift is not numerically positive definite
         level = discretize(benchmark_problem(0.5, 1), "hfem", 8, mu=0.05)
-        first = solver._base_modes(level.grid).distinct[0]
+        first = _distinct(level.grid)[0]
         with pytest.raises(SolverError) as err:
             solve(level.system, level.rhs, rel_tol=1e-9)
         message = str(err.value)
@@ -342,7 +348,7 @@ class TestSolve:
         flipped = replace(system.y, groups=tuple((ms, mass, -stiff)
                                                  for ms, mass, stiff in system.y.groups))
         system = KroneckerSystem(system.omega, flipped)
-        first = solver._base_modes(system.omega.grid).distinct[0]
+        first = _distinct(system.omega.grid)[0]
         with pytest.raises(SolverError) as err:
             solve(system, np.ones((system.n_omega, system.n_y)))
         assert "pivot" in str(err.value)
@@ -463,14 +469,14 @@ class TestTrace:
 
 def _sampled_shifts(level):
     """The lowest, a middle and the top distinct shift of a level."""
-    distinct = solver._base_modes(level.grid).distinct
+    distinct = _distinct(level.grid)
     return distinct[[0, distinct.size // 2, -1]]
 
 
 def _log_uniform_shifts(level, count=12, seed=2017):
     """``count`` distinct shifts of a level drawn log-uniformly, seeded,
     between its lowest and its top distinct shift."""
-    distinct = solver._base_modes(level.grid).distinct
+    distinct = _distinct(level.grid)
     rng = np.random.default_rng(seed)
     return np.unique(np.exp(rng.uniform(np.log(distinct[0]), np.log(distinct[-1]), count)))
 
@@ -522,7 +528,7 @@ class TestYResolvent:
         # application, 3.0e-10 after the next; 3.0e-10 and 2.0e-10 with other
         # forms of the bump eigen-reduction. The fold is exact to 1e-14
         system = make_system(d=1, n=2, mesh=hp_mesh(4, 0.0546875, 0.5, 0.7), alpha=-0.9375)
-        shifts = np.array([0.5, 30.0, 4e3, *solver._base_modes(system.omega.grid).distinct])
+        shifts = np.array([0.5, 30.0, 4e3, *_distinct(system.omega.grid)])
         for w, r in zip(shifts, y_resolvent(system.y, shifts)):
             want = exact_resolvent(system.y, w)
             assert abs(Fraction(float(r)) - want) <= 1e-14 * want
@@ -552,12 +558,12 @@ class TestYResolvent:
         level = discretize(problem, scheme, 64)
         weighted = assemble_weighted_matrices(level.mesh, alpha=problem.alpha)
         assert "dofmap" not in vars(weighted)
-        y_resolvent(weighted, solver._base_modes(level.grid).distinct)
+        y_resolvent(weighted, _distinct(level.grid))
         assert "dofmap" not in vars(weighted)
 
     def test_shift_blocks_do_not_change_the_fold(self, monkeypatch):
         level = discretize(benchmark_problem(0.2, 1), "hpfem", 42)
-        shifts = solver._base_modes(level.grid).distinct
+        shifts = _distinct(level.grid)
         want = y_resolvent(level.weighted, shifts)
         bumps = max(level.mesh.degrees) - 1
         monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 8 * (4 * bumps + solver._FOLD_ROWS))
@@ -575,7 +581,7 @@ class TestYResolvent:
         # one column is left over, and it joins the block before it; up to
         # 21 bumps an element on the third mesh, none on the first
         system = make_system(d=d, n=n, mesh=mesh, alpha=-0.3)
-        shifts = solver._base_modes(system.omega.grid).distinct
+        shifts = _distinct(system.omega.grid)
         monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 40)
         bumps = max(mesh.degrees) - 1
         assert len(solver._shift_blocks(shifts.size, bumps)) == 1
@@ -604,7 +610,7 @@ class TestFoldAgainstPerElementReference:
         # the geometric-split mesh has split elements above the Gauss-Jacobi
         # first one; step 3 cuts the 41 (d=1) or 36 (d=2) shifts into blocks
         system = make_system(d=d, n=n, mesh=mesh, alpha=alpha)
-        shifts = solver._base_modes(system.omega.grid).distinct
+        shifts = _distinct(system.omega.grid)
         if step is not None:
             bumps = max(mesh.degrees) - 1
             monkeypatch.setattr(solver, "_BLOCK_BYTES", step * 8 * (4 * bumps + solver._FOLD_ROWS))
@@ -616,7 +622,7 @@ class TestFoldAgainstPerElementReference:
                                               ("hpfem", 0.2, 1, 64), ("hfem", 0.2, 1, 256)])
     def test_workload_levels_are_bitwise_the_element_loop(self, scheme, s, d, n):
         level = discretize(benchmark_problem(s, d), scheme, n)
-        shifts = solver._base_modes(level.grid).distinct
+        shifts = _distinct(level.grid)
         want = element_loop_fold(level.weighted, shifts)
         assert y_resolvent(level.weighted, shifts).tobytes() == want.tobytes()
 
@@ -669,12 +675,95 @@ class TestSolveTrace:
         level = discretize(problem, "hfem", 8)
         scaled = replace(level.weighted, groups=tuple(
             (ms, factor * mass, factor * stiff) for ms, mass, stiff in level.weighted.groups))
-        first = solver._base_modes(level.grid).distinct[0]
+        first = _distinct(level.grid)[0]
         with pytest.raises(SolverError) as err:
             solve_trace(level.grid, scaled, level.load, s=0.5, d_s=problem.d_s, margin=1e-9)
         message = str(err.value)
         assert message.startswith("y-resolvent certificate failed at 7 of 7 shifts")
         assert f"shift omega={first:.6g}" in message
+
+
+class TestBaseTriangle:
+    """The base modes from the 1-D factors: in d=2 the triangle ``sigma_k +
+    sigma_l``, ``k <= l``, against the distinct shifts that ``np.unique``
+    sorts out of the shift of every mode (``y_reference``)."""
+
+    @pytest.mark.parametrize("n", [*range(2, 66), 128, 255, 256, 1024, 2048])
+    def test_triangle_holds_every_distinct_shift_once(self, n):
+        grid = OmegaGrid(2, n)
+        shifts = solver._base_modes(grid).shifts
+        assert shifts.size == n * (n - 1) // 2
+        assert np.unique(shifts).tobytes() == _distinct(grid).tobytes()
+
+    def test_triangle_rows(self):
+        n = 9
+        mass, stiff = solver._p1_eigenvalues(n)
+        sigma = stiff / mass
+        at = solver._triangle_at(n - 1)
+        shifts = solver._base_modes(OmegaGrid(2, n)).shifts
+        for k in range(n - 1):
+            for l in range(n - 1):
+                assert shifts[at[min(k, l)] + max(k, l)] == sigma[k] + sigma[l]
+
+    def test_d1_shifts_are_distinct_and_ascending(self):
+        for n in range(2, 4097):
+            shifts = solver._base_modes(OmegaGrid(1, n)).shifts
+            assert np.all(np.diff(shifts) > 0.0), n
+
+    @pytest.mark.parametrize("load_kind", ["modal", "random"])
+    @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 64, 128])
+    def test_solve_trace_is_bitwise_the_unique_form(self, n, scheme, load_kind):
+        # n = 2 and 3 have no level of their own (h_omega > 1/2): they take
+        # the y-matrices of n = 4
+        domain = BoxDomain(2)
+        problem = FractionalProblem(s=0.8, domain=domain, f=modal_function(
+            domain, [((1, 1), 1.0), ((2, 3), -0.5), ((3, 2), 0.25), ((5, 4), 0.7)]))
+        level = discretize(problem, scheme, max(n, 4))
+        grid = OmegaGrid(2, n)
+        if load_kind == "modal":
+            load = assemble_load(grid, problem)
+        else:
+            load = np.random.default_rng(n).standard_normal(grid.n_dofs)
+        args = (grid, level.weighted, load)
+        kwargs = dict(s=problem.s, d_s=problem.d_s, margin=1e-9)
+        want = unique_solve_trace(*args, **kwargs)
+        assert solve_trace(*args, **kwargs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_row_blocks_change_no_bit(self, monkeypatch, rows):
+        grid = OmegaGrid(2, 33)
+        modes = solver._base_modes(grid)
+        r = np.random.default_rng(4).uniform(0.5, 2.0, modes.shifts.size)
+        G = np.random.default_rng(5).standard_normal(grid.n_dofs)
+        want = G.copy()
+        solver._scale_modes(want, modes, r)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", rows * 4 * 8 * 3 * 32)
+        assert len(solver._row_blocks(32)) == -(-32 // rows)
+        assert solver._base_modes(grid).shifts.tobytes() == modes.shifts.tobytes()
+        got = G.copy()
+        solver._scale_modes(got, modes, r)
+        assert got.tobytes() == want.tobytes()
+
+    def test_certificate_names_the_smallest_of_some_failing_shifts(self):
+        # the first element's matrices 0.9 times too small raise r_h at the
+        # high shifts, which see mostly that element: 67 of the 120 shifts
+        # fail, and the first failing cell of the triangle (2038.0) is not
+        # the smallest failing shift (1820.37)
+        problem = benchmark_problem(0.5, 2)
+        level = discretize(problem, "hfem", 16)
+        scaled = replace(level.weighted, groups=tuple(
+            (ms, 0.9 * mass, 0.9 * stiff) if ms[0] == 1 else (ms, mass, stiff)
+            for ms, mass, stiff in level.weighted.groups))
+        kwargs = dict(s=0.5, d_s=problem.d_s, margin=1e-9)
+        messages = []
+        for trace in (solve_trace, unique_solve_trace):
+            with pytest.raises(SolverError) as err:
+                trace(level.grid, scaled, level.load, **kwargs)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("y-resolvent certificate failed at 67 of 120 shifts, "
+                                      "first at shift omega=1820.37:")
 
 
 class TestPreconditionerApply:
@@ -685,21 +774,21 @@ class TestPreconditionerApply:
         # changes no bit of the result
         system = make_system(d=2, n=9, mesh=mesh, alpha=0.3)
         inverse = TensorPreconditioner.build(system)
-        modes = inverse.modes
-        assert modes.distinct.size < modes.mass_eig.size
+        assert inverse.shifts.size < inverse.mass_eig.size
         Bm, Bs = system.y.B_mass.toarray(), system.y.B_stiff.toarray()
-        assert inverse.pairs.shape == (modes.distinct.size, system.n_y, system.n_y)
-        for w, K in zip(modes.distinct, inverse.pairs):
+        assert inverse.pairs.shape == (inverse.shifts.size, system.n_y, system.n_y)
+        for w, K in zip(inverse.shifts, inverse.pairs):
             assert K.tobytes() == (w * Bm + Bs).tobytes()
-        expanded = replace(inverse, modes=replace(modes, factor=None),
-                           pairs=inverse.pairs[modes.factor])
+        expanded = replace(inverse, shifts=inverse.shifts[inverse.shift_of],
+                           shift_of=np.arange(system.n_omega),
+                           pairs=inverse.pairs[inverse.shift_of])
         R = np.random.default_rng(6).standard_normal((system.n_omega, system.n_y))
         assert inverse.apply(R).tobytes() == expanded.apply(R).tobytes()
 
     def test_every_d1_shift_has_its_own_pair(self):
         system = make_system(d=1, n=12)
         inverse = TensorPreconditioner.build(system)
-        assert inverse.modes.factor is None
+        assert np.array_equal(inverse.shift_of, np.arange(system.n_omega))
         assert inverse.pairs.shape == (system.n_omega, system.n_y, system.n_y)
 
     @pytest.mark.parametrize("d,n", [(1, 24), (2, 9)])

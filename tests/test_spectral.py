@@ -9,6 +9,7 @@ from fracdiff.spectral import (
     BoxDomain,
     FractionalProblem,
     benchmark_problem,
+    dirichlet_eigenvalue,
     exact_extended,
     hs_norm,
     modal_function,
@@ -34,6 +35,30 @@ class TestEigenpair:
             BoxDomain(2).eigenvalue((0, 1))
         with pytest.raises(ValueError):
             BoxDomain(1).eigenvalue((1, 1))
+
+    @pytest.mark.parametrize("index", [(2, 3), [2, 3], np.array([2, 3]),
+                                       (np.int64(2), np.int64(3)), np.array([2, 3], np.int32)],
+                             ids=["tuple", "list", "array", "numpy-ints", "int32-array"])
+    def test_index_forms_are_accepted(self, index):
+        assert BoxDomain(2).eigenvalue(index) == math.pi**2 * 13.0
+        assert modal_function(BoxDomain(2), [(index, 1.0)]).modes == (((2, 3), 1.0),)
+        assert BoxDomain(1).eigenvalue(np.int64(4)) == math.pi**2 * 16.0
+
+    @pytest.mark.parametrize("index", [(0, 1), (1,), (1, 2, 3), [0, 1], np.array([1, 2, 3])])
+    def test_invalid_indices_for_d2_are_rejected(self, index):
+        with pytest.raises(ValueError, match=r"invalid eigenmode index \(.*\) for d=2"):
+            BoxDomain(2).eigenvalue(index)
+
+    def test_rejection_names_the_index_as_ints(self):
+        for index in ((0, 1), [0, 1], np.array([0, 1])):
+            with pytest.raises(ValueError) as err:
+                BoxDomain(2).eigenvalue(index)
+            assert str(err.value) == "invalid eigenmode index (0, 1) for d=2"
+
+    def test_unchecked_eigenvalue_is_the_checked_one(self):
+        domain = BoxDomain(2)
+        for index in domain.modes_by_eigenvalue(60):
+            assert dirichlet_eigenvalue(index) == domain.eigenvalue(index)
 
     def test_mode_enumeration_ordering(self):
         domain = BoxDomain(2)

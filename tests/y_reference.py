@@ -6,9 +6,15 @@ time: its point count by the scalar formula, its shape tables by one
 every element's two-port on its own (``two_port``), degree 1 included, and
 folds the resolvent through them. The program does the same arithmetic with
 array operations and one in-place loop, so both must agree bitwise.
+
+``unique_solve_trace`` finds the distinct base-domain shifts by sorting the
+shift of every mode (``np.unique``) and expands the resolvent back to every
+mode through the returned index; the program folds the triangle ``k <= l``
+of the shifts and applies it by rows, with the same products.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -108,3 +114,37 @@ def element_loop_fold(y, shifts):
                 q = rho0 + g * t / (g + t)
             r[c] = 1.0 / q
     return r
+
+
+def unique_shifts(grid):
+    """The mass eigenvalue of every base mode, the ascending distinct
+    shifts and the index of every mode's shift in them, from the shift of
+    every mode by ``np.unique``."""
+    mass, stiff = solver._p1_eigenvalues(grid.n)
+    mass_eig = reduce(np.multiply.outer, [mass] * grid.d).ravel()
+    shifts = reduce(np.add.outer, [stiff / mass] * grid.d).ravel()
+    distinct, factor = np.unique(shifts, return_inverse=True)
+    return mass_eig, distinct, factor
+
+
+def unique_solve_trace(grid, y, load, *, s, d_s, margin):
+    """:func:`~fracdiff.solver.solve_trace` on the distinct shifts of
+    :func:`unique_shifts`: the certificate names the first failing one in
+    ascending order, and the resolvent reaches the modes through the
+    index."""
+    mass_eig, distinct, factor = unique_shifts(grid)
+    r = solver.y_resolvent(y, distinct)
+    ratio = d_s * distinct**s * r
+    bad = np.flatnonzero(~((ratio > 0.0) & (ratio <= 1.0 + margin)))
+    if bad.size:
+        j = bad[0]
+        raise solver.SolverError(
+            f"y-resolvent certificate failed at {bad.size} of {ratio.size} shifts, first at "
+            f"shift omega={distinct[j]:.6g}: d_s*omega**s*r_h = {ratio[j]:.6g} is "
+            f"not in (0, 1 + {margin:g}]"
+        )
+    base_shape = (grid.n - 1,) * grid.d
+    G = solver._dst(np.array(load, dtype=float), base_shape)
+    G *= r[factor]
+    G /= mass_eig
+    return solver._dst(G, base_shape)
