@@ -28,9 +28,7 @@ from .meshing import check_h_omega
 from .solver import SolverError
 from .spectral import BoxDomain, modal_function
 
-CSV_COLUMNS = (
-    "h_omega,N_omega,M,N_Y,N_total,Y,energy_error,trace_hs_error,wall_ms"
-)
+CSV_COLUMNS = ",".join(f.name for f in fields(ea.StudyRow))
 
 
 class ConfigError(ValueError):

@@ -271,8 +271,10 @@ def _default_mode_count(problem: FractionalProblem) -> int:
     margin for the projection of the discrete trace."""
     base = 12 if problem.domain.d == 1 else 16
     wanted = {index for index, _ in problem.f.modes}
-    # fewer than sum(k*k) modes precede a mode, so this list holds the data
-    length = max((sum(k * k for k in idx) for idx in wanted), default=0)
+    # no mode up to the data's largest eigenvalue pi**2 * sum(k*k) has an
+    # index above isqrt(sum(k*k)), so the modes of that box hold the data
+    length = math.isqrt(max((sum(k * k for k in idx) for idx in wanted), default=0))
+    length **= problem.domain.d
     position = {idx: i for i, idx in enumerate(problem.domain.modes_by_eigenvalue(length))}
     last = max((position[idx] + 1 for idx in wanted), default=0)
     return base + 8 * max(0, -(-(last - base) // 8))

@@ -243,21 +243,12 @@ def _dst(T: np.ndarray, base_shape: tuple) -> np.ndarray:
 class _Bumps:
     """One element's bump block in its generalized eigenbasis ``W``:
     ``W^T Sbb W = diag(theta)`` and ``W^T Mbb W = I``; ``P`` and ``Q`` are
-    the vertex-bump mass and stiffness couplings in that basis."""
+    the couplings of its two vertex rows to the bumps in that basis, of the
+    mass and the stiffness."""
 
     theta: np.ndarray
     P: np.ndarray
     Q: np.ndarray
-
-    def coupling(self, shifts: np.ndarray) -> np.ndarray:
-        """``omega*P + Q`` for every shift, shape ``(verts, bumps, shifts)``."""
-        C = self.P[:, :, None] * shifts
-        C += self.Q[:, :, None]
-        return C
-
-    def inverse_diagonal(self, shifts: np.ndarray) -> np.ndarray:
-        """``1/(omega + theta)``, shape ``(bumps, shifts)``."""
-        return 1.0 / np.add.outer(self.theta, shifts)
 
 
 # Rows of one shift column that the fold holds besides the coupling and
@@ -269,9 +260,9 @@ _FOLD_ROWS = 12
 
 def _shift_blocks(n: int, bumps: int) -> list[slice]:
     """Slices of ``n`` shift columns whose fold temporaries for an element of
-    up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column the coupling (at
-    most two rows of bumps), ``1/(omega + theta)`` and its ``omega + theta``,
-    and ``_FOLD_ROWS`` rows of one column each.
+    up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column the coupling (two
+    rows of bumps), ``1/(omega + theta)``, one row of bumps to spare, and
+    ``_FOLD_ROWS`` rows of one column each.
 
     No block is one column wide unless ``n`` is 1: ``np.einsum`` reduces
     over the bumps in another order when the shift axis has length 1, so a
@@ -282,11 +273,10 @@ def _shift_blocks(n: int, bumps: int) -> list[slice]:
     return [slice(j, j + step) for j in starts[:-1]] + [slice(starts[-1], n)]
 
 
-def _condense(y: WeightedMatrices, m: int, Xm: np.ndarray, Xs: np.ndarray) -> _Bumps:
+def _condense(m: int, Xm: np.ndarray, Xs: np.ndarray) -> _Bumps:
     """The :class:`_Bumps` of element ``m`` (degree >= 2) from its element
-    matrices; its vertex rows are the dofs among vertices ``m-1`` and
-    ``m``, the top one constrained."""
-    nverts = 2 if m < y.mesh.M else 1
+    matrices, whose rows 0-1 are its two vertices, the constrained top
+    vertex of the top element included."""
     try:
         # W = L^-T V with L L^T the bump mass and V the eigenvectors of
         # L^-1 Sbb L^-T (LAPACK's sygv, itype 1); the explicit inverse of L
@@ -299,55 +289,45 @@ def _condense(y: WeightedMatrices, m: int, Xm: np.ndarray, Xs: np.ndarray) -> _B
             f"element {m}): the y-matrix pair is not symmetric positive definite"
         ) from exc
     W = Linv.T @ V
-    return _Bumps(theta, Xm[2:, :nverts].T @ W, Xs[2:, :nverts].T @ W)
-
-
-def _top_admittance(Xm: np.ndarray, Xs: np.ndarray, el: _Bumps | None,
-                    w: np.ndarray) -> np.ndarray:
-    """``E00`` of the vertex Schur complement of the top element, whose
-    vertex 1 is constrained, with ``K = w*mass + stiff`` at the shifts
-    ``w``: the admittance the fold of :func:`y_resolvent` starts from."""
-    E00 = w * Xm[0, 0] + Xs[0, 0]
-    if el is not None:
-        # sum_k C_0k C_0k / (w + theta_k), contracted without a temporary
-        C, inv = el.coupling(w), el.inverse_diagonal(w)
-        E00 -= np.einsum("kn,kn,kn->n", C[0], C[0], inv)
-    return E00
+    return _Bumps(theta, Xm[2:, :2].T @ W, Xs[2:, :2].T @ W)
 
 
 def _pole_sums(el: _Bumps, w: np.ndarray):
     """What the bumps of one element add to its two-port at the shifts
-    ``w``: ``sum_k C_0k C_1k / (w + theta_k)``, added to the coupling
-    ``g``, and ``w * sum_k C_ik Pbar_k / (w + theta_k)`` (``Pbar`` the
-    column sums of ``P``), subtracted from the row sums ``rho_i``. The
-    coupling and ``1/(w + theta)`` are freed on return."""
-    C, inv = el.coupling(w), el.inverse_diagonal(w)
-    return (np.einsum("kn,kn,kn->n", C[0], C[1], inv),
-            w * np.einsum("ikn,kn,k->in", C, inv, el.P.sum(axis=0)))
+    ``w``, with the coupling ``C = w*P + Q``: ``sum_k C_0k C_1k / (w +
+    theta_k)``, added to the coupling ``g``, and ``w * sum_k C_ik Pbar_k /
+    (w + theta_k)`` (``Pbar`` the column sums of ``P``), subtracted from
+    the row sums ``rho_i``. ``C`` and ``1/(w + theta)`` are freed on
+    return. The reciprocal and the scaling by ``w`` are taken in place:
+    on hp meshes the top element has the most bumps and two coupling
+    rows, so its call sets the fold's peak."""
+    C = el.P[:, :, None] * w
+    C += el.Q[:, :, None]
+    inv = np.add.outer(el.theta, w)
+    np.divide(1.0, inv, out=inv)
+    rho = np.einsum("ikn,kn,k->in", C, inv, el.P.sum(axis=0))
+    rho *= w
+    return np.einsum("kn,kn,kn->n", C[0], C[1], inv), rho
 
 
-def _fold_chain(y: WeightedMatrices):
-    """The element data of the fold, read from the group arrays: ``(top,
-    chain)``. ``top`` is ``(Xm, Xs, bumps)`` of the top element; ``chain``
-    lists every element below it, topmost first, as ``(-m01, s01, m00 +
-    m01, m10 + m11, bumps)`` with ``m`` and ``s`` its mass and stiffness.
-    Rows 0-1 are the vertex block at every degree, so the element's
-    two-port at a shift ``w`` is ``g = -(w*m01 + s01)`` and ``rho_i =
-    w*(m_i0 + m_i1)`` plus its :func:`_pole_sums`. ``bumps`` is the
-    :class:`_Bumps` of an element of degree >= 2 (condensed in ascending
-    order, so a pivot error names the lowest element), None for degree 1."""
+def _fold_chain(y: WeightedMatrices) -> list[tuple]:
+    """The element data of the fold, read from the group arrays: every
+    element, topmost first, as ``(-m01, s01, m00 + m01, m10 + m11, bumps)``
+    with ``m`` and ``s`` its mass and stiffness. Rows 0-1 are the vertex
+    block at every degree, so the element's two-port at a shift ``w`` is
+    ``g = -(w*m01 + s01)`` and ``rho_i = w*(m_i0 + m_i1)`` plus its
+    :func:`_pole_sums`. ``bumps`` is the :class:`_Bumps` of an element of
+    degree >= 2 (condensed in ascending order, so a pivot error names the
+    lowest element), None for degree 1."""
     M = y.mesh.M  # not y.dofmap: building it would outlive the call
-    top, bumps, affine = None, {}, np.empty((4, M))
+    bumps, affine = {}, np.empty((4, M))
     for ms, mass, stiff in y.groups:
-        if ms[-1] == M:
-            top = mass[-1], stiff[-1]
         affine[:, ms - 1] = (-mass[:, 0, 1], stiff[:, 0, 1], mass[:, 0, 0] + mass[:, 0, 1],
                              mass[:, 1, 0] + mass[:, 1, 1])
         if mass.shape[1] > 2:
             bumps.update(zip(ms.tolist(), zip(mass, stiff)))
-    condensed = {m: _condense(y, m, *bumps[m]) for m in sorted(bumps)}
-    below = affine[:, -2::-1].tolist()  # elements M-1 down to 1
-    return (*top, condensed.get(M)), list(zip(*below, map(condensed.get, range(M - 1, 0, -1))))
+    condensed = {m: _condense(m, *bumps[m]) for m in sorted(bumps)}
+    return list(zip(*affine[:, ::-1].tolist(), map(condensed.get, range(M, 0, -1))))
 
 
 def _rows(n: int, count: int) -> list[np.ndarray]:
@@ -375,42 +355,48 @@ def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     ``rho0 + g*t/(g + t)`` with ``t = rho1 + q`` through an element; ``r_h
     = 1/q``. That equals ``E00 - g**2/(E11 + q)``, and ``g + t = E11 + q``
     is positive for a positive definite pair, but for ``g > 0`` nothing is
-    subtracted. Eliminating with the off-diagonals and row sums as the data
-    is the GTH idea (Grassmann, Taksar & Heyman, 1985); the sums of element
-    entries that an elimination of the assembled matrices works with lose
-    r_h on strongly graded meshes.
+    subtracted. The clamped top vertex admits without bound, so the fold
+    starts with ``t = g``, the limit of ``g*t/(g + t)``: the top element's
+    ``E00`` is ``rho0 + g``. Eliminating with the off-diagonals and row
+    sums as the data is the GTH idea (Grassmann, Taksar & Heyman, 1985);
+    the sums of element entries that an elimination of the assembled
+    matrices works with lose r_h on strongly graded meshes.
 
-    One loop folds every element below the top, whatever its degree, from
-    the scalars of :func:`_fold_chain` with in-place ufuncs on the rows
-    ``g`` and ``t``: nine calls an element of degree 1, and an element with
-    bumps adds its :func:`_pole_sums` in place. Each product and sum is the
-    one of the element's two-port with the operands swapped or the sign
-    moved, so the result is bitwise that of one two-port per element.
+    One loop folds every element, the top one included, whatever its
+    degree, from the scalars of :func:`_fold_chain` with in-place ufuncs on
+    the rows ``g`` and ``t``: nine calls an element of degree 1, and an
+    element with bumps adds its :func:`_pole_sums` in place. Each product
+    and sum is the one of the element's two-port with the operands swapped
+    or the sign moved, so the result is bitwise that of one two-port per
+    element.
     Forming the rows ``g``, ``rho0`` and ``rho1`` of a chunk of elements at
     once, which leaves five calls an element, was slower on the benchmark
     levels: 8.1 against 6.5 ms for h-FEM n=1024 d=1, 0.73 against 0.49 ms
     for n=64 d=2 (2 cores, numpy 2.4). Runs in shift blocks: the working
     set beyond the result is a fixed budget."""
-    top, chain = _fold_chain(y)
+    chain = _fold_chain(y)
     blocks = _shift_blocks(shifts.size, max(y.mesh.degrees) - 1)
     rows = _rows(max(c.stop - c.start for c in blocks), 4)
     r = np.empty(shifts.size)
     for c in blocks:
         w, q, g, t = (row[:c.stop - c.start] for row in rows)
         w[:] = shifts[c]
-        q[:] = _top_admittance(*top, w)
-        for m01, s01, sum0, sum1, el in chain:
-            np.multiply(w, sum1, out=t)
+        for i, (m01, s01, sum0, sum1, el) in enumerate(chain):
             np.multiply(w, m01, out=g)
             g -= s01
             if el is not None:
                 poles, rho = _pole_sums(el, w)
                 g += poles
-                t -= rho[1]
-            t += q
-            np.add(g, t, out=q)
-            t *= g
-            t /= q
+            if i == 0:
+                t[:] = g  # the clamped top vertex: g*t/(g + t) is g as t grows
+            else:
+                np.multiply(w, sum1, out=t)
+                if el is not None:
+                    t -= rho[1]
+                t += q
+                np.add(g, t, out=q)
+                t *= g
+                t /= q
             np.multiply(w, sum0, out=q)
             if el is not None:
                 q -= rho[0]

@@ -131,6 +131,7 @@ class TestSolveCommand:
         assert code == 0
         lines = (tmp_path / "run.csv").read_text().strip().splitlines()
         assert lines[0] == CSV_COLUMNS
+        assert lines[0] == "h_omega,N_omega,M,N_Y,N_total,Y,energy_error,trace_hs_error,wall_ms"
         assert len(lines) == 4  # header + 3 levels
         payload = json.loads((tmp_path / "run.json").read_text())
         assert len(payload["results"]["hpfem"]["rows"]) == 3

@@ -260,6 +260,20 @@ class TestTraceHsError:
             count += 8
         assert error_analysis._default_mode_count(problem) == count
 
+    def test_default_mode_count_lists_no_more_modes_than_the_data_box(self, monkeypatch):
+        # listing sum(k*k) modes for the d=1 index k = 5000 would take 25 M of them
+        listed = BoxDomain.modes_by_eigenvalue
+
+        def bounded(domain, count):
+            assert count <= 20_000, f"listed {count} modes"
+            return listed(domain, count)
+
+        monkeypatch.setattr(BoxDomain, "modes_by_eigenvalue", bounded)
+        domain = BoxDomain(1)
+        problem = FractionalProblem(s=0.5, domain=domain,
+                                    f=modal_function(domain, [((5000,), 1.0)]))
+        assert error_analysis._default_mode_count(problem) == 5004  # 12 + 8*624 >= 5000
+
     @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
     @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
     def test_bounded_by_energy_error(self, scheme, s):

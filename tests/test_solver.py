@@ -542,6 +542,21 @@ class TestYResolvent:
                      for w in shifts]
             assert y_resolvent(weighted, shifts) == pytest.approx(dense, rel=1e-13)
 
+    def test_indefinite_bump_block_is_a_pivot_error_naming_the_lowest_element(self):
+        # one element a group: the bump mass of elements 3 and 6 (the top
+        # one) negated, so neither bump block has a Cholesky factor
+        weighted = assemble_weighted_matrices(hp_mesh(6, 0.125, 2.0, 0.7), alpha=-0.3)
+        groups = []
+        for ms, mass, stiff in weighted.groups:
+            mass = mass.copy()
+            if ms[0] in (3, 6):
+                mass[:, 2:, 2:] *= -1.0
+            groups.append((ms, mass, stiff))
+        assert [ms.tolist() for ms, _, _ in groups] == [[1], [2], [3], [4], [5], [6]]
+        weighted = replace(weighted, groups=tuple(groups))
+        with pytest.raises(SolverError, match=r"bump block of element 3\)"):
+            y_resolvent(weighted, np.array([0.5, 30.0, 4e3]))
+
     @pytest.mark.parametrize("n", [1, 2, 511, 512, 43690])
     def test_fold_rows_are_disjoint_and_1_kib_apart_modulo_4_kib(self, n):
         rows = solver._rows(n, 4)

@@ -3,9 +3,11 @@
 ``element_loop_assembly`` builds the element matrices one element at a
 time: its point count by the scalar formula, its shape tables by one
 ``legvander`` call each (``legendre_shapes``). ``element_loop_fold`` forms
-every element's two-port on its own (``two_port``), degree 1 included, and
-folds the resolvent through them. The program does the same arithmetic with
-array operations and one in-place loop, so both must agree bitwise.
+every element's two-port on its own (``two_port``), degree 1 and the top
+element included, with its own contractions of the bump couplings, and
+folds the resolvent through them from the clamped top vertex. The program
+does the same arithmetic with array operations and one in-place loop, so
+both must agree bitwise.
 
 ``unique_solve_trace`` finds the distinct base-domain shifts by sorting the
 shift of every mode (``np.unique``) and expands the resolvent back to every
@@ -86,11 +88,13 @@ def two_port(Xm: np.ndarray, Xs: np.ndarray, el, w: np.ndarray):
     rho1)``: the coupling ``g = -E01`` and the row sums ``rho = E 1``. The
     stiffness annihilates constants, so the row sums are formed from the
     mass alone, ``rho = w*(M_vv 1 - K_vb K_bb^-1 M_bv 1)``. ``el`` is the
-    element's ``solver._Bumps``, or None for degree 1."""
+    element's ``solver._Bumps``, or None for degree 1; its couplings
+    ``C = w*P + Q`` and ``1/(w + theta)`` are formed here."""
     g = -(w * Xm[0, 1] + Xs[0, 1])
     rho = np.multiply.outer(Xm[:2, :2].sum(axis=1), w)
     if el is not None:
-        C, inv = el.coupling(w), el.inverse_diagonal(w)
+        C = np.multiply.outer(el.P, w) + el.Q[:, :, None]
+        inv = 1.0 / (el.theta[:, None] + w)
         g += np.einsum("kn,kn,kn->n", C[0], C[1], inv)
         rho -= w * np.einsum("ikn,kn,k->in", C, inv, el.P.sum(axis=0))
     return g, rho[0], rho[1]
@@ -98,16 +102,19 @@ def two_port(Xm: np.ndarray, Xs: np.ndarray, el, w: np.ndarray):
 
 def element_loop_fold(y, shifts):
     """:func:`~fracdiff.solver.y_resolvent` with one :func:`two_port` call
-    per element below the top."""
+    per element. The fold starts at the clamped top vertex: the top
+    element's admittance is ``rho0 + g``, the limit of ``rho0 + g*t/(g +
+    t)`` as ``t`` grows."""
     elements = sorted(((m, Xm, Xs) for ms, mass, stiff in y.groups
                        for m, Xm, Xs in zip(ms.tolist(), mass, stiff)), key=lambda e: e[0])
-    bumps = {m: solver._condense(y, m, Xm, Xs) for m, Xm, Xs in elements if len(Xm) > 2}
+    bumps = {m: solver._condense(m, Xm, Xs) for m, Xm, Xs in elements if len(Xm) > 2}
     r = np.empty(shifts.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for c in solver._shift_blocks(shifts.size, max(y.mesh.degrees) - 1):
             w = shifts[c]
             (m, Xm, Xs), *below = elements[::-1]
-            q = solver._top_admittance(Xm, Xs, bumps.get(m), w)
+            g, rho0, _ = two_port(Xm, Xs, bumps.get(m), w)
+            q = rho0 + g
             for m, Xm, Xs in below:
                 g, rho0, rho1 = two_port(Xm, Xs, bumps.get(m), w)
                 t = rho1 + q
