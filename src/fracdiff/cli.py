@@ -215,9 +215,10 @@ def write_json(path: Path, cfg: RunConfig, records: dict[str, dict]):
     write_in_place(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, out_base: Path):
-    """Plot-ready series: error against mesh size with reference slopes, and
-    error against total dofs sorted by dof count."""
+def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, paths: dict[str, Path]):
+    """Plot-ready series: error against mesh size with reference slopes
+    (``paths["vs_h"]``), and error against total dofs sorted by dof count
+    (``paths["vs_dof"]``)."""
     lines = ["scheme,h_omega,energy_error,ref_h,ref_h_log_s"]
     for scheme in sorted(results):
         for row in results[scheme]:
@@ -226,7 +227,7 @@ def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, out_base: 
             lines.append(
                 f"{scheme},{_fmt(h)},{_fmt(row.energy_error)},{_fmt(h)},{_fmt(ref)}"
             )
-    write_in_place(_with_ext(out_base, "_fig_error_vs_h.csv"), "\n".join(lines) + "\n")
+    write_in_place(paths["vs_h"], "\n".join(lines) + "\n")
 
     merged = [
         (row.N_total, scheme, row.energy_error)
@@ -237,7 +238,33 @@ def emit_figure_data(results: dict[str, list[ea.StudyRow]], s: float, out_base: 
     lines = ["scheme,N_total,energy_error"]
     for n_total, scheme, err in merged:
         lines.append(f"{scheme},{n_total},{_fmt(err)}")
-    write_in_place(_with_ext(out_base, "_fig_error_vs_dof.csv"), "\n".join(lines) + "\n")
+    write_in_place(paths["vs_dof"], "\n".join(lines) + "\n")
+
+
+def output_paths(out: str, command: str, schemes) -> dict[str, Path]:
+    """Every file that ``command`` writes, by role: the CSV of each scheme
+    (under its name), ``json``, and for ``study`` and ``compare`` the figure
+    data ``vs_h`` and ``vs_dof``. They are checked before any level runs:
+    ``out`` must name a file, its directory is created, and no output may be
+    a directory; any of these failures is a :class:`ConfigError` that names
+    the path."""
+    base = Path(out)
+    if not base.name:
+        raise ConfigError(f"out={out!r} names no file")
+    paths = {scheme: _with_ext(base, f"_{scheme}.csv" if command == "compare" else ".csv")
+             for scheme in schemes}
+    paths["json"] = _with_ext(base, ".json")
+    if command != "solve":
+        paths["vs_h"] = _with_ext(base, "_fig_error_vs_h.csv")
+        paths["vs_dof"] = _with_ext(base, "_fig_error_vs_dof.csv")
+    try:
+        base.parent.mkdir(parents=True, exist_ok=True)
+        taken = [path for path in paths.values() if path.is_dir()]
+    except OSError as exc:
+        raise ConfigError(f"cannot use the output path {out!r}: {exc}") from exc
+    if taken:
+        raise ConfigError(f"the output path {taken[0]} is a directory")
+    return paths
 
 
 def cmd_run(cfg: RunConfig, command: str) -> int:
@@ -247,6 +274,7 @@ def cmd_run(cfg: RunConfig, command: str) -> int:
     if command == "study" and (cfg.levels if cfg.n is None else len(cfg.n)) < 2:
         raise ConfigError("figure data needs at least 2 study rows")
     schemes = ("hfem", "hpfem") if command == "compare" else (cfg.scheme,)
+    paths = output_paths(cfg.out, command, schemes)
     results = {}
     for scheme in schemes:
         rows = ea.run_convergence_study(
@@ -259,19 +287,21 @@ def cmd_run(cfg: RunConfig, command: str) -> int:
                  "orders_log_normalized": ea.observed_orders(rows, log_power=cfg.s)}
         for scheme, rows in results.items()
     }
-    out = Path(cfg.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    for scheme, rows in results.items():
-        write_csv(_with_ext(out, f"_{scheme}.csv" if command == "compare" else ".csv"), rows)
-    write_json(_with_ext(out, ".json"), cfg, records)
+    try:
+        for scheme, rows in results.items():
+            write_csv(paths[scheme], rows)
+        write_json(paths["json"], cfg, records)
+        if command != "solve":
+            emit_figure_data(results, cfg.s, paths)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output: {exc}") from exc
     if command != "solve":
-        emit_figure_data(results, cfg.s, out)
         for scheme, record in records.items():
             for label, key in (("observed", "orders"), ("log-normalized", "orders_log_normalized")):
                 if record[key]:
                     print(f"{scheme}: {label} orders {['%.3f' % o for o in record[key]]}")
     if command != "compare":
-        print(f"wrote {_with_ext(out, '.csv')}")
+        print(f"wrote {paths[cfg.scheme]}")
         return 0
     err, n_h, n_hp = ea.dof_gap(results["hfem"], results["hpfem"])
     print(f"error level {err:.6g}: hfem needs {n_h} dofs, hpfem needs {n_hp} dofs "

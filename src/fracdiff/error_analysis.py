@@ -2,10 +2,11 @@
 
 The energy error of the cylinder discretization is computed through the
 identity ``error**2 = d_s * (int f*u - int f*u_h)`` over the base domain,
-an exact consequence of Galerkin orthogonality; a slow direct quadrature of
-the weighted gradient difference over the cylinder is provided as an
-independent desk-scale cross-check. Trace errors are measured in the
-fractional Sobolev norm by modal projection.
+an exact consequence of Galerkin orthogonality, from the discrete trace and
+the level's load vector alone. Trace errors are measured in the fractional
+Sobolev norm by modal projection. The direct quadrature of the weighted
+gradient difference over the cylinder that cross-checks the identity is a
+test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -13,27 +14,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
-from .fem1d import (
-    QuadratureError,
-    WeightedMatrices,
-    assemble_weighted_matrices,
-    shape_derivatives,
-    shape_values,
-    weighted_rule,
-)
-from .femomega import (
-    OmegaGrid,
-    assemble_load,
-    assemble_omega_matrices,
-    distinct_sine_hats,
-    unit_gauss_rule,
-)
+from .fem1d import QuadratureError, WeightedMatrices, assemble_weighted_matrices
+from .femomega import OmegaGrid, assemble_load, assemble_omega_matrices, distinct_sine_hats
 from .meshing import MeshError, YMesh, build_ymesh, select_params_h, select_params_hp
-from .solver import KroneckerSystem, SolutionTensor, SolverError, cylinder_rhs, solve_trace
+from .solver import KroneckerSystem, SolverError, cylinder_rhs, solve_trace
 from .spectral import (
     BoxDomain,
     FractionalProblem,
@@ -41,11 +29,7 @@ from .spectral import (
     dirichlet_eigenvalue,
     modal_function,
     solve_fractional,
-    tail_energy,
 )
-from .specialfunc import psi, psi_prime
-
-DIRECT_CHECK_MAX_DOFS = 5000
 
 
 @dataclass(frozen=True)
@@ -105,129 +89,6 @@ def energy_error(problem: FractionalProblem, load: np.ndarray, trace) -> float:
             "exceeds its exact value (is the certificate margin tol too loose?)"
         )
     return math.sqrt(radicand)
-
-
-def _hat_tables(grid: OmegaGrid, t: np.ndarray):
-    """Values and derivatives of the interior hat functions at the points
-    ``(cell + t) * h`` of every cell, each of shape ``(n * len(t), n - 1)``."""
-    n, g = grid.n, t.size
-    cells = np.arange(n)
-    vals = np.zeros((n, g, n + 1))
-    vals[cells, :, cells] = 1.0 - t
-    vals[cells, :, cells + 1] = t
-    ders = np.zeros((n, g, n + 1))
-    ders[cells, :, cells] = -1.0 / grid.h
-    ders[cells, :, cells + 1] = 1.0 / grid.h
-    return vals.reshape(n * g, n + 1)[:, 1:-1], ders.reshape(n * g, n + 1)[:, 1:-1]
-
-
-def _along_axes(tables, X: np.ndarray) -> np.ndarray:
-    """Apply the matrix ``tables[i]`` along axis ``i`` of ``X``."""
-    for i, A in enumerate(tables):
-        X = np.moveaxis(np.tensordot(A, X, axes=(1, i)), 0, i)
-    return X
-
-
-def _outer(factors) -> np.ndarray:
-    return reduce(np.multiply.outer, factors)
-
-
-def direct_energy_error_small(
-    problem: FractionalProblem,
-    grid: OmegaGrid,
-    weighted: WeightedMatrices,
-    solution: SolutionTensor,
-    nx_gauss: int = 6,
-    ny_extra: int = 14,
-) -> float:
-    """Independent desk-scale evaluation of the energy error: elementwise
-    quadrature of the weighted gradient difference over the truncated
-    cylinder plus the exact-solution energy above the truncation height.
-
-    Guarded to ``N_total <= 5000``.
-    """
-    U = solution.coefficients
-    if U.size > DIRECT_CHECK_MAX_DOFS:
-        raise ValueError(
-            f"direct energy cross-check is limited to {DIRECT_CHECK_MAX_DOFS} dofs"
-        )
-    mesh = weighted.mesh
-    dofmap = weighted.dofmap
-    degs = dofmap.degrees
-    alpha = problem.alpha
-    d = grid.d
-    t, wx = unit_gauss_rule(nx_gauss)
-    # the tensor points are the products of the n*g cell points per direction
-    x = ((np.arange(grid.n)[:, None] + t) * grid.h).ravel()
-    weights = _outer([np.tile(wx * grid.h, grid.n)] * d)
-    vals, ders = _hat_tables(grid, t)
-    grad_tables = [[ders if j == i else vals for j in range(d)] for i in range(d)]
-    nodal_shape = (grid.n - 1,) * d
-
-    # per exact mode: sqrt(lambda), its value and its partial derivatives at
-    # the tensor points, each an outer product of 1-D sine/cosine factors
-    modes = []
-    for index, coef in solve_fractional(problem).modes:
-        sins = [np.sin(k * math.pi * x) for k in index]
-        coss = [k * math.pi * np.cos(k * math.pi * x) for k in index]
-        grads = [coef * _outer(sins[:i] + [coss[i]] + sins[i + 1:]) for i in range(d)]
-        modes.append((math.sqrt(problem.domain.eigenvalue(index)), coef * _outer(sins), grads))
-
-    total = 0.0
-    nodes = np.asarray(mesh.nodes)
-    for m in range(1, mesh.M + 1):
-        a, b = nodes[m - 1], nodes[m]
-        p = degs[m - 1]
-        if m == 1:
-            ypts, wy = _singular_bottom_rule(b, alpha, problem.s, p + ny_extra)
-        else:
-            ypts, wy = weighted_rule(a, b, alpha, 2 * p + 2 * ny_extra)
-        hy = b - a
-        ty = (ypts - a) / hy
-        Bv = shape_values(p, ty)
-        Dv = shape_derivatives(p, ty) / hy
-        glob, local = dofmap.element_dofs(m)
-        Gy = U[:, glob] @ Bv[local]   # (N_omega, nq_y): FE x-nodal values per y point
-        Gdy = U[:, glob] @ Dv[local]
-
-        for q in range(ypts.size):
-            y = ypts[q]
-            nodal = Gy[:, q].reshape(nodal_shape)
-            fe = [_along_axes(tables, nodal) for tables in grad_tables]
-            fe.append(_along_axes([vals] * d, Gdy[:, q].reshape(nodal_shape)))
-            ex = [np.zeros_like(fe[0]) for _ in fe]
-            for root, val, grads in modes:
-                pz = psi(problem.profile, root * y)
-                for i in range(d):
-                    ex[i] += pz * grads[i]
-                ex[d] += root * psi_prime(problem.profile, root * y) * val
-            integrand = sum((fe_i - ex_i) ** 2 for fe_i, ex_i in zip(fe, ex))
-            total += wy[q] * float(np.vdot(integrand, weights))
-
-    total += tail_energy(problem, mesh.Y)
-    return math.sqrt(total)
-
-
-def _singular_bottom_rule(h1: float, alpha: float, s: float, npts: int):
-    """Composite quadrature for the first cylinder slab, absorbing the
-    ``y**alpha`` weight.
-
-    The exact solution's vertical derivative behaves like ``y**(2s-1)``
-    there, so a single weight-adapted rule converges slowly; geometric
-    subdivision toward 0 restores fast convergence. The innermost piece uses
-    the weight-exact rule; its leftover singular mass is ``O(delta**(2s))``
-    and the piece count is chosen to push that below 1e-9.
-    """
-    ratio = 0.2
-    pieces = min(150, max(6, math.ceil(9.0 / (2.0 * s * math.log10(1.0 / ratio)))))
-    cuts = h1 * ratio ** np.arange(pieces, -1, -1)
-    pts, wts = weighted_rule(0.0, cuts[0], alpha, 2 * npts)
-    all_pts, all_wts = [pts], [wts]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        pts, wts = weighted_rule(a, b, alpha, 2 * npts)
-        all_pts.append(pts)
-        all_wts.append(wts)
-    return np.concatenate(all_pts), np.concatenate(all_wts)
 
 
 def trace_hs_error(

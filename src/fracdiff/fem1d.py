@@ -3,10 +3,11 @@ degenerate weight ``y**alpha``.
 
 Trial functions are hierarchical Lobatto shape functions on each element
 (vertex hats plus integrated-Legendre bumps); the discrete space constrains
-the value at the top of the interval to zero. The module forms the
-weighted element mass and stiffness matrices (the assembled pair is derived
-from them), provides Gauss-Lobatto nodes, the nodal interpolation operator
-used for verification, and point evaluation of hierarchical expansions.
+the value at the top of the interval to zero. The module builds the
+weighted quadrature rules and forms the weighted element mass and stiffness
+matrices (the assembled pair is derived from them). Shape functions at
+arbitrary points, Gauss-Lobatto nodes, the y-interpolant and point
+evaluation of its expansion are test oracles (``tests/oracles.py``).
 
 Degrees of freedom are ordered vertex dofs first (by node index, the vertex
 at the top excluded), then per-element bump dofs by element and degree. The
@@ -41,29 +42,6 @@ class QuadratureError(RuntimeError):
     """Raised when a weighted element rule cannot be constructed."""
 
 
-def shape_values(q: int, t) -> np.ndarray:
-    """Hierarchical shape functions on the reference element ``(0, 1)``.
-
-    Returns an array of shape ``(q+1, len(t))``: rows 0 and 1 are the vertex
-    functions ``1-t`` and ``t``; row ``k >= 2`` is the integrated-Legendre
-    bump of degree ``k``, vanishing at both endpoints.
-    """
-    t = _reference_points(q, t)
-    return _shape_values(q, t, _legendre_rows(t, q) if q >= 2 else None)
-
-
-def shape_derivatives(q: int, t) -> np.ndarray:
-    """Reference-element derivatives of :func:`shape_values`."""
-    t = _reference_points(q, t)
-    return _shape_derivatives(q, t.size, _legendre_rows(t, q - 1) if q >= 2 else None)
-
-
-def _reference_points(q: int, t) -> np.ndarray:
-    if q < 1:
-        raise ValueError("element degree must be >= 1")
-    return np.atleast_1d(np.asarray(t, dtype=float))
-
-
 def _legendre_rows(t: np.ndarray, degree: int) -> np.ndarray:
     """``P_0..P_degree`` at ``2t - 1`` as rows, shape ``(degree+1, len(t))``,
     by the ``legvander`` recurrence. Every entry depends on its own point
@@ -78,7 +56,11 @@ def _bump_scale(q: int) -> np.ndarray:
 
 
 def _shape_values(q: int, t: np.ndarray, P: np.ndarray | None) -> np.ndarray:
-    """:func:`shape_values` from the Legendre rows ``P`` (at least ``q+1``)."""
+    """Hierarchical shape functions of degree ``q`` at the points ``t`` of the
+    reference element ``(0, 1)``, shape ``(q+1, len(t))``, from the Legendre
+    rows ``P`` at ``t`` (at least ``q+1``; ``None`` for ``q = 1``): rows 0
+    and 1 are the vertex functions ``1-t`` and ``t``, row ``k >= 2`` the
+    integrated-Legendre bump of degree ``k``, vanishing at both endpoints."""
     out = np.empty((q + 1, t.size))
     out[0] = 1.0 - t
     out[1] = t
@@ -89,32 +71,14 @@ def _shape_values(q: int, t: np.ndarray, P: np.ndarray | None) -> np.ndarray:
 
 
 def _shape_derivatives(q: int, points: int, P: np.ndarray | None) -> np.ndarray:
-    """:func:`shape_derivatives` from the Legendre rows ``P`` (at least ``q``)."""
+    """Reference-element derivatives of :func:`_shape_values` at ``points``
+    points, from the Legendre rows ``P`` (at least ``q``)."""
     out = np.empty((q + 1, points))
     out[0] = -1.0
     out[1] = 1.0
     if q >= 2:
         np.multiply(_bump_scale(q), P[1:q], out=out[2:])
     return out
-
-
-def gauss_lobatto_points(q: int, interval=(-1.0, 1.0)) -> np.ndarray:
-    """The ``q+1`` Gauss-Lobatto points of degree ``q`` on ``[a, b]``.
-
-    Endpoints included; the interior points are the roots of the derivative
-    of the Legendre polynomial of degree ``q``, i.e. of the Jacobi polynomial
-    ``P_{q-1}^{(1,1)}``. Symmetric about the midpoint.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if q < 1:
-        raise ValueError("Gauss-Lobatto degree must be >= 1")
-    if not b > a:
-        raise ValueError("empty interval")
-    x = _gauss_lobatto_reference(q)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    pts = mid + half * x
-    pts[0], pts[-1] = a, b
-    return pts
 
 
 def _orthonormal_values(x: np.ndarray, diag: np.ndarray, off: np.ndarray):
@@ -159,13 +123,6 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
                    - math.lgamma(a + b + 2.0))
     return x, mu0 / _orthonormal_values(x, diag, off)[2]
-
-
-@lru_cache(maxsize=None)
-def _gauss_lobatto_reference(q: int) -> np.ndarray:
-    x = _gauss_jacobi(q - 1, 1.0, 1.0)[0] if q > 1 else np.empty(0)
-    x = 0.5 * (x - x[::-1])  # enforce exact symmetry
-    return np.concatenate(([-1.0], x, [1.0]))
 
 
 @lru_cache(maxsize=None)
@@ -380,8 +337,8 @@ def _table_chunks(rules: list, degrees: np.ndarray):
 def _chunk_shapes(chunk: list, degrees: np.ndarray) -> list:
     """``(B, D)``, the values and derivatives of the shape functions at the
     reference nodes, of every rule of ``chunk``, cut from one Legendre table
-    on all their nodes; bitwise :func:`shape_values` and
-    :func:`shape_derivatives`. The table is freed on return."""
+    on all their nodes; bitwise the tables of a Legendre table on each
+    rule's nodes alone. The table is freed on return."""
     ps = [int(degrees[ms[0] - 1]) for ms, _, _ in chunk]
     top = max(ps)
     P = _legendre_rows(np.concatenate([t for _, t, _ in chunk]), top) if top >= 2 else None
@@ -428,60 +385,3 @@ def assemble_weighted_matrices(mesh: YMesh, alpha: float = 0.0) -> WeightedMatri
         raise MeshError(f"element {m}: the weighted element matrices on [{nodes[m - 1]:.2g}, "
                         f"{nodes[m]:.2g}] are not finite (y**{alpha:g} or the width overflows)")
     return WeightedMatrices(groups=tuple(groups), mesh=mesh)
-
-
-def interpolate_iyp(xi, mesh: YMesh) -> np.ndarray:
-    """Interpolation of a scalar function on ``(0, Y]`` into the constrained
-    space, as coefficients in the :class:`YDofMap` order that
-    :func:`eval_in_VM` evaluates.
-
-    Element rules: the first element carries the constant value ``xi(y_1)``;
-    interior elements the Gauss-Lobatto interpolant of their degree; the
-    last element the truncated interpolant whose sample at ``Y`` is dropped,
-    so the result vanishes there. For a single-element mesh the constant
-    rule is applied first and the truncation then zeroes the top sample.
-    """
-    dofmap = YDofMap(degrees=mesh.degrees)
-    nodes = np.asarray(mesh.nodes)
-    coeffs = np.zeros(dofmap.n_dofs)
-    for m, p in enumerate(mesh.degrees, start=1):
-        if m == 1:
-            vals = np.full(p + 1, float(xi(nodes[1])))
-        else:
-            gl = gauss_lobatto_points(p, (nodes[m - 1], nodes[m]))
-            vals = np.array([float(xi(pt)) for pt in gl])
-        if m == mesh.M:
-            vals[-1] = 0.0
-        local = np.linalg.solve(shape_values(p, gauss_lobatto_points(p, (0.0, 1.0))).T, vals)
-        glob, rows = dofmap.element_dofs(m)
-        coeffs[glob] = local[rows]
-    return coeffs
-
-
-def eval_in_VM(mesh: YMesh, coefficients, y):
-    """Evaluate a hierarchical-basis expansion at points of ``[0, Y]``.
-
-    ``coefficients`` follows the dof ordering contract (vertices first, then
-    bumps); the expansion is continuous across elements and vanishes at
-    ``Y``.
-    """
-    dofmap = YDofMap(degrees=mesh.degrees)
-    coeffs = np.asarray(coefficients, dtype=float)
-    if coeffs.shape != (dofmap.n_dofs,):
-        raise ValueError(f"expected {dofmap.n_dofs} coefficients")
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
-    nodes = np.asarray(mesh.nodes)
-    if np.any(arr < 0.0) or np.any(arr > mesh.Y):
-        raise ValueError("evaluation point outside [0, Y]")
-    idx = np.clip(np.searchsorted(nodes, arr, side="right") - 1, 0, mesh.M - 1)
-    out = np.zeros_like(arr)
-    for e in range(mesh.M):
-        sel = idx == e
-        if not np.any(sel):
-            continue
-        a, b = nodes[e], nodes[e + 1]
-        t = (arr[sel] - a) / (b - a)
-        glob, local = dofmap.element_dofs(e + 1)
-        B = shape_values(mesh.degrees[e], t)
-        out[sel] = coeffs[glob] @ B[local]
-    return float(out[0]) if np.ndim(y) == 0 else out

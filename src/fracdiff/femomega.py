@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -90,12 +90,6 @@ def assemble_omega_matrices(grid: OmegaGrid) -> OmegaMatrices:
         reduce(sparse.kron, [k1 if j == i else m1 for j in range(d)]) for i in range(d)
     ).tocsr()
     return OmegaMatrices(A_mass=A_mass, A_stiff=A_stiff, grid=grid)
-
-
-@lru_cache(maxsize=None)
-def unit_gauss_rule(npts: int):
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return (x + 1.0) / 2.0, w / 2.0
 
 
 def sine_hat_integrals(grid: OmegaGrid, k: int) -> np.ndarray:

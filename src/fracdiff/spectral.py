@@ -1,12 +1,14 @@
-"""Exact and reference solutions on tensor-product boxes.
+"""The problem and its exact solution in modal form on tensor-product boxes.
 
-Eigenvalues of the Dirichlet Laplacian on ``(0,1)**d``, the fractional solve
-in modal form, fractional Sobolev norms, the extended solution on the
-semi-infinite cylinder, and the energy content beyond a truncation height.
+Eigenvalues of the Dirichlet Laplacian on ``(0,1)**d``, finite eigenfunction
+expansions, the fractional problem with the constants of its extension, and
+the fractional solve in modal form. The extended solution on the cylinder,
+fractional Sobolev norms and the energy above a truncation height are test
+oracles (``tests/oracles.py``).
 
 Eigenfunctions are plain sine products only, with L2 norm ``2**(-d/2)``;
 expansions carry ``(index, coefficient)`` pairs in that basis and read each
-eigenvalue from :meth:`BoxDomain.eigenvalue`. Norms are computed in
+eigenvalue from :meth:`BoxDomain.eigenvalue`. Modal sums are taken in
 orthonormal coefficients, which :meth:`ModalFunction.orthonormal_items`
 obtains by the constant factor ``2**(-d/2)``.
 """
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .specialfunc import PsiProfile, psi, psi_prime
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,6 @@ class FractionalProblem:
         """Constant coupling the traced flux to the data."""
         return 2.0**self.alpha * math.gamma(1.0 - self.s) / math.gamma(self.s)
 
-    @property
-    def profile(self) -> PsiProfile:
-        return PsiProfile(self.s)
-
 
 def benchmark_problem(s: float, d: int) -> FractionalProblem:
     """Single-mode benchmark: ``f = lambda_1**s * phi_1`` so the solution of
@@ -176,71 +172,3 @@ def solve_fractional(problem: FractionalProblem) -> ModalFunction:
         (index, coef * lam(index) ** (-problem.s)) for index, coef in problem.f.modes
     )
     return replace(problem.f, modes=modes)
-
-
-def hs_norm(v: ModalFunction, s: float) -> float:
-    """Fractional Sobolev norm ``sqrt(sum lambda_k**s * v_k**2)`` computed in
-    orthonormal coefficients; negative ``s`` gives the dual norm. The sum is
-    taken over the coefficients scaled by ``2**-v.scale_exponent`` and the
-    root scaled back, so it overflows only when the norm itself lies beyond
-    the double range."""
-    scale = v.scale_exponent
-    return math.ldexp(math.sqrt(sum(lam**s * math.ldexp(coef, -scale) ** 2
-                                    for _, lam, coef in v.orthonormal_items())), scale)
-
-
-def exact_extended(problem: FractionalProblem, x, y) -> float | np.ndarray:
-    """Extended solution ``u(x, y) = sum_k u_k * phi_k(x) * psi_s(sqrt(lambda_k) y)``
-    for ``y >= 0``; at ``y = 0`` this is the fractional solution itself."""
-    u = solve_fractional(problem)
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0.0):
-        raise ValueError("extended variable must satisfy y >= 0")
-    profile = problem.profile
-    total = 0.0
-    for index, coef in u.modes:
-        root = math.sqrt(problem.domain.eigenvalue(index))
-        total = total + coef * _sine_product(index, x) * psi(profile, root * y_arr)
-    if np.ndim(total) == 0:
-        return float(total)
-    return total
-
-
-def tail_energy(problem: FractionalProblem, Y: float) -> float:
-    """Squared weighted-gradient energy of the extended solution above the
-    truncation height ``Y >= 1``.
-
-    Computed mode by mode as
-    ``sum_k u_k**2 * int_Y^inf y**alpha * (lambda_k psi_k**2 + psi_k'**2) dy``
-    with orthonormal coefficients ``u_k``; each integral is truncated at
-    ``Y + 40/sqrt(lambda_k)``, beyond which the integrand is below the float
-    noise floor.
-    """
-    from scipy import integrate  # loads scipy.optimize too; oracle use only
-
-    if Y < 1.0:
-        raise ValueError("tail energy requires Y >= 1")
-    u = solve_fractional(problem)
-    profile = problem.profile
-    alpha = problem.alpha
-    total = 0.0
-    for index, lam, coef in u.orthonormal_items():
-        if coef == 0.0:
-            continue
-        root = math.sqrt(lam)
-
-        def integrand(y, root=root):
-            z = root * y
-            return y**alpha * lam * (psi(profile, z) ** 2 + psi_prime(profile, z) ** 2)
-
-        upper = Y + 40.0 / root
-        val, err, info = integrate.quad(
-            integrand, Y, upper, epsabs=1e-300, epsrel=1e-10, limit=300,
-            full_output=True,
-        )[:3]
-        if not np.isfinite(val) or (val > 0 and err > max(1e-10 * val, 1e-250)):
-            raise RuntimeError(
-                f"tail quadrature did not converge for mode {index}: err={err}"
-            )
-        total += coef**2 * val
-    return total

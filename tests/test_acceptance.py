@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fracdiff.error_analysis import (
-    direct_energy_error_small,
     discretize,
     dof_gap,
     energy_error,
@@ -23,20 +22,21 @@ from fracdiff.fem1d import YDofMap, assemble_weighted_matrices
 from fracdiff.femomega import OmegaGrid, assemble_omega_matrices
 from fracdiff.meshing import geometric_mesh, graded_mesh, hp_mesh, linear_degree_vector
 from fracdiff.solver import KroneckerSystem, kron_matvec, solve
-from fracdiff.specialfunc import (
-    PsiProfile,
-    decay_envelope_constant,
-    derivative_coeffs,
-    psi,
-    psi_nth_derivative,
-)
 from fracdiff.spectral import (
     BoxDomain,
     FractionalProblem,
     benchmark_problem,
-    hs_norm,
     modal_function,
     solve_fractional,
+)
+from oracles import (
+    PsiProfile,
+    decay_envelope_constant,
+    derivative_coeffs,
+    direct_energy_error_small,
+    hs_norm,
+    psi,
+    psi_nth_derivative,
     tail_energy,
 )
 

@@ -559,6 +559,55 @@ class TestRejectedBeforeAnyLevel:
                      "modes: mode (1,) has a non-finite coefficient inf")
 
 
+class TestUnusableOut:
+    """An out path that cannot take the outputs exits 2, naming the path,
+    before any level runs."""
+
+    @staticmethod
+    def rejects(monkeypatch, capsys, command, out, named):
+        def run_level(*args, **kwargs):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(fracdiff.error_analysis, "run_level", run_level)
+        assert run_cli([*command, "--d", "1", "--n", "8,16", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert named in err
+
+    @pytest.mark.parametrize("command", [["solve"], ["study"], ["compare"]])
+    def test_empty_out(self, monkeypatch, capsys, command):
+        self.rejects(monkeypatch, capsys, command, "", "out=''")
+
+    @pytest.mark.parametrize("command", [["solve"], ["study"], ["compare"]])
+    def test_out_below_a_regular_file(self, tmp_path, monkeypatch, capsys, command):
+        (tmp_path / "file").write_text("kept")
+        self.rejects(monkeypatch, capsys, command, str(tmp_path / "file" / "run"),
+                     str(tmp_path / "file"))
+        assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", [["solve"], ["study"], ["compare"]])
+    def test_directory_at_an_output_path(self, tmp_path, monkeypatch, capsys, command):
+        (tmp_path / "run.json").mkdir()
+        self.rejects(monkeypatch, capsys, command, str(tmp_path / "run"),
+                     str(tmp_path / "run.json"))
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+    def test_failed_write_exits_2_and_names_the_path(self, tmp_path, monkeypatch, capsys):
+        # a directory that appears at an output path while the levels run
+        (tmp_path / "run.csv").write_text("")
+        solve_trace = fracdiff.error_analysis.solve_trace
+
+        def taking(*args, **kwargs):
+            (tmp_path / "run.json").mkdir(exist_ok=True)
+            return solve_trace(*args, **kwargs)
+
+        monkeypatch.setattr(fracdiff.error_analysis, "solve_trace", taking)
+        assert run_cli(["solve", "--d", "1", "--n", "8", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: cannot write the output" in err
+        assert str(tmp_path / "run.json") in err
+
+
 class TestOutputFiles:
     """Every output is rewritten through its existing file: the bytes of a
     fresh out path, the same inode, its mode kept, and a symlink written
@@ -635,6 +684,28 @@ def test_cli_import_leaves_quadrature_modules_unloaded(tmp_path):
     seen = json.loads(done.stdout.splitlines()[-1])
     assert list(seen) == ["import", "hfem d=1", "hfem d=2", "hpfem d=1", "hpfem d=2"]
     assert all(modules == [] for modules in seen.values()), seen
+
+
+def test_cold_solve_loads_only_the_run_path(tmp_path):
+    # the oracles of the analysis (the Bessel profile, the extended solution,
+    # the direct energy quadrature, the y-interpolant) live with the tests
+    src = str(Path(fracdiff.__file__).resolve().parents[1])
+    code = f"""if True:
+        import json, sys
+        import fracdiff.cli
+
+        code = fracdiff.cli.main(["solve", "--scheme", "hpfem", "--d", "2", "--n", "8,12",
+                                  "--out", {str(tmp_path / "run")!r}])
+        print(json.dumps([code, sorted(m for m in sys.modules
+                                       if m.split(".")[0] in ("fracdiff", "scipy"))]))
+        """
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert modules == ["fracdiff"] + [f"fracdiff.{name}" for name in (
+        "cli", "error_analysis", "fem1d", "femomega", "meshing", "solver", "spectral")]
 
 
 class TestSelftest:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fracdiff import error_analysis, femomega
 from fracdiff.error_analysis import (
     StudyRow,
-    direct_energy_error_small,
     discretize,
     dof_gap,
     energy_error,
@@ -29,6 +28,7 @@ from fracdiff.spectral import (
     modal_function,
     solve_fractional,
 )
+from oracles import direct_energy_error_small
 
 # a fixed six-mode load from {1..7} (plain sine coefficients)
 SIX_MODE_LOAD = [((1,), -0.92405), ((2,), 1.147553), ((3,), 1.217464),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdiff.specialfunc import (
+from oracles import (
     MAX_DERIVATIVE_ORDER,
     PsiProfile,
     bessel_k,

@@ -10,12 +10,10 @@ from fracdiff.spectral import (
     FractionalProblem,
     benchmark_problem,
     dirichlet_eigenvalue,
-    exact_extended,
-    hs_norm,
     modal_function,
     solve_fractional,
-    tail_energy,
 )
+from oracles import exact_extended, hs_norm, tail_energy
 
 
 class TestEigenpair:
