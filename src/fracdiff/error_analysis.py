@@ -26,7 +26,6 @@ from .spectral import (
     BoxDomain,
     FractionalProblem,
     benchmark_problem,
-    dirichlet_eigenvalue,
     modal_function,
     solve_fractional,
 )
@@ -101,30 +100,28 @@ def trace_hs_error(
     ``k_modes`` orthonormal eigenfunctions:
     ``sqrt(sum_k lambda_k**s * (u_k - (tr_h, phi_k))**2)``.
 
-    The quadrature ``(tr_h, phi_k)`` contracts the nodal trace with the 1-D
-    sine-hat vector of each frequency of ``k``, one axis at a time, slowest
-    first, with one vector per distinct frequency. The contraction along
-    the first axis, the one with the whole trace, is made once per distinct
-    first frequency and shared by every mode that has it; the products are
-    those of one contraction chain per mode, so sharing changes no bit. The
-    eigenvalues of the generated indices are not checked again."""
+    The quadratures ``(tr_h, phi_k)`` are read off one table: the sine-hat
+    vectors of the frequencies ``1..K``, ``K`` the largest index of a mode,
+    stacked into the rows of ``H``, project the nodal trace ``U`` onto every
+    mode of the box at once, ``H U`` in d=1 and ``H U H^T`` in d=2. The
+    first modes by eigenvalue hold ``(1, l)`` for every ``l`` up to ``K``
+    (``1 + l**2 <= k**2 + l**2``), so every frequency of the table is one of
+    their indices."""
     trace = np.asarray(trace, dtype=float)
     indices = problem.domain.modes_by_eigenvalue(k_modes)
     exact = {idx: coef for idx, _, coef in solve_fractional(problem).orthonormal_items()}
     if any(idx not in indices for idx in exact):
         raise ValueError("k_modes must cover every mode of the data (plus margin)")
     hats = distinct_sine_hats(grid, indices)
-    lines = trace.reshape(grid.n - 1, -1)
-    first = {k: hats[k] @ lines for k in {idx[0] for idx in indices}}
-    scale = 2.0 ** (grid.d / 2.0)
-    value_sq = 0.0
-    for idx in indices:
-        T = first[idx[0]]
-        for k in idx[1:]:
-            T = hats[k] @ T.reshape(grid.n - 1, -1)
-        c = exact.get(idx, 0.0) - scale * float(T[0])
-        value_sq += dirichlet_eigenvalue(idx)**problem.s * c * c
-    return math.sqrt(value_sq)
+    H = np.array([hats[k] for k in range(1, len(hats) + 1)])
+    T = H @ trace.reshape((grid.n - 1,) * grid.d)
+    if grid.d == 2:
+        T = T @ H.T
+    ks = np.array(indices)
+    c = np.array([exact.get(idx, 0.0) for idx in indices])
+    c -= 2.0 ** (grid.d / 2.0) * T[tuple(ks.T - 1)]
+    lam = math.pi**2 * (ks * ks).sum(axis=1)
+    return math.sqrt(lam**problem.s @ (c * c))
 
 
 def _default_mode_count(problem: FractionalProblem) -> int:

@@ -333,10 +333,12 @@ def _fold_chain(y: WeightedMatrices) -> list[tuple]:
 def _rows(n: int, count: int) -> list[np.ndarray]:
     """``count`` rows of ``n`` doubles in one buffer, each starting 1 KiB
     past a multiple of 4 KiB from the one before: rows that share their
-    address bits 0-11 make loads falsely wait on stores (4K aliasing). With
-    rows allocated one by one, ``solve --scheme hfem --s 0.8 --d 2 --n
-    1024`` took 1.8-2.2 s or 1.5-1.7 s depending only on the path of the
-    checkout, which moves the heap; 1.4-1.7 s with these rows (2 cores)."""
+    address bits 0-11 make loads falsely wait on stores (4K aliasing). Only
+    four rows start at distinct bits 0-11: a fifth would start at those of
+    row 0, so the fold holds no more than four. With rows allocated one by
+    one, ``solve --scheme hfem --s 0.8 --d 2 --n 1024`` took 1.8-2.2 s or
+    1.5-1.7 s depending only on the path of the checkout, which moves the
+    heap; 1.4-1.7 s with these rows (2 cores)."""
     stride = -(-n // 512) * 512 + 128
     buf = np.empty(count * stride + 511)
     base = -buf.ctypes.data % 4096 // 8

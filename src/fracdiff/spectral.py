@@ -36,7 +36,7 @@ class BoxDomain:
         return self.d * math.pi**2
 
     def eigenvalue(self, index) -> float:
-        return dirichlet_eigenvalue(_check_index(self, index))
+        return math.pi**2 * float(sum(k * k for k in _check_index(self, index)))
 
     def modes_by_eigenvalue(self, count: int) -> list[tuple[int, ...]]:
         """First ``count`` eigenmode indices ordered by eigenvalue
@@ -53,13 +53,6 @@ class BoxDomain:
         k, l = k + 1, l + 1
         order = np.lexsort((l, k, k * k + l * l))[:count]
         return list(zip(k[order].tolist(), l[order].tolist()))
-
-
-def dirichlet_eigenvalue(index: tuple[int, ...]) -> float:
-    """``pi**2 * sum(k_i**2)``, the eigenvalue of a valid index, which it
-    does not check: for indices that :meth:`BoxDomain.modes_by_eigenvalue`
-    generated or :meth:`BoxDomain.eigenvalue` checks."""
-    return math.pi**2 * float(sum(k * k for k in index))
 
 
 def _check_index(domain: BoxDomain, index) -> tuple[int, ...]:

@@ -51,6 +51,40 @@ def exact_nodal_trace(problem, grid):
     return u(pts).reshape(-1)
 
 
+def per_mode_chain_trace_error(problem, grid, trace, k_modes):
+    """The trace error with one contraction chain per mode: the trace
+    contracted with the sine-hat vector of each frequency of the mode, one
+    axis at a time, slowest first."""
+    domain = problem.domain
+    exact = {idx: c for idx, _, c in solve_fractional(problem).orthonormal_items()}
+    value_sq = 0.0
+    for idx in domain.modes_by_eigenvalue(k_modes):
+        T = trace
+        for k in idx:
+            T = femomega.sine_hat_integrals(grid, k) @ T.reshape(grid.n - 1, -1)
+        c = exact.get(idx, 0.0) - 2.0 ** (grid.d / 2.0) * float(T[0])
+        value_sq += domain.eigenvalue(idx) ** problem.s * c * c
+    return math.sqrt(value_sq)
+
+
+def table_trace_error(problem, grid, trace, k_modes):
+    """The trace error from the products of the sine-hat table ``H`` of the
+    frequencies ``1..K``: ``H U`` in d=1 and ``H U H^T`` in d=2, read at
+    each mode and summed against ``lambda**s`` in one dot product."""
+    domain = problem.domain
+    indices = domain.modes_by_eigenvalue(k_modes)
+    exact = {idx: c for idx, _, c in solve_fractional(problem).orthonormal_items()}
+    H = np.array([femomega.sine_hat_integrals(grid, k)
+                  for k in range(1, max(max(idx) for idx in indices) + 1)])
+    T = H @ trace.reshape((grid.n - 1,) * grid.d)
+    if grid.d == 2:
+        T = T @ H.T
+    c = np.array([exact.get(idx, 0.0) - 2.0 ** (grid.d / 2.0) * T[tuple(k - 1 for k in idx)]
+                  for idx in indices])
+    lam = np.array([domain.eigenvalue(idx) for idx in indices])
+    return math.sqrt(lam ** problem.s @ (c * c))
+
+
 def load_problem(s, d, entries=None):
     """The benchmark problem, or the load with the given plain sine
     coefficients."""
@@ -390,40 +424,32 @@ class TestSineHatReuse:
 
         trace = np.random.default_rng(8).standard_normal(grid.n_dofs)
         k_modes = error_analysis._default_mode_count(problem)
-        indices = domain.modes_by_eigenvalue(k_modes)
-        exact = {idx: c for idx, _, c in solve_fractional(problem).orthonormal_items()}
-        value_sq = 0.0
-        for idx in indices:
-            T = trace
-            for k in idx:
-                T = femomega.sine_hat_integrals(grid, k) @ T.reshape(grid.n - 1, -1)
-            c = exact.get(idx, 0.0) - 2.0 * float(T[0])
-            value_sq += domain.eigenvalue(idx) ** problem.s * c * c
-        assert trace_hs_error(problem, grid, trace, k_modes) == math.sqrt(value_sq)
+        got = trace_hs_error(problem, grid, trace, k_modes)
+        assert got == table_trace_error(problem, grid, trace, k_modes)
+        assert got == pytest.approx(per_mode_chain_trace_error(problem, grid, trace, k_modes),
+                                    rel=1e-14)
 
 
-class TestTraceErrorFirstAxis:
-    """``trace_hs_error`` contracts the trace along the first axis once per
-    distinct first frequency; every mode gets the products of its own
-    contraction chain."""
+class TestTraceErrorTable:
+    """``trace_hs_error`` projects the trace onto every mode through one
+    sine-hat table; its products are those of the table formed here, and
+    within rounding those of one contraction chain per mode. The levels
+    d=1 n=5 and d=2 n=4 project onto modes whose indices pass ``n``."""
 
-    @pytest.mark.parametrize("d,n", [(1, 40), (2, 9), (2, 33)])
-    def test_bitwise_one_contraction_chain_per_mode(self, d, n):
+    @pytest.mark.parametrize("d,n", [(1, 5), (1, 40), (2, 4), (2, 9), (2, 33)])
+    def test_bitwise_the_table_products_and_near_the_per_mode_chain(self, d, n):
         domain = BoxDomain(d)
         entries = SIX_MODE_LOAD if d == 1 else [((1, 1), 1.0), ((4, 2), -0.6), ((2, 5), 0.3)]
         problem = FractionalProblem(s=0.3, domain=domain, f=modal_function(domain, entries))
         grid = OmegaGrid(d, n)
         trace = np.random.default_rng(n).standard_normal(grid.n_dofs)
         k_modes = error_analysis._default_mode_count(problem)
-        exact = {idx: c for idx, _, c in solve_fractional(problem).orthonormal_items()}
-        value_sq = 0.0
-        for idx in domain.modes_by_eigenvalue(k_modes):
-            T = trace
-            for k in idx:
-                T = femomega.sine_hat_integrals(grid, k) @ T.reshape(grid.n - 1, -1)
-            c = exact.get(idx, 0.0) - 2.0 ** (d / 2.0) * float(T[0])
-            value_sq += domain.eigenvalue(idx) ** problem.s * c * c
-        assert trace_hs_error(problem, grid, trace, k_modes) == math.sqrt(value_sq)
+        if n < 8:
+            assert max(max(idx) for idx in domain.modes_by_eigenvalue(k_modes)) >= n
+        got = trace_hs_error(problem, grid, trace, k_modes)
+        assert got == table_trace_error(problem, grid, trace, k_modes)
+        assert got == pytest.approx(per_mode_chain_trace_error(problem, grid, trace, k_modes),
+                                    rel=1e-14)
 
 
 class TestSolverAccuracy:

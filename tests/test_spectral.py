@@ -9,7 +9,6 @@ from fracdiff.spectral import (
     BoxDomain,
     FractionalProblem,
     benchmark_problem,
-    dirichlet_eigenvalue,
     modal_function,
     solve_fractional,
 )
@@ -52,11 +51,6 @@ class TestEigenpair:
             with pytest.raises(ValueError) as err:
                 BoxDomain(2).eigenvalue(index)
             assert str(err.value) == "invalid eigenmode index (0, 1) for d=2"
-
-    def test_unchecked_eigenvalue_is_the_checked_one(self):
-        domain = BoxDomain(2)
-        for index in domain.modes_by_eigenvalue(60):
-            assert dirichlet_eigenvalue(index) == domain.eigenvalue(index)
 
     def test_mode_enumeration_ordering(self):
         domain = BoxDomain(2)
