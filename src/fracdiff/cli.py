@@ -339,8 +339,8 @@ def cmd_selftest() -> int:
     r = np.array([np.linalg.solve(w * wm.B_mass.toarray() + wm.B_stiff.toarray(),
                                   np.eye(wm.n_dofs)[0])[0] for w in shifts])
     want = V @ (r * (V.T @ level.load))
-    got = solver.solve_trace(level.grid, wm, level.load, s=problem.s, d_s=problem.d_s,
-                             margin=1e-9)
+    got = solver.dst(solver.solve_trace(level.grid, wm, level.load, s=problem.s,
+                                        d_s=problem.d_s, margin=1e-9), (level.grid.n_dofs,))
     checks.append(("trace-only run path vs dense per-mode solve",
                    bool(np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want))))
     ratio = problem.d_s * shifts**problem.s * solver.y_resolvent(wm, shifts)

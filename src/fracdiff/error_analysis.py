@@ -2,8 +2,8 @@
 
 The energy error of the cylinder discretization is computed through the
 identity ``error**2 = d_s * (int f*u - int f*u_h)`` over the base domain,
-an exact consequence of Galerkin orthogonality, from the discrete trace and
-the level's load vector alone. Trace errors are measured in the fractional
+an exact consequence of Galerkin orthogonality, from the sine coefficients
+of the discrete trace alone. Trace errors are measured in the fractional
 Sobolev norm by modal projection. The direct quadrature of the weighted
 gradient difference over the cylinder that cross-checks the identity is a
 test oracle (``tests/oracles.py``).
@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .fem1d import QuadratureError, WeightedMatrices, assemble_weighted_matrices
-from .femomega import OmegaGrid, assemble_load, assemble_omega_matrices, distinct_sine_hats
+from .femomega import OmegaGrid, assemble_load, assemble_omega_matrices, sine_projections
 from .meshing import MeshError, YMesh, build_ymesh, select_params_h, select_params_hp
 from .solver import KroneckerSystem, SolverError, cylinder_rhs, solve_trace
 from .spectral import (
@@ -67,18 +67,21 @@ def exact_data_product(problem: FractionalProblem) -> float:
     ), 2 * scale)
 
 
-def energy_error(problem: FractionalProblem, load: np.ndarray, trace) -> float:
+def energy_error(problem: FractionalProblem, grid: OmegaGrid, coeffs) -> float:
     """Weighted-gradient energy error from the Galerkin-orthogonality
     identity: ``sqrt(d_s * (I_exact - I_h))`` with ``I_h = int f * tr u_h``,
-    read off the level's load vector ``d_s * int f * eta_i``.
+    the data's sine coefficients against the projections of the trace onto
+    their modes, read off the trace's DST-I coefficients ``coeffs``
+    (:func:`~fracdiff.femomega.sine_projections`).
 
     Tiny negative radicands (down to ``-1e-12 * I_exact``) are clamped to
     zero; anything larger signals a trace inconsistent with the data and
     raises :class:`~fracdiff.solver.SolverError`.
     """
-    trace = np.asarray(trace, dtype=float)
+    modes = problem.f.modes
     i_exact = exact_data_product(problem)
-    i_h = float((load / problem.d_s) @ trace)
+    i_h = float(np.array([c for _, c in modes])
+                @ sine_projections(grid, coeffs, [index for index, _ in modes]))
     radicand = problem.d_s * (i_exact - i_h)
     if radicand < 0.0:
         if radicand >= -1e-12 * problem.d_s * abs(i_exact):
@@ -93,33 +96,23 @@ def energy_error(problem: FractionalProblem, load: np.ndarray, trace) -> float:
 def trace_hs_error(
     problem: FractionalProblem,
     grid: OmegaGrid,
-    trace,
+    coeffs,
     k_modes: int,
 ) -> float:
     """Fractional-norm trace error of the projection on the first
     ``k_modes`` orthonormal eigenfunctions:
     ``sqrt(sum_k lambda_k**s * (u_k - (tr_h, phi_k))**2)``.
 
-    The quadratures ``(tr_h, phi_k)`` are read off one table: the sine-hat
-    vectors of the frequencies ``1..K``, ``K`` the largest index of a mode,
-    stacked into the rows of ``H``, project the nodal trace ``U`` onto every
-    mode of the box at once, ``H U`` in d=1 and ``H U H^T`` in d=2. The
-    first modes by eigenvalue hold ``(1, l)`` for every ``l`` up to ``K``
-    (``1 + l**2 <= k**2 + l**2``), so every frequency of the table is one of
-    their indices."""
-    trace = np.asarray(trace, dtype=float)
+    The quadratures ``(tr_h, phi_k)`` are gathered from the orthonormal
+    DST-I coefficients ``coeffs`` of the nodal trace
+    (:func:`~fracdiff.femomega.sine_projections`)."""
     indices = problem.domain.modes_by_eigenvalue(k_modes)
     exact = {idx: coef for idx, _, coef in solve_fractional(problem).orthonormal_items()}
     if any(idx not in indices for idx in exact):
         raise ValueError("k_modes must cover every mode of the data (plus margin)")
-    hats = distinct_sine_hats(grid, indices)
-    H = np.array([hats[k] for k in range(1, len(hats) + 1)])
-    T = H @ trace.reshape((grid.n - 1,) * grid.d)
-    if grid.d == 2:
-        T = T @ H.T
     ks = np.array(indices)
     c = np.array([exact.get(idx, 0.0) for idx in indices])
-    c -= 2.0 ** (grid.d / 2.0) * T[tuple(ks.T - 1)]
+    c -= 2.0 ** (grid.d / 2.0) * sine_projections(grid, coeffs, ks)
     lam = math.pi**2 * (ks * ks).sum(axis=1)
     return math.sqrt(lam**problem.s @ (c * c))
 
@@ -198,11 +191,11 @@ def run_level(
     """Discretize, solve, and measure a single refinement level;
     ``mesh_overrides`` are the keyword parameters of :func:`discretize`.
 
-    Only the trace at ``y = 0`` is computed (:func:`~fracdiff.solver.solve_trace`),
-    and ``tol`` is the margin of its certificate. A level whose mesh or
-    weighted quadrature cannot be built, whose certificate fails, or that
-    runs out of memory anywhere raises :class:`SolverError` prefixed with
-    the level.
+    Only the sine coefficients of the trace at ``y = 0`` are computed
+    (:func:`~fracdiff.solver.solve_trace`), and ``tol`` is the margin of its
+    certificate. A level whose mesh or weighted quadrature cannot be built,
+    whose certificate fails, or that runs out of memory anywhere raises
+    :class:`SolverError` prefixed with the level.
 
     Both errors are linear in the data, so the level is solved for the data
     scaled by a power of two (exact) to a largest coefficient in [0.5, 1),
@@ -215,10 +208,10 @@ def run_level(
         (index, math.ldexp(c, -scale)) for index, c in problem.f.modes)))
     try:
         level = discretize(problem, scheme, n, **mesh_overrides)
-        trace = solve_trace(level.grid, level.weighted, level.load, s=problem.s,
-                            d_s=problem.d_s, margin=tol)
-        err = energy_error(problem, level.load, trace)
-        tr_err = trace_hs_error(problem, level.grid, trace, _default_mode_count(problem))
+        coeffs = solve_trace(level.grid, level.weighted, level.load, s=problem.s,
+                             d_s=problem.d_s, margin=tol)
+        err = energy_error(problem, level.grid, coeffs)
+        tr_err = trace_hs_error(problem, level.grid, coeffs, _default_mode_count(problem))
     except (SolverError, MeshError, QuadratureError) as exc:
         raise SolverError(f"{where}: {exc}") from exc
     except MemoryError as exc:

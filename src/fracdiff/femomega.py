@@ -102,10 +102,27 @@ def sine_hat_integrals(grid: OmegaGrid, k: int) -> np.ndarray:
     return np.sin(w * grid.interior_nodes) * (4.0 * math.sin(w * h / 2.0) ** 2 / (w * w * h))
 
 
-def distinct_sine_hats(grid: OmegaGrid, indices) -> dict[int, np.ndarray]:
-    """:func:`sine_hat_integrals` of every distinct frequency of the mode
-    ``indices``, computed once each."""
-    return {k: sine_hat_integrals(grid, k) for k in {k for index in indices for k in index}}
+def sine_projections(grid: OmegaGrid, coeffs, indices) -> np.ndarray:
+    """``(tr u_h, prod_i sin(k_i*pi*x_i))`` for every mode index of
+    ``indices``, read off the orthonormal DST-I coefficients ``coeffs`` of
+    the nodal trace. Per axis, the sampled sines of frequency ``k`` are
+    ``sqrt(n/2)`` times a DST-I basis vector, so the sine-hat integral of
+    :func:`sine_hat_integrals` against the nodal values is its closed-form
+    factor times ``sqrt(n/2)`` times the coefficient at ``k`` aliased into
+    ``0..n``: the grid samples ``k`` and ``2n - k`` to opposite sines, and
+    ``0`` and ``n`` to zero."""
+    n = grid.n
+    out = np.ones(len(indices))
+    at = []
+    for k in np.array(indices, dtype=np.int64).reshape(-1, grid.d).T.copy():  # a row per axis
+        w = k * math.pi
+        out *= np.sin(w * grid.h / 2.0) ** 2 * (4.0 * math.sqrt(n / 2.0)) / (w * w * grid.h)
+        k %= 2 * n
+        out[k > n] *= -1.0
+        out[k % n == 0] = 0.0
+        at.append(np.clip(np.minimum(k, 2 * n - k), 1, n - 1) - 1)
+    G = np.asarray(coeffs, dtype=float).reshape((n - 1,) * grid.d)
+    return out * G[tuple(at)]
 
 
 def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
@@ -114,7 +131,8 @@ def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
     mode of ``f`` is a product of sines, so its part of ``int f * eta_i`` is
     the Kronecker product (the raveled outer product) of the 1-D sine-hat
     integrals, one vector per distinct frequency."""
-    hats = distinct_sine_hats(grid, (index for index, _ in problem.f.modes))
+    hats = {k: sine_hat_integrals(grid, k)
+            for k in {k for index, _ in problem.f.modes for k in index}}
     out = np.zeros(grid.n_dofs)
     for index, coef in problem.f.modes:
         out += coef * reduce(np.multiply.outer, [hats[k] for k in index]).ravel()

@@ -9,15 +9,16 @@ extended-direction system ``omega*B_mass + B_stiff`` per base eigenvalue
 the run path folds the triangle ``k <= l`` of them (:class:`_BaseModes`).
 
 The run path, :func:`solve_trace`, needs only the trace at ``y = 0`` of the
-solution for the cylinder right-hand side ``e0 (x) load``: it is
-``DST(r_h(omega)/m * DST(load))`` with ``m`` the base mass eigenvalues and
-``r_h(omega) = e0^T (omega*B_mass + B_stiff)^-1 e0`` one scalar per distinct
-shift. :func:`y_resolvent` folds ``r_h`` through the y-element matrices,
-never through the assembled pair, in one loop over the elements of every
-degree: per-element scalars read off the group arrays, in-place ufuncs on
-two buffers, and for an element with bumps its pole sums, formed and freed
-before the next element. The certificate ``0 < d_s * omega**s * r_h <= 1 +
-margin`` stands in for a residual check. Working set: a few arrays of
+solution for the cylinder right-hand side ``e0 (x) load``, and returns its
+orthonormal DST-I coefficients ``r_h(omega)/m * DST(load)`` with ``m`` the
+base mass eigenvalues and ``r_h(omega) = e0^T (omega*B_mass + B_stiff)^-1
+e0`` one scalar per distinct shift; the nodal trace is their :func:`dst`,
+which the error measures never form. :func:`y_resolvent` folds ``r_h``
+through the y-element matrices, never through the assembled pair, in one
+loop over the elements of every degree: per-element scalars read off the
+group arrays, in-place ufuncs on two buffers, and for an element with bumps
+its pole sums, formed and freed before the next element. The certificate
+``0 < d_s * omega**s * r_h <= 1 + margin`` stands in for a residual check. Working set: a few arrays of
 ``N_omega`` doubles (the load, its transform, and the triangle's shifts and
 ``r_h``, half an array each) and a fixed budget of ``_BLOCK_BYTES`` shift
 and row blocks; no ``(N_omega, N_y)`` array, no base-domain matrix, and no
@@ -97,7 +98,7 @@ def _as_tensor(system: KroneckerSystem, x) -> tuple[np.ndarray, bool]:
 
 # Bytes of the temporaries of one block: a shift-column block of the
 # element condensation in the fold of :func:`y_resolvent`, or (a quarter of
-# it) a block of lines of the sine transform :func:`_dst`.
+# it) a block of lines of the sine transform :func:`dst`.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -227,7 +228,7 @@ def _dst_axis(X: np.ndarray):
             np.multiply(np.fft.rfft(ext, axis=1).imag[:, 1:n + 1], scale, out=block)
 
 
-def _dst(T: np.ndarray, base_shape: tuple) -> np.ndarray:
+def dst(T: np.ndarray, base_shape: tuple) -> np.ndarray:
     """Orthonormal DST-I over the base-domain axes of a ``(rows, N_omega)``
     tensor or an ``(N_omega,)`` vector, one axis at a time; in place when
     ``T`` is C-contiguous, else on a copy. It is its own inverse."""
@@ -425,13 +426,15 @@ def _certify(shifts: np.ndarray, r: np.ndarray, *, s: float, d_s: float, margin:
 
 def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: float, d_s: float,
                 margin: float) -> np.ndarray:
-    """Nodal trace at ``y = 0`` of the solution of ``S X = e0 (x) load``:
-    ``DST(r_h/m * DST(load))`` with ``r_h`` from :func:`y_resolvent`, one
-    fold per distinct shift (the triangle of :class:`_BaseModes` in d=2),
-    and ``m`` the base mass eigenvalues. :func:`_scale_modes` applies
-    ``r_h`` and ``m`` to the transformed load in blocks of rows, from the
-    triangle and the 1-D factors: no array of ``N_omega`` shifts, indices,
-    ``r_h`` or mass eigenvalues is formed.
+    """Orthonormal DST-I coefficients of the nodal trace at ``y = 0`` of the
+    solution of ``S X = e0 (x) load``: ``r_h/m * DST(load)`` with ``r_h``
+    from :func:`y_resolvent`, one fold per distinct shift (the triangle of
+    :class:`_BaseModes` in d=2), and ``m`` the base mass eigenvalues. The
+    nodal trace is their :func:`dst`; the error measures read the
+    coefficients (:func:`~fracdiff.femomega.sine_projections`).
+    :func:`_scale_modes` applies ``r_h`` and ``m`` to the transformed load
+    in blocks of rows, from the triangle and the 1-D factors: no array of
+    ``N_omega`` shifts, indices, ``r_h`` or mass eigenvalues is formed.
 
     The certificate ``0 < d_s * w**s * r_h(w) <= 1 + margin`` is checked at
     every distinct shift (:func:`_certify`): the exact extension gives 1,
@@ -439,9 +442,9 @@ def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: fl
     modes = _base_modes(grid)
     r = y_resolvent(y, modes.shifts)
     _certify(modes.shifts, r, s=s, d_s=d_s, margin=margin)
-    G = _dst(np.array(load, dtype=float), modes.base_shape)  # a copy: overwritten in place
+    G = dst(np.array(load, dtype=float), modes.base_shape)  # a copy: overwritten in place
     _scale_modes(G, modes, r)
-    return _dst(G, modes.base_shape)
+    return G
 
 
 @dataclass
@@ -486,12 +489,12 @@ class TensorPreconditioner:
         order; ``R`` is left unchanged. The modes of one shift are solved in
         one call, each as a system of its own, so sharing a pair changes no
         bit."""
-        G = _dst(np.array(R.T, order="C"), self.base_shape)  # a copy: transformed in place
+        G = dst(np.array(R.T, order="C"), self.base_shape)  # a copy: transformed in place
         G /= self.mass_eig
         for j, K in enumerate(self.pairs):
             cols = self.shift_of == j
             G[:, cols] = np.linalg.solve(K, G[:, cols].T[:, :, None])[:, :, 0].T
-        return _dst(G, self.base_shape).T
+        return dst(G, self.base_shape).T
 
 
 @dataclass

@@ -20,7 +20,7 @@ from fracdiff.error_analysis import (
 )
 from fracdiff.fem1d import assemble_weighted_matrices
 from fracdiff.femomega import OmegaGrid, assemble_load
-from fracdiff.solver import KroneckerSystem, SolverError, cylinder_rhs, solve
+from fracdiff.solver import KroneckerSystem, SolverError, cylinder_rhs, dst, solve
 from fracdiff.spectral import (
     BoxDomain,
     FractionalProblem,
@@ -51,6 +51,12 @@ def exact_nodal_trace(problem, grid):
     return u(pts).reshape(-1)
 
 
+def sine_coefficients(grid, trace):
+    """Orthonormal DST-I coefficients of a nodal trace, the input of the
+    error measures."""
+    return dst(np.array(trace, dtype=float), (grid.n - 1,) * grid.d)
+
+
 def per_mode_chain_trace_error(problem, grid, trace, k_modes):
     """The trace error with one contraction chain per mode: the trace
     contracted with the sine-hat vector of each frequency of the mode, one
@@ -67,24 +73,6 @@ def per_mode_chain_trace_error(problem, grid, trace, k_modes):
     return math.sqrt(value_sq)
 
 
-def table_trace_error(problem, grid, trace, k_modes):
-    """The trace error from the products of the sine-hat table ``H`` of the
-    frequencies ``1..K``: ``H U`` in d=1 and ``H U H^T`` in d=2, read at
-    each mode and summed against ``lambda**s`` in one dot product."""
-    domain = problem.domain
-    indices = domain.modes_by_eigenvalue(k_modes)
-    exact = {idx: c for idx, _, c in solve_fractional(problem).orthonormal_items()}
-    H = np.array([femomega.sine_hat_integrals(grid, k)
-                  for k in range(1, max(max(idx) for idx in indices) + 1)])
-    T = H @ trace.reshape((grid.n - 1,) * grid.d)
-    if grid.d == 2:
-        T = T @ H.T
-    c = np.array([exact.get(idx, 0.0) - 2.0 ** (grid.d / 2.0) * T[tuple(k - 1 for k in idx)]
-                  for idx in indices])
-    lam = np.array([domain.eigenvalue(idx) for idx in indices])
-    return math.sqrt(lam ** problem.s @ (c * c))
-
-
 def load_problem(s, d, entries=None):
     """The benchmark problem, or the load with the given plain sine
     coefficients."""
@@ -98,7 +86,7 @@ def assert_direct_matches_identity(problem, scheme, n):
     level = discretize(problem, scheme, n)
     sol = solve(level.system, level.rhs, rel_tol=1e-11)
     assert sol.coefficients.size <= 5000
-    via_identity = energy_error(problem, level.load, sol.trace)
+    via_identity = energy_error(problem, level.grid, sine_coefficients(level.grid, sol.trace))
     direct = direct_energy_error_small(problem, level.grid, level.weighted, sol)
     assert abs(direct - via_identity) <= 1e-8 * via_identity
 
@@ -123,11 +111,11 @@ class TestEnergyError:
         for s in [0.2, 0.5, 0.8]:
             problem = benchmark_problem(s, 2)
             grid = OmegaGrid(2, 8)
-            err = energy_error(problem, assemble_load(grid, problem), np.zeros(grid.n_dofs))
+            err = energy_error(problem, grid, np.zeros(grid.n_dofs))
             want = math.sqrt(problem.d_s * (2 * math.pi**2) ** s / 4.0)
             assert err == pytest.approx(want, rel=1e-9)
         problem = benchmark_problem(0.5, 2)
-        err = energy_error(problem, assemble_load(OmegaGrid(2, 8), problem), np.zeros(49))
+        err = energy_error(problem, OmegaGrid(2, 8), np.zeros(49))
         assert err == pytest.approx(1.0539073652554058, rel=1e-9)
 
     def test_exact_data_product(self):
@@ -161,8 +149,8 @@ class TestEnergyError:
         errs = []
         for n in (16, 32, 64):
             grid = OmegaGrid(1, n)
-            errs.append(energy_error(problem, assemble_load(grid, problem),
-                                     exact_nodal_trace(problem, grid)))
+            errs.append(energy_error(problem, grid,
+                                     sine_coefficients(grid, exact_nodal_trace(problem, grid))))
         assert errs[0] < 0.2
         assert errs[1] < errs[0] and errs[2] < errs[1]
 
@@ -178,7 +166,7 @@ class TestEnergyError:
         grid = OmegaGrid(1, 8)
         giant = 100.0 * exact_nodal_trace(problem, grid)
         with pytest.raises(SolverError, match="negative radicand"):
-            energy_error(problem, assemble_load(grid, problem), giant)
+            energy_error(problem, grid, sine_coefficients(grid, giant))
 
 
 class TestDirectEnergyError:
@@ -236,7 +224,8 @@ class TestTraceHsError:
         for n in (16, 32, 64):
             grid = OmegaGrid(1, n)
             vals.append(
-                trace_hs_error(problem, grid, exact_nodal_trace(problem, grid), 12)
+                trace_hs_error(problem, grid,
+                               sine_coefficients(grid, exact_nodal_trace(problem, grid)), 12)
             )
         assert vals[0] < 0.1
         assert vals[1] < vals[0] and vals[2] < vals[1]
@@ -273,7 +262,7 @@ class TestTraceHsError:
             want = lam ** (s / 2) * abs(u - projection)
         else:
             want = lam ** (s / 2) * math.hypot(u, projection)
-        got = trace_hs_error(problem, grid, trace, k_modes=16)
+        got = trace_hs_error(problem, grid, sine_coefficients(grid, trace), k_modes=16)
         assert got == pytest.approx(want, rel=1e-10)
 
     @settings(max_examples=40, deadline=None)
@@ -371,7 +360,8 @@ class TestStudyDriver:
         errs = []
         for system in (level.system, raised_system):
             sol = solve(system, cylinder_rhs(system, level.load), rel_tol=1e-12)
-            errs.append(energy_error(problem, level.load, sol.trace))
+            errs.append(energy_error(problem, level.grid,
+                                     sine_coefficients(level.grid, sol.trace)))
         assert errs[1] <= errs[0] * (1 + 1e-10)
 
     def test_run_level_rejects_unknown_scheme(self):
@@ -407,12 +397,12 @@ class TestStudyDriver:
 
 
 class TestSineHatReuse:
-    """The load and the trace error take one closed-form sine-hat vector
-    per mode and axis."""
+    """The load takes one closed-form sine-hat vector per distinct frequency;
+    the error measures take none."""
 
     LOAD = [((1, 1), 1.0), ((2, 3), -0.5), ((3, 2), 0.25), ((5, 5), 0.7), ((1, 4), -0.3)]
 
-    def test_load_and_trace_error_are_bitwise_the_per_mode_products(self):
+    def test_load_is_bitwise_the_per_mode_products_and_trace_error_near_them(self):
         domain = BoxDomain(2)
         problem = FractionalProblem(s=0.8, domain=domain, f=modal_function(domain, self.LOAD))
         grid = OmegaGrid(2, 12)
@@ -422,32 +412,52 @@ class TestSineHatReuse:
             want += coef * np.kron(*(femomega.sine_hat_integrals(grid, k) for k in index))
         assert load.tobytes() == (problem.d_s * want).tobytes()
 
-        trace = np.random.default_rng(8).standard_normal(grid.n_dofs)
+        coeffs = np.random.default_rng(8).standard_normal(grid.n_dofs)
+        trace = dst(coeffs.copy(), (11, 11))
         k_modes = error_analysis._default_mode_count(problem)
-        got = trace_hs_error(problem, grid, trace, k_modes)
-        assert got == table_trace_error(problem, grid, trace, k_modes)
+        got = trace_hs_error(problem, grid, coeffs, k_modes)
         assert got == pytest.approx(per_mode_chain_trace_error(problem, grid, trace, k_modes),
                                     rel=1e-14)
 
+    def test_error_measures_compute_no_sine_hat_vector(self, monkeypatch):
+        calls = []
+        integrals = femomega.sine_hat_integrals
 
-class TestTraceErrorTable:
-    """``trace_hs_error`` projects the trace onto every mode through one
-    sine-hat table; its products are those of the table formed here, and
-    within rounding those of one contraction chain per mode. The levels
-    d=1 n=5 and d=2 n=4 project onto modes whose indices pass ``n``."""
+        def counted(grid, k):
+            calls.append(k)
+            return integrals(grid, k)
+
+        monkeypatch.setattr(femomega, "sine_hat_integrals", counted)
+        domain = BoxDomain(2)
+        problem = FractionalProblem(s=0.8, domain=domain, f=modal_function(domain, self.LOAD))
+        grid = OmegaGrid(2, 12)
+        assemble_load(grid, problem)
+        assert sorted(calls) == [1, 2, 3, 4, 5]
+        calls.clear()
+        coeffs = np.random.default_rng(9).standard_normal(grid.n_dofs)
+        trace_hs_error(problem, grid, coeffs, error_analysis._default_mode_count(problem))
+        energy_error(problem, grid, 1e-3 * coeffs)
+        assert calls == []
+
+
+class TestTraceErrorGather:
+    """``trace_hs_error`` gathers the projections of the trace onto every
+    mode from its sine coefficients; within rounding they are those of one
+    contraction chain per mode over the nodal trace. The levels d=1 n=5 and
+    d=2 n=4 project onto modes whose indices pass ``n``."""
 
     @pytest.mark.parametrize("d,n", [(1, 5), (1, 40), (2, 4), (2, 9), (2, 33)])
-    def test_bitwise_the_table_products_and_near_the_per_mode_chain(self, d, n):
+    def test_near_the_per_mode_chain(self, d, n):
         domain = BoxDomain(d)
         entries = SIX_MODE_LOAD if d == 1 else [((1, 1), 1.0), ((4, 2), -0.6), ((2, 5), 0.3)]
         problem = FractionalProblem(s=0.3, domain=domain, f=modal_function(domain, entries))
         grid = OmegaGrid(d, n)
-        trace = np.random.default_rng(n).standard_normal(grid.n_dofs)
+        coeffs = np.random.default_rng(n).standard_normal(grid.n_dofs)
+        trace = dst(coeffs.copy(), (n - 1,) * d)
         k_modes = error_analysis._default_mode_count(problem)
         if n < 8:
             assert max(max(idx) for idx in domain.modes_by_eigenvalue(k_modes)) >= n
-        got = trace_hs_error(problem, grid, trace, k_modes)
-        assert got == table_trace_error(problem, grid, trace, k_modes)
+        got = trace_hs_error(problem, grid, coeffs, k_modes)
         assert got == pytest.approx(per_mode_chain_trace_error(problem, grid, trace, k_modes),
                                     rel=1e-14)
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from fracdiff.femomega import (
     assemble_load,
     assemble_omega_matrices,
     sine_hat_integrals,
+    sine_projections,
 )
+from fracdiff.solver import dst
 from fracdiff.spectral import BoxDomain, FractionalProblem, modal_function
 
 
@@ -166,3 +170,24 @@ class TestLoad:
         g2 = sine_hat_quadrature(5, 1)
         want = 1.5 * np.kron(g1, g2)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestSineProjections:
+    """Projections of the nodal trace onto sine modes, gathered from its
+    orthonormal DST-I coefficients, against the sine-hat quadratures of the
+    nodal values: frequencies past ``n`` alias, ``k`` and ``2n - k`` with
+    opposite signs, and the multiples of ``n`` project to zero."""
+
+    @pytest.mark.parametrize("d,n", [(1, 8), (1, 33), (2, 8), (2, 13)])
+    def test_aliasing_rule(self, d, n):
+        grid = OmegaGrid(d, n)
+        coeffs = np.random.default_rng(n).standard_normal(grid.n_dofs)
+        trace = dst(coeffs.copy(), (n - 1,) * d)
+        ks = [1, n - 1, n, n + 1, 2 * n - 1, 2 * n, 2 * n + 3]
+        indices = list(itertools.product(ks, repeat=d))  # mixed axes in d=2
+        want = np.array([reduce(np.kron, [sine_hat_integrals(grid, k) for k in idx]) @ trace
+                         for idx in indices])
+        got = sine_projections(grid, coeffs, indices)
+        # the gap is the quadrature's: sin(k*pi*x_i) rounds at the large
+        # arguments, 8e-15 of the largest projection at n=33, k=n
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()

@@ -397,7 +397,7 @@ class TestExactSolveOracle:
 
 
 class TestSineTransform:
-    """``_dst`` from numpy's real FFT of the odd extension against scipy's
+    """``dst`` from numpy's real FFT of the odd extension against scipy's
     orthonormal DST-I."""
 
     @staticmethod
@@ -413,17 +413,17 @@ class TestSineTransform:
     def test_matches_scipy_in_place(self, shape, base_shape):
         T = np.random.default_rng(3).standard_normal(shape)
         want = self.scipy_dst(T, base_shape)
-        got = solver._dst(T, base_shape)
+        got = solver.dst(T, base_shape)
         assert got is T
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        back = solver._dst(got, base_shape)
+        back = solver.dst(got, base_shape)
         assert np.max(np.abs(back - self.scipy_dst(want, base_shape))) <= 1e-15 * np.max(np.abs(want))
 
     def test_transposed_input_is_transformed_on_a_copy(self):
         R = np.asfortranarray(np.random.default_rng(4).standard_normal((7, 5)))
         want = self.scipy_dst(np.ascontiguousarray(R), (5,))
         kept = R.copy()
-        got = solver._dst(R, (5,))
+        got = solver.dst(R, (5,))
         assert R.tobytes() == kept.tobytes()
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -431,10 +431,10 @@ class TestSineTransform:
     @pytest.mark.parametrize("shape,base_shape", [((9, 30), (30,)), ((3, 30 * 30), (30, 30))])
     def test_line_blocks_change_no_bit(self, monkeypatch, shape, base_shape, lines):
         T = np.random.default_rng(5).standard_normal(shape)
-        want = solver._dst(T.copy(), base_shape)
+        want = solver.dst(T.copy(), base_shape)
         n = base_shape[0]
         monkeypatch.setattr(solver, "_BLOCK_BYTES", lines * 4 * 8 * (2 * (n + 1) + 2 * (n + 2)))
-        assert solver._dst(T, base_shape).tobytes() == want.tobytes()
+        assert solver.dst(T, base_shape).tobytes() == want.tobytes()
 
 
 class TestTrace:
@@ -655,7 +655,8 @@ class TestSolveTrace:
         level = discretize(problem, scheme, n)
         load = np.random.default_rng(n).standard_normal(level.grid.n_dofs)
         full = solve(level.system, cylinder_rhs(level.system, load), rel_tol=1e-9)
-        got = solve_trace(level.grid, level.weighted, load, s=s, d_s=problem.d_s, margin=1e-9)
+        got = solver.dst(solve_trace(level.grid, level.weighted, load, s=s, d_s=problem.d_s,
+                                     margin=1e-9), (n - 1,) * d)
         # the full solve vouches for its trace only to about its residual,
         # which reaches 1e-10 on the hp s=0.2 levels; the fold is exact to
         # rounding (TestYResolvent). Measured: at most 0.35 times the
@@ -887,3 +888,40 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert row.N_total * 8 == full
         assert (peak - before) / full <= bound
+
+    def test_run_level_of_high_index_data_holds_no_sine_hat_table(self):
+        # d=1 data with the index 20000 on n = 1024: the trace error reads
+        # its 20,004 modes off the sine coefficients of the trace. A table
+        # of their sine-hat vectors is 20,000 x 1023 doubles, 164 MB, and
+        # the run path peaked at 318 MiB while it held one (with its dict of
+        # the same rows); measured 3.3 MiB without it
+        domain = BoxDomain(1)
+        problem = FractionalProblem(s=0.5, domain=domain, f=modal_function(
+            domain, [((1,), 1.0), ((20000,), 1.0)]))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            row = run_level(problem, "hfem", 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.trace_hs_error > 0.0
+        assert peak - before <= 8 << 20
+
+
+class TestOneTransform:
+    """The run path transforms the load once and reads both errors off the
+    trace's sine coefficients: one DST-I a level, one pass per base axis."""
+
+    @pytest.mark.parametrize("scheme,d", [("hfem", 1), ("hpfem", 2)])
+    def test_run_level_makes_one_pass_per_base_axis(self, monkeypatch, scheme, d):
+        passes = []
+        dst_axis = solver._dst_axis
+
+        def counted(X):
+            passes.append(X.shape)
+            dst_axis(X)
+
+        monkeypatch.setattr(solver, "_dst_axis", counted)
+        run_level(benchmark_problem(0.5, d), scheme, 16)
+        assert len(passes) == d

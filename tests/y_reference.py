@@ -135,10 +135,10 @@ def unique_shifts(grid):
 
 
 def unique_solve_trace(grid, y, load, *, s, d_s, margin):
-    """:func:`~fracdiff.solver.solve_trace` on the distinct shifts of
-    :func:`unique_shifts`: the certificate names the first failing one in
-    ascending order, and the resolvent reaches the modes through the
-    index."""
+    """:func:`~fracdiff.solver.solve_trace`, the trace's sine coefficients,
+    on the distinct shifts of :func:`unique_shifts`: the certificate names
+    the first failing one in ascending order, and the resolvent reaches the
+    modes through the index."""
     mass_eig, distinct, factor = unique_shifts(grid)
     r = solver.y_resolvent(y, distinct)
     ratio = d_s * distinct**s * r
@@ -151,7 +151,7 @@ def unique_solve_trace(grid, y, load, *, s, d_s, margin):
             f"not in (0, 1 + {margin:g}]"
         )
     base_shape = (grid.n - 1,) * grid.d
-    G = solver._dst(np.array(load, dtype=float), base_shape)
+    G = solver.dst(np.array(load, dtype=float), base_shape)
     G *= r[factor]
     G /= mass_eig
-    return solver._dst(G, base_shape)
+    return G
