@@ -8,9 +8,10 @@ checkout first in odd ones, so drift within a pair favours neither):
 * the benchmark workloads through each checkout's own ``perfbench/run.py``
   (untraced, seed 1), reading ``study_s``, ``peak_rss_mb``, ``setup_s`` and
   ``completed_share`` from its last line;
-* two scale levels, ``fracdiff solve --s 0.8 --d 2`` with h-FEM n=1024 and
-  hp-FEM n=2048, each in a fresh interpreter, reading the wall time of the
-  ``solve`` call and the peak RSS of the process.
+* three scale levels, ``fracdiff solve --d 2`` with h-FEM s=0.8 n=1024,
+  hp-FEM s=0.8 n=2048 and hp-FEM s=0.2 n=1024 (the most bumps an element),
+  each in a fresh interpreter, reading the wall time of the ``solve`` call
+  and the peak RSS of the process.
 
 Every run uses one BLAS thread. The output holds the median and quartiles
 of each side and how many of the pairs the second checkout won.
@@ -31,7 +32,7 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("multimode-d2", "small-s-d1")
-SCALE_LEVELS = (("hfem", 1024), ("hpfem", 2048))
+SCALE_LEVELS = (("hfem", 0.8, 1024), ("hpfem", 0.8, 2048), ("hpfem", 0.2, 1024))
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 SCALE_PROBE = """
@@ -39,8 +40,8 @@ import resource, sys, tempfile, time
 from fracdiff.cli import main
 with tempfile.TemporaryDirectory() as out:
     t0 = time.perf_counter()
-    code = main(["solve", "--scheme", sys.argv[1], "--s", "0.8", "--d", "2", "--n", sys.argv[2],
-                 "--out", out + "/run"])
+    code = main(["solve", "--scheme", sys.argv[1], "--s", sys.argv[2], "--d", "2",
+                 "--n", sys.argv[3], "--out", out + "/run"])
     wall = time.perf_counter() - t0
 print(code, wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 """
@@ -54,13 +55,17 @@ def workload_run(root: Path, workload: str, seconds: float) -> dict:
     return {name: m["value"] for name, m in metrics.items()}
 
 
-def scale_run(root: Path, scheme: str, n: int) -> dict:
+def scale_name(scheme: str, s: float, n: int) -> str:
+    return f"{scheme}-s{s:g}-n{n}"
+
+
+def scale_run(root: Path, scheme: str, s: float, n: int) -> dict:
     env = dict(ENV, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, "-c", SCALE_PROBE, scheme, str(n)], env=env,
+    done = subprocess.run([sys.executable, "-c", SCALE_PROBE, scheme, str(s), str(n)], env=env,
                           check=True, capture_output=True, text=True)
     code, wall, peak = done.stdout.split()[-3:]
     if code != "0":
-        raise SystemExit(f"{root}: solve {scheme} n={n} exited {code}")
+        raise SystemExit(f"{root}: solve {scheme} s={s:g} n={n} exited {code}")
     return {"wall_s": float(wall), "peak_rss_mb": float(peak)}
 
 
@@ -87,14 +92,15 @@ def main(argv=None) -> int:
     roots = {"before": args.before.resolve(), "after": args.after.resolve()}
 
     runs = {side: {"workloads": {w: [] for w in WORKLOADS},
-                   "scale": {f"{s}-n{n}": [] for s, n in SCALE_LEVELS}} for side in roots}
+                   "scale": {scale_name(*level): [] for level in SCALE_LEVELS}}
+            for side in roots}
     for i in range(args.pairs):
         for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
             root = roots[side]
             for w in WORKLOADS:
                 runs[side]["workloads"][w].append(workload_run(root, w, args.seconds))
-            for scheme, n in SCALE_LEVELS:
-                runs[side]["scale"][f"{scheme}-n{n}"].append(scale_run(root, scheme, n))
+            for level in SCALE_LEVELS:
+                runs[side]["scale"][scale_name(*level)].append(scale_run(root, *level))
         print(f"pair {i + 1} of {args.pairs} done", file=sys.stderr)
 
     def column(side, kind, name, key):
@@ -105,8 +111,8 @@ def main(argv=None) -> int:
                     "nproc": len(os.sched_getaffinity(0)), "blas_threads": 1},
         "protocol": (f"{args.pairs} pairs, before first in even pairs and after first in odd "
                      "ones (counting from 0); workloads: perfbench/run.py --seed 1 "
-                     f"--seconds {args.seconds:g} --trace 0; scale: fracdiff solve --s 0.8 --d 2 "
-                     "in a fresh interpreter"),
+                     f"--seconds {args.seconds:g} --trace 0; scale: fracdiff solve --d 2 in a fresh "
+                     "interpreter"),
         "workloads": {w: {key: summary(column("before", "workloads", w, key),
                                        column("after", "workloads", w, key),
                                        lower_is_better=key != "completed_share")

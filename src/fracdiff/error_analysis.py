@@ -108,7 +108,7 @@ def trace_hs_error(
     (:func:`~fracdiff.femomega.sine_projections`)."""
     indices = problem.domain.modes_by_eigenvalue(k_modes)
     exact = {idx: coef for idx, _, coef in solve_fractional(problem).orthonormal_items()}
-    if any(idx not in indices for idx in exact):
+    if not exact.keys() <= set(indices):
         raise ValueError("k_modes must cover every mode of the data (plus margin)")
     ks = np.array(indices)
     c = np.array([exact.get(idx, 0.0) for idx in indices])

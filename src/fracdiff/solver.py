@@ -243,35 +243,35 @@ def dst(T: np.ndarray, base_shape: tuple) -> np.ndarray:
 @dataclass
 class _Bumps:
     """One element's bump block in its generalized eigenbasis ``W``:
-    ``W^T Sbb W = diag(theta)`` and ``W^T Mbb W = I``; ``P`` and ``Q`` are
+    ``W^T Sbb W = diag(theta)`` and ``W^T Mbb W = I``. With ``P`` and ``Q``
     the couplings of its two vertex rows to the bumps in that basis, of the
-    mass and the stiffness."""
+    mass and the stiffness, ``Z`` holds the entrywise products that
+    :func:`_pole_sums` weighs by ``1/(w + theta)``: ``(P0 P1, P0 Q1 + Q0 P1,
+    Q0 Q1, P0 Pbar, P1 Pbar, Q0 Pbar, Q1 Pbar)``, ``Pbar = P0 + P1`` the
+    column sums of ``P``."""
 
     theta: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
+    Z: np.ndarray
 
 
-# Rows of one shift column that the fold holds besides the coupling and
-# 1/(omega + theta) (see _shift_blocks): the shifts, the admittance and the
-# fold's two buffers (see _rows), an element's pole sums and the contraction
-# temporaries that form them. An element without bumps uses the first four.
+# Rows of one shift column that the fold holds besides 1/(omega + theta)
+# (see _shift_blocks): the 7 rows of an element's pole sums S = Z @ inv, the
+# fold's four buffers (the shifts, the admittance, g and t; see _rows), and
+# one row for the padding of those four. Each is padded to a multiple of 512
+# doubles plus 128, and the buffer by 511 more: at most 3,067 doubles, less
+# than one row at every block of 3,067 columns or more, which is every block
+# of an element of up to 158 bumps. An element without bumps uses the four.
 _FOLD_ROWS = 12
 
 
 def _shift_blocks(n: int, bumps: int) -> list[slice]:
     """Slices of ``n`` shift columns whose fold temporaries for an element of
-    up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column the coupling (two
-    rows of bumps), ``1/(omega + theta)``, one row of bumps to spare, and
-    ``_FOLD_ROWS`` rows of one column each.
-
-    No block is one column wide unless ``n`` is 1: ``np.einsum`` reduces
-    over the bumps in another order when the shift axis has length 1, so a
-    one-column block would not be bitwise equal to the unblocked
-    contraction. A last column left over joins the block before it."""
-    step = max(2, _BLOCK_BYTES // (8 * (4 * bumps + _FOLD_ROWS)))
-    starts = range(0, max(n - 1, 1), step)
-    return [slice(j, j + step) for j in starts[:-1]] + [slice(starts[-1], n)]
+    up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column ``1/(omega +
+    theta)``, one row per bump, and ``_FOLD_ROWS`` rows. The last block
+    takes what is left, one column or more: the block size moves the fold
+    by a few ulp (see :func:`y_resolvent`)."""
+    step = max(1, _BLOCK_BYTES // (8 * (bumps + _FOLD_ROWS)))
+    return [slice(j, min(j + step, n)) for j in range(0, max(n, 1), step)]
 
 
 def _condense(m: int, Xm: np.ndarray, Xs: np.ndarray) -> _Bumps:
@@ -290,25 +290,38 @@ def _condense(m: int, Xm: np.ndarray, Xs: np.ndarray) -> _Bumps:
             f"element {m}): the y-matrix pair is not symmetric positive definite"
         ) from exc
     W = Linv.T @ V
-    return _Bumps(theta, Xm[2:, :2].T @ W, Xs[2:, :2].T @ W)
+    P, Q = Xm[2:, :2].T @ W, Xs[2:, :2].T @ W
+    Pbar = P[0] + P[1]
+    Z = np.concatenate([P[:1] * P[1:], P[:1] * Q[1:] + Q[:1] * P[1:], Q[:1] * Q[1:],
+                        P * Pbar, Q * Pbar])
+    return _Bumps(theta, Z)
 
 
 def _pole_sums(el: _Bumps, w: np.ndarray):
     """What the bumps of one element add to its two-port at the shifts
-    ``w``, with the coupling ``C = w*P + Q``: ``sum_k C_0k C_1k / (w +
-    theta_k)``, added to the coupling ``g``, and ``w * sum_k C_ik Pbar_k /
-    (w + theta_k)`` (``Pbar`` the column sums of ``P``), subtracted from
-    the row sums ``rho_i``. ``C`` and ``1/(w + theta)`` are freed on
-    return. The reciprocal and the scaling by ``w`` are taken in place:
-    on hp meshes the top element has the most bumps and two coupling
-    rows, so its call sets the fold's peak."""
-    C = el.P[:, :, None] * w
-    C += el.Q[:, :, None]
+    ``w``, with the coupling ``C = w*P + Q``: ``poles = sum_k C_0k C_1k /
+    (w + theta_k)``, added to the coupling ``g``, and ``rho_i = w * sum_k
+    C_ik Pbar_k / (w + theta_k)`` (``Pbar`` the column sums of ``P``),
+    subtracted from the row sums. With ``C`` expanded in ``w``, every sum
+    over the bumps is one row of the BLAS product ``S = Z @ inv``, ``inv =
+    1/(w + theta)``, and on ``S``'s own rows ``poles = (S0*w + S1)*w + S2``
+    and ``rho = w*(w*S_P + S_Q)``, ``S_P`` and ``S_Q`` the rows of the
+    ``Pbar`` products of ``P`` and of ``Q``. Every term keeps its pole:
+    moving the polynomial part of the sums into the element's affine
+    scalars (partial fractions) lost accuracy. The returned rows are views
+    of ``S``; ``inv`` is freed on return."""
     inv = np.add.outer(el.theta, w)
     np.divide(1.0, inv, out=inv)
-    rho = np.einsum("ikn,kn,k->in", C, inv, el.P.sum(axis=0))
+    S = el.Z @ inv
+    poles, rho = S[0], S[3:5]
+    poles *= w
+    poles += S[1]
+    poles *= w
+    poles += S[2]
     rho *= w
-    return np.einsum("kn,kn,kn->n", C[0], C[1], inv), rho
+    rho += S[5:]
+    rho *= w
+    return poles, rho
 
 
 def _fold_chain(y: WeightedMatrices) -> list[tuple]:
@@ -368,15 +381,18 @@ def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     One loop folds every element, the top one included, whatever its
     degree, from the scalars of :func:`_fold_chain` with in-place ufuncs on
     the rows ``g`` and ``t``: nine calls an element of degree 1, and an
-    element with bumps adds its :func:`_pole_sums` in place. Each product
-    and sum is the one of the element's two-port with the operands swapped
-    or the sign moved, so the result is bitwise that of one two-port per
-    element.
+    element with bumps adds its :func:`_pole_sums`, one BLAS product and
+    in-place calls on its rows. Each product and sum is the one of the
+    element's two-port with the operands swapped or the sign moved, so the
+    result is bitwise that of one two-port per element at the same shift
+    blocks.
     Forming the rows ``g``, ``rho0`` and ``rho1`` of a chunk of elements at
     once, which leaves five calls an element, was slower on the benchmark
     levels: 8.1 against 6.5 ms for h-FEM n=1024 d=1, 0.73 against 0.49 ms
     for n=64 d=2 (2 cores, numpy 2.4). Runs in shift blocks: the working
-    set beyond the result is a fixed budget."""
+    set beyond the result is a fixed budget. The blocks change ``r_h`` by
+    a few ulp, not bitwise: BLAS rounds the pole sums of a block under
+    four columns wide through other kernels (at most 7 ulp measured)."""
     chain = _fold_chain(y)
     blocks = _shift_blocks(shifts.size, max(y.mesh.degrees) - 1)
     rows = _rows(max(c.stop - c.start for c in blocks), 4)

@@ -227,10 +227,14 @@ def hs_norm(v: ModalFunction, s: float) -> float:
     orthonormal coefficients; negative ``s`` gives the dual norm. The sum is
     taken over the coefficients scaled by ``2**-v.scale_exponent`` and the
     root scaled back, so it overflows only when the norm itself lies beyond
-    the double range."""
+    the double range. Squares are products, not ``** 2``: libm ``pow`` is
+    not correctly rounded, so it would not commute with the exact scaling."""
     scale = v.scale_exponent
-    return math.ldexp(math.sqrt(sum(lam**s * math.ldexp(coef, -scale) ** 2
-                                    for _, lam, coef in v.orthonormal_items())), scale)
+    total = 0.0
+    for _, lam, coef in v.orthonormal_items():
+        scaled = math.ldexp(coef, -scale)
+        total += lam**s * (scaled * scaled)
+    return math.ldexp(math.sqrt(total), scale)
 
 
 def exact_extended(problem: FractionalProblem, x, y) -> float | np.ndarray:

@@ -236,6 +236,31 @@ class TestTraceHsError:
         with pytest.raises(ValueError):
             trace_hs_error(problem, grid, np.zeros(grid.n_dofs), k_modes=0)
 
+    def test_coverage_check_of_many_modes_searches_no_list(self, monkeypatch):
+        # 4,000 d=1 data modes: searching the list of the k_modes indices
+        # once per data mode took 0.30 s a call. With a zero trace the error
+        # is the solution's norm, sum_k c_k**2 / (2 lambda_k**s) squared
+        listed = BoxDomain.modes_by_eigenvalue
+
+        class Unsearched(list):
+            def __contains__(self, item):
+                raise AssertionError("searched the list of modes")
+
+        monkeypatch.setattr(BoxDomain, "modes_by_eigenvalue",
+                            lambda domain, count: Unsearched(listed(domain, count)))
+        domain, s = BoxDomain(1), 0.5
+        coefs = [1.0 / k for k in range(1, 4001)]
+        problem = FractionalProblem(s=s, domain=domain, f=modal_function(
+            domain, [((k,), c) for k, c in enumerate(coefs, start=1)]))
+        grid = OmegaGrid(1, 64)
+        want = math.sqrt(math.fsum(c * c / (2.0 * (math.pi * k) ** (2 * s))
+                                   for k, c in enumerate(coefs, start=1)))
+        k_modes = error_analysis._default_mode_count(problem)
+        got = trace_hs_error(problem, grid, np.zeros(grid.n_dofs), k_modes=k_modes)
+        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(ValueError, match="cover every mode"):
+            trace_hs_error(problem, grid, np.zeros(grid.n_dofs), k_modes=3999)
+
     @pytest.mark.parametrize("load_index", [(2, 1), (1, 2)], ids=["load21", "load12"])
     def test_sampled_asymmetric_mode_projects_onto_its_own_axes(self, load_index):
         # trace = sin(2 pi x1) sin(pi x2) at the nodes. Its sine-hat integrals

@@ -581,7 +581,7 @@ class TestYResolvent:
         shifts = _distinct(level.grid)
         want = y_resolvent(level.weighted, shifts)
         bumps = max(level.mesh.degrees) - 1
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 8 * (4 * bumps + solver._FOLD_ROWS))
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 8 * (bumps + solver._FOLD_ROWS))
         assert solver._shift_blocks(shifts.size, bumps)[0].stop == 5
         assert np.array_equal(y_resolvent(level.weighted, shifts), want)
 
@@ -589,23 +589,62 @@ class TestYResolvent:
     @pytest.mark.parametrize("step", [2, 3, 5, 16])
     @pytest.mark.parametrize("d,n", [(1, 42), (2, 9)])
     @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(6, 0.125, 2.0, 0.7),
-                                      hp_mesh(6, 0.125, 2.0, 2.0), _INTERLEAVED],
-                             ids=["graded", "hp", "hp-many-bumps", "interleaved"])
+                                      _INTERLEAVED], ids=["graded", "hp", "interleaved"])
     def test_shift_blocks_match_one_block_bitwise(self, monkeypatch, mesh, d, n, step):
-        # 41 or 36 distinct shifts: with 2 or 5 per block (d=1) and 5 (d=2)
-        # one column is left over, and it joins the block before it; up to
-        # 21 bumps an element on the third mesh, none on the first
+        # 41 or 36 distinct shifts: with 2, 3 or 5 per block the last block
+        # is narrower than the others; up to 8 bumps an element on the
+        # second mesh, 3 on the third and none on the first
         system = make_system(d=d, n=n, mesh=mesh, alpha=-0.3)
         shifts = _distinct(system.omega.grid)
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 40)
-        bumps = max(mesh.degrees) - 1
-        assert len(solver._shift_blocks(shifts.size, bumps)) == 1
-        want = y_resolvent(system.y, shifts)
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", step * 8 * (4 * bumps + solver._FOLD_ROWS))
-        blocks = solver._shift_blocks(shifts.size, bumps)
-        assert blocks[0].stop == step
-        assert blocks[-1].stop == shifts.size
-        assert y_resolvent(system.y, shifts).tobytes() == want.tobytes()
+        blocked, whole = _blocked_and_one_block(monkeypatch, system, shifts, step)
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("step", [2, 3, 5, 16])
+    @pytest.mark.parametrize("d,n", [(1, 42), (2, 9)])
+    def test_shift_blocks_move_many_bumps_a_few_ulp(self, monkeypatch, exact_resolvent, d, n,
+                                                     step):
+        # 21 bumps on the top element: BLAS rounds the pole sums of a block
+        # of 2 or 3 columns through other kernels than those of a wide one.
+        # Measured at most 3 ulp here, and 7 over blocks of 1-19, 33, 64
+        # and 100 columns on four meshes, both alphas and four grids
+        system = make_system(d=d, n=n, mesh=hp_mesh(6, 0.125, 2.0, 2.0), alpha=-0.3)
+        shifts = _distinct(system.omega.grid)
+        blocked, whole = _blocked_and_one_block(monkeypatch, system, shifts, step)
+        assert np.all(np.abs(blocked - whole) <= 8 * np.spacing(whole))
+        for w, *folds in zip(shifts, blocked, whole):
+            want = exact_resolvent(system.y, w, digits=60)
+            for r in folds:
+                assert abs(Decimal(float(r)) - want) <= Decimal(1e-14) * want
+
+    @pytest.mark.parametrize("alpha", [-0.3, 0.4])
+    @pytest.mark.parametrize("mesh", [hp_mesh(6, 0.125, 2.0, 2.0), _INTERLEAVED],
+                             ids=["hp-many-bumps", "interleaved"])
+    def test_expanded_pole_sums_match_exact_elimination(self, exact_resolvent, mesh, alpha):
+        # the pole sums add w**2*S0 + w*S1 + S2 of sums over up to 21 bumps,
+        # where terms of both signs can cancel: the d=1 n=42 shifts and
+        # twelve seeded log-uniform ones up to 1e7. Measured at most 1.6e-15
+        system = make_system(d=1, n=42, mesh=mesh, alpha=alpha)
+        distinct = _distinct(system.omega.grid)
+        rng = np.random.default_rng(2017)
+        shifts = np.concatenate([distinct, np.exp(rng.uniform(np.log(distinct[0]),
+                                                              np.log(1e7), 12))])
+        for w, r in zip(shifts, y_resolvent(system.y, shifts)):
+            want = exact_resolvent(system.y, w, digits=60)
+            assert abs(Decimal(float(r)) - want) <= Decimal(1e-14) * want
+
+
+def _blocked_and_one_block(monkeypatch, system, shifts, step):
+    """The fold of ``shifts`` in blocks of ``step`` columns, the last block
+    taking what is left, and in one block."""
+    bumps = max(system.y.mesh.degrees) - 1
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 40)
+    assert len(solver._shift_blocks(shifts.size, bumps)) == 1
+    whole = y_resolvent(system.y, shifts)
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", step * 8 * (bumps + solver._FOLD_ROWS))
+    blocks = solver._shift_blocks(shifts.size, bumps)
+    assert blocks[0].stop == step
+    assert blocks[-1].stop == shifts.size
+    return y_resolvent(system.y, shifts), whole
 
 
 class TestFoldAgainstPerElementReference:
@@ -628,7 +667,7 @@ class TestFoldAgainstPerElementReference:
         shifts = _distinct(system.omega.grid)
         if step is not None:
             bumps = max(mesh.degrees) - 1
-            monkeypatch.setattr(solver, "_BLOCK_BYTES", step * 8 * (4 * bumps + solver._FOLD_ROWS))
+            monkeypatch.setattr(solver, "_BLOCK_BYTES", step * 8 * (bumps + solver._FOLD_ROWS))
             assert len(solver._shift_blocks(shifts.size, bumps)) >= 11
         want = element_loop_fold(system.y, shifts)
         assert y_resolvent(system.y, shifts).tobytes() == want.tobytes()
@@ -846,6 +885,25 @@ class TestPreconditionerApply:
             assert R.tobytes() == kept.tobytes()
 
 
+def _traced_fold(weighted, shifts):
+    """The fold of ``shifts`` under tracemalloc: the result, the traced
+    bytes it keeps and the peak beyond them. A fold of other matrices, of
+    degree 1 and as many elements, runs first: the interpreter's free lists
+    of floats and tuples, which the first fold in a process fills (about
+    6.5 KB), are not the fold's, while anything kept for ``weighted`` is
+    made under the trace."""
+    other = graded_mesh(len(weighted.mesh.degrees), 0.5, 1.5)
+    y_resolvent(assemble_weighted_matrices(other, alpha=0.0), shifts[:2])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        r = y_resolvent(weighted, shifts)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return r, kept - before, peak - kept
+
+
 class TestWorkingSet:
     """Peak of the traced allocations of the run path: the fold of
     :func:`y_resolvent` and a whole ``run_level``. The full solve is a
@@ -853,21 +911,16 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("scheme,s", [("hfem", 0.8), ("hpfem", 0.2)])
     def test_fold_peak_is_its_result_and_one_block_budget(self, scheme, s):
-        # 300,000 shifts in 7 blocks (h-FEM) or 65 (hp-FEM, degree 26);
-        # measured 0.67 and 0.95 of the budget beyond the result
+        # 300,000 shifts in 7 blocks (h-FEM) or 22 (hp-FEM, degree 26);
+        # measured 0.42 and 0.98 of the budget beyond the result (1.01 for
+        # hp-FEM with one of the _FOLD_ROWS fewer)
         level = discretize(benchmark_problem(s, 1), scheme, 64)
         shifts = np.linspace(10.0, 1e5, 300_000)
         bumps = max(level.mesh.degrees) - 1
         assert len(solver._shift_blocks(shifts.size, bumps)) >= 7
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            r = y_resolvent(level.weighted, shifts)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert kept - before <= r.nbytes + 4096
-        assert peak - kept <= solver._BLOCK_BYTES
+        r, kept, peak = _traced_fold(level.weighted, shifts)
+        assert kept <= r.nbytes + 4096
+        assert peak <= solver._BLOCK_BYTES
 
     @pytest.mark.parametrize("scheme,bound", [("hfem", 0.15), ("hpfem", 0.9)])
     def test_run_level_peak_in_full_size_arrays(self, scheme, bound):

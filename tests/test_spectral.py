@@ -168,7 +168,7 @@ class TestHsNorm:
     def test_bitwise_the_unscaled_sum_in_the_normal_range(self, s, d, data):
         domain = BoxDomain(d)
         v = modal_function(domain, [((k,) * d, c * 10.0**e) for k, e, c in data])
-        want = math.sqrt(sum(lam**s * coef**2 for _, lam, coef in v.orthonormal_items()))
+        want = math.sqrt(sum(lam**s * (coef * coef) for _, lam, coef in v.orthonormal_items()))
         assert hs_norm(v, s) == want
 
 

@@ -4,7 +4,7 @@
 time: its point count by the scalar formula, its shape tables by one
 ``legvander`` call each (``legendre_shapes``). ``element_loop_fold`` forms
 every element's two-port on its own (``two_port``), degree 1 and the top
-element included, with its own contractions of the bump couplings, and
+element included, with its own product of the bump couplings, and
 folds the resolvent through them from the clamped top vertex. The program
 does the same arithmetic with array operations and one in-place loop, so
 both must agree bitwise.
@@ -88,15 +88,16 @@ def two_port(Xm: np.ndarray, Xs: np.ndarray, el, w: np.ndarray):
     rho1)``: the coupling ``g = -E01`` and the row sums ``rho = E 1``. The
     stiffness annihilates constants, so the row sums are formed from the
     mass alone, ``rho = w*(M_vv 1 - K_vb K_bb^-1 M_bv 1)``. ``el`` is the
-    element's ``solver._Bumps``, or None for degree 1; its couplings
-    ``C = w*P + Q`` and ``1/(w + theta)`` are formed here."""
+    element's ``solver._Bumps``, or None for degree 1. With the coupling
+    ``C = w*P + Q`` of the vertices to the bumps expanded in ``w``, each
+    sum over the bumps is one row of ``S = Z @ (1/(w + theta))``, formed
+    here for each element on its own."""
     g = -(w * Xm[0, 1] + Xs[0, 1])
     rho = np.multiply.outer(Xm[:2, :2].sum(axis=1), w)
     if el is not None:
-        C = np.multiply.outer(el.P, w) + el.Q[:, :, None]
-        inv = 1.0 / (el.theta[:, None] + w)
-        g += np.einsum("kn,kn,kn->n", C[0], C[1], inv)
-        rho -= w * np.einsum("ikn,kn,k->in", C, inv, el.P.sum(axis=0))
+        S = el.Z @ (1.0 / (el.theta[:, None] + w))
+        g += (S[0] * w + S[1]) * w + S[2]
+        rho -= w * (w * S[3:5] + S[5:])
     return g, rho[0], rho[1]
 
 
