@@ -338,7 +338,7 @@ def cmd_selftest() -> int:
     shifts, V = scipy.linalg.eigh(omega.A_stiff.toarray(), omega.A_mass.toarray())
     r = np.array([np.linalg.solve(w * wm.B_mass.toarray() + wm.B_stiff.toarray(),
                                   np.eye(wm.n_dofs)[0])[0] for w in shifts])
-    want = V @ (r * (V.T @ level.load))
+    want = V @ (r * (V.T @ solver.dst(level.load.copy(), (level.grid.n_dofs,))))  # nodal load
     got = solver.dst(solver.solve_trace(level.grid, wm, level.load, s=problem.s,
                                         d_s=problem.d_s, margin=1e-9), (level.grid.n_dofs,))
     checks.append(("trace-only run path vs dense per-mode solve",

@@ -21,7 +21,7 @@ import numpy as np
 from .fem1d import QuadratureError, WeightedMatrices, assemble_weighted_matrices
 from .femomega import OmegaGrid, assemble_load, assemble_omega_matrices, sine_projections
 from .meshing import MeshError, YMesh, build_ymesh, select_params_h, select_params_hp
-from .solver import KroneckerSystem, SolverError, cylinder_rhs, solve_trace
+from .solver import KroneckerSystem, SolverError, cylinder_rhs, dst, solve_trace
 from .spectral import (
     BoxDomain,
     FractionalProblem,
@@ -119,24 +119,27 @@ def trace_hs_error(
 
 def _default_mode_count(problem: FractionalProblem) -> int:
     """Smallest eigenvalue-ordered mode count covering the data, plus a
-    margin for the projection of the discrete trace."""
+    margin for the projection of the discrete trace. The data's last mode
+    ``(k, l)`` in the order ``(k*k + l*l, k, l)`` of ``modes_by_eigenvalue``
+    is counted in place: it follows ``isqrt(L - i*i - 1)`` modes of each
+    column ``i``, ``L = k*k + l*l``, and the ties ``(i, j)``, ``i < k``."""
     base = 12 if problem.domain.d == 1 else 16
-    wanted = {index for index, _ in problem.f.modes}
-    # no mode up to the data's largest eigenvalue pi**2 * sum(k*k) has an
-    # index above isqrt(sum(k*k)), so the modes of that box hold the data
-    length = math.isqrt(max((sum(k * k for k in idx) for idx in wanted), default=0))
-    length **= problem.domain.d
-    position = {idx: i for i, idx in enumerate(problem.domain.modes_by_eigenvalue(length))}
-    last = max((position[idx] + 1 for idx in wanted), default=0)
-    return base + 8 * max(0, -(-(last - base) // 8))
+    k, *l = max((index for index, _ in problem.f.modes),
+                key=lambda idx: (sum(k * k for k in idx), idx), default=(0,))
+    count = k
+    if l:
+        L = k * k + l[0] ** 2
+        count = 1 + sum(math.isqrt(L - i * i - 1) for i in range(1, math.isqrt(L - 1) + 1))
+        count += sum(math.isqrt(L - i * i) ** 2 == L - i * i for i in range(1, k))
+    return base + 8 * max(0, -(-(count - base) // 8))
 
 
 @dataclass(frozen=True)
 class Discretization:
     """One refinement level: the base grid, the extended-direction mesh and
-    its weighted matrices, and the base-domain load. The Kronecker operator
-    and the cylinder right-hand side of the full tensor system are built on
-    first use; the run path reads neither."""
+    its weighted matrices, and the load's sine coefficients. The Kronecker
+    operator and the cylinder right-hand side of the full tensor system,
+    with the nodal load, are built on first use; the run path reads neither."""
 
     grid: OmegaGrid
     mesh: YMesh
@@ -145,7 +148,8 @@ class Discretization:
 
     system = cached_property(
         lambda self: KroneckerSystem(assemble_omega_matrices(self.grid), self.weighted))
-    rhs = cached_property(lambda self: cylinder_rhs(self.system, self.load))
+    rhs = cached_property(lambda self: cylinder_rhs(self.system, dst(
+        self.load.copy(), (self.grid.n - 1,) * self.grid.d)))  # a copy: dst is in place
 
 
 def discretize(

@@ -263,7 +263,7 @@ class WeightedMatrices:
     groups: tuple
     mesh: YMesh
 
-    n_dofs = property(lambda self: self.dofmap.n_dofs)
+    n_dofs = property(lambda self: int(sum(self.mesh.degrees)))  # no dof map: it would be cached
     dofmap = cached_property(lambda self: YDofMap(degrees=self.mesh.degrees))
     B_mass = cached_property(lambda self: self._assembled(1))
     B_stiff = cached_property(lambda self: self._assembled(2))

@@ -5,6 +5,10 @@ Kronecker products of the 1-D piecewise-linear factors: the mass is the
 product of ``d`` 1-D masses, the stiffness their Kronecker sum. DOF ordering:
 the interior nodes are numbered in row-major order of their 1-based grid
 indices, i.e. the first coordinate is the slowest index.
+
+The run path forms no nodal vector: it places the load and reads the trace
+as DST-I coefficients by one aliasing rule (:func:`_aliased_cells`); the
+assembled matrices and :func:`sine_hat_integrals` are the tests' references.
 """
 
 from __future__ import annotations
@@ -102,38 +106,44 @@ def sine_hat_integrals(grid: OmegaGrid, k: int) -> np.ndarray:
     return np.sin(w * grid.interior_nodes) * (4.0 * math.sin(w * h / 2.0) ** 2 / (w * w * h))
 
 
-def sine_projections(grid: OmegaGrid, coeffs, indices) -> np.ndarray:
-    """``(tr u_h, prod_i sin(k_i*pi*x_i))`` for every mode index of
-    ``indices``, read off the orthonormal DST-I coefficients ``coeffs`` of
-    the nodal trace. Per axis, the sampled sines of frequency ``k`` are
-    ``sqrt(n/2)`` times a DST-I basis vector, so the sine-hat integral of
-    :func:`sine_hat_integrals` against the nodal values is its closed-form
-    factor times ``sqrt(n/2)`` times the coefficient at ``k`` aliased into
-    ``0..n``: the grid samples ``k`` and ``2n - k`` to opposite sines, and
-    ``0`` and ``n`` to zero."""
+def _aliased_cells(grid: OmegaGrid, indices) -> tuple[np.ndarray, np.ndarray]:
+    """``(factor, cell)`` of every mode index: ``prod_i gamma_k_i *
+    sin(k_i*pi*x_i)`` at the nodes, ``gamma_k = 4*sin(k*pi*h/2)**2 /
+    ((k*pi)**2 * h)`` the sine-hat factor, is ``factor`` times the
+    orthonormal DST-I basis vector at the flat ``cell``. Per axis the grid
+    samples ``k`` to ``sqrt(n/2)`` times the basis vector of ``k`` aliased
+    into ``0..n``: ``k`` and ``2n - k`` to opposite sines, multiples of ``n``
+    to zero."""
     n = grid.n
-    out = np.ones(len(indices))
-    at = []
+    factor = np.ones(len(indices))
+    cell = np.zeros(len(indices), dtype=np.int64)
     for k in np.array(indices, dtype=np.int64).reshape(-1, grid.d).T.copy():  # a row per axis
         w = k * math.pi
-        out *= np.sin(w * grid.h / 2.0) ** 2 * (4.0 * math.sqrt(n / 2.0)) / (w * w * grid.h)
+        factor *= np.sin(w * grid.h / 2.0) ** 2 * (4.0 * math.sqrt(n / 2.0)) / (w * w * grid.h)
         k %= 2 * n
-        out[k > n] *= -1.0
-        out[k % n == 0] = 0.0
-        at.append(np.clip(np.minimum(k, 2 * n - k), 1, n - 1) - 1)
-    G = np.asarray(coeffs, dtype=float).reshape((n - 1,) * grid.d)
-    return out * G[tuple(at)]
+        factor[k > n] *= -1.0
+        factor[k % n == 0] = 0.0
+        cell *= n - 1
+        cell += np.clip(np.minimum(k, 2 * n - k), 1, n - 1) - 1
+    return factor, cell
+
+
+def sine_projections(grid: OmegaGrid, coeffs, indices) -> np.ndarray:
+    """``(tr u_h, prod_i sin(k_i*pi*x_i))`` for every mode index of
+    ``indices``: the :func:`_aliased_cells` factor times the trace's
+    orthonormal DST-I coefficient ``coeffs`` at the cell."""
+    factor, cell = _aliased_cells(grid, indices)
+    return factor * np.asarray(coeffs, dtype=float).reshape(-1)[cell]
 
 
 def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
-    """Load vector ``d_s * int f * eta_i dx``; the cylinder right-hand side
-    is this vector placed in the unique y-dof supported at ``y = 0``. Each
-    mode of ``f`` is a product of sines, so its part of ``int f * eta_i`` is
-    the Kronecker product (the raveled outer product) of the 1-D sine-hat
-    integrals, one vector per distinct frequency."""
-    hats = {k: sine_hat_integrals(grid, k)
-            for k in {k for index, _ in problem.f.modes for k in index}}
+    """Orthonormal DST-I coefficients of the load vector ``d_s * int f *
+    eta_i dx``: each sine mode of ``f`` adds ``d_s`` times its coefficient
+    times its :func:`_aliased_cells` factor into its cell. The nodal load,
+    placed in the y-dof at ``y = 0`` of the cylinder, is their
+    :func:`~fracdiff.solver.dst`."""
+    modes = problem.f.modes
+    factor, cell = _aliased_cells(grid, [index for index, _ in modes])
     out = np.zeros(grid.n_dofs)
-    for index, coef in problem.f.modes:
-        out += coef * reduce(np.multiply.outer, [hats[k] for k in index]).ravel()
-    return problem.d_s * out
+    np.add.at(out, cell, problem.d_s * np.array([c for _, c in modes]) * factor)
+    return out

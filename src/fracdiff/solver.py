@@ -9,35 +9,30 @@ extended-direction system ``omega*B_mass + B_stiff`` per base eigenvalue
 the run path folds the triangle ``k <= l`` of them (:class:`_BaseModes`).
 
 The run path, :func:`solve_trace`, needs only the trace at ``y = 0`` of the
-solution for the cylinder right-hand side ``e0 (x) load``, and returns its
-orthonormal DST-I coefficients ``r_h(omega)/m * DST(load)`` with ``m`` the
-base mass eigenvalues and ``r_h(omega) = e0^T (omega*B_mass + B_stiff)^-1
-e0`` one scalar per distinct shift; the nodal trace is their :func:`dst`,
-which the error measures never form. :func:`y_resolvent` folds ``r_h``
+solution for the cylinder right-hand side ``e0 (x) load``. It maps the
+load's orthonormal DST-I coefficients to the trace's, ``r_h(omega)/m`` times
+them with ``m`` the base mass eigenvalues and ``r_h(omega) = e0^T
+(omega*B_mass + B_stiff)^-1 e0`` one scalar per distinct shift, and makes no
+transform. :func:`y_resolvent` folds ``r_h``
 through the y-element matrices, never through the assembled pair, in one
 loop over the elements of every degree: per-element scalars read off the
 group arrays, in-place ufuncs on two buffers, and for an element with bumps
 its pole sums, formed and freed before the next element. The certificate
-``0 < d_s * omega**s * r_h <= 1 + margin`` stands in for a residual check. Working set: a few arrays of
-``N_omega`` doubles (the load, its transform, and the triangle's shifts and
-``r_h``, half an array each) and a fixed budget of ``_BLOCK_BYTES`` shift
-and row blocks; no ``(N_omega, N_y)`` array, no base-domain matrix, and no
-array of ``N_omega`` shifts, mode indices or mass eigenvalues.
+``0 < d_s * omega**s * r_h <= 1 + margin`` stands in for a residual check.
+Working set: a few arrays of ``N_omega`` doubles (the load's and the
+trace's coefficients, and the triangle's shifts and ``r_h``, half each) and
+a fixed budget of ``_BLOCK_BYTES`` shift and row blocks; no ``(N_omega,
+N_y)`` array, no base-domain matrix, and no array of ``N_omega`` shifts,
+mode indices or mass eigenvalues.
 
-``solve`` computes the whole coefficient tensor and checks it; it is the
-oracle of the tests. The tensor is stored as an ``(N_omega, N_y)`` array;
-the flat vector interface uses the layout that lists all base-domain
-coefficients of the first y-basis function first (Fortran flattening of the
-tensor), under which the dense equivalent of the operator is exactly
-``kron(B_mass, A_stiff) + kron(B_stiff, A_mass)``. Each shift's system is
-the dense assembled pair ``omega*B_mass + B_stiff``, solved by LAPACK, and
-iterative refinement brings the true residual, the one product with the
-assembled ``B_mass`` and ``B_stiff``, below tolerance.
-
-Every ``(N_omega, N_y)`` tensor this module returns is in Fortran order.
-``solve`` is a plain reference for desk sizes: nothing in it bounds its
-working set, which is the dense pairs (distinct shifts times ``N_y**2``
-doubles) and a few arrays of ``N_total`` doubles.
+``solve``, the tests' oracle, computes the whole ``(N_omega, N_y)``
+coefficient tensor and checks it. Every such tensor this module returns is
+in Fortran order, the flat layout under which the dense operator is exactly
+``kron(B_mass, A_stiff) + kron(B_stiff, A_mass)``. Each shift's dense
+assembled pair ``omega*B_mass + B_stiff`` is solved by LAPACK, and iterative
+refinement brings the true residual below tolerance. It is a reference for
+desk sizes: its working set is the dense pairs (distinct shifts times
+``N_y**2`` doubles) and a few arrays of ``N_total`` doubles.
 """
 
 from __future__ import annotations
@@ -98,7 +93,7 @@ def _as_tensor(system: KroneckerSystem, x) -> tuple[np.ndarray, bool]:
 
 # Bytes of the temporaries of one block: a shift-column block of the
 # element condensation in the fold of :func:`y_resolvent`, or (a quarter of
-# it) a block of lines of the sine transform :func:`dst`.
+# it) a block of rows of the d=2 base modes (:func:`_row_blocks`).
 _BLOCK_BYTES = 4 << 20
 
 
@@ -184,7 +179,7 @@ def _base_modes(grid: OmegaGrid) -> _BaseModes:
 
 def _scale_modes(G: np.ndarray, modes: _BaseModes, r: np.ndarray):
     """``G *= r`` then ``G /= m`` mode by mode, in place, for the
-    transformed ``(N_omega,)`` vector ``G``, ``r`` given at
+    ``(N_omega,)`` sine-coefficient vector ``G``, ``r`` given at
     ``modes.shifts`` and ``m`` the mass eigenvalue of the mode. In d=2 the
     rows of ``G`` go in the blocks of :func:`_row_blocks`, reading ``r``
     at the triangle cells of their modes and forming their mass
@@ -210,28 +205,19 @@ def _dst_axis(X: np.ndarray):
     """Orthonormal DST-I along axis 1 of the ``(a, n, b)`` array ``X``, in
     place: the sine coefficients of a line are ``-Im(rfft(e)) / sqrt(2(n+1))``
     at ``1..n`` for its odd extension ``e = (0, x, 0, -reversed x)`` of
-    length ``2(n+1)``. Lines go in blocks whose extension and spectrum fit
-    a quarter of ``_BLOCK_BYTES`` (faster than larger blocks); each line is
-    transformed on its own, so the block size changes no bit."""
+    length ``2(n+1)``, one ``rfft`` for all lines."""
     a, n, b = X.shape
-    lines = max(1, _BLOCK_BYTES // (4 * 8 * (2 * (n + 1) + 2 * (n + 2))))
-    cols = min(b, lines)
-    rows = max(1, lines // b)
-    scale = -1.0 / math.sqrt(2.0 * (n + 1))
-    for i in range(0, a, rows):
-        for j in range(0, b, cols):
-            block = X[i:i + rows, :, j:j + cols]
-            ext = np.empty((block.shape[0], 2 * (n + 1), block.shape[2]))
-            ext[:, 0] = ext[:, n + 1] = 0.0
-            ext[:, 1:n + 1] = block
-            np.negative(block[:, ::-1], out=ext[:, n + 2:])
-            np.multiply(np.fft.rfft(ext, axis=1).imag[:, 1:n + 1], scale, out=block)
+    ext = np.zeros((a, 2 * (n + 1), b))
+    ext[:, 1:n + 1] = X
+    np.negative(X[:, ::-1], out=ext[:, n + 2:])
+    X[:] = np.fft.rfft(ext, axis=1).imag[:, 1:n + 1] * (-1.0 / math.sqrt(2.0 * (n + 1)))
 
 
 def dst(T: np.ndarray, base_shape: tuple) -> np.ndarray:
     """Orthonormal DST-I over the base-domain axes of a ``(rows, N_omega)``
     tensor or an ``(N_omega,)`` vector, one axis at a time; in place when
-    ``T`` is C-contiguous, else on a copy. It is its own inverse."""
+    ``T`` is C-contiguous, else on a copy. It is its own inverse. The run
+    path makes none; nodal readers and the full solve do."""
     T = np.ascontiguousarray(T, dtype=float)
     X = T.reshape(-1, *base_shape)
     for k, n in enumerate(base_shape):
@@ -443,14 +429,13 @@ def _certify(shifts: np.ndarray, r: np.ndarray, *, s: float, d_s: float, margin:
 def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: float, d_s: float,
                 margin: float) -> np.ndarray:
     """Orthonormal DST-I coefficients of the nodal trace at ``y = 0`` of the
-    solution of ``S X = e0 (x) load``: ``r_h/m * DST(load)`` with ``r_h``
-    from :func:`y_resolvent`, one fold per distinct shift (the triangle of
-    :class:`_BaseModes` in d=2), and ``m`` the base mass eigenvalues. The
-    nodal trace is their :func:`dst`; the error measures read the
-    coefficients (:func:`~fracdiff.femomega.sine_projections`).
-    :func:`_scale_modes` applies ``r_h`` and ``m`` to the transformed load
-    in blocks of rows, from the triangle and the 1-D factors: no array of
-    ``N_omega`` shifts, indices, ``r_h`` or mass eigenvalues is formed.
+    solution of ``S X = e0 (x) dst(load)``, ``load`` the load's coefficients
+    (:func:`~fracdiff.femomega.assemble_load`): ``r_h/m * load``, with no
+    transform, ``r_h`` from :func:`y_resolvent` at every distinct shift (the
+    triangle of :class:`_BaseModes` in d=2), whichever modes the load holds,
+    and ``m`` the base mass eigenvalues. :func:`_scale_modes` scales a copy
+    of ``load`` by rows: no array of ``N_omega`` shifts, indices, ``r_h`` or
+    mass eigenvalues is formed.
 
     The certificate ``0 < d_s * w**s * r_h(w) <= 1 + margin`` is checked at
     every distinct shift (:func:`_certify`): the exact extension gives 1,
@@ -458,7 +443,7 @@ def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: fl
     modes = _base_modes(grid)
     r = y_resolvent(y, modes.shifts)
     _certify(modes.shifts, r, s=s, d_s=d_s, margin=margin)
-    G = dst(np.array(load, dtype=float), modes.base_shape)  # a copy: overwritten in place
+    G = np.array(load, dtype=float)  # a copy: scaled in place
     _scale_modes(G, modes, r)
     return G
 

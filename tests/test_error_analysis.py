@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +323,32 @@ class TestTraceHsError:
                                     f=modal_function(domain, [((5000,), 1.0)]))
         assert error_analysis._default_mode_count(problem) == 5004  # 12 + 8*624 >= 5000
 
+    def test_default_mode_count_counts_the_d2_order_in_place(self):
+        # every single mode (k, l) up to 40 against its place in the listed
+        # order, then one mode (600, 600): listing its isqrt(2k**2)**2 box
+        # into a dict took 152 MB (traced) and 6.1 s
+        domain = BoxDomain(2)
+        order = domain.modes_by_eigenvalue(3300)
+        assert (40, 40) in order
+        for position, index in enumerate(order):
+            if max(index) <= 40:
+                problem = FractionalProblem(s=0.5, domain=domain,
+                                            f=modal_function(domain, [(index, 1.0)]))
+                want = 16 + 8 * max(0, -(-(position + 1 - 16) // 8))
+                assert error_analysis._default_mode_count(problem) == want, index
+        problem = FractionalProblem(s=0.5, domain=domain,
+                                    f=modal_function(domain, [((600, 600), 1.0), ((3, 1), 1.0)]))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            count = error_analysis._default_mode_count(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 64 << 10
+        # the modes of eigenvalue below 720,000 number about pi/4 * 720,000
+        assert abs(count - math.pi / 4 * 720_000) <= 2_000
+
     @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
     @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
     def test_bounded_by_energy_error(self, scheme, s):
@@ -383,8 +410,9 @@ class TestStudyDriver:
             level.system.omega, assemble_weighted_matrices(raised, alpha=problem.alpha)
         )
         errs = []
+        load = dst(level.load.copy(), (11,))  # nodal: level.load holds sine coefficients
         for system in (level.system, raised_system):
-            sol = solve(system, cylinder_rhs(system, level.load), rel_tol=1e-12)
+            sol = solve(system, cylinder_rhs(system, load), rel_tol=1e-12)
             errs.append(energy_error(problem, level.grid,
                                      sine_coefficients(level.grid, sol.trace)))
         assert errs[1] <= errs[0] * (1 + 1e-10)
@@ -422,20 +450,26 @@ class TestStudyDriver:
 
 
 class TestSineHatReuse:
-    """The load takes one closed-form sine-hat vector per distinct frequency;
-    the error measures take none."""
+    """The load is placed in sine coordinates and the error measures read
+    the trace's: neither takes a closed-form sine-hat vector."""
 
     LOAD = [((1, 1), 1.0), ((2, 3), -0.5), ((3, 2), 0.25), ((5, 5), 0.7), ((1, 4), -0.3)]
 
-    def test_load_is_bitwise_the_per_mode_products_and_trace_error_near_them(self):
+    def test_load_is_bitwise_the_per_mode_placement_and_trace_error_near_them(self):
         domain = BoxDomain(2)
         problem = FractionalProblem(s=0.8, domain=domain, f=modal_function(domain, self.LOAD))
         grid = OmegaGrid(2, 12)
         load = assemble_load(grid, problem)
+        factor, cell = femomega._aliased_cells(grid, [index for index, _ in problem.f.modes])
+        placed = np.zeros(grid.n_dofs)
+        for (_, coef), f, c in zip(problem.f.modes, factor, cell):
+            placed[c] += problem.d_s * coef * f
+        assert load.tobytes() == placed.tobytes()
         want = np.zeros(grid.n_dofs)
         for index, coef in problem.f.modes:
             want += coef * np.kron(*(femomega.sine_hat_integrals(grid, k) for k in index))
-        assert load.tobytes() == (problem.d_s * want).tobytes()
+        nodal = dst(load.copy(), (11, 11))
+        assert np.max(np.abs(nodal - problem.d_s * want)) <= 1e-14 * problem.d_s * np.abs(want).max()
 
         coeffs = np.random.default_rng(8).standard_normal(grid.n_dofs)
         trace = dst(coeffs.copy(), (11, 11))
@@ -457,8 +491,6 @@ class TestSineHatReuse:
         problem = FractionalProblem(s=0.8, domain=domain, f=modal_function(domain, self.LOAD))
         grid = OmegaGrid(2, 12)
         assemble_load(grid, problem)
-        assert sorted(calls) == [1, 2, 3, 4, 5]
-        calls.clear()
         coeffs = np.random.default_rng(9).standard_normal(grid.n_dofs)
         trace_hs_error(problem, grid, coeffs, error_analysis._default_mode_count(problem))
         energy_error(problem, grid, 1e-3 * coeffs)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -164,12 +165,67 @@ class TestLoad:
             s=0.4, domain=domain, f=modal_function(domain, [((2, 1), 1.5)])
         )
         grid = OmegaGrid(2, 5)
-        got = assemble_load(grid, problem) / problem.d_s
+        got = dst(assemble_load(grid, problem), (4, 4)) / problem.d_s
         # direct tensor of per-cell quadratures
         g1 = sine_hat_quadrature(5, 2)
         g2 = sine_hat_quadrature(5, 1)
         want = 1.5 * np.kron(g1, g2)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestLoadCoefficients:
+    """The load's sine coefficients: each data mode adds its coefficient
+    times the closed-form sine-hat factors into its aliased cell, so the
+    nodal load, their ``dst``, is the sum of the per-mode products of the
+    nodal sine-hat integrals."""
+
+    @staticmethod
+    def nodal_reference(grid, problem):
+        out = np.zeros(grid.n_dofs)
+        for index, coef in problem.f.modes:
+            out += coef * reduce(np.kron, [sine_hat_integrals(grid, k) for k in index])
+        return problem.d_s * out
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_aliased_modes_sum_into_one_cell(self, d):
+        # k = 3 and 2n - k = 13 sample to opposite sines on n = 8, and n = 8
+        # samples to zero; mixed axes in d=2
+        n, ks = 8, [3, 13, 8, 5]
+        domain = BoxDomain(d)
+        rng = np.random.default_rng(d)
+        entries = [(idx, float(rng.uniform(0.5, 1.5)))
+                   for idx in itertools.product(ks, repeat=d)]
+        problem = FractionalProblem(s=0.4, domain=domain, f=modal_function(domain, entries))
+        grid = OmegaGrid(d, n)
+        load = assemble_load(grid, problem)
+        # one nonzero cell per aliasing class off the multiples of n (3/13
+        # and 5, per axis): the modes with an 8 add exact zeros
+        assert np.count_nonzero(load) == 2**d
+        want = self.nodal_reference(grid, problem)
+        got = dst(load.copy(), (n - 1,) * d)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+
+    def test_high_index_costs_no_base_work_per_mode(self):
+        # d=1 data with every index up to 20000 on n = 1024: one sine-hat
+        # vector a frequency would be 20,000 x 1023 doubles, 164 MB; the
+        # placement holds a few arrays of one double a mode
+        domain = BoxDomain(1)
+        entries = [((k,), 1.0 / k) for k in range(1, 20001)]
+        problem = FractionalProblem(s=0.5, domain=domain, f=modal_function(domain, entries))
+        grid = OmegaGrid(1, 1024)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assemble_load(grid, problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 << 20
+        few = FractionalProblem(s=0.5, domain=domain, f=modal_function(
+            domain, [((1,), 1.0), ((20000,), 1.0), ((20001,), -0.5)]))
+        want = self.nodal_reference(grid, few)
+        got = dst(assemble_load(grid, few), (1023,))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
 
 
 class TestSineProjections:

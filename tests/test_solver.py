@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdiff import solver
+from fracdiff import error_analysis, solver
 from fracdiff.error_analysis import discretize, run_level
 from fracdiff.fem1d import assemble_weighted_matrices
 from fracdiff.femomega import OmegaGrid, assemble_load, assemble_omega_matrices
@@ -427,15 +427,6 @@ class TestSineTransform:
         assert R.tobytes() == kept.tobytes()
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("lines", [1, 2, 7])
-    @pytest.mark.parametrize("shape,base_shape", [((9, 30), (30,)), ((3, 30 * 30), (30, 30))])
-    def test_line_blocks_change_no_bit(self, monkeypatch, shape, base_shape, lines):
-        T = np.random.default_rng(5).standard_normal(shape)
-        want = solver.dst(T.copy(), base_shape)
-        n = base_shape[0]
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", lines * 4 * 8 * (2 * (n + 1) + 2 * (n + 2)))
-        assert solver.dst(T, base_shape).tobytes() == want.tobytes()
-
 
 class TestTrace:
     def test_zero_solution(self):
@@ -576,6 +567,22 @@ class TestYResolvent:
         y_resolvent(weighted, _distinct(level.grid))
         assert "dofmap" not in vars(weighted)
 
+    @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
+    def test_run_level_caches_no_dof_map(self, monkeypatch, scheme):
+        # the level reads N_Y twice: through a dof map that would be a
+        # cumulative sum over M elements, kept as long as the matrices live
+        built = []
+
+        def kept(*args, **kwargs):
+            built.append(assemble_weighted_matrices(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(error_analysis, "assemble_weighted_matrices", kept)
+        row = run_level(benchmark_problem(0.2, 1), scheme, 64)
+        (weighted,) = built
+        assert row.N_Y == weighted.n_dofs == sum(weighted.mesh.degrees)
+        assert "dofmap" not in vars(weighted)
+
     def test_shift_blocks_do_not_change_the_fold(self, monkeypatch):
         level = discretize(benchmark_problem(0.2, 1), "hpfem", 42)
         shifts = _distinct(level.grid)
@@ -694,7 +701,8 @@ class TestSolveTrace:
         level = discretize(problem, scheme, n)
         load = np.random.default_rng(n).standard_normal(level.grid.n_dofs)
         full = solve(level.system, cylinder_rhs(level.system, load), rel_tol=1e-9)
-        got = solver.dst(solve_trace(level.grid, level.weighted, load, s=s, d_s=problem.d_s,
+        coeffs = solver.dst(load.copy(), (n - 1,) * d)
+        got = solver.dst(solve_trace(level.grid, level.weighted, coeffs, s=s, d_s=problem.d_s,
                                      margin=1e-9), (n - 1,) * d)
         # the full solve vouches for its trace only to about its residual,
         # which reaches 1e-10 on the hp s=0.2 levels; the fold is exact to
@@ -779,7 +787,7 @@ class TestBaseTriangle:
         if load_kind == "modal":
             load = assemble_load(grid, problem)
         else:
-            load = np.random.default_rng(n).standard_normal(grid.n_dofs)
+            load = solver.dst(np.random.default_rng(n).standard_normal(grid.n_dofs), (n - 1,) * 2)
         args = (grid, level.weighted, load)
         kwargs = dict(s=problem.s, d_s=problem.d_s, margin=1e-9)
         want = unique_solve_trace(*args, **kwargs)
@@ -962,12 +970,12 @@ class TestWorkingSet:
         assert peak - before <= 8 << 20
 
 
-class TestOneTransform:
-    """The run path transforms the load once and reads both errors off the
-    trace's sine coefficients: one DST-I a level, one pass per base axis."""
+class TestNoTransform:
+    """The run path places the load in sine coordinates and reads both
+    errors off the trace's sine coefficients: no DST-I a level."""
 
     @pytest.mark.parametrize("scheme,d", [("hfem", 1), ("hpfem", 2)])
-    def test_run_level_makes_one_pass_per_base_axis(self, monkeypatch, scheme, d):
+    def test_run_level_makes_no_dst_pass(self, monkeypatch, scheme, d):
         passes = []
         dst_axis = solver._dst_axis
 
@@ -977,4 +985,4 @@ class TestOneTransform:
 
         monkeypatch.setattr(solver, "_dst_axis", counted)
         run_level(benchmark_problem(0.5, d), scheme, 16)
-        assert len(passes) == d
+        assert passes == []

@@ -136,8 +136,8 @@ def unique_shifts(grid):
 
 
 def unique_solve_trace(grid, y, load, *, s, d_s, margin):
-    """:func:`~fracdiff.solver.solve_trace`, the trace's sine coefficients,
-    on the distinct shifts of :func:`unique_shifts`: the certificate names
+    """:func:`~fracdiff.solver.solve_trace`, the trace's sine coefficients
+    from the load's, on the distinct shifts of :func:`unique_shifts`: the certificate names
     the first failing one in ascending order, and the resolvent reaches the
     modes through the index."""
     mass_eig, distinct, factor = unique_shifts(grid)
@@ -151,8 +151,7 @@ def unique_solve_trace(grid, y, load, *, s, d_s, margin):
             f"shift omega={distinct[j]:.6g}: d_s*omega**s*r_h = {ratio[j]:.6g} is "
             f"not in (0, 1 + {margin:g}]"
         )
-    base_shape = (grid.n - 1,) * grid.d
-    G = solver.dst(np.array(load, dtype=float), base_shape)
+    G = np.array(load, dtype=float)
     G *= r[factor]
     G /= mass_eig
     return G
