@@ -20,8 +20,9 @@ import numpy as np
 
 from .fem1d import QuadratureError, WeightedMatrices, assemble_weighted_matrices
 from .femomega import OmegaGrid, assemble_load, assemble_omega_matrices, sine_projections
-from .meshing import MeshError, YMesh, build_ymesh, select_params_h, select_params_hp
-from .solver import KroneckerSystem, SolverError, cylinder_rhs, dst, solve_trace
+from .meshing import (MeshError, YMesh, build_ymesh, physical_memory_bytes, select_params_h,
+                      select_params_hp)
+from .solver import KroneckerSystem, SolverError, cylinder_rhs, dst, solve_trace, trace_bytes
 from .spectral import (
     BoxDomain,
     FractionalProblem,
@@ -167,8 +168,16 @@ def discretize(
     domain and, in the extended direction, graded h-FEM (``"hfem"``) or
     geometric hp-FEM (``"hpfem"``) with the parameters that
     :func:`~fracdiff.meshing.select_params_h` or
-    :func:`~fracdiff.meshing.select_params_hp` derive from the mesh size."""
+    :func:`~fracdiff.meshing.select_params_hp` derive from the mesh size.
+
+    A grid whose :func:`~fracdiff.solver.trace_bytes` exceed the physical
+    memory raises :class:`MeshError` before anything is built."""
     grid = OmegaGrid(problem.domain.d, n)
+    need, have = trace_bytes(grid.n_dofs), physical_memory_bytes()
+    if need > have:
+        raise MeshError(f"N_omega = {grid.n_dofs} base-domain dofs keep at least {need:.3g} "
+                        f"bytes while the level is solved, more than the {have:.3g} bytes of "
+                        "physical memory")
     lam1 = problem.domain.lambda1
     if scheme == "hfem":
         params = select_params_h(grid.h_omega, problem.s, lam1, mu=mu,

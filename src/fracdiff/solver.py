@@ -6,7 +6,8 @@ uniform P1/Q1 base matrices have closed-form sine eigenvectors, so an
 orthonormal DST-I diagonalizes the base direction and ``S`` splits into one
 extended-direction system ``omega*B_mass + B_stiff`` per base eigenvalue
 ``omega``; in d=2 the modes ``(k, l)`` and ``(l, k)`` share one shift, and
-the run path folds the triangle ``k <= l`` of them (:class:`_BaseModes`).
+the run path folds the cells ``k <= l`` in square tiles, each applied to its
+cells and their mirror (:func:`_scale_tiles`).
 
 The run path, :func:`solve_trace`, needs only the trace at ``y = 0`` of the
 solution for the cylinder right-hand side ``e0 (x) load``. It maps the
@@ -19,10 +20,10 @@ loop over the elements of every degree: per-element scalars read off the
 group arrays, in-place ufuncs on two buffers, and for an element with bumps
 its pole sums, formed and freed before the next element. The certificate
 ``0 < d_s * omega**s * r_h <= 1 + margin`` stands in for a residual check.
-Working set: a few arrays of ``N_omega`` doubles (the load's and the
-trace's coefficients, and the triangle's shifts and ``r_h``, half each) and
-a fixed budget of ``_BLOCK_BYTES`` shift and row blocks; no ``(N_omega,
-N_y)`` array, no base-domain matrix, and no array of ``N_omega`` shifts,
+Working set: two arrays of ``N_omega`` doubles, the load's and the trace's
+coefficients, and a fixed budget of ``_BLOCK_BYTES`` for one shift block or
+d=2 tile (:func:`trace_bytes`); no ``(N_omega, N_y)`` array, no base-domain
+matrix, and no array of ``N_omega`` (or ``N_omega/2``) shifts, ``r_h``,
 mode indices or mass eigenvalues.
 
 ``solve``, the tests' oracle, computes the whole ``(N_omega, N_y)``
@@ -91,9 +92,8 @@ def _as_tensor(system: KroneckerSystem, x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-# Bytes of the temporaries of one block: a shift-column block of the
-# element condensation in the fold of :func:`y_resolvent`, or (a quarter of
-# it) a block of rows of the d=2 base modes (:func:`_row_blocks`).
+# Bytes of the temporaries of one block of shift columns of the fold: a
+# block of :func:`y_resolvent`, or a d=2 tile of :func:`_scale_tiles`.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -126,79 +126,6 @@ def _p1_eigenvalues(n: int) -> tuple[np.ndarray, np.ndarray]:
     h = 1.0 / n
     sin2 = np.sin(np.arange(1, n) * (math.pi * h / 2.0)) ** 2
     return h * (1.0 - 2.0 * sin2 / 3.0), 4.0 * sin2 / h
-
-
-@dataclass(frozen=True)
-class _BaseModes:
-    """The sine eigenmodes of the uniform P1/Q1 base pencil from the 1-D
-    factors: ``mass`` holds the 1-D mass eigenvalues ``m_k`` (mode ``(k,
-    l)`` has ``m_k*m_l`` in d=2) and ``shifts`` the distinct generalized
-    eigenvalues. In d=1 these are the 1-D ones, ``sigma_k = stiff_k /
-    m_k``, ascending. In d=2 they are the triangle ``sigma_k + sigma_l``,
-    ``k <= l``, row by row (:func:`_triangle_at`): float addition
-    commutes, so ``(l, k)`` has the shift of ``(k, l)`` and the triangle
-    holds every distinct shift. No two of its cells held one shift at the
-    n the tests check; one that did would only be folded twice. No array
-    of ``N_omega`` shifts is formed: sorting one into distinct shifts
-    (``np.unique``) took 1.3 ms of a 12 ms n=128 level and 0.63 s at
-    n=2048 (2 cores, numpy 2.4)."""
-
-    base_shape: tuple      # (n - 1,) * d: the interior nodes per base axis
-    mass: np.ndarray
-    shifts: np.ndarray
-
-
-def _triangle_at(n: int) -> np.ndarray:
-    """``at[k]``: the cell ``(k, l)``, ``k <= l``, of the row-by-row
-    triangle of an ``n x n`` symmetric array is ``at[k] + l``."""
-    k = np.arange(n)
-    return k * (2 * n - k - 1) // 2
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """Slices of the rows of an ``n x n`` array in blocks of which three
-    arrays of doubles fit a quarter of ``_BLOCK_BYTES``."""
-    rows = max(1, _BLOCK_BYTES // (4 * 8 * 3 * n))
-    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
-
-
-def _base_modes(grid: OmegaGrid) -> _BaseModes:
-    mass, stiff = _p1_eigenvalues(grid.n)
-    sigma = stiff / mass
-    if grid.d == 1:
-        return _BaseModes((grid.n - 1,), mass, sigma)
-    n = grid.n - 1
-    at, cols = _triangle_at(n), np.arange(n)
-    shifts = np.empty(n * (n + 1) // 2)
-    for b in _row_blocks(n):
-        # boolean indexing keeps row-major order: the block's triangle rows
-        upper = cols[b, None] <= cols
-        shifts[at[b.start] + b.start:at[b.stop - 1] + n] = np.add.outer(sigma[b], sigma)[upper]
-    return _BaseModes((n, n), mass, shifts)
-
-
-def _scale_modes(G: np.ndarray, modes: _BaseModes, r: np.ndarray):
-    """``G *= r`` then ``G /= m`` mode by mode, in place, for the
-    ``(N_omega,)`` sine-coefficient vector ``G``, ``r`` given at
-    ``modes.shifts`` and ``m`` the mass eigenvalue of the mode. In d=2 the
-    rows of ``G`` go in the blocks of :func:`_row_blocks`, reading ``r``
-    at the triangle cells of their modes and forming their mass
-    eigenvalues from the 1-D ones; each mode gets the products of the
-    full-array form, so the block size changes no bit."""
-    if len(modes.base_shape) == 1:
-        G *= r
-        G /= modes.mass
-        return
-    mass = modes.mass
-    n = mass.size
-    G = G.reshape(n, n)
-    at, cols = _triangle_at(n), np.arange(n)
-    for b in _row_blocks(n):
-        k = cols[b, None]
-        cell = at[np.minimum(k, cols)]
-        cell += np.maximum(k, cols)
-        G[b] *= r.take(cell)
-        G[b] /= np.multiply.outer(mass[b], mass)
 
 
 def _dst_axis(X: np.ndarray):
@@ -241,7 +168,7 @@ class _Bumps:
 
 
 # Rows of one shift column that the fold holds besides 1/(omega + theta)
-# (see _shift_blocks): the 7 rows of an element's pole sums S = Z @ inv, the
+# (see _block_columns): the 7 rows of an element's pole sums S = Z @ inv, the
 # fold's four buffers (the shifts, the admittance, g and t; see _rows), and
 # one row for the padding of those four. Each is padded to a multiple of 512
 # doubles plus 128, and the buffer by 511 more: at most 3,067 doubles, less
@@ -250,13 +177,18 @@ class _Bumps:
 _FOLD_ROWS = 12
 
 
+def _block_columns(bumps: int) -> int:
+    """The shift columns whose fold temporaries for an element of up to
+    ``bumps`` bumps fit ``_BLOCK_BYTES``: per column ``1/(omega + theta)``,
+    one row per bump, and ``_FOLD_ROWS`` rows."""
+    return max(1, _BLOCK_BYTES // (8 * (bumps + _FOLD_ROWS)))
+
+
 def _shift_blocks(n: int, bumps: int) -> list[slice]:
-    """Slices of ``n`` shift columns whose fold temporaries for an element of
-    up to ``bumps`` bumps fit ``_BLOCK_BYTES``: per column ``1/(omega +
-    theta)``, one row per bump, and ``_FOLD_ROWS`` rows. The last block
-    takes what is left, one column or more: the block size moves the fold
-    by a few ulp (see :func:`y_resolvent`)."""
-    step = max(1, _BLOCK_BYTES // (8 * (bumps + _FOLD_ROWS)))
+    """Slices of ``n`` shift columns in blocks of :func:`_block_columns`.
+    The last block takes what is left, one column or more: the block size
+    moves the fold by a few ulp (see :func:`y_resolvent`)."""
+    step = _block_columns(bumps)
     return [slice(j, min(j + step, n)) for j in range(0, max(n, 1), step)]
 
 
@@ -386,65 +318,156 @@ def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     for c in blocks:
         w, q, g, t = (row[:c.stop - c.start] for row in rows)
         w[:] = shifts[c]
-        for i, (m01, s01, sum0, sum1, el) in enumerate(chain):
-            np.multiply(w, m01, out=g)
-            g -= s01
-            if el is not None:
-                poles, rho = _pole_sums(el, w)
-                g += poles
-            if i == 0:
-                t[:] = g  # the clamped top vertex: g*t/(g + t) is g as t grows
-            else:
-                np.multiply(w, sum1, out=t)
-                if el is not None:
-                    t -= rho[1]
-                t += q
-                np.add(g, t, out=q)
-                t *= g
-                t /= q
-            np.multiply(w, sum0, out=q)
-            if el is not None:
-                q -= rho[0]
-                del poles, rho  # freed before the next element's coupling is formed
-            q += t
+        _fold(chain, w, q, g, t)
         r[c] = 1.0 / q
     return r
 
 
-def _certify(shifts: np.ndarray, r: np.ndarray, *, s: float, d_s: float, margin: float):
-    """Raise :class:`SolverError` unless ``0 < d_s * w**s * r_h(w) <= 1 +
-    margin`` at every shift ``w``, naming the smallest shift that fails
-    and how many distinct shifts fail. The ratios are freed on return."""
-    ratio = d_s * shifts**s * r
+def _fold(chain: list[tuple], w: np.ndarray, q: np.ndarray, g: np.ndarray, t: np.ndarray):
+    """The admittance ``q`` at vertex 0 of the :func:`_fold_chain` ``chain``
+    at the shifts ``w``, in place, with ``g`` and ``t`` as scratch rows of
+    ``w``'s size (see :func:`y_resolvent`)."""
+    for i, (m01, s01, sum0, sum1, el) in enumerate(chain):
+        np.multiply(w, m01, out=g)
+        g -= s01
+        if el is not None:
+            poles, rho = _pole_sums(el, w)
+            g += poles
+        if i == 0:
+            t[:] = g  # the clamped top vertex: g*t/(g + t) is g as t grows
+        else:
+            np.multiply(w, sum1, out=t)
+            if el is not None:
+                t -= rho[1]
+            t += q
+            np.add(g, t, out=q)
+            t *= g
+            t /= q
+        np.multiply(w, sum0, out=q)
+        if el is not None:
+            q -= rho[0]
+            del poles, rho  # freed before the next element's coupling is formed
+        q += t
+
+
+def _failures(w: np.ndarray, r: np.ndarray, ratio: np.ndarray, *, s: float, d_s: float,
+              margin: float) -> tuple[int, tuple[float, float]]:
+    """How many of the shifts ``w`` fail the certificate ``0 < d_s * w**s *
+    r_h(w) <= 1 + margin``, with ``r`` their ``r_h``, and the smallest
+    failing shift with its ratio, ``(inf, nan)`` if none fails. ``ratio``
+    is scratch of ``w``'s size."""
+    np.power(w, s, out=ratio)
+    ratio *= d_s
+    ratio *= r
     bad = np.flatnonzero(~((ratio > 0.0) & (ratio <= 1.0 + margin)))
-    if bad.size:
-        j = bad[np.argmin(shifts[bad])]
-        raise SolverError(
-            f"y-resolvent certificate failed at {np.unique(shifts[bad]).size} of "
-            f"{np.unique(shifts).size} shifts, first at shift omega={shifts[j]:.6g}: "
-            f"d_s*omega**s*r_h = {ratio[j]:.6g} is not in (0, 1 + {margin:g}]"
-        )
+    if not bad.size:
+        return 0, (math.inf, math.nan)
+    j = bad[np.argmin(w[bad])]
+    return bad.size, (float(w[j]), float(ratio[j]))
 
 
+def _scale_tiles(G: np.ndarray, y: WeightedMatrices, mass: np.ndarray, sigma: np.ndarray, *,
+                 s: float, d_s: float, margin: float) -> tuple[int, tuple[float, float]]:
+    """``G[k, l] *= r_h/(m_k*m_l)`` at ``omega = sigma_k + sigma_l``, in
+    place on the ``(n, n)`` d=2 coefficients ``G``; returns the
+    certificate's :func:`_failures` over the cells ``k <= l``. The cells go
+    in square tiles ``(I, J)``, ``I <= J``, of at most
+    :func:`_block_columns` cells, a diagonal tile holding its cells ``k <=
+    l`` alone. Each tile is folded in one block, in row order, and its
+    ``r_h`` scales its cells and their mirror: float addition and
+    multiplication commute, so ``(l, k)`` gets the shift and the products
+    of ``(k, l)``, and the tile size moves only the fold. A tile's shifts,
+    ``r_h`` and ratios, and its square layout of shifts, ``r_h`` and mass
+    products, live in the fold's four rows (a level of one tile takes a
+    buffer of its own for the layout): no array larger than a tile is
+    formed."""
+    chain = _fold_chain(y)
+    n = sigma.size
+    side = min(n, math.isqrt(_block_columns(max(y.mesh.degrees) - 1)))
+    # a level of one tile folds only its cells k <= l, so its rows need no
+    # more, and its square layout takes a buffer of its own: four square
+    # rows added 0.2 MB to the peak RSS of the multimode-d2 benchmark
+    w, q, g, t = _rows(side * side if side < n else n * (n + 1) // 2, 4)
+    spare = g if side < n else np.empty(n * n)
+    upper = np.triu(np.ones((side, side), dtype=bool))
+    cuts = [slice(i, min(i + side, n)) for i in range(0, n, side)]
+    failed, first = 0, (math.inf, math.nan)
+    for a, I in enumerate(cuts):
+        for J in cuts[a:]:
+            shape = (I.stop - I.start, J.stop - J.start)
+            if J is I:
+                cells = upper[:shape[0], :shape[1]]
+                tile = np.add.outer(sigma[I], sigma[J], out=spare[:cells.size].reshape(shape))
+                shifts = np.compress(cells.ravel(), tile.ravel(),
+                                     out=w[:np.count_nonzero(cells)])
+            else:
+                shifts = w[:shape[0] * shape[1]]
+                np.add.outer(sigma[I], sigma[J], out=shifts.reshape(shape))
+            size = shifts.size
+            _fold(chain, shifts, q[:size], g[:size], t[:size])
+            r = np.divide(1.0, q[:size], out=q[:size])
+            count, least = _failures(shifts, r, t[:size], s=s, d_s=d_s, margin=margin)
+            failed, first = failed + count, min(first, least)
+            if J is I:
+                blocks, R = (G[I, J],), tile
+                R[cells] = r
+                R.T[cells] = r
+            else:
+                blocks, R = (G[I, J], G[J, I].T), r.reshape(shape)
+            for block in blocks:
+                block *= R
+            m = np.multiply.outer(mass[I], mass[J], out=spare[:R.size].reshape(shape))
+            for block in blocks:
+                block /= m
+    return failed, first
+
+
+def trace_bytes(n_omega: int) -> int:
+    """The bytes that :func:`solve_trace` and the load hold at their peak
+    on ``n_omega`` base-domain dofs, whatever the y-mesh: two arrays of
+    ``n_omega`` doubles, the load's and the trace's coefficients, and one
+    ``_BLOCK_BYTES`` budget for the fold's block or tile. The traced peak
+    of ``run_level`` beyond the two arrays was 0.97 of the budget (hp-FEM)
+    and 0.49 (h-FEM) at d=2 n=1024."""
+    return 16 * n_omega + _BLOCK_BYTES
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # the certificate rejects them
 def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: float, d_s: float,
                 margin: float) -> np.ndarray:
     """Orthonormal DST-I coefficients of the nodal trace at ``y = 0`` of the
     solution of ``S X = e0 (x) dst(load)``, ``load`` the load's coefficients
     (:func:`~fracdiff.femomega.assemble_load`): ``r_h/m * load``, with no
-    transform, ``r_h`` from :func:`y_resolvent` at every distinct shift (the
-    triangle of :class:`_BaseModes` in d=2), whichever modes the load holds,
-    and ``m`` the base mass eigenvalues. :func:`_scale_modes` scales a copy
-    of ``load`` by rows: no array of ``N_omega`` shifts, indices, ``r_h`` or
+    transform, ``r_h`` from the fold of :func:`y_resolvent` at every
+    distinct shift, whichever modes the load holds, and ``m`` the base mass
+    eigenvalues. In d=1 the shifts are the 1-D ``sigma_k``, ascending; in
+    d=2 the cells ``k <= l`` go in the tiles of :func:`_scale_tiles`. No
+    array of ``N_omega`` (or ``N_omega/2``) shifts, indices, ``r_h`` or
     mass eigenvalues is formed.
 
     The certificate ``0 < d_s * w**s * r_h(w) <= 1 + margin`` is checked at
-    every distinct shift (:func:`_certify`): the exact extension gives 1,
-    and the Galerkin subspace and the truncation can only lower it."""
-    modes = _base_modes(grid)
-    r = y_resolvent(y, modes.shifts)
-    _certify(modes.shifts, r, s=s, d_s=d_s, margin=margin)
+    every distinct shift, and its failures are raised after the last tile,
+    naming the smallest failing shift: the exact extension gives 1, and the
+    Galerkin subspace and the truncation can only lower it."""
+    mass, stiff = _p1_eigenvalues(grid.n)
+    sigma = stiff / mass
+    cert = dict(s=s, d_s=d_s, margin=margin)
     G = np.array(load, dtype=float)  # a copy: scaled in place
-    _scale_modes(G, modes, r)
+    if grid.d == 1:
+        r = y_resolvent(y, sigma)
+        failed, first = _failures(sigma, r, np.empty_like(r), **cert)
+        G *= r
+        G /= mass
+        shifts = sigma.size
+    else:
+        failed, first = _scale_tiles(G.reshape(sigma.size, sigma.size), y, mass, sigma, **cert)
+        shifts = sigma.size * (sigma.size + 1) // 2
+    if failed:
+        raise SolverError(
+            f"y-resolvent certificate failed at {failed} of {shifts} shifts, first at shift "
+            f"omega={first[0]:.6g}: d_s*omega**s*r_h = {first[1]:.6g} is not in (0, 1 + "
+            f"{margin:g}]"
+        )
     return G
 
 
@@ -467,7 +490,7 @@ class TensorPreconditioner:
         """The dense assembled pair of every distinct shift, each checked
         positive definite by a Cholesky factorization. The modes are mapped
         to their shifts by sorting the shift of every mode (``np.unique``),
-        as a reference for the triangle of :class:`_BaseModes`."""
+        as a reference for the tiles of :func:`_scale_tiles`."""
         grid = system.omega.grid
         mass, stiff = _p1_eigenvalues(grid.n)
         mass_eig = reduce(np.multiply.outer, [mass] * grid.d).ravel()

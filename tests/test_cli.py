@@ -5,12 +5,14 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
 import fracdiff
+from fracdiff import error_analysis
 from fracdiff.cli import (
     CSV_COLUMNS,
     OPTIONS,
@@ -359,6 +361,22 @@ class TestSolveCommand:
         assert (f"solver failure: {scheme} s=0.5 d=1 n=8: M = {M} elements keep at least "
                 in done.stderr)
         assert "bytes of physical memory" in done.stderr
+
+    def test_base_domain_beyond_physical_memory_exits_3_before_the_load(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # d=2 n=30000: two arrays of N_omega = 29999**2 doubles are 14.4 GB,
+        # more than the 8.41 GB set here; nothing of that size is allocated
+        monkeypatch.setattr(error_analysis, "physical_memory_bytes", lambda: 8_410_000_000)
+        tracemalloc.start()
+        try:
+            code = run_cli(["solve", "--d", "2", "--n", "30000", "--out", str(tmp_path / "x")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert ("solver failure: hfem s=0.5 d=2 n=30000: N_omega = 899940001 base-domain dofs "
+                "keep at least 1.44e+10 bytes" in capsys.readouterr().err)
+        assert peak < 1 << 20
 
     def test_solver_failure_names_the_level(self, tmp_path, capsys, monkeypatch):
         # element matrices half as large double d_s*omega**s*r_h: the

@@ -357,6 +357,26 @@ class TestTraceHsError:
             assert row.trace_hs_error <= 1.5 * row.energy_error
 
 
+class TestBaseDomainMemory:
+    """``discretize`` rejects a grid whose ``solver.trace_bytes`` exceed
+    the physical memory before the load or the y-mesh is built."""
+
+    def test_bound_is_two_arrays_and_one_block_budget(self, monkeypatch):
+        # d=2 n=64: 3969 dofs, 63,504 bytes of coefficients and the budget
+        need = 16 * 63**2 + (4 << 20)
+        problem = benchmark_problem(0.5, 2)
+        monkeypatch.setattr(error_analysis, "physical_memory_bytes", lambda: need)
+        assert discretize(problem, "hpfem", 64).load.size == 63**2
+        monkeypatch.setattr(error_analysis, "physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(error_analysis, "assemble_load", None)
+        monkeypatch.setattr(error_analysis, "build_ymesh", None)
+        with pytest.raises(error_analysis.MeshError,
+                           match=r"^N_omega = 3969 base-domain dofs keep at least 4\.26e\+06 "
+                                 r"bytes while the level is solved, more than the 4\.26e\+06 "
+                                 r"bytes of physical memory$"):
+            discretize(problem, "hpfem", 64)
+
+
 class TestStudyDriver:
     def test_row_bookkeeping(self):
         rows = run_convergence_study("hpfem", 0.5, 1, levels=3)

@@ -746,32 +746,63 @@ class TestSolveTrace:
         assert f"shift omega={first:.6g}" in message
 
 
+def _tile_side(monkeypatch, y, side):
+    """Shrink ``_BLOCK_BYTES`` so that the d=2 tiles of ``y`` have ``side``
+    indices a side."""
+    bumps = max(y.mesh.degrees) - 1
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", side * side * 8 * (bumps + solver._FOLD_ROWS))
+    assert math.isqrt(solver._block_columns(bumps)) == side
+
+
+def _tiled_resolvent(y, n):
+    """``r_h`` at every d=2 mode ``(k, l)`` of the grid with ``n`` cells a
+    side, as :func:`solver._scale_tiles` applies it: unit coefficients and
+    unit mass eigenvalues, so each coefficient becomes its mode's ``r_h``."""
+    mass, stiff = solver._p1_eigenvalues(n)
+    R = np.ones((n - 1, n - 1))
+    failed, _ = solver._scale_tiles(R, y, np.ones(n - 1), stiff / mass, s=0.5, d_s=1.0,
+                                    margin=math.inf)
+    assert failed == 0
+    return R
+
+
 class TestBaseTriangle:
-    """The base modes from the 1-D factors: in d=2 the triangle ``sigma_k +
-    sigma_l``, ``k <= l``, against the distinct shifts that ``np.unique``
+    """The d=2 base modes ``(k, l)``, ``k <= l``, in the square tiles of
+    :func:`solver._scale_tiles`, against the distinct shifts that ``np.unique``
     sorts out of the shift of every mode (``y_reference``)."""
 
     @pytest.mark.parametrize("n", [*range(2, 66), 128, 255, 256, 1024, 2048])
-    def test_triangle_holds_every_distinct_shift_once(self, n):
-        grid = OmegaGrid(2, n)
-        shifts = solver._base_modes(grid).shifts
-        assert shifts.size == n * (n - 1) // 2
-        assert np.unique(shifts).tobytes() == _distinct(grid).tobytes()
+    def test_every_cell_lies_in_one_tile_and_the_tiles_hold_every_distinct_shift(self,
+                                                                                 monkeypatch, n):
+        # a fold that returns r_h = 1/(1/w) records each tile's shifts: every
+        # coefficient must be scaled once, by the r_h of its own shift. Tiles
+        # of the h-FEM side (209), and of 7 up to n = 256 for ragged ones
+        folded = []
 
-    def test_triangle_rows(self):
-        n = 9
+        def fold(chain, w, q, g, t):
+            folded.append(w.copy())
+            np.divide(1.0, w, out=q)
+
+        monkeypatch.setattr(solver, "_fold", fold)
+        y = assemble_weighted_matrices(graded_mesh(2, 0.5, 1.5), alpha=0.0)
         mass, stiff = solver._p1_eigenvalues(n)
-        sigma = stiff / mass
-        at = solver._triangle_at(n - 1)
-        shifts = solver._base_modes(OmegaGrid(2, n)).shifts
-        for k in range(n - 1):
-            for l in range(n - 1):
-                assert shifts[at[min(k, l)] + max(k, l)] == sigma[k] + sigma[l]
+        want = 1.0 / (1.0 / np.add.outer(stiff / mass, stiff / mass))
+        sides = {min(n - 1, math.isqrt(solver._block_columns(0)))}
+        if n <= 256:
+            sides.add(7)
+        for side in sides:
+            _tile_side(monkeypatch, y, side)
+            folded.clear()
+            assert _tiled_resolvent(y, n).tobytes() == want.tobytes()
+            assert max(w.size for w in folded) <= side * side
+            shifts = np.concatenate(folded)
+            assert shifts.size == n * (n - 1) // 2
+            assert np.unique(shifts).tobytes() == _distinct(OmegaGrid(2, n)).tobytes()
 
     def test_d1_shifts_are_distinct_and_ascending(self):
         for n in range(2, 4097):
-            shifts = solver._base_modes(OmegaGrid(1, n)).shifts
-            assert np.all(np.diff(shifts) > 0.0), n
+            mass, stiff = solver._p1_eigenvalues(n)
+            assert np.all(np.diff(stiff / mass) > 0.0), n
 
     @pytest.mark.parametrize("load_kind", ["modal", "random"])
     @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
@@ -793,26 +824,86 @@ class TestBaseTriangle:
         want = unique_solve_trace(*args, **kwargs)
         assert solve_trace(*args, **kwargs).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("rows", [1, 2, 5])
-    def test_row_blocks_change_no_bit(self, monkeypatch, rows):
-        grid = OmegaGrid(2, 33)
-        modes = solver._base_modes(grid)
-        r = np.random.default_rng(4).uniform(0.5, 2.0, modes.shifts.size)
-        G = np.random.default_rng(5).standard_normal(grid.n_dofs)
-        want = G.copy()
-        solver._scale_modes(want, modes, r)
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", rows * 4 * 8 * 3 * 32)
-        assert len(solver._row_blocks(32)) == -(-32 // rows)
-        assert solver._base_modes(grid).shifts.tobytes() == modes.shifts.tobytes()
-        got = G.copy()
-        solver._scale_modes(got, modes, r)
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("side", [3, 4, 6])
+    @pytest.mark.parametrize("mesh", [graded_mesh(6, 0.5, 1.5), hp_mesh(6, 0.125, 2.0, 0.7),
+                                      _INTERLEAVED], ids=["graded", "hp", "interleaved"])
+    def test_tile_size_changes_no_bit(self, monkeypatch, mesh, side):
+        # 11 indices a side: tiles of 3, 4 or 6 leave a ragged last row and
+        # column, and every tile is a block of 3 shift columns or more. Each
+        # mode gets bitwise the r_h of one block of all 66 shifts
+        y = assemble_weighted_matrices(mesh, alpha=-0.3)
+        grid = OmegaGrid(2, 12)
+        mass, stiff = solver._p1_eigenvalues(12)
+        shifts = np.add.outer(stiff / mass, stiff / mass)
+        load = np.random.default_rng(3).standard_normal(grid.n_dofs)
+        kwargs = dict(s=0.5, d_s=1.0, margin=math.inf)
+        whole = y_resolvent(y, shifts[np.triu_indices(11)])
+        want = solve_trace(grid, y, load, **kwargs)
+        _tile_side(monkeypatch, y, side)
+        R = _tiled_resolvent(y, 12)
+        assert R.tobytes() == R.T.tobytes()
+        assert R[np.triu_indices(11)].tobytes() == whole.tobytes()
+        assert solve_trace(grid, y, load, **kwargs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 4])
+    def test_tile_size_moves_many_bumps_a_few_ulp(self, monkeypatch, exact_resolvent, side):
+        # 21 bumps on the top element: the rule of
+        # TestYResolvent::test_shift_blocks_move_many_bumps_a_few_ulp, with
+        # one-cell corner tiles at side 1 and 2
+        y = assemble_weighted_matrices(hp_mesh(6, 0.125, 2.0, 2.0), alpha=-0.3)
+        mass, stiff = solver._p1_eigenvalues(10)
+        sigma = stiff / mass
+        cells = np.triu_indices(9)
+        shifts = np.add.outer(sigma, sigma)[cells]
+        whole = y_resolvent(y, shifts)
+        _tile_side(monkeypatch, y, side)
+        R = _tiled_resolvent(y, 10)
+        assert R.tobytes() == R.T.tobytes()
+        tiled = R[cells]
+        assert np.all(np.abs(tiled - whole) <= 8 * np.spacing(whole))
+        for w, r in zip(shifts[::4], tiled[::4]):
+            want = exact_resolvent(y, w, digits=60)
+            assert abs(Decimal(float(r)) - want) <= Decimal(1e-14) * want
+
+    @pytest.mark.parametrize("side", [2, 3])
+    def test_certificate_is_raised_after_the_last_tile(self, monkeypatch, side):
+        # the level of the test below in tiles of 2 or 3: the first tile
+        # with failing shifts, in the first row of tiles, fails at 2038.0
+        # first, and the smallest failing shift, 1820.37, lies in a later
+        # tile. The tiles' shifts are recorded as they are folded
+        problem = benchmark_problem(0.5, 2)
+        level = discretize(problem, "hfem", 16)
+        scaled = replace(level.weighted, groups=tuple(
+            (ms, 0.9 * mass, 0.9 * stiff) if ms[0] == 1 else (ms, mass, stiff)
+            for ms, mass, stiff in level.weighted.groups))
+        kwargs = dict(s=0.5, d_s=problem.d_s, margin=1e-9)
+        folded, fold = [], solver._fold
+
+        def recorded(chain, w, *rows):
+            folded.append(w.copy())
+            fold(chain, w, *rows)
+
+        monkeypatch.setattr(solver, "_fold", recorded)
+        _tile_side(monkeypatch, scaled, side)
+        with pytest.raises(SolverError) as err:
+            solve_trace(level.grid, scaled, level.load, **kwargs)
+        assert str(err.value).startswith("y-resolvent certificate failed at 67 of 120 shifts, "
+                                         "first at shift omega=1820.37:")
+        monkeypatch.undo()
+        firsts = []
+        for shifts in folded:
+            r = y_resolvent(scaled, shifts)
+            count, (least, _) = solver._failures(shifts, r, np.empty(shifts.size), **kwargs)
+            if count:
+                firsts.append(least)
+        assert len(firsts) > 1
+        assert f"{firsts[0]:.6g}" == "2038" and f"{min(firsts):.6g}" == "1820.37"
 
     def test_certificate_names_the_smallest_of_some_failing_shifts(self):
         # the first element's matrices 0.9 times too small raise r_h at the
         # high shifts, which see mostly that element: 67 of the 120 shifts
-        # fail, and the first failing cell of the triangle (2038.0) is not
-        # the smallest failing shift (1820.37)
+        # fail, and the first failing cell in row order (2038.0) is not the
+        # smallest failing shift (1820.37)
         problem = benchmark_problem(0.5, 2)
         level = discretize(problem, "hfem", 16)
         scaled = replace(level.weighted, groups=tuple(
@@ -949,6 +1040,27 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert row.N_total * 8 == full
         assert (peak - before) / full <= bound
+
+    def test_d2_run_level_peak_is_the_trace_bytes(self):
+        # hp-FEM d=2 n=1024, N_omega = 1.05 M doubles, 8.4 MB an array: the
+        # level holds the load's and the trace's coefficients and one tile,
+        # measured 2.49 arrays, 0.97 of the block budget beyond the two (the
+        # bound the memory check of discretize assumes). The level-wide
+        # k <= l triangle of shifts and r_h, half an array each, peaked at
+        # 3.13 arrays
+        domain = BoxDomain(2)
+        problem = FractionalProblem(s=0.8, domain=domain, f=modal_function(
+            domain, [((1, 1), 1.0), ((2, 3), -0.5), ((5, 5), 0.7)]))
+        run_level(problem, "hpfem", 16)  # the interpreter's free lists are not the level's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            row = run_level(problem, "hpfem", 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.N_omega == 1023**2
+        assert peak - before <= solver.trace_bytes(row.N_omega)
 
     def test_run_level_of_high_index_data_holds_no_sine_hat_table(self):
         # d=1 data with the index 20000 on n = 1024: the trace error reads

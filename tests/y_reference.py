@@ -11,8 +11,9 @@ both must agree bitwise.
 
 ``unique_solve_trace`` finds the distinct base-domain shifts by sorting the
 shift of every mode (``np.unique``) and expands the resolvent back to every
-mode through the returned index; the program folds the triangle ``k <= l``
-of the shifts and applies it by rows, with the same products.
+mode through the returned index; the program folds the cells ``k <= l`` in
+square tiles and applies each tile to its cells and their mirror, with the
+same products.
 """
 
 import math
