@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import error_analysis as ea
 from .femomega import OmegaGrid
-from .meshing import check_h_omega
+from .meshing import check_h_omega, physical_memory_bytes
 from .solver import SolverError
 from .spectral import BoxDomain, modal_function
 
@@ -124,6 +124,12 @@ class RunConfig:
                 raise ConfigError(f"modes: {exc}") from exc
             if not any(coef for _, coef in data.modes):
                 raise ConfigError("the data is zero: every merged mode coefficient is 0")
+            index = max((idx for idx, _ in data.modes), key=lambda idx: sum(k * k for k in idx))
+            need, have = ea.mode_list_bytes(index), physical_memory_bytes()
+            if need > have:
+                raise ConfigError(f"modes: the trace error of data mode {index} holds at least "
+                                  f"{need:.3g} bytes of listed modes, more than the {have:.3g} "
+                                  "bytes of physical memory")
 
 
 # Every option of solve/study/compare, keyed by its RunConfig field: the text
@@ -312,6 +318,7 @@ def cmd_run(cfg: RunConfig, command: str) -> int:
 def cmd_selftest() -> int:
     import numpy as np
     import scipy.linalg
+    from scipy.fft import dst
 
     from . import femomega, meshing, solver, spectral
 
@@ -338,9 +345,9 @@ def cmd_selftest() -> int:
     shifts, V = scipy.linalg.eigh(omega.A_stiff.toarray(), omega.A_mass.toarray())
     r = np.array([np.linalg.solve(w * wm.B_mass.toarray() + wm.B_stiff.toarray(),
                                   np.eye(wm.n_dofs)[0])[0] for w in shifts])
-    want = V @ (r * (V.T @ solver.dst(level.load.copy(), (level.grid.n_dofs,))))  # nodal load
-    got = solver.dst(solver.solve_trace(level.grid, wm, level.load, s=problem.s,
-                                        d_s=problem.d_s, margin=1e-9), (level.grid.n_dofs,))
+    want = V @ (r * (V.T @ dst(level.load, type=1, norm="ortho")))  # nodal load
+    got = dst(solver.solve_trace(level.grid, wm, level.load, s=problem.s, d_s=problem.d_s,
+                                 margin=1e-9), type=1, norm="ortho")
     checks.append(("trace-only run path vs dense per-mode solve",
                    bool(np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want))))
     ratio = problem.d_s * shifts**problem.s * solver.y_resolvent(wm, shifts)

@@ -22,7 +22,7 @@ from .fem1d import QuadratureError, WeightedMatrices, assemble_weighted_matrices
 from .femomega import OmegaGrid, assemble_load, assemble_omega_matrices, sine_projections
 from .meshing import (MeshError, YMesh, build_ymesh, physical_memory_bytes, select_params_h,
                       select_params_hp)
-from .solver import KroneckerSystem, SolverError, cylinder_rhs, dst, solve_trace, trace_bytes
+from .solver import KroneckerSystem, SolverError, cylinder_rhs, solve_trace, trace_bytes
 from .spectral import (
     BoxDomain,
     FractionalProblem,
@@ -135,6 +135,20 @@ def _default_mode_count(problem: FractionalProblem) -> int:
     return base + 8 * max(0, -(-(count - base) // 8))
 
 
+def mode_list_bytes(index: tuple[int, ...]) -> int:
+    """A lower bound on the bytes that :func:`trace_hs_error` holds for data
+    whose last mode is ``index``, in O(1). Its modes include every mode of
+    smaller eigenvalue: the ``k`` modes up to ``(k,)`` in d=1, and in d=2
+    the ``m*m`` modes ``(i, j)``, ``i, j <= m = isqrt((L - 1) // 2)``,
+    below ``L = k*k + l*l``. Each listed mode holds at least a list slot,
+    its ``d`` indices, its coefficient and its eigenvalue, 8 bytes each."""
+    if len(index) == 1:
+        count = index[0]
+    else:
+        count = math.isqrt((sum(k * k for k in index) - 1) // 2) ** 2
+    return 8 * (len(index) + 3) * count
+
+
 @dataclass(frozen=True)
 class Discretization:
     """One refinement level: the base grid, the extended-direction mesh and
@@ -149,8 +163,13 @@ class Discretization:
 
     system = cached_property(
         lambda self: KroneckerSystem(assemble_omega_matrices(self.grid), self.weighted))
-    rhs = cached_property(lambda self: cylinder_rhs(self.system, dst(
-        self.load.copy(), (self.grid.n - 1,) * self.grid.d)))  # a copy: dst is in place
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        from scipy.fft import dstn  # the full solve's oracle; the run path makes no transform
+
+        nodal = dstn(self.load.reshape((self.grid.n - 1,) * self.grid.d), type=1, norm="ortho")
+        return cylinder_rhs(self.system, nodal.ravel())
 
 
 def discretize(

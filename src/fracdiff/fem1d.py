@@ -243,14 +243,6 @@ class YDofMap:
         table[:, 2:] = self.bump_starts[ms - 1, None] + np.arange(p - 1)
         return table
 
-    def element_dofs(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Global dof indices and the local basis rows they correspond to
-        for element ``m`` (1-based). The right vertex of the last element is
-        constrained and dropped."""
-        table = self.element_table([m])[0]
-        local = np.flatnonzero(table >= 0)
-        return table[local], local
-
 
 @dataclass(frozen=True)
 class WeightedMatrices:

@@ -140,8 +140,9 @@ def assemble_load(grid: OmegaGrid, problem: FractionalProblem) -> np.ndarray:
     """Orthonormal DST-I coefficients of the load vector ``d_s * int f *
     eta_i dx``: each sine mode of ``f`` adds ``d_s`` times its coefficient
     times its :func:`_aliased_cells` factor into its cell. The nodal load,
-    placed in the y-dof at ``y = 0`` of the cylinder, is their
-    :func:`~fracdiff.solver.dst`."""
+    placed in the y-dof at ``y = 0`` of the cylinder, is their orthonormal
+    DST-I (``scipy.fft.dstn(..., type=1, norm="ortho")``), which the run path
+    never forms."""
     modes = problem.f.modes
     factor, cell = _aliased_cells(grid, [index for index, _ in modes])
     out = np.zeros(grid.n_dofs)

@@ -232,7 +232,9 @@ def y_storage_bytes(params: DiscretizationParams) -> float:
     allowance for the earlier peak of forming the weights
     (``_WEIGHTS_PEAK_BYTES``). The hp degrees are bounded below by
     :func:`linear_degree_vector` without its ceiling: on the geometric mesh
-    ``ln(h_m/h_1) = (m-1)*|ln sigma| + ln(1 - sigma)`` for ``m >= 2``."""
+    ``ln(h_m/h_1) = (m-1)*|ln sigma| + ln(1 - sigma)`` for ``m >= 2``. Sums
+    that overflow (a huge ``beta``) give ``inf``, never NaN, which no memory
+    would pass."""
     M = params.M
     if params.scheme == "hfem":
         linear, squares = 2.0 * M, 4.0 * M  # the sums of p + 1 and (p + 1)**2
@@ -242,8 +244,9 @@ def y_storage_bytes(params: DiscretizationParams) -> float:
         j0 = min(M, max(1, math.ceil(-offset / slope)))
         linear, squares = _power_sums(2.0 + params.beta * offset, params.beta * slope, j0, M - 1)
         linear, squares = linear + 2.0 * j0, squares + 4.0 * j0
-    return (M * (_NODE_BYTES + _ASSEMBLY_BYTES) + 16.0 * squares + 8.0 * (linear + M)
+    need = (M * (_NODE_BYTES + _ASSEMBLY_BYTES) + 16.0 * squares + 8.0 * (linear + M)
             + _WEIGHTS_PEAK_BYTES * max(0, M - _WEIGHTS_PEAK_FROM))
+    return math.inf if math.isnan(need) else need  # inf - inf in _power_sums
 
 
 def physical_memory_bytes() -> int:

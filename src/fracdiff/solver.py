@@ -27,8 +27,9 @@ matrix, and no array of ``N_omega`` (or ``N_omega/2``) shifts, ``r_h``,
 mode indices or mass eigenvalues.
 
 ``solve``, the tests' oracle, computes the whole ``(N_omega, N_y)``
-coefficient tensor and checks it. Every such tensor this module returns is
-in Fortran order, the flat layout under which the dense operator is exactly
+coefficient tensor and checks it; its base-direction transforms are
+``scipy.fft.dstn``. Every such tensor this module returns is in Fortran
+order, the flat layout under which the dense operator is exactly
 ``kron(B_mass, A_stiff) + kron(B_stiff, A_mass)``. Each shift's dense
 assembled pair ``omega*B_mass + B_stiff`` is solved by LAPACK, and iterative
 refinement brings the true residual below tolerance. It is a reference for
@@ -126,31 +127,6 @@ def _p1_eigenvalues(n: int) -> tuple[np.ndarray, np.ndarray]:
     h = 1.0 / n
     sin2 = np.sin(np.arange(1, n) * (math.pi * h / 2.0)) ** 2
     return h * (1.0 - 2.0 * sin2 / 3.0), 4.0 * sin2 / h
-
-
-def _dst_axis(X: np.ndarray):
-    """Orthonormal DST-I along axis 1 of the ``(a, n, b)`` array ``X``, in
-    place: the sine coefficients of a line are ``-Im(rfft(e)) / sqrt(2(n+1))``
-    at ``1..n`` for its odd extension ``e = (0, x, 0, -reversed x)`` of
-    length ``2(n+1)``, one ``rfft`` for all lines."""
-    a, n, b = X.shape
-    ext = np.zeros((a, 2 * (n + 1), b))
-    ext[:, 1:n + 1] = X
-    np.negative(X[:, ::-1], out=ext[:, n + 2:])
-    X[:] = np.fft.rfft(ext, axis=1).imag[:, 1:n + 1] * (-1.0 / math.sqrt(2.0 * (n + 1)))
-
-
-def dst(T: np.ndarray, base_shape: tuple) -> np.ndarray:
-    """Orthonormal DST-I over the base-domain axes of a ``(rows, N_omega)``
-    tensor or an ``(N_omega,)`` vector, one axis at a time; in place when
-    ``T`` is C-contiguous, else on a copy. It is its own inverse. The run
-    path makes none; nodal readers and the full solve do."""
-    T = np.ascontiguousarray(T, dtype=float)
-    X = T.reshape(-1, *base_shape)
-    for k, n in enumerate(base_shape):
-        _dst_axis(X.reshape(X.shape[0] * math.prod(base_shape[:k]), n,
-                            math.prod(base_shape[k + 1:])))
-    return T
 
 
 @dataclass
@@ -436,14 +412,14 @@ def trace_bytes(n_omega: int) -> int:
 def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: float, d_s: float,
                 margin: float) -> np.ndarray:
     """Orthonormal DST-I coefficients of the nodal trace at ``y = 0`` of the
-    solution of ``S X = e0 (x) dst(load)``, ``load`` the load's coefficients
-    (:func:`~fracdiff.femomega.assemble_load`): ``r_h/m * load``, with no
-    transform, ``r_h`` from the fold of :func:`y_resolvent` at every
-    distinct shift, whichever modes the load holds, and ``m`` the base mass
-    eigenvalues. In d=1 the shifts are the 1-D ``sigma_k``, ascending; in
-    d=2 the cells ``k <= l`` go in the tiles of :func:`_scale_tiles`. No
-    array of ``N_omega`` (or ``N_omega/2``) shifts, indices, ``r_h`` or
-    mass eigenvalues is formed.
+    solution of ``S X = e0 (x) F``, ``F`` the nodal load and ``load`` its
+    coefficients (:func:`~fracdiff.femomega.assemble_load`): ``r_h/m *
+    load``, with no transform, ``r_h`` from the fold of :func:`y_resolvent`
+    at every distinct shift, whichever modes the load holds, and ``m`` the
+    base mass eigenvalues. In d=1 the shifts are the 1-D ``sigma_k``,
+    ascending; in d=2 the cells ``k <= l`` go in the tiles of
+    :func:`_scale_tiles`. No array of ``N_omega`` (or ``N_omega/2``) shifts,
+    indices, ``r_h`` or mass eigenvalues is formed.
 
     The certificate ``0 < d_s * w**s * r_h(w) <= 1 + margin`` is checked at
     every distinct shift, and its failures are raised after the last tile,
@@ -513,12 +489,17 @@ class TensorPreconditioner:
         order; ``R`` is left unchanged. The modes of one shift are solved in
         one call, each as a system of its own, so sharing a pair changes no
         bit."""
-        G = dst(np.array(R.T, order="C"), self.base_shape)  # a copy: transformed in place
+        from scipy.fft import dstn  # the full solve's oracle; the run path makes no transform
+
+        axes = tuple(range(1, len(self.base_shape) + 1))
+        sine = lambda X: dstn(X.reshape(-1, *self.base_shape), type=1, axes=axes,
+                              norm="ortho").reshape(X.shape)
+        G = sine(R.T)
         G /= self.mass_eig
         for j, K in enumerate(self.pairs):
             cols = self.shift_of == j
             G[:, cols] = np.linalg.solve(K, G[:, cols].T[:, :, None])[:, :, 0].T
-        return dst(G, self.base_shape).T
+        return sine(G).T
 
 
 @dataclass

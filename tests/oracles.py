@@ -8,6 +8,8 @@
   fractional Sobolev norms, and the energy above a truncation height.
 * Hierarchical shape functions at arbitrary points, Gauss-Lobatto nodes,
   and the y-interpolant with point evaluation of its expansion.
+* Nodal values from the orthonormal DST-I coefficients that the run path
+  works in, by ``scipy.fft.dstn``.
 * The energy error by direct quadrature of the weighted gradient difference
   over the truncated cylinder, for desk-scale levels.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy import integrate, special
+from scipy import fft, integrate, special
 
 from fracdiff.fem1d import (
     WeightedMatrices,
@@ -354,7 +356,7 @@ def interpolate_iyp(xi, mesh: YMesh) -> np.ndarray:
     """
     dofmap = YDofMap(degrees=mesh.degrees)
     nodes = np.asarray(mesh.nodes)
-    coeffs = np.zeros(dofmap.n_dofs)
+    coeffs = np.zeros(dofmap.n_dofs + 1)  # the last entry takes the constrained top vertex (-1)
     for m, p in enumerate(mesh.degrees, start=1):
         if m == 1:
             vals = np.full(p + 1, float(xi(nodes[1])))
@@ -364,9 +366,8 @@ def interpolate_iyp(xi, mesh: YMesh) -> np.ndarray:
         if m == mesh.M:
             vals[-1] = 0.0
         local = np.linalg.solve(shape_values(p, gauss_lobatto_points(p, (0.0, 1.0))).T, vals)
-        glob, rows = dofmap.element_dofs(m)
-        coeffs[glob] = local[rows]
-    return coeffs
+        coeffs[dofmap.element_table([m])[0]] = local
+    return coeffs[:-1]
 
 
 def eval_in_VM(mesh: YMesh, coefficients, y):
@@ -380,6 +381,7 @@ def eval_in_VM(mesh: YMesh, coefficients, y):
     coeffs = np.asarray(coefficients, dtype=float)
     if coeffs.shape != (dofmap.n_dofs,):
         raise ValueError(f"expected {dofmap.n_dofs} coefficients")
+    coeffs = np.append(coeffs, 0.0)  # the constrained top vertex (-1) is zero
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     nodes = np.asarray(mesh.nodes)
     if np.any(arr < 0.0) or np.any(arr > mesh.Y):
@@ -392,9 +394,8 @@ def eval_in_VM(mesh: YMesh, coefficients, y):
             continue
         a, b = nodes[e], nodes[e + 1]
         t = (arr[sel] - a) / (b - a)
-        glob, local = dofmap.element_dofs(e + 1)
         B = shape_values(mesh.degrees[e], t)
-        out[sel] = coeffs[glob] @ B[local]
+        out[sel] = coeffs[dofmap.element_table([e + 1])[0]] @ B
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
@@ -402,6 +403,13 @@ def eval_in_VM(mesh: YMesh, coefficients, y):
 def unit_gauss_rule(npts: int):
     x, w = np.polynomial.legendre.leggauss(npts)
     return (x + 1.0) / 2.0, w / 2.0
+
+
+def dst(v, base_shape: tuple) -> np.ndarray:
+    """Orthonormal DST-I of the flat base-domain vector ``v`` over the axes
+    ``base_shape``, on a copy: nodal values from sine coefficients and back
+    (it is its own inverse)."""
+    return fft.dstn(np.reshape(v, base_shape), type=1, norm="ortho").ravel()
 
 
 DIRECT_CHECK_MAX_DOFS = 5000
@@ -487,9 +495,10 @@ def direct_energy_error_small(
         ty = (ypts - a) / hy
         Bv = shape_values(p, ty)
         Dv = shape_derivatives(p, ty) / hy
-        glob, local = dofmap.element_dofs(m)
-        Gy = U[:, glob] @ Bv[local]   # (N_omega, nq_y): FE x-nodal values per y point
-        Gdy = U[:, glob] @ Dv[local]
+        table = dofmap.element_table([m])[0]
+        keep = table >= 0  # the constrained top vertex (-1) is dropped
+        Gy = U[:, table[keep]] @ Bv[keep]   # (N_omega, nq_y): FE x-nodal values per y point
+        Gdy = U[:, table[keep]] @ Dv[keep]
 
         for q in range(ypts.size):
             y = ypts[q]

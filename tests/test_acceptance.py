@@ -21,7 +21,7 @@ from fracdiff.error_analysis import (
 from fracdiff.fem1d import YDofMap, assemble_weighted_matrices
 from fracdiff.femomega import OmegaGrid, assemble_omega_matrices
 from fracdiff.meshing import geometric_mesh, graded_mesh, hp_mesh, linear_degree_vector
-from fracdiff.solver import KroneckerSystem, dst, kron_matvec, solve
+from fracdiff.solver import KroneckerSystem, kron_matvec, solve
 from fracdiff.spectral import (
     BoxDomain,
     FractionalProblem,
@@ -34,6 +34,7 @@ from oracles import (
     decay_envelope_constant,
     derivative_coeffs,
     direct_energy_error_small,
+    dst,
     hs_norm,
     psi,
     psi_nth_derivative,

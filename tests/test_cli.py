@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import fracdiff
-from fracdiff import error_analysis
+from fracdiff import cli, error_analysis
 from fracdiff.cli import (
     CSV_COLUMNS,
     OPTIONS,
+    ConfigError,
     RunConfig,
     build_config,
     main,
@@ -292,8 +293,8 @@ class TestSolveCommand:
         ("hfem", "0.5", "--m-mult", "1e308", "the element count M = inf is not finite"),
         ("hpfem", "0.5", "--m-mult", "1e308", "the element count M = inf is not finite"),
         ("hfem", "0.5", "--y-mult", "1e308", "the truncation height Y = inf is not finite"),
-        ("hpfem", "0.5", "--beta", "1e308", "element 2: the degree 1 + beta*ln(h_m/h_1) = inf "
-                                            "is not finite"),
+        # the storage estimate's degree sums overflow: inf, before any node
+        ("hpfem", "0.5", "--beta", "1e308", "M = 4 elements keep at least inf bytes"),
         # y**0.6 overflows on the first element, whose top is near 1e284
         ("hfem", "0.2", "--y-mult", "1e290", "element 1: the weighted element matrices on "),
         ("hpfem", "0.2", "--y-mult", "1e290", "element 1: the weighted element matrices on "),
@@ -575,6 +576,33 @@ class TestRejectedBeforeAnyLevel:
         self.rejects(tmp_path, capsys, ["solve", "--s", "0.5", "--d", "1", "--n", "8",
                                         "--modes", "1=1e308;1=1e308"],
                      "modes: mode (1,) has a non-finite coefficient inf")
+
+    @pytest.mark.parametrize("d,modes,have,message", [
+        # 1e20 used to overflow int64 in the load's placement (a traceback);
+        # (3e9, 1) used to list its modes for about 20 minutes
+        ("1", "100000000000000000000=1", 8_410_000_000,
+         "(100000000000000000000,) holds at least 3.2e+21 bytes"),
+        ("2", "3000000000,1=1", 8_410_000_000, "(3000000000, 1) holds at least 1.8e+20 bytes"),
+        ("1", "1=1;20000=1", 600_000, "(20000,) holds at least 6.4e+05 bytes"),
+        ("2", "1,1=1;300,300=1", 3_000_000, "(300, 300) holds at least 3.58e+06 bytes"),
+    ], ids=["d1-1e20", "d2-3e9", "d1-20000", "d2-300"])
+    def test_data_mode_whose_list_outgrows_memory(self, tmp_path, capsys, monkeypatch, d,
+                                                  modes, have, message):
+        monkeypatch.setattr(cli, "physical_memory_bytes", lambda: have)
+        self.rejects(tmp_path, capsys, ["solve", "--s", "0.5", "--d", d, "--n", "8",
+                                        "--modes", modes],
+                     f"modes: the trace error of data mode {message} of listed modes, more "
+                     f"than the {have:.3g} bytes of physical memory")
+
+    @pytest.mark.parametrize("index", [(20000,), (600, 600), (1, 2), (7,)])
+    def test_mode_list_check_rejects_only_beyond_memory(self, monkeypatch, index):
+        need = error_analysis.mode_list_bytes(index)
+        cfg = RunConfig(d=len(index), n=[8], modes=[(index, 1.0)])
+        monkeypatch.setattr(cli, "physical_memory_bytes", lambda: need)
+        cfg.validate()
+        monkeypatch.setattr(cli, "physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(ConfigError, match=r"^modes: the trace error of data mode"):
+            cfg.validate()
 
 
 class TestUnusableOut:

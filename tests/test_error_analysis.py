@@ -21,7 +21,7 @@ from fracdiff.error_analysis import (
 )
 from fracdiff.fem1d import assemble_weighted_matrices
 from fracdiff.femomega import OmegaGrid, assemble_load
-from fracdiff.solver import KroneckerSystem, SolverError, cylinder_rhs, dst, solve
+from fracdiff.solver import KroneckerSystem, SolverError, cylinder_rhs, solve
 from fracdiff.spectral import (
     BoxDomain,
     FractionalProblem,
@@ -29,7 +29,7 @@ from fracdiff.spectral import (
     modal_function,
     solve_fractional,
 )
-from oracles import direct_energy_error_small
+from oracles import direct_energy_error_small, dst
 
 # a fixed six-mode load from {1..7} (plain sine coefficients)
 SIX_MODE_LOAD = [((1,), -0.92405), ((2,), 1.147553), ((3,), 1.217464),
@@ -55,7 +55,7 @@ def exact_nodal_trace(problem, grid):
 def sine_coefficients(grid, trace):
     """Orthonormal DST-I coefficients of a nodal trace, the input of the
     error measures."""
-    return dst(np.array(trace, dtype=float), (grid.n - 1,) * grid.d)
+    return dst(trace, (grid.n - 1,) * grid.d)
 
 
 def per_mode_chain_trace_error(problem, grid, trace, k_modes):
@@ -349,6 +349,24 @@ class TestTraceHsError:
         # the modes of eigenvalue below 720,000 number about pi/4 * 720,000
         assert abs(count - math.pi / 4 * 720_000) <= 2_000
 
+    @pytest.mark.parametrize("index", [(1,), (40,), (5000,), (1, 1), (2, 40), (60, 60), (90, 7)])
+    def test_mode_list_bytes_is_a_lower_bound_on_the_trace_error_peak(self, index):
+        domain = BoxDomain(len(index))
+        problem = FractionalProblem(s=0.5, domain=domain,
+                                    f=modal_function(domain, [(index, 1.0)]))
+        grid = OmegaGrid(domain.d, 8)
+        k_modes = error_analysis._default_mode_count(problem)
+        need = error_analysis.mode_list_bytes(index)
+        assert need <= 8 * (domain.d + 3) * k_modes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace_hs_error(problem, grid, np.ones(grid.n_dofs), k_modes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert need <= peak
+
     @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
     @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
     def test_bounded_by_energy_error(self, scheme, s):
@@ -430,7 +448,7 @@ class TestStudyDriver:
             level.system.omega, assemble_weighted_matrices(raised, alpha=problem.alpha)
         )
         errs = []
-        load = dst(level.load.copy(), (11,))  # nodal: level.load holds sine coefficients
+        load = dst(level.load, (11,))  # nodal: level.load holds sine coefficients
         for system in (level.system, raised_system):
             sol = solve(system, cylinder_rhs(system, load), rel_tol=1e-12)
             errs.append(energy_error(problem, level.grid,
@@ -488,11 +506,11 @@ class TestSineHatReuse:
         want = np.zeros(grid.n_dofs)
         for index, coef in problem.f.modes:
             want += coef * np.kron(*(femomega.sine_hat_integrals(grid, k) for k in index))
-        nodal = dst(load.copy(), (11, 11))
+        nodal = dst(load, (11, 11))
         assert np.max(np.abs(nodal - problem.d_s * want)) <= 1e-14 * problem.d_s * np.abs(want).max()
 
         coeffs = np.random.default_rng(8).standard_normal(grid.n_dofs)
-        trace = dst(coeffs.copy(), (11, 11))
+        trace = dst(coeffs, (11, 11))
         k_modes = error_analysis._default_mode_count(problem)
         got = trace_hs_error(problem, grid, coeffs, k_modes)
         assert got == pytest.approx(per_mode_chain_trace_error(problem, grid, trace, k_modes),
@@ -530,7 +548,7 @@ class TestTraceErrorGather:
         problem = FractionalProblem(s=0.3, domain=domain, f=modal_function(domain, entries))
         grid = OmegaGrid(d, n)
         coeffs = np.random.default_rng(n).standard_normal(grid.n_dofs)
-        trace = dst(coeffs.copy(), (n - 1,) * d)
+        trace = dst(coeffs, (n - 1,) * d)
         k_modes = error_analysis._default_mode_count(problem)
         if n < 8:
             assert max(max(idx) for idx in domain.modes_by_eigenvalue(k_modes)) >= n

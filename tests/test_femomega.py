@@ -14,8 +14,8 @@ from fracdiff.femomega import (
     sine_hat_integrals,
     sine_projections,
 )
-from fracdiff.solver import dst
 from fracdiff.spectral import BoxDomain, FractionalProblem, modal_function
+from oracles import dst
 
 
 def gauss_legendre_long(points):
@@ -202,7 +202,7 @@ class TestLoadCoefficients:
         # and 5, per axis): the modes with an 8 add exact zeros
         assert np.count_nonzero(load) == 2**d
         want = self.nodal_reference(grid, problem)
-        got = dst(load.copy(), (n - 1,) * d)
+        got = dst(load, (n - 1,) * d)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
 
     def test_high_index_costs_no_base_work_per_mode(self):
@@ -238,7 +238,7 @@ class TestSineProjections:
     def test_aliasing_rule(self, d, n):
         grid = OmegaGrid(d, n)
         coeffs = np.random.default_rng(n).standard_normal(grid.n_dofs)
-        trace = dst(coeffs.copy(), (n - 1,) * d)
+        trace = dst(coeffs, (n - 1,) * d)
         ks = [1, n - 1, n, n + 1, 2 * n - 1, 2 * n, 2 * n + 3]
         indices = list(itertools.product(ks, repeat=d))  # mixed axes in d=2
         want = np.array([reduce(np.kron, [sine_hat_integrals(grid, k) for k in idx]) @ trace

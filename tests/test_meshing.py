@@ -181,6 +181,13 @@ class TestParamSelection:
         with pytest.raises(MeshError, match=r"the element count M = inf is not finite"):
             select_params_hp(1 / 8, 5e-324, math.pi**2, sigma=0.99)
 
+    def test_hp_degree_that_overflows_names_the_element(self):
+        # build_ymesh's storage check stops such a level first (inf bytes);
+        # hp_mesh called on its own checks every degree
+        with pytest.raises(MeshError, match=r"^element 2: the degree 1 \+ beta\*ln\(h_m/h_1\) "
+                                            r"= inf is not finite"):
+            hp_mesh(4, 0.125, 1.0, 1e308)
+
     def test_rejects_large_mesh_size(self):
         with pytest.raises(ValueError):
             select_params_h(0.6, 0.5, math.pi**2)
@@ -263,4 +270,15 @@ class TestStorageEstimate:
         with pytest.raises(MeshError, match=r"^M = 8 elements keep at least 1\.28e\+03 bytes while "
                                             r"the extended direction is assembled, more than the "
                                             r"800 bytes"):
+            build_ymesh(params)
+
+    @pytest.mark.parametrize("beta", [1e154, 1e300])
+    def test_huge_beta_is_rejected_before_its_nodes(self, monkeypatch, beta):
+        # the closed-form degree sums overflow to inf - inf, a NaN estimate
+        # that passed the check (beta = 1e100 still gives a finite 9.2e202)
+        params = select_params_hp(1 / 8, 0.5, math.pi**2, beta=beta)
+        monkeypatch.setattr(meshing, "physical_memory_bytes", lambda: 8_410_000_000)
+        monkeypatch.setattr(meshing, "geometric_mesh", _no_nodes)
+        with pytest.raises(MeshError, match=r"^M = 4 elements keep at least inf bytes while the "
+                                            r"extended direction is assembled"):
             build_ymesh(params)
