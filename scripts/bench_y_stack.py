@@ -8,10 +8,10 @@ checkout first in odd ones, so drift within a pair favours neither):
 * the benchmark workloads through each checkout's own ``perfbench/run.py``
   (untraced, seed 1), reading ``study_s``, ``peak_rss_mb``, ``setup_s`` and
   ``completed_share`` from its last line;
-* three scale levels, ``fracdiff solve --d 2`` with h-FEM s=0.8 n=1024,
-  hp-FEM s=0.8 n=2048 and hp-FEM s=0.2 n=1024 (the most bumps an element),
-  each in a fresh interpreter, reading the wall time of the ``solve`` call
-  and the peak RSS of the process.
+* five scale levels, ``fracdiff solve --d 2`` with h-FEM s=0.8 n=1024 and
+  n=2048, hp-FEM s=0.8 n=2048, and hp-FEM s=0.2 n=1024 and n=2048 (the most
+  bumps an element), each in a fresh interpreter, reading the wall time of
+  the ``solve`` call and the peak RSS of the process.
 
 Every run uses one BLAS thread. The output holds the median and quartiles
 of each side and how many of the pairs the second checkout won.
@@ -32,7 +32,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("multimode-d2", "small-s-d1")
-SCALE_LEVELS = (("hfem", 0.8, 1024), ("hpfem", 0.8, 2048), ("hpfem", 0.2, 1024))
+SCALE_LEVELS = (("hfem", 0.8, 1024), ("hfem", 0.8, 2048), ("hpfem", 0.8, 2048),
+                ("hpfem", 0.2, 1024), ("hpfem", 0.2, 2048))
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 SCALE_PROBE = """

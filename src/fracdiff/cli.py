@@ -124,12 +124,9 @@ class RunConfig:
                 raise ConfigError(f"modes: {exc}") from exc
             if not any(coef for _, coef in data.modes):
                 raise ConfigError("the data is zero: every merged mode coefficient is 0")
-            index = max((idx for idx, _ in data.modes), key=lambda idx: sum(k * k for k in idx))
-            need, have = ea.mode_list_bytes(index), physical_memory_bytes()
-            if need > have:
-                raise ConfigError(f"modes: the trace error of data mode {index} holds at least "
-                                  f"{need:.3g} bytes of listed modes, more than the {have:.3g} "
-                                  "bytes of physical memory")
+            cause = ea.data_mode_error(data.modes, physical_memory_bytes())
+            if cause is not None:
+                raise ConfigError(f"modes: {cause}")
 
 
 # Every option of solve/study/compare, keyed by its RunConfig field: the text

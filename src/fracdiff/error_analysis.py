@@ -140,13 +140,33 @@ def mode_list_bytes(index: tuple[int, ...]) -> int:
     whose last mode is ``index``, in O(1). Its modes include every mode of
     smaller eigenvalue: the ``k`` modes up to ``(k,)`` in d=1, and in d=2
     the ``m*m`` modes ``(i, j)``, ``i, j <= m = isqrt((L - 1) // 2)``,
-    below ``L = k*k + l*l``. Each listed mode holds at least a list slot,
-    its ``d`` indices, its coefficient and its eigenvalue, 8 bytes each."""
+    below ``L = k*k + l*l``. While :func:`~fracdiff.femomega._aliased_cells`
+    places them, each listed mode holds at least its list slot and its
+    tuple of ``d`` indices (40 + 8*d bytes with the tuple's header), its
+    indices three times as int64 (the index array, its copy and its
+    transpose) and three more 8-byte entries (coefficient, factor and
+    cell): ``72 + 32*d`` bytes. Traced: 151-217 bytes a mode in d=1 and
+    239-289 a counted mode in d=2 (about 160 a listed one)."""
     if len(index) == 1:
         count = index[0]
     else:
         count = math.isqrt((sum(k * k for k in index) - 1) // 2) ** 2
-    return 8 * (len(index) + 3) * count
+    return (72 + 32 * len(index)) * count
+
+
+def data_mode_error(modes, have: int) -> str | None:
+    """Why the data ``modes``, ``(index, coefficient)`` pairs, cannot be
+    solved within ``have`` bytes, or None: the :func:`mode_list_bytes` of
+    the mode of largest eigenvalue exceed ``have``, or an index lies past
+    the int64 range in which the load and the errors place their cells."""
+    index = max((idx for idx, _ in modes), key=lambda idx: sum(k * k for k in idx))
+    need = mode_list_bytes(index)
+    if need > have:
+        return (f"the trace error of data mode {index} holds at least {need:.3g} bytes of "
+                f"listed modes, more than the {have:.3g} bytes of physical memory")
+    if any(k > np.iinfo(np.int64).max for idx, _ in modes for k in idx):
+        return f"data mode {index} has an index past the int64 range"
+    return None
 
 
 @dataclass(frozen=True)
@@ -225,9 +245,10 @@ def run_level(
 
     Only the sine coefficients of the trace at ``y = 0`` are computed
     (:func:`~fracdiff.solver.solve_trace`), and ``tol`` is the margin of its
-    certificate. A level whose mesh or weighted quadrature cannot be built,
-    whose certificate fails, or that runs out of memory anywhere raises
-    :class:`SolverError` prefixed with the level.
+    certificate. A level whose data the CLI would reject
+    (:func:`data_mode_error`), whose mesh or weighted quadrature cannot be
+    built, whose certificate fails, or that runs out of memory anywhere
+    raises :class:`SolverError` prefixed with the level.
 
     Both errors are linear in the data, so the level is solved for the data
     scaled by a power of two (exact) to a largest coefficient in [0.5, 1),
@@ -239,6 +260,9 @@ def run_level(
     problem = replace(problem, f=replace(problem.f, modes=tuple(
         (index, math.ldexp(c, -scale)) for index, c in problem.f.modes)))
     try:
+        cause = data_mode_error(problem.f.modes, physical_memory_bytes())
+        if cause is not None:
+            raise SolverError(cause)
         level = discretize(problem, scheme, n, **mesh_overrides)
         coeffs = solve_trace(level.grid, level.weighted, level.load, s=problem.s,
                              d_s=problem.d_s, margin=tol)

@@ -207,9 +207,9 @@ _ASSEMBLY_BYTES = 32
 # the point counts and the arrays that group the elements (about 57 bytes)
 # live while each group's weights are formed in four arrays of its points;
 # most elements of a graded mesh share one rule, and its arrays make the
-# peak: 226-261 bytes per element traced for h-FEM at M = 2e4 and 8e4, of
-# which the estimate counts 188.
-_WEIGHTS_PEAK_BYTES, _WEIGHTS_PEAK_FROM = 28, 256
+# peak: 209-262 bytes per element traced for h-FEM at M = 2e4 to 3.2e5 and
+# s = 0.05 to 0.95, of which the estimate counts 200.
+_WEIGHTS_PEAK_BYTES, _WEIGHTS_PEAK_FROM = 40, 256
 
 
 def _power_sums(a: float, b: float, lo: int, hi: int) -> tuple[float, float]:

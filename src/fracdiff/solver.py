@@ -5,26 +5,22 @@ Both solvers rest on fast diagonalization (Lynch, Rice & Thomas, 1964). The
 uniform P1/Q1 base matrices have closed-form sine eigenvectors, so an
 orthonormal DST-I diagonalizes the base direction and ``S`` splits into one
 extended-direction system ``omega*B_mass + B_stiff`` per base eigenvalue
-``omega``; in d=2 the modes ``(k, l)`` and ``(l, k)`` share one shift, and
-the run path folds the cells ``k <= l`` in square tiles, each applied to its
-cells and their mirror (:func:`_scale_tiles`).
+``omega``; in d=2 the modes ``(k, l)`` and ``(l, k)`` share one shift.
 
 The run path, :func:`solve_trace`, needs only the trace at ``y = 0`` of the
 solution for the cylinder right-hand side ``e0 (x) load``. It maps the
 load's orthonormal DST-I coefficients to the trace's, ``r_h(omega)/m`` times
 them with ``m`` the base mass eigenvalues and ``r_h(omega) = e0^T
 (omega*B_mass + B_stiff)^-1 e0`` one scalar per distinct shift, and makes no
-transform. :func:`y_resolvent` folds ``r_h``
-through the y-element matrices, never through the assembled pair, in one
-loop over the elements of every degree: per-element scalars read off the
-group arrays, in-place ufuncs on two buffers, and for an element with bumps
-its pole sums, formed and freed before the next element. The certificate
-``0 < d_s * omega**s * r_h <= 1 + margin`` stands in for a residual check.
-Working set: two arrays of ``N_omega`` doubles, the load's and the trace's
-coefficients, and a fixed budget of ``_BLOCK_BYTES`` for one shift block or
-d=2 tile (:func:`trace_bytes`); no ``(N_omega, N_y)`` array, no base-domain
-matrix, and no array of ``N_omega`` (or ``N_omega/2``) shifts, ``r_h``,
-mode indices or mass eigenvalues.
+transform. :func:`y_resolvent` folds ``r_h`` through the y-element
+matrices, never through the assembled pair, at a few hundred points of
+``ln(omega)``, and every shift takes its interpolant (:class:`_Interpolant`).
+The certificate ``0 < d_s * omega**s * r_h <= 1 + margin`` stands in for a
+residual check. Working set: two arrays of ``N_omega`` doubles, the load's
+and the trace's coefficients, and one chunk of shifts (:func:`trace_bytes`);
+no ``(N_omega, N_y)`` array, no base-domain matrix, and no array of
+``N_omega`` (or ``N_omega/2``) shifts, ``r_h``, mode indices or mass
+eigenvalues.
 
 ``solve``, the tests' oracle, computes the whole ``(N_omega, N_y)``
 coefficient tensor and checks it; its base-direction transforms are
@@ -93,11 +89,6 @@ def _as_tensor(system: KroneckerSystem, x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-# Bytes of the temporaries of one block of shift columns of the fold: a
-# block of :func:`y_resolvent`, or a d=2 tile of :func:`_scale_tiles`.
-_BLOCK_BYTES = 4 << 20
-
-
 def kron_matvec(system: KroneckerSystem, x) -> np.ndarray:
     """Apply the operator: ``A_stiff X B_mass^T + A_mass X B_stiff^T`` on the
     matricized coefficients. Accepts flat vectors or tensors and returns the
@@ -143,47 +134,29 @@ class _Bumps:
     Z: np.ndarray
 
 
-# Rows of one shift column that the fold holds besides 1/(omega + theta)
-# (see _block_columns): the 7 rows of an element's pole sums S = Z @ inv, the
-# fold's four buffers (the shifts, the admittance, g and t; see _rows), and
-# one row for the padding of those four. Each is padded to a multiple of 512
-# doubles plus 128, and the buffer by 511 more: at most 3,067 doubles, less
-# than one row at every block of 3,067 columns or more, which is every block
-# of an element of up to 158 bumps. An element without bumps uses the four.
-_FOLD_ROWS = 12
-
-
-def _block_columns(bumps: int) -> int:
-    """The shift columns whose fold temporaries for an element of up to
-    ``bumps`` bumps fit ``_BLOCK_BYTES``: per column ``1/(omega + theta)``,
-    one row per bump, and ``_FOLD_ROWS`` rows."""
-    return max(1, _BLOCK_BYTES // (8 * (bumps + _FOLD_ROWS)))
-
-
-def _shift_blocks(n: int, bumps: int) -> list[slice]:
-    """Slices of ``n`` shift columns in blocks of :func:`_block_columns`.
-    The last block takes what is left, one column or more: the block size
-    moves the fold by a few ulp (see :func:`y_resolvent`)."""
-    step = _block_columns(bumps)
-    return [slice(j, min(j + step, n)) for j in range(0, max(n, 1), step)]
-
-
 def _condense(m: int, Xm: np.ndarray, Xs: np.ndarray) -> _Bumps:
     """The :class:`_Bumps` of element ``m`` (degree >= 2) from its element
     matrices, whose rows 0-1 are its two vertices, the constrained top
     vertex of the top element included."""
+    pivot_error = SolverError(
+        f"non-positive pivot in the extended-direction factorization (bump block of "
+        f"element {m}): the y-matrix pair is not symmetric positive definite")
     try:
-        # W = L^-T V with L L^T the bump mass and V the eigenvectors of
-        # L^-1 Sbb L^-T (LAPACK's sygv, itype 1); the explicit inverse of L
-        # costs fewer calls than triangular solves on blocks this small
-        Linv = np.linalg.inv(np.linalg.cholesky(Xm[2:, 2:]))
-        theta, V = np.linalg.eigh(Linv @ Xs[2:, 2:] @ Linv.T)
+        # W = L^-T V / sqrt(mu) with L L^T the bump stiffness and (mu, V)
+        # the eigenpairs of L^-1 Mbb L^-T, theta = 1/mu. The stiffness block
+        # of the integrated-Legendre bumps stays near a multiple of the
+        # identity, while the mass block's condition grows with the degree
+        # (1.1e5 at degree 45): factoring the mass lost r_h to 2.5e-14 there
+        # and 2.8e-13 at degree 86. The explicit inverse of L costs fewer
+        # calls than triangular solves on blocks this small
+        Linv = np.linalg.inv(np.linalg.cholesky(Xs[2:, 2:]))
+        mu, V = np.linalg.eigh(Linv @ Xm[2:, 2:] @ Linv.T)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"non-positive pivot in the extended-direction factorization (bump block of "
-            f"element {m}): the y-matrix pair is not symmetric positive definite"
-        ) from exc
-    W = Linv.T @ V
+        raise pivot_error from exc
+    if not mu[0] > 0.0:
+        raise pivot_error
+    theta = 1.0 / mu
+    W = Linv.T @ (V / np.sqrt(mu))
     P, Q = Xm[2:, :2].T @ W, Xs[2:, :2].T @ W
     Pbar = P[0] + P[1]
     Z = np.concatenate([P[:1] * P[1:], P[:1] * Q[1:] + Q[:1] * P[1:], Q[:1] * Q[1:],
@@ -238,21 +211,6 @@ def _fold_chain(y: WeightedMatrices) -> list[tuple]:
     return list(zip(*affine[:, ::-1].tolist(), map(condensed.get, range(M, 0, -1))))
 
 
-def _rows(n: int, count: int) -> list[np.ndarray]:
-    """``count`` rows of ``n`` doubles in one buffer, each starting 1 KiB
-    past a multiple of 4 KiB from the one before: rows that share their
-    address bits 0-11 make loads falsely wait on stores (4K aliasing). Only
-    four rows start at distinct bits 0-11: a fifth would start at those of
-    row 0, so the fold holds no more than four. With rows allocated one by
-    one, ``solve --scheme hfem --s 0.8 --d 2 --n 1024`` took 1.8-2.2 s or
-    1.5-1.7 s depending only on the path of the checkout, which moves the
-    heap; 1.4-1.7 s with these rows (2 cores)."""
-    stride = -(-n // 512) * 512 + 128
-    buf = np.empty(count * stride + 511)
-    base = -buf.ctypes.data % 4096 // 8
-    return [buf[base + k * stride:][:n] for k in range(count)]
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # the certificate rejects them
 def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     """``r_h(w) = e0^T (w*B_mass + B_stiff)^-1 e0`` at every shift ``w``,
@@ -278,25 +236,17 @@ def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     element with bumps adds its :func:`_pole_sums`, one BLAS product and
     in-place calls on its rows. Each product and sum is the one of the
     element's two-port with the operands swapped or the sign moved, so the
-    result is bitwise that of one two-port per element at the same shift
-    blocks.
-    Forming the rows ``g``, ``rho0`` and ``rho1`` of a chunk of elements at
-    once, which leaves five calls an element, was slower on the benchmark
-    levels: 8.1 against 6.5 ms for h-FEM n=1024 d=1, 0.73 against 0.49 ms
-    for n=64 d=2 (2 cores, numpy 2.4). Runs in shift blocks: the working
-    set beyond the result is a fixed budget. The blocks change ``r_h`` by
-    a few ulp, not bitwise: BLAS rounds the pole sums of a block under
-    four columns wide through other kernels (at most 7 ulp measured)."""
-    chain = _fold_chain(y)
-    blocks = _shift_blocks(shifts.size, max(y.mesh.degrees) - 1)
-    rows = _rows(max(c.stop - c.start for c in blocks), 4)
-    r = np.empty(shifts.size)
-    for c in blocks:
-        w, q, g, t = (row[:c.stop - c.start] for row in rows)
-        w[:] = shifts[c]
-        _fold(chain, w, q, g, t)
-        r[c] = 1.0 / q
-    return r
+    result is bitwise that of one two-port per element. The run path folds
+    only the few hundred points of :func:`solve_trace`'s interpolant. There
+    the plain two-port arithmetic, a new array per operation, was slower:
+    h-FEM s=0.2 d=1 n=256 folded its 277 points in 1.63 against 1.35 ms,
+    n=1024 its 340 in 6.5 against 5.5 ms; rows laid out against 4K aliasing
+    (1 KiB apart modulo 4 KiB) were no faster than rows allocated one by
+    one (2 cores, numpy 2.4)."""
+    w = np.array(shifts, dtype=float)
+    q, g, t = (np.empty(w.size) for _ in range(3))
+    _fold(_fold_chain(y), w, q, g, t)
+    return np.divide(1.0, q, out=q)
 
 
 def _fold(chain: list[tuple], w: np.ndarray, q: np.ndarray, g: np.ndarray, t: np.ndarray):
@@ -326,13 +276,86 @@ def _fold(chain: list[tuple], w: np.ndarray, q: np.ndarray, g: np.ndarray, t: np
         q += t
 
 
-def _failures(w: np.ndarray, r: np.ndarray, ratio: np.ndarray, *, s: float, d_s: float,
+# The interpolant of r_h (see solve_trace): panels of _PANEL_WIDTH in
+# x = ln(omega), _PANEL_POINTS Chebyshev-Lobatto points each, fixed by the
+# a-priori bound. _NODES are the points on a panel, ascending from 0 to 1,
+# with barycentric weights (-1)**j, halved at the ends (Berrut & Trefethen,
+# SIAM Rev. 2004).
+_PANEL_WIDTH = 1.0
+_PANEL_POINTS = 22
+_NODES = np.sin(np.arange(_PANEL_POINTS) * (math.pi / (2 * _PANEL_POINTS - 2))) ** 2
+_WEIGHTS = np.where(np.arange(_PANEL_POINTS) % 2, -1.0, 1.0)
+_WEIGHTS[[0, -1]] *= 0.5
+# The largest relative gap of the interpolant to the fold at a panel's
+# midpoint: the fold's rounding, at most 7.3e-15 for n <= 1024, growing as
+# about sqrt(M) to 5.9e-14 at M = 1e5 and 1.4e-13 at M = 1e6 (h-FEM s=0.2 d=1
+# n=1024 with m_mult 100 and 1000). A point 1e-9 off moved it by 9.5e-11
+_GAP_BOUND = 1e-12
+# Bytes of one chunk of shifts that the interpolant evaluates: per shift its
+# (_PANEL_POINTS,) quotients, its (panels + 1,) sums and twelve doubles more
+_CHUNK_BYTES = 1 << 20
+
+
+@dataclass
+class _Interpolant:
+    """``r_h`` on the panels of ``x = ln(omega)`` from ``x0`` on: ``table``
+    holds ``omega**s * r_h`` at the points of a panel a row, and a shift
+    takes the barycentric interpolant of its panel over ``omega**s``. The
+    distinct ``points`` and the panels' ``mids``, with their folded ``r_h``,
+    serve the checks; ``cells`` shifts a chunk fit ``_CHUNK_BYTES``."""
+
+    x0: float
+    table: np.ndarray  # (panels + 1, _PANEL_POINTS): a row a panel, and ones
+    s: float
+    points: np.ndarray
+    at_points: np.ndarray
+    mids: np.ndarray
+    at_mids: np.ndarray
+    cells: int
+
+    @np.errstate(divide="ignore", invalid="ignore")  # a shift on a point: 0/0, replaced
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        t = np.log(w)
+        t -= self.x0
+        t /= _PANEL_WIDTH
+        p = np.floor(t)
+        np.clip(p, 0.0, self.table.shape[0] - 2, out=p)
+        t -= p  # the coordinate on the panel p
+        C = np.subtract.outer(_NODES, t)
+        np.divide(_WEIGHTS[:, None], C, out=C)
+        sums = self.table @ C  # the numerator of every panel, and the denominator
+        p = p.astype(np.intp)
+        r = sums[p, np.arange(t.size)]
+        r /= sums[-1]
+        on = np.flatnonzero(np.isinf(sums[-1]))  # shifts on a point take its value
+        r[on] = self.table[p[on], np.searchsorted(_NODES, t[on])]
+        r /= np.power(w, self.s)
+        return r
+
+
+def _interpolant(y: WeightedMatrices, lo: float, hi: float, s: float) -> _Interpolant:
+    """The :class:`_Interpolant` on the panels that cover ``[lo, hi]``, from
+    one fold of their points and midpoints."""
+    x0 = math.log(lo)
+    panels = max(1, math.ceil((math.log(hi) - x0) / _PANEL_WIDTH))
+    x = np.arange(panels)[:, None] + _NODES  # neighbouring panels share a point
+    points = np.exp(x0 + _PANEL_WIDTH * np.append(x[:, :-1], panels))
+    mids = np.exp(x0 + _PANEL_WIDTH * (np.arange(panels) + 0.5))
+    folded = y_resolvent(y, np.concatenate([points, mids]))
+    at_points, at_mids = folded[:points.size], folded[points.size:]
+    f = at_points * np.power(points, s)
+    table = np.ones((panels + 1, _PANEL_POINTS))
+    table[:-1] = f[(_PANEL_POINTS - 1) * np.arange(panels)[:, None] + np.arange(_PANEL_POINTS)]
+    cells = _CHUNK_BYTES // (8 * (_PANEL_POINTS + panels + 13))
+    return _Interpolant(x0, table, s, points, at_points, mids, at_mids, cells)
+
+
+def _failures(w: np.ndarray, r: np.ndarray, *, s: float, d_s: float,
               margin: float) -> tuple[int, tuple[float, float]]:
     """How many of the shifts ``w`` fail the certificate ``0 < d_s * w**s *
     r_h(w) <= 1 + margin``, with ``r`` their ``r_h``, and the smallest
-    failing shift with its ratio, ``(inf, nan)`` if none fails. ``ratio``
-    is scratch of ``w``'s size."""
-    np.power(w, s, out=ratio)
+    failing shift with its ratio, ``(inf, nan)`` if none fails."""
+    ratio = np.power(w, s)
     ratio *= d_s
     ratio *= r
     bad = np.flatnonzero(~((ratio > 0.0) & (ratio <= 1.0 + margin)))
@@ -342,59 +365,41 @@ def _failures(w: np.ndarray, r: np.ndarray, ratio: np.ndarray, *, s: float, d_s:
     return bad.size, (float(w[j]), float(ratio[j]))
 
 
-def _scale_tiles(G: np.ndarray, y: WeightedMatrices, mass: np.ndarray, sigma: np.ndarray, *,
-                 s: float, d_s: float, margin: float) -> tuple[int, tuple[float, float]]:
-    """``G[k, l] *= r_h/(m_k*m_l)`` at ``omega = sigma_k + sigma_l``, in
-    place on the ``(n, n)`` d=2 coefficients ``G``; returns the
-    certificate's :func:`_failures` over the cells ``k <= l``. The cells go
-    in square tiles ``(I, J)``, ``I <= J``, of at most
-    :func:`_block_columns` cells, a diagonal tile holding its cells ``k <=
-    l`` alone. Each tile is folded in one block, in row order, and its
-    ``r_h`` scales its cells and their mirror: float addition and
-    multiplication commute, so ``(l, k)`` gets the shift and the products
-    of ``(k, l)``, and the tile size moves only the fold. A tile's shifts,
-    ``r_h`` and ratios, and its square layout of shifts, ``r_h`` and mass
-    products, live in the fold's four rows (a level of one tile takes a
-    buffer of its own for the layout): no array larger than a tile is
-    formed."""
-    chain = _fold_chain(y)
+def _scale(G: np.ndarray, r_h: _Interpolant, mass: np.ndarray, sigma: np.ndarray, d: int, *,
+           s: float, d_s: float, margin: float) -> tuple[int, tuple[float, float]]:
+    """``G *= r_h/m`` in place on the load's coefficients ``G``; returns the
+    certificate's :func:`_failures` over the distinct shifts. In d=2 the
+    cell ``(k, l)`` has ``omega = sigma_k + sigma_l`` and ``m = m_k*m_l``;
+    d=1 is the one row of ``sigma_k = 0`` and ``m_k = 1``. Bands of rows
+    ``I`` go in chunks ``(I, J)``, ``J`` from ``I``'s first row on, of at
+    most ``r_h.cells`` cells. A chunk evaluates its cells ``k <= l`` and
+    scales them and, in d=2, their mirror: float addition commutes, so
+    ``(l, k)`` has the shift of ``(k, l)``."""
     n = sigma.size
-    side = min(n, math.isqrt(_block_columns(max(y.mesh.degrees) - 1)))
-    # a level of one tile folds only its cells k <= l, so its rows need no
-    # more, and its square layout takes a buffer of its own: four square
-    # rows added 0.2 MB to the peak RSS of the multimode-d2 benchmark
-    w, q, g, t = _rows(side * side if side < n else n * (n + 1) // 2, 4)
-    spare = g if side < n else np.empty(n * n)
-    upper = np.triu(np.ones((side, side), dtype=bool))
-    cuts = [slice(i, min(i + side, n)) for i in range(0, n, side)]
+    row_sigma, row_mass = (sigma, mass) if d == 2 else (np.zeros(1), np.ones(1))
+    G = G.reshape(row_sigma.size, n)
+    rows = max(1, r_h.cells // n)
+    width = r_h.cells // rows
     failed, first = 0, (math.inf, math.nan)
-    for a, I in enumerate(cuts):
-        for J in cuts[a:]:
-            shape = (I.stop - I.start, J.stop - J.start)
-            if J is I:
-                cells = upper[:shape[0], :shape[1]]
-                tile = np.add.outer(sigma[I], sigma[J], out=spare[:cells.size].reshape(shape))
-                shifts = np.compress(cells.ravel(), tile.ravel(),
-                                     out=w[:np.count_nonzero(cells)])
-            else:
-                shifts = w[:shape[0] * shape[1]]
-                np.add.outer(sigma[I], sigma[J], out=shifts.reshape(shape))
-            size = shifts.size
-            _fold(chain, shifts, q[:size], g[:size], t[:size])
-            r = np.divide(1.0, q[:size], out=q[:size])
-            count, least = _failures(shifts, r, t[:size], s=s, d_s=d_s, margin=margin)
+    for k0 in range(0, row_sigma.size, rows):
+        I = slice(k0, min(k0 + rows, row_sigma.size))
+        for c0 in range(k0, n, width):
+            J = slice(c0, min(c0 + width, n))
+            R = np.add.outer(row_sigma[I], sigma[J])
+            cells = np.less_equal.outer(np.arange(I.start, I.stop), np.arange(J.start, J.stop))
+            w = R[cells]
+            r = r_h(w)
+            count, least = _failures(w, r, s=s, d_s=d_s, margin=margin)
             failed, first = failed + count, min(first, least)
-            if J is I:
-                blocks, R = (G[I, J],), tile
-                R[cells] = r
-                R.T[cells] = r
-            else:
-                blocks, R = (G[I, J], G[J, I].T), r.reshape(shape)
-            for block in blocks:
-                block *= R
-            m = np.multiply.outer(mass[I], mass[J], out=spare[:R.size].reshape(shape))
-            for block in blocks:
-                block /= m
+            R[cells] = r
+            if c0 == k0:  # the square I x I: its cells l < k mirror those above
+                square = R[:, :I.stop - k0]
+                np.copyto(square, square.T, where=~cells[:, :I.stop - k0])
+            R /= np.multiply.outer(row_mass[I], mass[J])
+            G[I, J] *= R
+            if d == 2:  # the columns l >= I.stop, mirrored below the band
+                beyond = max(I.stop - c0, 0)
+                G[c0 + beyond:J.stop, I] *= R[:, beyond:].T
     return failed, first
 
 
@@ -402,10 +407,8 @@ def trace_bytes(n_omega: int) -> int:
     """The bytes that :func:`solve_trace` and the load hold at their peak
     on ``n_omega`` base-domain dofs, whatever the y-mesh: two arrays of
     ``n_omega`` doubles, the load's and the trace's coefficients, and one
-    ``_BLOCK_BYTES`` budget for the fold's block or tile. The traced peak
-    of ``run_level`` beyond the two arrays was 0.97 of the budget (hp-FEM)
-    and 0.49 (h-FEM) at d=2 n=1024."""
-    return 16 * n_omega + _BLOCK_BYTES
+    chunk of ``_CHUNK_BYTES``; the fold of the interpolant holds less."""
+    return 16 * n_omega + _CHUNK_BYTES
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # the certificate rejects them
@@ -414,36 +417,48 @@ def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: fl
     """Orthonormal DST-I coefficients of the nodal trace at ``y = 0`` of the
     solution of ``S X = e0 (x) F``, ``F`` the nodal load and ``load`` its
     coefficients (:func:`~fracdiff.femomega.assemble_load`): ``r_h/m *
-    load``, with no transform, ``r_h`` from the fold of :func:`y_resolvent`
-    at every distinct shift, whichever modes the load holds, and ``m`` the
-    base mass eigenvalues. In d=1 the shifts are the 1-D ``sigma_k``,
-    ascending; in d=2 the cells ``k <= l`` go in the tiles of
-    :func:`_scale_tiles`. No array of ``N_omega`` (or ``N_omega/2``) shifts,
-    indices, ``r_h`` or mass eigenvalues is formed.
+    load``, with no transform, ``r_h`` at every distinct shift, whichever
+    modes the load holds, and ``m`` the base mass eigenvalues. The shifts
+    are the ``sigma_k`` in d=1, and the cells ``k <= l`` of :func:`_scale`
+    in d=2.
 
-    The certificate ``0 < d_s * w**s * r_h(w) <= 1 + margin`` is checked at
-    every distinct shift, and its failures are raised after the last tile,
-    naming the smallest failing shift: the exact extension gives 1, and the
-    Galerkin subspace and the truncation can only lower it."""
+    ``r_h(omega) = sum_j c_j/(omega + mu_j)`` with ``c_j >= 0`` and ``mu_j >
+    0``, so ``f(x) = exp(s*x) * r_h(exp(x))`` is analytic in ``|Im x| <
+    pi`` for every mesh, degree and ``s``. On panels of width 1 in ``x =
+    ln(omega)``, its interpolant in 22 Chebyshev-Lobatto points errs by at
+    most ``28 * 6.44**-22``, 3e-16 relative (Trefethen, *Approximation
+    Theory and Approximation Practice*, Thm 8.2; Bonito & Pasciak, Math.
+    Comp. 2015, use the same strip). So the level folds the points of the
+    panels over ``[d sigma_1, d sigma_{n-1}]`` once, a few hundred whatever
+    ``N_omega``, ``M`` and ``N_Y``, and interpolates every shift.
+
+    The certificate ``0 < d_s * w**s * r_h(w) <= 1 + margin`` is checked on
+    the interpolated ``r_h`` at every distinct shift, raised after the last
+    chunk naming the smallest failing shift, then on the folded ``r_h`` at
+    every point: the exact extension gives 1, and the Galerkin subspace and
+    the truncation can only lower it. Last, the fold at each panel's
+    midpoint must match the interpolant within ``_GAP_BOUND``."""
     mass, stiff = _p1_eigenvalues(grid.n)
     sigma = stiff / mass
     cert = dict(s=s, d_s=d_s, margin=margin)
+    r_h = _interpolant(y, grid.d * sigma[0], grid.d * sigma[-1], s)
     G = np.array(load, dtype=float)  # a copy: scaled in place
-    if grid.d == 1:
-        r = y_resolvent(y, sigma)
-        failed, first = _failures(sigma, r, np.empty_like(r), **cert)
-        G *= r
-        G /= mass
-        shifts = sigma.size
-    else:
-        failed, first = _scale_tiles(G.reshape(sigma.size, sigma.size), y, mass, sigma, **cert)
-        shifts = sigma.size * (sigma.size + 1) // 2
-    if failed:
+    failed, first = _scale(G, r_h, mass, sigma, grid.d, **cert)
+    shifts = sigma.size * (sigma.size + 1) // 2 if grid.d == 2 else sigma.size
+    at_points = _failures(r_h.points, r_h.at_points, **cert)
+    for (failed, (w, ratio)), of in (((failed, first), f"{shifts} shifts"),
+                                     (at_points, f"{r_h.points.size} interpolation points")):
+        if failed:
+            raise SolverError(
+                f"y-resolvent certificate failed at {failed} of {of}, first at shift omega="
+                f"{w:.6g}: d_s*omega**s*r_h = {ratio:.6g} is not in (0, 1 + {margin:g}]")
+    gaps = np.abs(r_h(r_h.mids) / r_h.at_mids - 1.0)
+    j = np.argmax(gaps)
+    if not gaps[j] <= _GAP_BOUND:
         raise SolverError(
-            f"y-resolvent certificate failed at {failed} of {shifts} shifts, first at shift "
-            f"omega={first[0]:.6g}: d_s*omega**s*r_h = {first[1]:.6g} is not in (0, 1 + "
-            f"{margin:g}]"
-        )
+            f"y-resolvent interpolant is off the fold by {gaps[j]:.3g} relative at omega="
+            f"{r_h.mids[j]:.6g}, the midpoint of panel {j + 1} of {gaps.size}: more than "
+            f"{_GAP_BOUND:g}")
     return G
 
 
@@ -466,7 +481,7 @@ class TensorPreconditioner:
         """The dense assembled pair of every distinct shift, each checked
         positive definite by a Cholesky factorization. The modes are mapped
         to their shifts by sorting the shift of every mode (``np.unique``),
-        as a reference for the tiles of :func:`_scale_tiles`."""
+        as a reference for the chunks of :func:`_scale`."""
         grid = system.omega.grid
         mass, stiff = _p1_eigenvalues(grid.n)
         mass_eig = reduce(np.multiply.outer, [mass] * grid.d).ravel()

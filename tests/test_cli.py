@@ -581,10 +581,10 @@ class TestRejectedBeforeAnyLevel:
         # 1e20 used to overflow int64 in the load's placement (a traceback);
         # (3e9, 1) used to list its modes for about 20 minutes
         ("1", "100000000000000000000=1", 8_410_000_000,
-         "(100000000000000000000,) holds at least 3.2e+21 bytes"),
-        ("2", "3000000000,1=1", 8_410_000_000, "(3000000000, 1) holds at least 1.8e+20 bytes"),
-        ("1", "1=1;20000=1", 600_000, "(20000,) holds at least 6.4e+05 bytes"),
-        ("2", "1,1=1;300,300=1", 3_000_000, "(300, 300) holds at least 3.58e+06 bytes"),
+         "(100000000000000000000,) holds at least 1.04e+22 bytes"),
+        ("2", "3000000000,1=1", 8_410_000_000, "(3000000000, 1) holds at least 6.12e+20 bytes"),
+        ("1", "1=1;20000=1", 600_000, "(20000,) holds at least 2.08e+06 bytes"),
+        ("2", "1,1=1;300,300=1", 3_000_000, "(300, 300) holds at least 1.22e+07 bytes"),
     ], ids=["d1-1e20", "d2-3e9", "d1-20000", "d2-300"])
     def test_data_mode_whose_list_outgrows_memory(self, tmp_path, capsys, monkeypatch, d,
                                                   modes, have, message):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdiff import error_analysis, femomega
+from fracdiff import error_analysis, femomega, solver
 from fracdiff.error_analysis import (
     StudyRow,
     discretize,
@@ -357,7 +357,7 @@ class TestTraceHsError:
         grid = OmegaGrid(domain.d, 8)
         k_modes = error_analysis._default_mode_count(problem)
         need = error_analysis.mode_list_bytes(index)
-        assert need <= 8 * (domain.d + 3) * k_modes
+        assert need <= (72 + 32 * domain.d) * k_modes  # counts no mode the list lacks
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -366,6 +366,18 @@ class TestTraceHsError:
         finally:
             tracemalloc.stop()
         assert need <= peak
+
+    @pytest.mark.parametrize("index,old", [((20000,), 640_000), ((600, 600), 14_352_040)])
+    def test_mode_list_floor_is_counted(self, index, old):
+        # 104 bytes a listed d=1 mode and 136 a counted d=2 mode, where 32
+        # and 40 were counted: memory between the two counts passed the old
+        # check, and the trace error then outgrew it (150-290 traced)
+        need = error_analysis.mode_list_bytes(index)
+        assert need == (72 + 32 * len(index)) / (8 * (len(index) + 3)) * old
+        have = (old + need) // 2
+        assert error_analysis.data_mode_error([(index, 1.0)], have).startswith(
+            f"the trace error of data mode {index} holds at least {need:.3g} bytes")
+        assert error_analysis.data_mode_error([(index, 1.0)], need) is None
 
     @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
     @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
@@ -379,9 +391,10 @@ class TestBaseDomainMemory:
     """``discretize`` rejects a grid whose ``solver.trace_bytes`` exceed
     the physical memory before the load or the y-mesh is built."""
 
-    def test_bound_is_two_arrays_and_one_block_budget(self, monkeypatch):
+    def test_bound_is_two_arrays_and_one_chunk_budget(self, monkeypatch):
         # d=2 n=64: 3969 dofs, 63,504 bytes of coefficients and the budget
-        need = 16 * 63**2 + (4 << 20)
+        need = 16 * 63**2 + (1 << 20)
+        assert solver.trace_bytes(63**2) == need
         problem = benchmark_problem(0.5, 2)
         monkeypatch.setattr(error_analysis, "physical_memory_bytes", lambda: need)
         assert discretize(problem, "hpfem", 64).load.size == 63**2
@@ -389,10 +402,50 @@ class TestBaseDomainMemory:
         monkeypatch.setattr(error_analysis, "assemble_load", None)
         monkeypatch.setattr(error_analysis, "build_ymesh", None)
         with pytest.raises(error_analysis.MeshError,
-                           match=r"^N_omega = 3969 base-domain dofs keep at least 4\.26e\+06 "
-                                 r"bytes while the level is solved, more than the 4\.26e\+06 "
+                           match=r"^N_omega = 3969 base-domain dofs keep at least 1\.11e\+06 "
+                                 r"bytes while the level is solved, more than the 1\.11e\+06 "
                                  r"bytes of physical memory$"):
             discretize(problem, "hpfem", 64)
+
+
+class TestLibraryDataChecks:
+    """``run_level`` rejects data that the CLI's ``RunConfig.validate``
+    rejects, as a :class:`SolverError` naming the level, before the load is
+    placed."""
+
+    def test_index_past_int64_is_a_solver_error_naming_the_level(self):
+        # the list of modes up to 1e20 outgrows any memory; the load's
+        # placement used to raise OverflowError from femomega._aliased_cells
+        with pytest.raises(SolverError, match=r"^hfem s=0\.5 d=1 n=8: the trace error of data "
+                                              r"mode \(100000000000000000000,\) holds at least "
+                                              r"1\.04e\+22 bytes of listed modes"):
+            run_convergence_study("hfem", 0.5, 1, n_list=[8], f_entries=[((10**20,), 1.0)])
+
+    @pytest.mark.parametrize("index", [(2**63,), (1, 2**63)])
+    def test_index_past_int64_within_memory_is_rejected_before_the_load(self, monkeypatch,
+                                                                         index):
+        monkeypatch.setattr(error_analysis, "physical_memory_bytes", lambda: 10**60)
+        monkeypatch.setattr(error_analysis, "assemble_load", None)
+        domain = BoxDomain(len(index))
+        problem = FractionalProblem(s=0.5, domain=domain,
+                                    f=modal_function(domain, [(index, 1.0)]))
+        with pytest.raises(SolverError, match=rf"^hpfem s=0\.5 d={len(index)} n=8: data mode "
+                                              r"\([0-9, ]+\) has an index past the int64 range"):
+            run_level(problem, "hpfem", 8)
+
+    @pytest.mark.parametrize("index", [(20000,), (600, 600)])
+    def test_mode_list_beyond_memory_is_rejected_before_the_load(self, monkeypatch, index):
+        need = error_analysis.mode_list_bytes(index)
+        domain = BoxDomain(len(index))
+        problem = FractionalProblem(s=0.5, domain=domain,
+                                    f=modal_function(domain, [((1,) * len(index), 1.0),
+                                                              (index, 1.0)]))
+        monkeypatch.setattr(error_analysis, "physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(error_analysis, "assemble_load", None)
+        with pytest.raises(SolverError, match=rf"^hfem s=0\.5 d={len(index)} n=8: the trace "
+                                              r"error of data mode .* more than the .* bytes of "
+                                              r"physical memory$"):
+            run_level(problem, "hfem", 8)
 
 
 class TestStudyDriver:

@@ -249,7 +249,7 @@ class TestStorageEstimate:
         # h-FEM M = 2e4 keeps 112 bytes per element (nodes, degrees, group
         # indices and element matrices); building and assembling it peaks at
         # 261 (s=0.5) and 253 (s=0.2) bytes per element, and the estimate
-        # counts 188 of them. Memory of 150 bytes per element holds what the
+        # counts 200 of them. Memory of 150 bytes per element holds what the
         # level keeps, but not its assembly
         params = select_params_h(1 / 8, s, math.pi**2, m_mult=2500)
         M = params.M
@@ -260,7 +260,27 @@ class TestStorageEstimate:
         assert 112 * M < have < peak
         monkeypatch.setattr(meshing, "physical_memory_bytes", lambda: have)
         monkeypatch.setattr(meshing, "graded_mesh", _no_nodes)
-        with pytest.raises(MeshError, match=r"^M = 20000 elements keep at least 3\.75e\+06 bytes"):
+        with pytest.raises(MeshError, match=r"^M = 20000 elements keep at least 3\.99e\+06 bytes"):
+            build_ymesh(params)
+
+    @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+    def test_assembly_floor_is_counted(self, monkeypatch, s):
+        # h-FEM M = 2e4: the estimate counts 199.5 bytes per element of the
+        # 253-262 traced, where it counted 188 (3.75e6 bytes). Memory of 195
+        # bytes per element passed the old count, and the level then
+        # outgrew it while it was assembled
+        params = select_params_h(1 / 8, s, math.pi**2, m_mult=2500)
+        M = params.M
+        assert M == 20_000
+        need = y_storage_bytes(params)
+        assert 199 * M <= need <= _assembly_peak(params, 1.0 - 2.0 * s)
+        have = 195 * M
+        assert 3.76e6 < have < need
+        monkeypatch.setattr(meshing, "physical_memory_bytes", lambda: have)
+        monkeypatch.setattr(meshing, "graded_mesh", _no_nodes)
+        with pytest.raises(MeshError, match=r"^M = 20000 elements keep at least 3\.99e\+06 bytes "
+                                            r"while the extended direction is assembled, more "
+                                            r"than the 3\.9e\+06 bytes"):
             build_ymesh(params)
 
     def test_level_beyond_physical_memory_is_rejected_before_its_nodes(self, monkeypatch):

@@ -10,10 +10,10 @@ does the same arithmetic with array operations and one in-place loop, so
 both must agree bitwise.
 
 ``unique_solve_trace`` finds the distinct base-domain shifts by sorting the
-shift of every mode (``np.unique``) and expands the resolvent back to every
-mode through the returned index; the program folds the cells ``k <= l`` in
-square tiles and applies each tile to its cells and their mirror, with the
-same products.
+shift of every mode (``np.unique``), folds the resolvent at each of them and
+expands it back to every mode through the returned index; the program
+interpolates the resolvent from a few hundred folds, in chunks of the cells
+``k <= l`` that it applies to the cells and their mirror.
 """
 
 import math
@@ -110,19 +110,15 @@ def element_loop_fold(y, shifts):
     elements = sorted(((m, Xm, Xs) for ms, mass, stiff in y.groups
                        for m, Xm, Xs in zip(ms.tolist(), mass, stiff)), key=lambda e: e[0])
     bumps = {m: solver._condense(m, Xm, Xs) for m, Xm, Xs in elements if len(Xm) > 2}
-    r = np.empty(shifts.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c in solver._shift_blocks(shifts.size, max(y.mesh.degrees) - 1):
-            w = shifts[c]
-            (m, Xm, Xs), *below = elements[::-1]
-            g, rho0, _ = two_port(Xm, Xs, bumps.get(m), w)
-            q = rho0 + g
-            for m, Xm, Xs in below:
-                g, rho0, rho1 = two_port(Xm, Xs, bumps.get(m), w)
-                t = rho1 + q
-                q = rho0 + g * t / (g + t)
-            r[c] = 1.0 / q
-    return r
+        (m, Xm, Xs), *below = elements[::-1]
+        g, rho0, _ = two_port(Xm, Xs, bumps.get(m), shifts)
+        q = rho0 + g
+        for m, Xm, Xs in below:
+            g, rho0, rho1 = two_port(Xm, Xs, bumps.get(m), shifts)
+            t = rho1 + q
+            q = rho0 + g * t / (g + t)
+        return 1.0 / q
 
 
 def unique_shifts(grid):
