@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import error_analysis as ea
 from .femomega import OmegaGrid
-from .meshing import check_h_omega, physical_memory_bytes
+from .meshing import MeshError, check_h_omega, physical_memory_bytes
 from .solver import SolverError
 from .spectral import BoxDomain, modal_function
 
@@ -335,20 +335,25 @@ def cmd_selftest() -> int:
                    abs(gm.h[0] - 8 ** (-1 / 0.4) * 1.5) < 1e-15))
 
     # the run path: the trace of a d=1 level against a dense solve of
-    # w*B_mass + B_stiff per eigenpair of the dense base pencil
-    problem = spectral.benchmark_problem(0.3, 1)
-    level = ea.discretize(problem, "hfem", 6)
-    omega, wm = femomega.assemble_omega_matrices(level.grid), level.weighted
-    shifts, V = scipy.linalg.eigh(omega.A_stiff.toarray(), omega.A_mass.toarray())
-    r = np.array([np.linalg.solve(w * wm.B_mass.toarray() + wm.B_stiff.toarray(),
-                                  np.eye(wm.n_dofs)[0])[0] for w in shifts])
-    want = V @ (r * (V.T @ dst(level.load, type=1, norm="ortho")))  # nodal load
-    got = dst(solver.solve_trace(level.grid, wm, level.load, s=problem.s, d_s=problem.d_s,
-                                 margin=1e-9), type=1, norm="ortho")
-    checks.append(("trace-only run path vs dense per-mode solve",
-                   bool(np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want))))
-    ratio = problem.d_s * shifts**problem.s * solver.y_resolvent(wm, shifts)
-    checks.append(("y-resolvent certificate", bool(np.all((ratio > 0.0) & (ratio <= 1.0)))))
+    # w*B_mass + B_stiff per eigenpair of the dense base pencil. A level
+    # that cannot be built or solved fails the check it stopped
+    name = "trace-only run path vs dense per-mode solve"
+    try:
+        problem = spectral.benchmark_problem(0.3, 1)
+        level = ea.discretize(problem, "hfem", 6)
+        omega, wm = femomega.assemble_omega_matrices(level.grid), level.weighted
+        shifts, V = scipy.linalg.eigh(omega.A_stiff.toarray(), omega.A_mass.toarray())
+        r = np.array([np.linalg.solve(w * wm.B_mass.toarray() + wm.B_stiff.toarray(),
+                                      np.eye(wm.n_dofs)[0])[0] for w in shifts])
+        want = V @ (r * (V.T @ dst(level.load, type=1, norm="ortho")))  # nodal load
+        got = dst(solver.solve_trace(level.grid, wm, level.load, s=problem.s, d_s=problem.d_s,
+                                     margin=1e-9), type=1, norm="ortho")
+        checks.append((name, bool(np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want))))
+        name = "y-resolvent certificate"
+        ratio = problem.d_s * shifts**problem.s * solver.y_resolvent(wm, shifts)
+        checks.append((name, bool(np.all((ratio > 0.0) & (ratio <= 1.0)))))
+    except (SolverError, MeshError) as exc:
+        checks.append((f"{name}: {type(exc).__name__}: {exc}", False))
 
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:

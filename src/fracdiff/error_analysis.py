@@ -20,7 +20,7 @@ import numpy as np
 
 from .fem1d import QuadratureError, WeightedMatrices, assemble_weighted_matrices
 from .femomega import OmegaGrid, assemble_load, assemble_omega_matrices, sine_projections
-from .meshing import (MeshError, YMesh, build_ymesh, physical_memory_bytes, select_params_h,
+from .meshing import (MeshError, build_ymesh, physical_memory_bytes, select_params_h,
                       select_params_hp)
 from .solver import KroneckerSystem, SolverError, cylinder_rhs, solve_trace, trace_bytes
 from .spectral import (
@@ -171,16 +171,17 @@ def data_mode_error(modes, have: int) -> str | None:
 
 @dataclass(frozen=True)
 class Discretization:
-    """One refinement level: the base grid, the extended-direction mesh and
-    its weighted matrices, and the load's sine coefficients. The Kronecker
-    operator and the cylinder right-hand side of the full tensor system,
-    with the nodal load, are built on first use; the run path reads neither."""
+    """One refinement level: the base grid, the extended-direction weighted
+    matrices, whose mesh ``mesh`` reads, and the load's sine coefficients.
+    The Kronecker operator and the cylinder right-hand side of the full
+    tensor system, with the nodal load, are built on first use; the run
+    path reads neither."""
 
     grid: OmegaGrid
-    mesh: YMesh
     weighted: WeightedMatrices
     load: np.ndarray
 
+    mesh = property(lambda self: self.weighted.mesh)
     system = cached_property(
         lambda self: KroneckerSystem(assemble_omega_matrices(self.grid), self.weighted))
 
@@ -226,10 +227,8 @@ def discretize(
                                   beta=beta, m_mult=m_mult, y_mult=y_mult)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    mesh = build_ymesh(params)
-    weighted = assemble_weighted_matrices(mesh, alpha=problem.alpha)
-    return Discretization(grid=grid, mesh=mesh, weighted=weighted,
-                          load=assemble_load(grid, problem))
+    weighted = assemble_weighted_matrices(build_ymesh(params), alpha=problem.alpha)
+    return Discretization(grid=grid, weighted=weighted, load=assemble_load(grid, problem))
 
 
 def run_level(

@@ -28,9 +28,11 @@ class MeshError(ValueError):
 
 def _check_first_width(width: float, rule: str, log10_width: float):
     """Reject a first node that underflows to 0, naming the width ``rule``
-    asks for; checked before the nodes are built, so a huge ``M`` fails fast."""
+    asks for; checked before the nodes are built, so a huge ``M`` fails fast.
+    Four significant digits bound the exponent's length, which reaches
+    about 1e300 at ``s = 1e-300``."""
     if width == 0.0:
-        raise MeshError(f"the first element width {rule} = 10**{log10_width:.1f} underflows to 0")
+        raise MeshError(f"the first element width {rule} = 10**{log10_width:#.4g} underflows to 0")
 
 
 def _finite(name: str, value: float) -> float:

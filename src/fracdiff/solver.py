@@ -14,11 +14,13 @@ them with ``m`` the base mass eigenvalues and ``r_h(omega) = e0^T
 (omega*B_mass + B_stiff)^-1 e0`` one scalar per distinct shift, and makes no
 transform. :func:`y_resolvent` folds ``r_h`` through the y-element
 matrices, never through the assembled pair, at a few hundred points of
-``ln(omega)``, and every shift takes its interpolant (:class:`_Interpolant`).
-The certificate ``0 < d_s * omega**s * r_h <= 1 + margin`` stands in for a
-residual check. Working set: two arrays of ``N_omega`` doubles, the load's
-and the trace's coefficients, and one chunk of shifts (:func:`trace_bytes`);
-no ``(N_omega, N_y)`` array, no base-domain matrix, and no array of
+``ln(omega)``, and every shift takes the interpolant of ``f = omega**s *
+r_h`` (:class:`_Interpolant`). The certificate ``0 < d_s * f <= 1 +
+margin`` stands in for a residual check; the interpolant is certified at
+its points and checked against the fold between them before any shift is
+evaluated. Working set: two arrays of ``N_omega`` doubles, the load's and
+the trace's coefficients, and one chunk of shifts (:func:`trace_bytes`); no
+``(N_omega, N_y)`` array, no base-domain matrix, and no array of
 ``N_omega`` (or ``N_omega/2``) shifts, ``r_h``, mode indices or mass
 eigenvalues.
 
@@ -46,11 +48,12 @@ from .femomega import OmegaGrid, OmegaMatrices
 
 
 class SolverError(RuntimeError):
-    """The level could not be built, the y-resolvent certificate failed, a
-    bump block of the fold or an assembled pair of the full solve met a
-    non-positive pivot, refinement stopped short of ``rel_tol`` or the
-    energy identity failed; non-finite y-element matrices are a
-    ``MeshError`` of assembly."""
+    """The level could not be built, the y-resolvent certificate failed at
+    an interpolation point or a shift, the interpolant of ``r_h`` was off
+    the fold at a panel's midpoint, a bump block of the fold or an
+    assembled pair of the full solve met a non-positive pivot, refinement
+    stopped short of ``rel_tol`` or the energy identity failed; non-finite
+    y-element matrices are a ``MeshError`` of assembly."""
 
     def __init__(self, message: str, residual: float = math.nan, iterations: int = 0):
         super().__init__(message)
@@ -191,26 +194,6 @@ def _pole_sums(el: _Bumps, w: np.ndarray):
     return poles, rho
 
 
-def _fold_chain(y: WeightedMatrices) -> list[tuple]:
-    """The element data of the fold, read from the group arrays: every
-    element, topmost first, as ``(-m01, s01, m00 + m01, m10 + m11, bumps)``
-    with ``m`` and ``s`` its mass and stiffness. Rows 0-1 are the vertex
-    block at every degree, so the element's two-port at a shift ``w`` is
-    ``g = -(w*m01 + s01)`` and ``rho_i = w*(m_i0 + m_i1)`` plus its
-    :func:`_pole_sums`. ``bumps`` is the :class:`_Bumps` of an element of
-    degree >= 2 (condensed in ascending order, so a pivot error names the
-    lowest element), None for degree 1."""
-    M = y.mesh.M  # not y.dofmap: building it would outlive the call
-    bumps, affine = {}, np.empty((4, M))
-    for ms, mass, stiff in y.groups:
-        affine[:, ms - 1] = (-mass[:, 0, 1], stiff[:, 0, 1], mass[:, 0, 0] + mass[:, 0, 1],
-                             mass[:, 1, 0] + mass[:, 1, 1])
-        if mass.shape[1] > 2:
-            bumps.update(zip(ms.tolist(), zip(mass, stiff)))
-    condensed = {m: _condense(m, *bumps[m]) for m in sorted(bumps)}
-    return list(zip(*affine[:, ::-1].tolist(), map(condensed.get, range(M, 0, -1))))
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # the certificate rejects them
 def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     """``r_h(w) = e0^T (w*B_mass + B_stiff)^-1 e0`` at every shift ``w``,
@@ -230,36 +213,41 @@ def y_resolvent(y: WeightedMatrices, shifts: np.ndarray) -> np.ndarray:
     the sums of element entries that an elimination of the assembled
     matrices works with lose r_h on strongly graded meshes.
 
-    One loop folds every element, the top one included, whatever its
-    degree, from the scalars of :func:`_fold_chain` with in-place ufuncs on
-    the rows ``g`` and ``t``: nine calls an element of degree 1, and an
-    element with bumps adds its :func:`_pole_sums`, one BLAS product and
-    in-place calls on its rows. Each product and sum is the one of the
-    element's two-port with the operands swapped or the sign moved, so the
-    result is bitwise that of one two-port per element. The run path folds
-    only the few hundred points of :func:`solve_trace`'s interpolant. There
-    the plain two-port arithmetic, a new array per operation, was slower:
-    h-FEM s=0.2 d=1 n=256 folded its 277 points in 1.63 against 1.35 ms,
-    n=1024 its 340 in 6.5 against 5.5 ms; rows laid out against 4K aliasing
-    (1 KiB apart modulo 4 KiB) were no faster than rows allocated one by
-    one (2 cores, numpy 2.4)."""
+    The element data are read from the group arrays: rows 0-1 are the
+    vertex block at every degree, so with ``m`` and ``s`` an element's mass
+    and stiffness its two-port at ``w`` is ``g = -(w*m01 + s01)`` and
+    ``rho_i = w*(m_i0 + m_i1)``, plus the :func:`_pole_sums` of its
+    :class:`_Bumps` at degree >= 2 (condensed in ascending order, so a pivot
+    error names the lowest element). One loop folds every element, topmost
+    first, whatever its degree, with in-place ufuncs on the rows ``g`` and
+    ``t``: nine calls an element of degree 1, and an element with bumps
+    adds its pole sums, one BLAS product and in-place calls on its rows.
+    Each product and sum is the one of the element's two-port with the
+    operands swapped or the sign moved, so the result is bitwise that of
+    one two-port per element. The run path folds only the few hundred
+    points of :func:`_interpolant`. There the plain two-port arithmetic, a
+    new array per operation, was slower where the elements are many:
+    h-FEM s=0.2 d=1 n=1024 folded its 331 points in 9.9 against 5.3 ms,
+    and hp-FEM levels, whose condensation dominates, took about the same
+    (timeit minima, 2 cores, one BLAS thread, numpy 2.4)."""
+    M = y.mesh.M  # not y.dofmap: building it would outlive the call
+    blocks, affine = {}, np.empty((4, M))
+    for ms, mass, stiff in y.groups:
+        affine[:, ms - 1] = (-mass[:, 0, 1], stiff[:, 0, 1], mass[:, 0, 0] + mass[:, 0, 1],
+                             mass[:, 1, 0] + mass[:, 1, 1])
+        if mass.shape[1] > 2:
+            blocks.update(zip(ms.tolist(), zip(mass, stiff)))
+    bumps = {m: _condense(m, *blocks[m]) for m in sorted(blocks)}
     w = np.array(shifts, dtype=float)
     q, g, t = (np.empty(w.size) for _ in range(3))
-    _fold(_fold_chain(y), w, q, g, t)
-    return np.divide(1.0, q, out=q)
-
-
-def _fold(chain: list[tuple], w: np.ndarray, q: np.ndarray, g: np.ndarray, t: np.ndarray):
-    """The admittance ``q`` at vertex 0 of the :func:`_fold_chain` ``chain``
-    at the shifts ``w``, in place, with ``g`` and ``t`` as scratch rows of
-    ``w``'s size (see :func:`y_resolvent`)."""
-    for i, (m01, s01, sum0, sum1, el) in enumerate(chain):
+    for m, m01, s01, sum0, sum1 in zip(range(M, 0, -1), *affine[:, ::-1].tolist()):
+        el = bumps.get(m)
         np.multiply(w, m01, out=g)
         g -= s01
         if el is not None:
             poles, rho = _pole_sums(el, w)
             g += poles
-        if i == 0:
+        if m == M:
             t[:] = g  # the clamped top vertex: g*t/(g + t) is g as t grows
         else:
             np.multiply(w, sum1, out=t)
@@ -274,14 +262,14 @@ def _fold(chain: list[tuple], w: np.ndarray, q: np.ndarray, g: np.ndarray, t: np
             q -= rho[0]
             del poles, rho  # freed before the next element's coupling is formed
         q += t
+    return np.divide(1.0, q, out=q)
 
 
-# The interpolant of r_h (see solve_trace): panels of _PANEL_WIDTH in
-# x = ln(omega), _PANEL_POINTS Chebyshev-Lobatto points each, fixed by the
+# The interpolant of f = omega**s * r_h (see solve_trace): panels of width 1
+# in x = ln(omega), _PANEL_POINTS Chebyshev-Lobatto points each, fixed by the
 # a-priori bound. _NODES are the points on a panel, ascending from 0 to 1,
 # with barycentric weights (-1)**j, halved at the ends (Berrut & Trefethen,
 # SIAM Rev. 2004).
-_PANEL_WIDTH = 1.0
 _PANEL_POINTS = 22
 _NODES = np.sin(np.arange(_PANEL_POINTS) * (math.pi / (2 * _PANEL_POINTS - 2))) ** 2
 _WEIGHTS = np.where(np.arange(_PANEL_POINTS) % 2, -1.0, 1.0)
@@ -298,26 +286,20 @@ _CHUNK_BYTES = 1 << 20
 
 @dataclass
 class _Interpolant:
-    """``r_h`` on the panels of ``x = ln(omega)`` from ``x0`` on: ``table``
-    holds ``omega**s * r_h`` at the points of a panel a row, and a shift
-    takes the barycentric interpolant of its panel over ``omega**s``. The
-    distinct ``points`` and the panels' ``mids``, with their folded ``r_h``,
-    serve the checks; ``cells`` shifts a chunk fit ``_CHUNK_BYTES``."""
+    """``f = omega**s * r_h`` on the unit panels of ``x = ln(omega)`` from
+    ``x0`` on: ``table`` holds ``f`` at the points of a panel a row, and a
+    shift takes the barycentric interpolant of its panel; ``cells`` shifts a
+    chunk fit ``_CHUNK_BYTES``. Only :func:`_interpolant` builds one, and
+    certifies it first."""
 
     x0: float
     table: np.ndarray  # (panels + 1, _PANEL_POINTS): a row a panel, and ones
-    s: float
-    points: np.ndarray
-    at_points: np.ndarray
-    mids: np.ndarray
-    at_mids: np.ndarray
     cells: int
 
     @np.errstate(divide="ignore", invalid="ignore")  # a shift on a point: 0/0, replaced
     def __call__(self, w: np.ndarray) -> np.ndarray:
         t = np.log(w)
         t -= self.x0
-        t /= _PANEL_WIDTH
         p = np.floor(t)
         np.clip(p, 0.0, self.table.shape[0] - 2, out=p)
         t -= p  # the coordinate on the panel p
@@ -325,39 +307,47 @@ class _Interpolant:
         np.divide(_WEIGHTS[:, None], C, out=C)
         sums = self.table @ C  # the numerator of every panel, and the denominator
         p = p.astype(np.intp)
-        r = sums[p, np.arange(t.size)]
-        r /= sums[-1]
+        f = sums[p, np.arange(t.size)]
+        f /= sums[-1]
         on = np.flatnonzero(np.isinf(sums[-1]))  # shifts on a point take its value
-        r[on] = self.table[p[on], np.searchsorted(_NODES, t[on])]
-        r /= np.power(w, self.s)
-        return r
+        f[on] = self.table[p[on], np.searchsorted(_NODES, t[on])]
+        return f
 
 
-def _interpolant(y: WeightedMatrices, lo: float, hi: float, s: float) -> _Interpolant:
-    """The :class:`_Interpolant` on the panels that cover ``[lo, hi]``, from
-    one fold of their points and midpoints."""
+def _interpolant(y: WeightedMatrices, lo: float, hi: float, *, s: float, d_s: float,
+                 margin: float) -> _Interpolant:
+    """The :class:`_Interpolant` on the unit panels that cover ``[lo,
+    hi]``, from one fold of their points and midpoints. Before it returns,
+    the certificate must hold at every point (:func:`_certify`), and the
+    interpolant at each panel's midpoint must match the fold there within
+    ``_GAP_BOUND``; either failure raises :class:`SolverError`."""
     x0 = math.log(lo)
-    panels = max(1, math.ceil((math.log(hi) - x0) / _PANEL_WIDTH))
+    panels = max(1, math.ceil(math.log(hi) - x0))
     x = np.arange(panels)[:, None] + _NODES  # neighbouring panels share a point
-    points = np.exp(x0 + _PANEL_WIDTH * np.append(x[:, :-1], panels))
-    mids = np.exp(x0 + _PANEL_WIDTH * (np.arange(panels) + 0.5))
+    points = np.exp(x0 + np.append(x[:, :-1], panels))
+    mids = np.exp(x0 + (np.arange(panels) + 0.5))
     folded = y_resolvent(y, np.concatenate([points, mids]))
-    at_points, at_mids = folded[:points.size], folded[points.size:]
-    f = at_points * np.power(points, s)
+    f = folded[:points.size] * np.power(points, s)
+    _certify(*_failures(points, f, d_s, margin), f"{points.size} interpolation points", margin)
     table = np.ones((panels + 1, _PANEL_POINTS))
     table[:-1] = f[(_PANEL_POINTS - 1) * np.arange(panels)[:, None] + np.arange(_PANEL_POINTS)]
-    cells = _CHUNK_BYTES // (8 * (_PANEL_POINTS + panels + 13))
-    return _Interpolant(x0, table, s, points, at_points, mids, at_mids, cells)
+    f_h = _Interpolant(x0, table, _CHUNK_BYTES // (8 * (_PANEL_POINTS + panels + 13)))
+    gaps = np.abs(f_h(mids) / (folded[points.size:] * np.power(mids, s)) - 1.0)
+    j = np.argmax(gaps)
+    if not gaps[j] <= _GAP_BOUND:
+        raise SolverError(
+            f"y-resolvent interpolant is off the fold by {gaps[j]:.3g} relative at omega="
+            f"{mids[j]:.6g}, the midpoint of panel {j + 1} of {panels}: more than "
+            f"{_GAP_BOUND:g}")
+    return f_h
 
 
-def _failures(w: np.ndarray, r: np.ndarray, *, s: float, d_s: float,
+def _failures(w: np.ndarray, f: np.ndarray, d_s: float,
               margin: float) -> tuple[int, tuple[float, float]]:
-    """How many of the shifts ``w`` fail the certificate ``0 < d_s * w**s *
-    r_h(w) <= 1 + margin``, with ``r`` their ``r_h``, and the smallest
+    """How many of the shifts ``w`` fail the certificate ``0 < d_s * f <=
+    1 + margin``, with ``f`` their ``omega**s * r_h``, and the smallest
     failing shift with its ratio, ``(inf, nan)`` if none fails."""
-    ratio = np.power(w, s)
-    ratio *= d_s
-    ratio *= r
+    ratio = d_s * f
     bad = np.flatnonzero(~((ratio > 0.0) & (ratio <= 1.0 + margin)))
     if not bad.size:
         return 0, (math.inf, math.nan)
@@ -365,21 +355,33 @@ def _failures(w: np.ndarray, r: np.ndarray, *, s: float, d_s: float,
     return bad.size, (float(w[j]), float(ratio[j]))
 
 
-def _scale(G: np.ndarray, r_h: _Interpolant, mass: np.ndarray, sigma: np.ndarray, d: int, *,
-           s: float, d_s: float, margin: float) -> tuple[int, tuple[float, float]]:
-    """``G *= r_h/m`` in place on the load's coefficients ``G``; returns the
-    certificate's :func:`_failures` over the distinct shifts. In d=2 the
-    cell ``(k, l)`` has ``omega = sigma_k + sigma_l`` and ``m = m_k*m_l``;
-    d=1 is the one row of ``sigma_k = 0`` and ``m_k = 1``. Bands of rows
-    ``I`` go in chunks ``(I, J)``, ``J`` from ``I``'s first row on, of at
-    most ``r_h.cells`` cells. A chunk evaluates its cells ``k <= l`` and
-    scales them and, in d=2, their mirror: float addition commutes, so
-    ``(l, k)`` has the shift of ``(k, l)``."""
+def _certify(failed: int, first: tuple[float, float], of: str, margin: float):
+    """Raise the certificate's :class:`SolverError` if ``failed`` of ``of``
+    failed it, naming the smallest failing shift ``first`` of
+    :func:`_failures`."""
+    if failed:
+        w, ratio = first
+        raise SolverError(
+            f"y-resolvent certificate failed at {failed} of {of}, first at shift omega="
+            f"{w:.6g}: d_s*omega**s*r_h = {ratio:.6g} is not in (0, 1 + {margin:g}]")
+
+
+def _scale(G: np.ndarray, f_h: _Interpolant, mass: np.ndarray, sigma: np.ndarray, d: int, *,
+           s: float, d_s: float, margin: float):
+    """``G *= r_h/m`` in place on the load's coefficients ``G``, ``r_h =
+    f_h(omega)/omega**s``; after the last chunk, the certificate must hold
+    at every distinct shift (:func:`_certify`). In d=2 the cell ``(k, l)``
+    has ``omega = sigma_k + sigma_l`` and ``m = m_k*m_l``; d=1 is the one
+    row of ``sigma_k = 0`` and ``m_k = 1``. Bands of rows ``I`` go in
+    chunks ``(I, J)``, ``J`` from ``I``'s first row on, of at most
+    ``f_h.cells`` cells. A chunk evaluates its cells ``k <= l`` and scales
+    them and, in d=2, their mirror: float addition commutes, so ``(l, k)``
+    has the shift of ``(k, l)``."""
     n = sigma.size
     row_sigma, row_mass = (sigma, mass) if d == 2 else (np.zeros(1), np.ones(1))
     G = G.reshape(row_sigma.size, n)
-    rows = max(1, r_h.cells // n)
-    width = r_h.cells // rows
+    rows = max(1, f_h.cells // n)
+    width = f_h.cells // rows
     failed, first = 0, (math.inf, math.nan)
     for k0 in range(0, row_sigma.size, rows):
         I = slice(k0, min(k0 + rows, row_sigma.size))
@@ -388,10 +390,13 @@ def _scale(G: np.ndarray, r_h: _Interpolant, mass: np.ndarray, sigma: np.ndarray
             R = np.add.outer(row_sigma[I], sigma[J])
             cells = np.less_equal.outer(np.arange(I.start, I.stop), np.arange(J.start, J.stop))
             w = R[cells]
-            r = r_h(w)
-            count, least = _failures(w, r, s=s, d_s=d_s, margin=margin)
+            f = f_h(w)
+            count, least = _failures(w, f, d_s, margin)
             failed, first = failed + count, min(first, least)
-            R[cells] = r
+            # in place: w is not read again, and a temporary here took the
+            # peak RSS of the d=2 levels about 0.15 MB higher
+            f /= np.power(w, s, out=w)
+            R[cells] = f
             if c0 == k0:  # the square I x I: its cells l < k mirror those above
                 square = R[:, :I.stop - k0]
                 np.copyto(square, square.T, where=~cells[:, :I.stop - k0])
@@ -400,7 +405,7 @@ def _scale(G: np.ndarray, r_h: _Interpolant, mass: np.ndarray, sigma: np.ndarray
             if d == 2:  # the columns l >= I.stop, mirrored below the band
                 beyond = max(I.stop - c0, 0)
                 G[c0 + beyond:J.stop, I] *= R[:, beyond:].T
-    return failed, first
+    _certify(failed, first, f"{n * (n + 1) // 2 if d == 2 else n} shifts", margin)
 
 
 def trace_bytes(n_omega: int) -> int:
@@ -430,35 +435,22 @@ def solve_trace(grid: OmegaGrid, y: WeightedMatrices, load: np.ndarray, *, s: fl
     Theory and Approximation Practice*, Thm 8.2; Bonito & Pasciak, Math.
     Comp. 2015, use the same strip). So the level folds the points of the
     panels over ``[d sigma_1, d sigma_{n-1}]`` once, a few hundred whatever
-    ``N_omega``, ``M`` and ``N_Y``, and interpolates every shift.
+    ``N_omega``, ``M`` and ``N_Y``, and interpolates ``f`` at every shift.
 
-    The certificate ``0 < d_s * w**s * r_h(w) <= 1 + margin`` is checked on
-    the interpolated ``r_h`` at every distinct shift, raised after the last
-    chunk naming the smallest failing shift, then on the folded ``r_h`` at
-    every point: the exact extension gives 1, and the Galerkin subspace and
-    the truncation can only lower it. Last, the fold at each panel's
-    midpoint must match the interpolant within ``_GAP_BOUND``."""
+    The certificate ``0 < d_s * f = d_s * w**s * r_h(w) <= 1 + margin``
+    stands in for a residual check: the exact extension gives 1, and the
+    Galerkin subspace and the truncation can only lower it. The four steps
+    are the base eigenvalues, the :func:`_interpolant`, which is certified
+    at its points and checked against the fold at each panel's midpoint
+    before any shift is evaluated, the copy of the load, and
+    :func:`_scale`, which raises the certificate at the distinct shifts
+    after its last chunk, naming the smallest failing shift."""
     mass, stiff = _p1_eigenvalues(grid.n)
     sigma = stiff / mass
     cert = dict(s=s, d_s=d_s, margin=margin)
-    r_h = _interpolant(y, grid.d * sigma[0], grid.d * sigma[-1], s)
+    f_h = _interpolant(y, grid.d * sigma[0], grid.d * sigma[-1], **cert)
     G = np.array(load, dtype=float)  # a copy: scaled in place
-    failed, first = _scale(G, r_h, mass, sigma, grid.d, **cert)
-    shifts = sigma.size * (sigma.size + 1) // 2 if grid.d == 2 else sigma.size
-    at_points = _failures(r_h.points, r_h.at_points, **cert)
-    for (failed, (w, ratio)), of in (((failed, first), f"{shifts} shifts"),
-                                     (at_points, f"{r_h.points.size} interpolation points")):
-        if failed:
-            raise SolverError(
-                f"y-resolvent certificate failed at {failed} of {of}, first at shift omega="
-                f"{w:.6g}: d_s*omega**s*r_h = {ratio:.6g} is not in (0, 1 + {margin:g}]")
-    gaps = np.abs(r_h(r_h.mids) / r_h.at_mids - 1.0)
-    j = np.argmax(gaps)
-    if not gaps[j] <= _GAP_BOUND:
-        raise SolverError(
-            f"y-resolvent interpolant is off the fold by {gaps[j]:.3g} relative at omega="
-            f"{r_h.mids[j]:.6g}, the midpoint of panel {j + 1} of {gaps.size}: more than "
-            f"{_GAP_BOUND:g}")
+    _scale(G, f_h, mass, sigma, grid.d, **cert)
     return G
 
 

@@ -267,7 +267,7 @@ class TestSolveCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "solver failure" in err
-        assert "y-resolvent certificate failed at 63 of 63 shifts" in err
+        assert "y-resolvent certificate failed at 190 of 190 interpolation points" in err
 
     def test_extreme_grading_matches_the_exact_resolvent(self, tmp_path, exact_energy_error):
         # mu=0.05 grades the first element to ~1e-19 of Y, where the full
@@ -312,6 +312,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert f"solver failure: {scheme} s={s} d=1 n=8: " in err
         assert cause in err
+
+    def test_first_width_of_a_tiny_order_is_one_short_line(self, tmp_path, capsys):
+        # s = 1e-300 grades the h-FEM mesh with mu near s, so the first
+        # width's exponent is about -1e300: four significant digits of it
+        assert run_cli(["solve", "--d", "1", "--n", "8", "--s", "1e-300",
+                        "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("solver failure: hfem s=1e-300 d=1 n=8: the first element width "
+                       "(1/M)**(1/mu)*Y = 10**-1.129e+300 underflows to 0\n")
 
     @pytest.mark.parametrize("scheme,s,n,cause", [
         pytest.param("hfem", "0.02", "8", None, id="hfem-0.02-None"),
@@ -381,7 +390,8 @@ class TestSolveCommand:
 
     def test_solver_failure_names_the_level(self, tmp_path, capsys, monkeypatch):
         # element matrices half as large double d_s*omega**s*r_h: the
-        # certificate's bound 1 + tol fails at every shift
+        # certificate's bound 1 + tol fails at every interpolation point,
+        # the lowest of which is the lowest shift
         scale_y_elements(monkeypatch, 0.5)
         code = run_cli(
             ["solve", "--scheme", "hpfem", "--s", "0.35", "--d", "2", "--n", "8,12",
@@ -390,7 +400,7 @@ class TestSolveCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert ("solver failure: hpfem s=0.35 d=2 n=8: y-resolvent certificate failed at "
-                "28 of 28 shifts, first at shift omega=19.") in err
+                "106 of 106 interpolation points, first at shift omega=19.") in err
         assert "Traceback" not in err
 
     def test_out_of_memory_exits_3_and_names_the_level(self, tmp_path, capsys, monkeypatch):
@@ -764,3 +774,26 @@ class TestSelftest:
             "PASS  y-resolvent certificate",
             "all 4 selftest checks passed",
         ]
+
+    @pytest.mark.parametrize("target,fault,line", [
+        ("solver.y_resolvent", lambda fold: lambda y, w: -fold(y, w),
+         "FAIL  trace-only run path vs dense per-mode solve: SolverError: y-resolvent "
+         "certificate failed at 85 of 85 interpolation points, first at shift omega="),
+        ("error_analysis.build_ymesh", lambda build: lambda params: build(replace(params,
+                                                                                  mu=1e-3)),
+         "FAIL  trace-only run path vs dense per-mode solve: MeshError: the first element "
+         "width (1/M)**(1/mu)*Y = 10**"),
+    ], ids=["negated-fold", "mesh"])
+    def test_run_path_error_is_a_failed_check(self, monkeypatch, capsys, target, fault, line):
+        # a SolverError or MeshError of the run path fails the check that
+        # raised it, and selftest exits 1 with no traceback
+        module, name = target.split(".")
+        module = getattr(fracdiff, module)
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        assert run_cli(["selftest"]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[:2] == ["PASS  geometric mesh identities", "PASS  graded first element size"]
+        assert lines[2].startswith(line)
+        assert len(lines) == 3
+        assert err == "1 selftest check(s) failed\n"

@@ -508,6 +508,14 @@ class TestStudyDriver:
                                      sine_coefficients(level.grid, sol.trace)))
         assert errs[1] <= errs[0] * (1 + 1e-10)
 
+    def test_level_mesh_is_the_weighted_matrices_mesh(self):
+        # the mesh has one source: a level with other weighted matrices
+        # reads their mesh
+        level = discretize(benchmark_problem(0.5, 1), "hpfem", 8)
+        assert level.mesh is level.weighted.mesh
+        other = discretize(benchmark_problem(0.5, 1), "hfem", 8).weighted
+        assert replace(level, weighted=other).mesh is other.mesh
+
     def test_run_level_rejects_unknown_scheme(self):
         problem = benchmark_problem(0.5, 1)
         with pytest.raises(ValueError):
@@ -628,7 +636,8 @@ class TestSolverAccuracy:
 
     def test_solver_failure_names_the_level(self, monkeypatch):
         # element matrices half as large double r_h, and so the certificate
-        # d_s*omega**s*r_h, at every shift
+        # d_s*omega**s*r_h, at every shift and every interpolation point;
+        # the points are certified first
         assemble = error_analysis.assemble_weighted_matrices
 
         def halved(*args, **kwargs):
@@ -641,4 +650,5 @@ class TestSolverAccuracy:
         with pytest.raises(SolverError) as err:
             run_level(problem, "hfem", 16)
         assert str(err.value).startswith(
-            "hfem s=0.4 d=1 n=16: y-resolvent certificate failed at 15 of 15 shifts")
+            "hfem s=0.4 d=1 n=16: y-resolvent certificate failed at 127 of 127 interpolation "
+            "points")

@@ -685,7 +685,10 @@ class TestSolveTrace:
     @pytest.mark.parametrize("factor", [0.5, -1.0], ids=["above", "below"])
     def test_certificate_names_the_first_failing_shift(self, factor):
         # scaling both element matrices by c scales r_h by 1/c: 0.5 doubles
-        # d_s*omega**s*r_h, and -1 makes it negative
+        # d_s*omega**s*r_h, and -1 makes it negative. The interpolant's
+        # points are certified first: all 106 fail, the lowest the lowest
+        # shift, and _scale is never reached (its count of the 7 distinct
+        # shifts: TestBaseTriangle)
         problem = benchmark_problem(0.5, 1)
         level = discretize(problem, "hfem", 8)
         scaled = replace(level.weighted, groups=tuple(
@@ -694,13 +697,15 @@ class TestSolveTrace:
         with pytest.raises(SolverError) as err:
             solve_trace(level.grid, scaled, level.load, s=0.5, d_s=problem.d_s, margin=1e-9)
         message = str(err.value)
-        assert message.startswith("y-resolvent certificate failed at 7 of 7 shifts")
+        assert message.startswith("y-resolvent certificate failed at 106 of 106 interpolation "
+                                  "points")
         assert f"shift omega={first:.6g}" in message
 
 
 class _Reciprocal:
-    """A stand-in for the interpolant in :func:`solver._scale`: ``r_h =
-    1/(1/w)`` in chunks of ``cells`` shifts, each chunk's shifts recorded."""
+    """A stand-in for the interpolant in :func:`solver._scale`: ``f =
+    1/(1/w)`` in chunks of ``cells`` shifts, each chunk's shifts recorded;
+    with ``s = 0`` it is also ``r_h``, bit for bit."""
 
     def __init__(self, cells):
         self.cells, self.chunks = cells, []
@@ -710,24 +715,51 @@ class _Reciprocal:
         return 1.0 / (1.0 / w)
 
 
-def _chunked_resolvent(r_h, n):
+class _Folded:
+    """A stand-in for the interpolant in :func:`solver._scale`: ``f =
+    w**s * r_h`` folded at each shift of ``y``, in chunks of ``cells``
+    shifts. It carries a level whose fold fails the certificate past the
+    interpolant's own check at its points."""
+
+    def __init__(self, y, s, cells):
+        self.y, self.s, self.cells = y, s, cells
+
+    def __call__(self, w):
+        return w**self.s * y_resolvent(self.y, w)
+
+
+def _chunked_resolvent(r_h, n, s=0.5):
     """``r_h`` at every d=2 mode ``(k, l)`` of the grid with ``n`` cells a
     side, as :func:`solver._scale` applies it: unit coefficients and unit
-    mass eigenvalues, so each coefficient becomes its mode's ``r_h``."""
+    mass eigenvalues, so each coefficient becomes its mode's ``r_h``, the
+    interpolated ``f`` over ``w**s``."""
     mass, stiff = solver._p1_eigenvalues(n)
     R = np.ones((n - 1, n - 1))
-    failed, _ = solver._scale(R, r_h, np.ones(n - 1), stiff / mass, 2, s=0.5, d_s=1.0,
-                              margin=math.inf)
-    assert failed == 0
+    solver._scale(R, r_h, np.ones(n - 1), stiff / mass, 2, s=s, d_s=1.0, margin=math.inf)
     return R
 
 
 def _level_interpolant(y, d, n, s=0.5):
     """The interpolant that :func:`solver.solve_trace` builds for the grid of
-    ``n`` cells a side in ``d`` dimensions."""
+    ``n`` cells a side in ``d`` dimensions; its certificate holds each
+    positive point."""
     mass, stiff = solver._p1_eigenvalues(n)
     sigma = stiff / mass
-    return solver._interpolant(y, d * sigma[0], d * sigma[-1], s)
+    return solver._interpolant(y, d * sigma[0], d * sigma[-1], s=s, d_s=1.0, margin=math.inf)
+
+
+def _failing_level():
+    """hfem s=0.5 d=2 n=16 with the first element's matrices 0.9 times too
+    small: that raises r_h at the high shifts, which see mostly that
+    element, so 67 of the 120 shifts fail the certificate, and the first
+    failing cell in row order (2038.0) is not the smallest failing shift
+    (1820.37)."""
+    problem = benchmark_problem(0.5, 2)
+    level = discretize(problem, "hfem", 16)
+    scaled = replace(level.weighted, groups=tuple(
+        (ms, 0.9 * mass, 0.9 * stiff) if ms[0] == 1 else (ms, mass, stiff)
+        for ms, mass, stiff in level.weighted.groups))
+    return level.grid, scaled, level.load, dict(s=0.5, d_s=problem.d_s, margin=1e-9)
 
 
 class TestBaseTriangle:
@@ -747,7 +779,7 @@ class TestBaseTriangle:
             sizes |= {7, 50}
         for cells in sizes:
             r_h = _Reciprocal(cells)
-            assert _chunked_resolvent(r_h, n).tobytes() == want.tobytes()
+            assert _chunked_resolvent(r_h, n, s=0.0).tobytes() == want.tobytes()
             assert max(w.size for w in r_h.chunks) <= cells
             shifts = np.concatenate(r_h.chunks)
             assert shifts.size == n * (n - 1) // 2
@@ -762,8 +794,7 @@ class TestBaseTriangle:
         for cells in (7, 5242):
             r_h = _Reciprocal(cells)
             G = np.ones(n - 1)
-            failed, _ = solver._scale(G, r_h, mass, sigma, 1, s=0.5, d_s=1.0, margin=math.inf)
-            assert failed == 0
+            solver._scale(G, r_h, mass, sigma, 1, s=0.0, d_s=1.0, margin=math.inf)
             assert G.tobytes() == (1.0 / (1.0 / sigma) / mass).tobytes()
             assert np.concatenate(r_h.chunks).tobytes() == sigma.tobytes()
             assert max(w.size for w in r_h.chunks) <= cells
@@ -835,54 +866,62 @@ class TestBaseTriangle:
 
     @pytest.mark.parametrize("cells", [4, 9])
     def test_certificate_is_raised_after_the_last_chunk(self, monkeypatch, cells):
-        # the level of the test below in chunks of 4 or 9 cells: the first
+        # the failing level's fold in chunks of 4 or 9 cells: the first
         # chunk with failing shifts fails at a larger shift than the
         # smallest failing one, 1820.37, which lies in a later chunk. The
         # chunks' certificates are recorded as they are checked
-        problem = benchmark_problem(0.5, 2)
-        level = discretize(problem, "hfem", 16)
-        scaled = replace(level.weighted, groups=tuple(
-            (ms, 0.9 * mass, 0.9 * stiff) if ms[0] == 1 else (ms, mass, stiff)
-            for ms, mass, stiff in level.weighted.groups))
-        kwargs = dict(s=0.5, d_s=problem.d_s, margin=1e-9)
+        grid, scaled, _, kwargs = _failing_level()
         firsts, failures = [], solver._failures
 
-        def recorded(w, r, **cert):
-            count, (least, ratio) = failures(w, r, **cert)
+        def recorded(*args):
+            count, (least, ratio) = failures(*args)
             if count:
                 firsts.append(least)
             return count, (least, ratio)
 
-        build = solver._interpolant
         monkeypatch.setattr(solver, "_failures", recorded)
-        monkeypatch.setattr(solver, "_interpolant", lambda *args: replace(build(*args),
-                                                                          cells=cells))
+        mass, stiff = solver._p1_eigenvalues(grid.n)
         with pytest.raises(SolverError) as err:
-            solve_trace(level.grid, scaled, level.load, **kwargs)
+            solver._scale(np.ones((grid.n - 1) ** 2), _Folded(scaled, 0.5, cells), mass,
+                          stiff / mass, 2, **kwargs)
         assert str(err.value).startswith("y-resolvent certificate failed at 67 of 120 shifts, "
                                          "first at shift omega=1820.37:")
         assert len(firsts) > 1
         assert firsts[0] > min(firsts) and f"{min(firsts):.6g}" == "1820.37"
 
+    @pytest.mark.parametrize("d,n,shifts", [(1, 8, 7), (1, 100, 99), (2, 8, 28), (2, 16, 120)])
+    def test_certificate_counts_the_distinct_shifts(self, d, n, shifts):
+        # f = 1/(1/w) > 1 + margin at every shift: the message counts the
+        # n - 1 shifts in d=1 and the cells k <= l in d=2, in chunks of 50
+        # cells, and names the lowest one
+        mass, stiff = solver._p1_eigenvalues(n)
+        lowest = d * (stiff / mass)[0]
+        with pytest.raises(SolverError) as err:
+            solver._scale(np.ones((n - 1) ** d), _Reciprocal(50), mass, stiff / mass, d, s=0.5,
+                          d_s=1.0, margin=1e-9)
+        assert str(err.value) == (f"y-resolvent certificate failed at {shifts} of {shifts} "
+                                  f"shifts, first at shift omega={lowest:.6g}: d_s*omega**s*r_h "
+                                  f"= {lowest:.6g} is not in (0, 1 + 1e-09]")
+
     def test_certificate_names_the_smallest_of_some_failing_shifts(self):
-        # the first element's matrices 0.9 times too small raise r_h at the
-        # high shifts, which see mostly that element: 67 of the 120 shifts
-        # fail, and the first failing cell in row order (2038.0) is not the
-        # smallest failing shift (1820.37)
-        problem = benchmark_problem(0.5, 2)
-        level = discretize(problem, "hfem", 16)
-        scaled = replace(level.weighted, groups=tuple(
-            (ms, 0.9 * mass, 0.9 * stiff) if ms[0] == 1 else (ms, mass, stiff)
-            for ms, mass, stiff in level.weighted.groups))
-        kwargs = dict(s=0.5, d_s=problem.d_s, margin=1e-9)
+        # the failing level's fold at every distinct shift through _scale
+        # gives the message of the fold at the np.unique shifts. Whole, the
+        # level fails at its interpolation points first
+        grid, scaled, load, kwargs = _failing_level()
+        mass, stiff = solver._p1_eigenvalues(grid.n)
         messages = []
-        for trace in (solve_trace, unique_solve_trace):
+        for trace in (lambda: solver._scale(load.copy(), _Folded(scaled, 0.5, 5242), mass,
+                                            stiff / mass, 2, **kwargs),
+                      lambda: unique_solve_trace(grid, scaled, load, **kwargs)):
             with pytest.raises(SolverError) as err:
-                trace(level.grid, scaled, level.load, **kwargs)
+                trace()
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("y-resolvent certificate failed at 67 of 120 shifts, "
                                       "first at shift omega=1820.37:")
+        with pytest.raises(SolverError, match=r"^y-resolvent certificate failed at \d+ of \d+ "
+                                              r"interpolation points, first at shift omega="):
+            solve_trace(grid, scaled, load, **kwargs)
 
 
 def _sampled_interpolant_shifts(r_h, count, seed=2017):
@@ -891,17 +930,36 @@ def _sampled_interpolant_shifts(r_h, count, seed=2017):
     third of the way between two points of a middle panel, a panel edge and
     both range ends."""
     rng = np.random.default_rng(seed)
-    lo, hi = r_h.points[0], r_h.points[-1]
     panel = r_h.table.shape[0] // 2
-    a, b = r_h.points[21 * panel + 10:21 * panel + 12]
-    ends = np.exp(r_h.x0), np.exp(r_h.x0 + r_h.table.shape[0] - 1)
+    lo, a, b, edge, hi = np.exp(r_h.x0 + np.array([
+        0.0, panel + solver._NODES[10], panel + solver._NODES[11], panel,
+        r_h.table.shape[0] - 1]))
     return np.array([*np.exp(rng.uniform(np.log(lo), np.log(hi), count)), (a + b) / 2,
-                     a + (b - a) / 3, r_h.points[21 * panel], *ends])
+                     a + (b - a) / 3, edge, lo, hi])
+
+
+def _corrupted_fold(monkeypatch, index, factor):
+    """Make :func:`solver.y_resolvent` return its ``index``-th value
+    ``factor`` times too large, and fail any call of :func:`solver._scale`:
+    a bad fold must stop the level before a chunk of shifts is evaluated."""
+    fold = solver.y_resolvent
+
+    def corrupted(y, w):
+        r = fold(y, w)
+        r[index] *= factor
+        return r
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a chunk of shifts was evaluated")
+
+    monkeypatch.setattr(solver, "y_resolvent", corrupted)
+    monkeypatch.setattr(solver, "_scale", unreached)
 
 
 class TestInterpolant:
-    """``r_h`` from the Chebyshev-Lobatto interpolant in ``ln(omega)`` that
-    :func:`solver.solve_trace` folds once a level."""
+    """``f = omega**s * r_h`` from the Chebyshev-Lobatto interpolant in
+    ``ln(omega)`` that :func:`solver.solve_trace` folds and certifies once
+    a level."""
 
     @pytest.mark.parametrize("scheme,s,d,n,count", [
         ("hfem", 0.2, 1, 64, 3), ("hpfem", 0.2, 1, 64, 3), ("hfem", 0.8, 2, 64, 3),
@@ -913,20 +971,21 @@ class TestInterpolant:
         level = discretize(benchmark_problem(s, d), scheme, n)
         r_h = _level_interpolant(level.weighted, d, n, s)
         shifts = _sampled_interpolant_shifts(r_h, count)
-        for w, r in zip(shifts, r_h(shifts)):
+        for w, r in zip(shifts, r_h(shifts) / shifts**s):
             want = exact_resolvent(level.weighted, w, digits=40)
             assert abs(Decimal(float(r)) - want) <= Decimal(1e-14) * want
 
     def test_a_shift_on_a_point_takes_its_value(self):
         # the lowest shift is the first point: the barycentric sums are
-        # inf/inf there, and the interpolant returns the folded value
+        # inf/inf there, and the interpolant returns the tabulated value
         level = discretize(benchmark_problem(0.5, 1), "hpfem", 16)
         r_h = _level_interpolant(level.weighted, 1, 16)
         lowest = np.exp(r_h.x0)
-        r = r_h(np.array([lowest, r_h.points[1]]))
-        assert np.all(np.isfinite(r))
-        assert r[0] == r_h.table[0, 0] / lowest**0.5
-        assert r[0] == pytest.approx(r_h.at_points[0], rel=1e-15)
+        f = r_h(np.exp(r_h.x0 + solver._NODES[:2]))
+        assert np.all(np.isfinite(f))
+        assert f[0] == r_h.table[0, 0]
+        assert f[0] == pytest.approx(lowest**0.5 * y_resolvent(level.weighted, [lowest])[0],
+                                     rel=1e-15)
 
     @pytest.mark.parametrize("scheme,d,n", [("hfem", 1, 1024), ("hpfem", 1, 8),
                                             ("hfem", 2, 2048), ("hpfem", 2, 4096)])
@@ -940,21 +999,15 @@ class TestInterpolant:
         sigma = stiff / mass
         panels = math.ceil(math.log(sigma[-1] / sigma[0]))
         y = discretize(benchmark_problem(0.5, 1), scheme, 64).weighted
-        solver._interpolant(y, d * sigma[0], d * sigma[-1], 0.5)
+        _level_interpolant(y, d, n)
         assert folds == [22 * panels + 1]
         assert folds[0] <= 400
 
     def test_corrupted_point_trips_the_gap_check_naming_the_level(self, monkeypatch):
-        # one interpolated value 1e-9 off its fold moves the midpoint of its
-        # panel by far more than the gap bound; the certificate still passes
-        build = solver._interpolant
-
-        def corrupted(*args):
-            r_h = build(*args)
-            r_h.table[2, 7] *= 1.0 + 1e-9
-            return r_h
-
-        monkeypatch.setattr(solver, "_interpolant", corrupted)
+        # one folded point 1e-9 off, the 8th of panel 3, moves the
+        # interpolant at the midpoint of its panel by far more than the gap
+        # bound; the certificate at the points still passes
+        _corrupted_fold(monkeypatch, 21 * 2 + 7, 1.0 + 1e-9)
         with pytest.raises(SolverError, match=r"^hpfem s=0\.5 d=2 n=16: y-resolvent "
                                               r"interpolant is off the fold by [0-9.e-]+ "
                                               r"relative at omega=[0-9.e+]+, the midpoint of "
@@ -962,20 +1015,29 @@ class TestInterpolant:
             run_level(benchmark_problem(0.5, 2), "hpfem", 16)
 
     def test_failing_point_is_a_certificate_error(self, monkeypatch):
-        # a folded point value that fails 0 < d_s*omega**s*r_h: the shifts
-        # pass, so the certificate names the points
-        build = solver._interpolant
-
-        def negative(*args):
-            r_h = build(*args)
-            r_h.at_points[30] *= -1.0
-            return r_h
-
-        monkeypatch.setattr(solver, "_interpolant", negative)
+        # a folded point that fails 0 < d_s*omega**s*r_h: the certificate
+        # at the points names it before the gap check runs
+        _corrupted_fold(monkeypatch, 30, -1.0)
         with pytest.raises(SolverError, match=r"^hfem s=0\.5 d=1 n=64: y-resolvent certificate "
                                               r"failed at 1 of 190 interpolation points, first "
                                               r"at shift omega="):
             run_level(benchmark_problem(0.5, 1), "hfem", 64)
+
+    @pytest.mark.parametrize("scheme,d,n", [("hfem", 1, 256), ("hpfem", 2, 64)])
+    @pytest.mark.parametrize("index,factor,error", [
+        (0, 2.0, "certificate failed at 1 of"), (5, 0.0, "certificate failed at 1 of"),
+        (-1, 1.0 + 1e-8, "interpolant is off the fold"), (11, 1.0 - 1e-9, "off the fold")])
+    def test_a_bad_fold_fails_before_any_shift(self, monkeypatch, scheme, d, n, index, factor,
+                                               error):
+        # a point twice too large or zero fails the certificate, a midpoint
+        # (the fold's last value) or a point slightly off fails the gap;
+        # either stops solve_trace before _scale evaluates a chunk
+        problem = benchmark_problem(0.5, d)
+        level = discretize(problem, scheme, n)
+        _corrupted_fold(monkeypatch, index, factor)
+        with pytest.raises(SolverError, match=error):
+            solve_trace(level.grid, level.weighted, level.load, s=0.5, d_s=problem.d_s,
+                        margin=1e-9)
 
 
 class TestPreconditionerApply:
