@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import error_analysis as ea
 from .femomega import OmegaGrid
-from .meshing import MeshError, check_h_omega, physical_memory_bytes
+from .meshing import MeshError, check_h_omega, physical_memory_bytes, rule_override_error
 from .solver import SolverError
 from .spectral import BoxDomain, modal_function
 
@@ -109,14 +109,12 @@ class RunConfig:
                     raise ConfigError(f"n={k} for d={self.d}: {exc}") from exc
         if self.n is None and self.levels < 1:
             raise ConfigError("levels must be >= 1")
-        for name in ("tol", "beta", "m_mult", "y_mult"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if not 0.0 < self.sigma < 1.0:
-            raise ConfigError("sigma must lie in (0, 1)")
-        if self.mu is not None and not 0.0 < self.mu <= 1.0:
-            raise ConfigError("mu must lie in (0, 1]")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
+        cause = rule_override_error(mu=self.mu, sigma=self.sigma, beta=self.beta,
+                                    m_mult=self.m_mult, y_mult=self.y_mult)
+        if cause is not None:
+            raise ConfigError(cause)
         if self.modes is not None:
             try:
                 data = modal_function(BoxDomain(self.d), self.modes)

@@ -2,11 +2,11 @@
 
 The energy error of the cylinder discretization is computed through the
 identity ``error**2 = d_s * (int f*u - int f*u_h)`` over the base domain,
-an exact consequence of Galerkin orthogonality, from the sine coefficients
-of the discrete trace alone. Trace errors are measured in the fractional
-Sobolev norm by modal projection. The direct quadrature of the weighted
-gradient difference over the cylinder that cross-checks the identity is a
-test oracle (``tests/oracles.py``).
+an exact consequence of Galerkin orthogonality, as the product of the sine
+coefficients of the load and of the discrete trace (Parseval). Trace errors
+are measured in the fractional Sobolev norm by modal projection. The direct
+quadrature of the weighted gradient difference over the cylinder that
+cross-checks the identity is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -68,21 +68,19 @@ def exact_data_product(problem: FractionalProblem) -> float:
     ), 2 * scale)
 
 
-def energy_error(problem: FractionalProblem, grid: OmegaGrid, coeffs) -> float:
+def energy_error(problem: FractionalProblem, load, coeffs) -> float:
     """Weighted-gradient energy error from the Galerkin-orthogonality
-    identity: ``sqrt(d_s * (I_exact - I_h))`` with ``I_h = int f * tr u_h``,
-    the data's sine coefficients against the projections of the trace onto
-    their modes, read off the trace's DST-I coefficients ``coeffs``
-    (:func:`~fracdiff.femomega.sine_projections`).
+    identity: ``sqrt(d_s * (I_exact - I_h))`` with ``I_h = int f * tr u_h =
+    load @ coeffs / d_s`` by Parseval, from the orthonormal DST-I
+    coefficients of the load (:func:`~fracdiff.femomega.assemble_load`) and
+    of the trace (:func:`~fracdiff.solver.solve_trace`).
 
     Tiny negative radicands (down to ``-1e-12 * I_exact``) are clamped to
     zero; anything larger signals a trace inconsistent with the data and
     raises :class:`~fracdiff.solver.SolverError`.
     """
-    modes = problem.f.modes
     i_exact = exact_data_product(problem)
-    i_h = float(np.array([c for _, c in modes])
-                @ sine_projections(grid, coeffs, [index for index, _ in modes]))
+    i_h = float(load @ coeffs) / problem.d_s
     radicand = problem.d_s * (i_exact - i_h)
     if radicand < 0.0:
         if radicand >= -1e-12 * problem.d_s * abs(i_exact):
@@ -154,6 +152,9 @@ def mode_list_bytes(index: tuple[int, ...]) -> int:
     return (72 + 32 * len(index)) * count
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def data_mode_error(modes, have: int) -> str | None:
     """Why the data ``modes``, ``(index, coefficient)`` pairs, cannot be
     solved within ``have`` bytes, or None: the :func:`mode_list_bytes` of
@@ -164,7 +165,7 @@ def data_mode_error(modes, have: int) -> str | None:
     if need > have:
         return (f"the trace error of data mode {index} holds at least {need:.3g} bytes of "
                 f"listed modes, more than the {have:.3g} bytes of physical memory")
-    if any(k > np.iinfo(np.int64).max for idx, _ in modes for k in idx):
+    if any(k > _INT64_MAX for idx, _ in modes for k in idx):
         return f"data mode {index} has an index past the int64 range"
     return None
 
@@ -265,7 +266,7 @@ def run_level(
         level = discretize(problem, scheme, n, **mesh_overrides)
         coeffs = solve_trace(level.grid, level.weighted, level.load, s=problem.s,
                              d_s=problem.d_s, margin=tol)
-        err = energy_error(problem, level.grid, coeffs)
+        err = energy_error(problem, level.load, coeffs)
         tr_err = trace_hs_error(problem, level.grid, coeffs, _default_mode_count(problem))
     except (SolverError, MeshError, QuadratureError) as exc:
         raise SolverError(f"{where}: {exc}") from exc

@@ -147,6 +147,22 @@ def check_h_omega(h_omega: float):
         raise ValueError(f"h_omega={h_omega} must lie in (0, 1/2]")
 
 
+def rule_override_error(*, mu: float | None = None, sigma: float = 0.125, beta: float = 0.7,
+                        m_mult: float = 1.0, y_mult: float = 1.0) -> str | None:
+    """Why an override of the selection rules lies outside its range, or
+    None: ``mu`` in ``(0, 1]`` (None derives it from ``s``), ``sigma`` in
+    ``(0, 1)``, and ``beta``, ``m_mult`` and ``y_mult`` finite and
+    positive."""
+    for name, value in (("beta", beta), ("m_mult", m_mult), ("y_mult", y_mult)):
+        if not (math.isfinite(value) and value > 0.0):
+            return f"{name} must be finite and positive, got {value}"
+    if not 0.0 < sigma < 1.0:
+        return f"sigma must lie in (0, 1), got {sigma}"
+    if mu is not None and not 0.0 < mu <= 1.0:
+        return f"mu must lie in (0, 1], got {mu}"
+    return None
+
+
 def _truncation_height(h_omega: float, lambda1: float, y_mult: float) -> float:
     Y = y_mult * max(3.0 * abs(math.log(h_omega)) / math.sqrt(lambda1), 1.0)
     return _finite("the truncation height Y", Y)
@@ -168,8 +184,12 @@ def select_params_h(
     y_mult: float = 1.0,
 ) -> DiscretizationParams:
     """Graded-mesh parameters: ``mu = 0.8*s``, ``M = ceil(1/h_omega)``,
-    ``Y = max(3*|ln h_omega|/sqrt(lambda1), 1)``."""
+    ``Y = max(3*|ln h_omega|/sqrt(lambda1), 1)``. An override outside
+    its range (:func:`rule_override_error`) raises :class:`MeshError`."""
     check_h_omega(h_omega)
+    cause = rule_override_error(mu=mu, m_mult=m_mult, y_mult=y_mult)
+    if cause is not None:
+        raise MeshError(cause)
     if mu is None:
         mu = 0.8 * s
     M = _element_count(m_mult, h_omega)
@@ -188,10 +208,12 @@ def select_params_hp(
 ) -> DiscretizationParams:
     """Geometric-mesh parameters: ``sigma = 0.125``, ``beta = 0.7``,
     ``M = ceil(1.75*m_mult*|ln h_omega|/(s*|ln sigma|))`` and the same
-    truncation height as the graded scheme."""
+    truncation height as the graded scheme. An override outside its range
+    (:func:`rule_override_error`) raises :class:`MeshError`."""
     check_h_omega(h_omega)
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma={sigma} must lie in (0, 1)")
+    cause = rule_override_error(sigma=sigma, beta=beta, m_mult=m_mult, y_mult=y_mult)
+    if cause is not None:
+        raise MeshError(cause)
     M = _element_count(1.75 * m_mult * abs(math.log(h_omega)), s * abs(math.log(sigma)))
     Y = _truncation_height(h_omega, lambda1, y_mult)
     return DiscretizationParams(scheme="hpfem", M=M, Y=Y, sigma=sigma, beta=beta)

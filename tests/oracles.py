@@ -10,6 +10,8 @@
   and the y-interpolant with point evaluation of its expansion.
 * Nodal values from the orthonormal DST-I coefficients that the run path
   works in, by ``scipy.fft.dstn``.
+* ``int f * tr u_h`` summed per data mode, against which the energy
+  error's Parseval product of the load and trace coefficients is checked.
 * The energy error by direct quadrature of the weighted gradient difference
   over the truncated cylinder, for desk-scale levels.
 
@@ -34,7 +36,7 @@ from fracdiff.fem1d import (
     _shape_values,
     weighted_rule,
 )
-from fracdiff.femomega import OmegaGrid
+from fracdiff.femomega import OmegaGrid, sine_projections
 from fracdiff.meshing import YMesh
 from fracdiff.solver import SolutionTensor
 from fracdiff.spectral import FractionalProblem, ModalFunction, _sine_product, solve_fractional
@@ -410,6 +412,17 @@ def dst(v, base_shape: tuple) -> np.ndarray:
     ``base_shape``, on a copy: nodal values from sine coefficients and back
     (it is its own inverse)."""
     return fft.dstn(np.reshape(v, base_shape), type=1, norm="ortho").ravel()
+
+
+def data_product_per_mode(problem: FractionalProblem, grid: OmegaGrid, coeffs) -> float:
+    """``int f * tr u_h`` as one term per data mode: its plain-sine
+    coefficient times the projection ``(tr u_h, prod_i sin(k_i*pi*x_i))``
+    read off the trace's orthonormal DST-I coefficients ``coeffs``. Aliased
+    modes are placed one by one here, where the load sums them into one
+    cell."""
+    modes = problem.f.modes
+    return float(np.array([c for _, c in modes])
+                 @ sine_projections(grid, coeffs, [index for index, _ in modes]))
 
 
 DIRECT_CHECK_MAX_DOFS = 5000

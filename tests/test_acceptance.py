@@ -250,7 +250,7 @@ def test_criterion_08_energy_identity_cross_check():
             level = discretize(problem, scheme, 24)
             assert level.system.n_total <= 5000
             sol = solve(level.system, level.rhs, rel_tol=1e-11)
-            identity = energy_error(problem, level.grid, dst(sol.trace, (23,)))
+            identity = energy_error(problem, level.load, dst(sol.trace, (23,)))
             direct = direct_energy_error_small(problem, level.grid, level.weighted, sol)
             rel = abs(direct - identity) / identity
             details.append(f"{scheme} s={s}: {rel:.4%}")

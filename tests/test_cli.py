@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fracdiff
-from fracdiff import cli, error_analysis
+from fracdiff import cli, error_analysis, meshing
 from fracdiff.cli import (
     CSV_COLUMNS,
     OPTIONS,
@@ -207,6 +207,7 @@ class TestSolveCommand:
         ("n", "8,x"), ("n", "8,,16"),
         ("m_mult", "0"), ("m_mult", "-1"), ("m_mult", "nan"), ("y_mult", "0"),
         ("beta", "nan"), ("beta", "inf"), ("modes", "1=nan"), ("tol", "nan"),
+        ("y_mult", "-1"), ("mu", "5"), ("beta", "-1"), ("sigma", "2"),
         ("s", "abc"), ("d", "3"), ("scheme", "foo"), ("levels", "2.5"), ("tol", "1e-9x"),
     ])
     def test_bad_option_value_exits_2(self, tmp_path, capsys, key, value, source):
@@ -603,6 +604,19 @@ class TestRejectedBeforeAnyLevel:
                                         "--modes", modes],
                      f"modes: the trace error of data mode {message} of listed modes, more "
                      f"than the {have:.3g} bytes of physical memory")
+
+    @pytest.mark.parametrize("scheme,name,value", [
+        ("hfem", "m_mult", "-1"), ("hpfem", "m_mult", "0"), ("hfem", "y_mult", "-1"),
+        ("hfem", "mu", "5"), ("hpfem", "beta", "-1"), ("hpfem", "sigma", "2"),
+    ])
+    def test_rule_override_out_of_range(self, tmp_path, capsys, scheme, name, value):
+        # the message of the one check that run_level also reads, through
+        # select_params_h/hp (test_error_analysis.TestLibraryOverrideChecks)
+        message = meshing.rule_override_error(**{name: float(value)})
+        assert message is not None
+        self.rejects(tmp_path, capsys, ["solve", "--scheme", scheme, "--s", "0.5", "--d", "1",
+                                        "--n", "8", "--" + name.replace("_", "-"), value],
+                     f"configuration error: {message}\n")
 
     @pytest.mark.parametrize("index", [(20000,), (600, 600), (1, 2), (7,)])
     def test_mode_list_check_rejects_only_beyond_memory(self, monkeypatch, index):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdiff import error_analysis, femomega, solver
+from fracdiff import error_analysis, femomega, meshing, solver
 from fracdiff.error_analysis import (
     StudyRow,
     discretize,
@@ -29,7 +29,7 @@ from fracdiff.spectral import (
     modal_function,
     solve_fractional,
 )
-from oracles import direct_energy_error_small, dst
+from oracles import data_product_per_mode, direct_energy_error_small, dst
 
 # a fixed six-mode load from {1..7} (plain sine coefficients)
 SIX_MODE_LOAD = [((1,), -0.92405), ((2,), 1.147553), ((3,), 1.217464),
@@ -87,7 +87,7 @@ def assert_direct_matches_identity(problem, scheme, n):
     level = discretize(problem, scheme, n)
     sol = solve(level.system, level.rhs, rel_tol=1e-11)
     assert sol.coefficients.size <= 5000
-    via_identity = energy_error(problem, level.grid, sine_coefficients(level.grid, sol.trace))
+    via_identity = energy_error(problem, level.load, sine_coefficients(level.grid, sol.trace))
     direct = direct_energy_error_small(problem, level.grid, level.weighted, sol)
     assert abs(direct - via_identity) <= 1e-8 * via_identity
 
@@ -112,11 +112,11 @@ class TestEnergyError:
         for s in [0.2, 0.5, 0.8]:
             problem = benchmark_problem(s, 2)
             grid = OmegaGrid(2, 8)
-            err = energy_error(problem, grid, np.zeros(grid.n_dofs))
+            err = energy_error(problem, assemble_load(grid, problem), np.zeros(grid.n_dofs))
             want = math.sqrt(problem.d_s * (2 * math.pi**2) ** s / 4.0)
             assert err == pytest.approx(want, rel=1e-9)
         problem = benchmark_problem(0.5, 2)
-        err = energy_error(problem, OmegaGrid(2, 8), np.zeros(49))
+        err = energy_error(problem, assemble_load(OmegaGrid(2, 8), problem), np.zeros(49))
         assert err == pytest.approx(1.0539073652554058, rel=1e-9)
 
     def test_exact_data_product(self):
@@ -150,7 +150,7 @@ class TestEnergyError:
         errs = []
         for n in (16, 32, 64):
             grid = OmegaGrid(1, n)
-            errs.append(energy_error(problem, grid,
+            errs.append(energy_error(problem, assemble_load(grid, problem),
                                      sine_coefficients(grid, exact_nodal_trace(problem, grid))))
         assert errs[0] < 0.2
         assert errs[1] < errs[0] and errs[2] < errs[1]
@@ -167,7 +167,7 @@ class TestEnergyError:
         grid = OmegaGrid(1, 8)
         giant = 100.0 * exact_nodal_trace(problem, grid)
         with pytest.raises(SolverError, match="negative radicand"):
-            energy_error(problem, grid, sine_coefficients(grid, giant))
+            energy_error(problem, assemble_load(grid, problem), sine_coefficients(grid, giant))
 
 
 class TestDirectEnergyError:
@@ -448,6 +448,94 @@ class TestLibraryDataChecks:
             run_level(problem, "hfem", 8)
 
 
+# mesh-rule overrides outside their ranges, each with a scheme that reads it
+BAD_OVERRIDES = [
+    ("hfem", "m_mult", -1.0), ("hpfem", "m_mult", -1.0), ("hfem", "m_mult", 0.0),
+    ("hpfem", "m_mult", 0.0), ("hfem", "y_mult", -1.0), ("hpfem", "y_mult", -1.0),
+    ("hfem", "mu", 5.0), ("hpfem", "beta", -1.0), ("hpfem", "sigma", 2.0),
+]
+
+
+class TestLibraryOverrideChecks:
+    """``run_level`` rejects the mesh-rule overrides that the CLI rejects,
+    through the one check of ``meshing.rule_override_error``, as a
+    :class:`SolverError` naming the level. ``m_mult=-1`` used to run with
+    ``M = 1``; ``y_mult=-1``, ``mu=5``, ``beta=-1`` and ``sigma=2`` raised a
+    bare ``ValueError``."""
+
+    @pytest.mark.parametrize("scheme,name,value", BAD_OVERRIDES)
+    def test_rejected_as_a_solver_error_naming_the_level(self, monkeypatch, scheme, name,
+                                                         value):
+        monkeypatch.setattr(error_analysis, "build_ymesh", None)
+        message = meshing.rule_override_error(**{name: value})
+        assert message.startswith(f"{name} must ")
+        with pytest.raises(SolverError) as err:
+            run_level(benchmark_problem(0.5, 1), scheme, 8, **{name: value})
+        assert str(err.value) == f"{scheme} s=0.5 d=1 n=8: {message}"
+        assert isinstance(err.value.__cause__, meshing.MeshError)
+
+
+class TestParsevalDataProduct:
+    """``energy_error`` forms ``int f * tr u_h`` as the load's sine
+    coefficients against the trace's over ``d_s``. Within rounding that is
+    the per-mode sum of ``oracles.data_product_per_mode``, also where the
+    grid aliases modes: ``k`` and ``2n - k`` share a cell with opposite
+    signs, multiples of ``n`` have none, and indices above ``2n`` wrap."""
+
+    ALIASED = {
+        1: [((3,), 0.8), ((13,), -0.6), ((8,), 1.1), ((16,), 0.4), ((5,), -0.9), ((21,), 0.7)],
+        2: [((1, 2), 0.8), ((15, 2), -0.6), ((8, 3), 1.1), ((2, 3), -0.9), ((2, 19), 0.7),
+            ((16, 16), 0.3), ((4, 4), 0.5)],
+    }
+
+    @staticmethod
+    def problem(d):
+        domain = BoxDomain(d)
+        entries = TestParsevalDataProduct.ALIASED[d]
+        return FractionalProblem(s=0.4, domain=domain, f=modal_function(domain, entries))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_mode_sum(self, d, seed):
+        problem, grid = self.problem(d), OmegaGrid(d, 8)
+        factor, cell = femomega._aliased_cells(grid, [index for index, _ in problem.f.modes])
+        assert (factor == 0.0).sum() == 2 and len(set(cell[factor != 0.0])) == len(cell) - 4
+        load = assemble_load(grid, problem)
+        # I_h < 0 and over 1e2 times I_exact: the squared error is I_h to
+        # within its own rounding, with no cancellation
+        coeffs = -1e4 * (1.0 + np.random.default_rng(seed).random(grid.n_dofs)) * load
+        i_h = data_product_per_mode(problem, grid, coeffs)
+        assert -i_h > 1e2 * exact_data_product(problem)
+        err = energy_error(problem, load, coeffs)
+        assert err**2 / problem.d_s == pytest.approx(exact_data_product(problem) - i_h,
+                                                     rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_places_no_data(self, monkeypatch, d):
+        problem, grid = self.problem(d), OmegaGrid(d, 8)
+        load = assemble_load(grid, problem)
+        coeffs = 1e-3 * np.random.default_rng(d).standard_normal(grid.n_dofs)
+        calls = []
+
+        def spy(module, name):
+            wrapped = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        spy(femomega, "_aliased_cells")
+        spy(femomega, "sine_projections")
+        spy(error_analysis, "sine_projections")
+        assert energy_error(problem, load, coeffs) > 0.0
+        assert calls == []
+        # the spies see the trace error, which does place its modes
+        trace_hs_error(problem, grid, coeffs, error_analysis._default_mode_count(problem))
+        assert calls == ["sine_projections", "_aliased_cells"]
+
+
 class TestStudyDriver:
     def test_row_bookkeeping(self):
         rows = run_convergence_study("hpfem", 0.5, 1, levels=3)
@@ -504,7 +592,7 @@ class TestStudyDriver:
         load = dst(level.load, (11,))  # nodal: level.load holds sine coefficients
         for system in (level.system, raised_system):
             sol = solve(system, cylinder_rhs(system, load), rel_tol=1e-12)
-            errs.append(energy_error(problem, level.grid,
+            errs.append(energy_error(problem, level.load,
                                      sine_coefficients(level.grid, sol.trace)))
         assert errs[1] <= errs[0] * (1 + 1e-10)
 
@@ -589,10 +677,10 @@ class TestSineHatReuse:
         domain = BoxDomain(2)
         problem = FractionalProblem(s=0.8, domain=domain, f=modal_function(domain, self.LOAD))
         grid = OmegaGrid(2, 12)
-        assemble_load(grid, problem)
+        load = assemble_load(grid, problem)
         coeffs = np.random.default_rng(9).standard_normal(grid.n_dofs)
         trace_hs_error(problem, grid, coeffs, error_analysis._default_mode_count(problem))
-        energy_error(problem, grid, 1e-3 * coeffs)
+        energy_error(problem, load, 1e-3 * coeffs)
         assert calls == []
 
 

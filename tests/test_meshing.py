@@ -188,6 +188,28 @@ class TestParamSelection:
                                             r"= inf is not finite"):
             hp_mesh(4, 0.125, 1.0, 1e308)
 
+    @pytest.mark.parametrize("rule,name,value", [
+        (select_params_h, "m_mult", -1.0), (select_params_h, "m_mult", 0.0),
+        (select_params_h, "y_mult", -1.0), (select_params_h, "mu", 5.0),
+        (select_params_hp, "m_mult", -1.0), (select_params_hp, "m_mult", 0.0),
+        (select_params_hp, "y_mult", -1.0), (select_params_hp, "beta", -1.0),
+        (select_params_hp, "sigma", 2.0), (select_params_hp, "sigma", math.nan),
+        (select_params_h, "y_mult", math.inf),
+    ])
+    def test_override_out_of_range_is_a_mesh_error(self, rule, name, value):
+        message = meshing.rule_override_error(**{name: value})
+        assert message == (f"mu must lie in (0, 1], got {value}" if name == "mu" else
+                           f"sigma must lie in (0, 1), got {value}" if name == "sigma" else
+                           f"{name} must be finite and positive, got {value}")
+        with pytest.raises(MeshError) as err:
+            rule(1 / 8, 0.5, math.pi**2, **{name: value})
+        assert str(err.value) == message
+
+    def test_overrides_in_range_pass(self):
+        assert meshing.rule_override_error() is None
+        assert meshing.rule_override_error(mu=1.0, sigma=0.5, beta=1e-3, m_mult=1e-3,
+                                           y_mult=10.0) is None
+
     def test_rejects_large_mesh_size(self):
         with pytest.raises(ValueError):
             select_params_h(0.6, 0.5, math.pi**2)
