@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem1d import QuadratureError, WeightedMatrices, assemble_weighted_matrices
+from .fem1d import WeightedMatrices, assemble_weighted_matrices
 from .femomega import OmegaGrid, assemble_load, assemble_omega_matrices, sine_projections
 from .meshing import (MeshError, build_ymesh, physical_memory_bytes, select_params_h,
                       select_params_hp)
@@ -170,6 +170,15 @@ def data_mode_error(modes, have: int) -> str | None:
     return None
 
 
+def tol_error(tol: float) -> str | None:
+    """Why ``tol``, the margin of the certificate ``0 < d_s*omega**s*r_h <=
+    1 + tol``, is refused, or None: it must be finite and positive, since
+    an infinite margin leaves the certificate only its positivity."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        return f"tol must be finite and positive, got {tol}"
+    return None
+
+
 @dataclass(frozen=True)
 class Discretization:
     """One refinement level: the base grid, the extended-direction weighted
@@ -227,7 +236,7 @@ def discretize(
         params = select_params_hp(grid.h_omega, problem.s, lam1, sigma=sigma,
                                   beta=beta, m_mult=m_mult, y_mult=y_mult)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise MeshError(f"unknown scheme {scheme!r}")
     weighted = assemble_weighted_matrices(build_ymesh(params), alpha=problem.alpha)
     return Discretization(grid=grid, weighted=weighted, load=assemble_load(grid, problem))
 
@@ -245,10 +254,11 @@ def run_level(
 
     Only the sine coefficients of the trace at ``y = 0`` are computed
     (:func:`~fracdiff.solver.solve_trace`), and ``tol`` is the margin of its
-    certificate. A level whose data the CLI would reject
-    (:func:`data_mode_error`), whose mesh or weighted quadrature cannot be
-    built, whose certificate fails, or that runs out of memory anywhere
-    raises :class:`SolverError` prefixed with the level.
+    certificate. A ``tol`` or data that the CLI would reject
+    (:func:`tol_error`, :func:`data_mode_error`), a level that cannot be
+    built (any :class:`MeshError`: the grid, the scheme, the rules, the mesh
+    or its weighted quadrature), a failed certificate, or running out of
+    memory anywhere raises :class:`SolverError` prefixed with the level.
 
     Both errors are linear in the data, so the level is solved for the data
     scaled by a power of two (exact) to a largest coefficient in [0.5, 1),
@@ -260,7 +270,7 @@ def run_level(
     problem = replace(problem, f=replace(problem.f, modes=tuple(
         (index, math.ldexp(c, -scale)) for index, c in problem.f.modes)))
     try:
-        cause = data_mode_error(problem.f.modes, physical_memory_bytes())
+        cause = tol_error(tol) or data_mode_error(problem.f.modes, physical_memory_bytes())
         if cause is not None:
             raise SolverError(cause)
         level = discretize(problem, scheme, n, **mesh_overrides)
@@ -268,7 +278,7 @@ def run_level(
                              d_s=problem.d_s, margin=tol)
         err = energy_error(problem, level.load, coeffs)
         tr_err = trace_hs_error(problem, level.grid, coeffs, _default_mode_count(problem))
-    except (SolverError, MeshError, QuadratureError) as exc:
+    except (SolverError, MeshError) as exc:
         raise SolverError(f"{where}: {exc}") from exc
     except MemoryError as exc:
         raise SolverError(f"{where}: out of memory ({str(exc) or 'no detail'})") from exc

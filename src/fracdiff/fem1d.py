@@ -38,10 +38,6 @@ _LOG_TARGET = 46.0  # -ln(1e-20)
 _MAX_SPLIT_DEPTH = 8
 
 
-class QuadratureError(RuntimeError):
-    """Raised when a weighted element rule cannot be constructed."""
-
-
 def _legendre_rows(t: np.ndarray, degree: int) -> np.ndarray:
     """``P_0..P_degree`` at ``2t - 1`` as rows, shape ``(degree+1, len(t))``,
     by the ``legvander`` recurrence. Every entry depends on its own point
@@ -151,7 +147,9 @@ def weighted_rule(a: float, b: float, alpha: float, polydeg: int):
     (``a == 0``) uses a Gauss-Jacobi rule, exact for the weight; elements
     away from the singularity use Gauss-Legendre with a point count driven
     by the distance of the singularity from the element, splitting the
-    element geometrically when a single rule cannot reach roundoff.
+    element geometrically when a single rule cannot reach roundoff; an
+    element that would need more than ``2**_MAX_SPLIT_DEPTH`` pieces raises
+    :class:`~fracdiff.meshing.MeshError`.
     """
     if not -1.0 < alpha < 1.0:
         raise ValueError(f"weight exponent alpha={alpha} must lie in (-1, 1)")
@@ -203,7 +201,7 @@ def _gl_weighted_rule(a, b, alpha, polydeg):
             return pts.ravel(), wts.ravel()
         if polydeg // 2 + 2 > _MAX_GL_POINTS:
             break  # splitting lowers only the analyticity part of the count
-    raise QuadratureError(
+    raise MeshError(
         f"weighted rule on [{a}, {b}] needs more than {2**_MAX_SPLIT_DEPTH} geometric pieces "
         f"of at most {_MAX_GL_POINTS} points (polynomial degree {polydeg})"
     )
@@ -289,8 +287,8 @@ def _element_rules(nodes: np.ndarray, degrees: np.ndarray, alpha: float) -> list
         a, b = nodes[m - 1], nodes[m]
         try:
             pts, wts = weighted_rule(a, b, alpha, 2 * int(degrees[m - 1]))
-        except QuadratureError as exc:
-            raise QuadratureError(f"element {m}: {exc}") from exc
+        except MeshError as exc:
+            raise MeshError(f"element {m}: {exc}") from exc
         rules.append((np.array([m]), (pts - a) / (b - a), wts[None, :]))
     ms = np.flatnonzero(shared) + 2
     key = degrees[ms - 1] * (_MAX_GL_POINTS + 1) + points[ms - 2].astype(np.intp)

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .meshing import MeshError
 from .spectral import FractionalProblem
 
 if TYPE_CHECKING:
@@ -28,16 +29,17 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class OmegaGrid:
-    """Uniform grid of the unit box with ``n`` cells per direction."""
+    """Uniform grid of the unit box with ``n`` cells per direction; a ``d``
+    other than 1 or 2, or fewer than 2 cells, is a :class:`MeshError`."""
 
     d: int
     n: int
 
     def __post_init__(self):
         if self.d not in (1, 2):
-            raise ValueError(f"dimension d={self.d} must be 1 or 2")
+            raise MeshError(f"dimension d={self.d} must be 1 or 2")
         if self.n < 2:
-            raise ValueError("need at least 2 cells per direction")
+            raise MeshError("need at least 2 cells per direction")
 
     @property
     def h(self) -> float:

@@ -21,9 +21,12 @@ import numpy as np
 
 
 class MeshError(ValueError):
-    """The mesh cannot be built: its element count, height or a degree is not
-    finite, or its nodes are not strictly increasing, e.g. because a strongly
-    graded or scaled node underflowed to its neighbour."""
+    """The level cannot be built: its base grid, base mesh size or scheme
+    lies outside the rules, a rule override is out of range, its element
+    count, height or a degree is not finite, its nodes are not strictly
+    increasing (e.g. a strongly graded or scaled node underflowed to its
+    neighbour), or an element's weighted quadrature rule or element matrices
+    cannot be formed."""
 
 
 def _check_first_width(width: float, rule: str, log10_width: float):
@@ -43,16 +46,18 @@ def _finite(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class YMesh:
-    """Partition ``0 = y_0 < ... < y_M = Y`` with per-element degrees."""
+    """Partition ``0 = y_0 < ... < y_M = Y`` with per-element degrees; the
+    height ``Y`` is the last node."""
 
-    Y: float
     nodes: tuple[float, ...]
     degrees: tuple[int, ...]
 
+    Y = property(lambda self: self.nodes[-1])
+
     def __post_init__(self):
         nodes = np.asarray(self.nodes)
-        if nodes[0] != 0.0 or not np.isclose(nodes[-1], self.Y):
-            raise ValueError("mesh must span [0, Y]")
+        if nodes[0] != 0.0:
+            raise ValueError("mesh must start at y_0 = 0")
         bad = np.flatnonzero(np.diff(nodes) <= 0.0)
         if bad.size:
             k = bad[0]
@@ -83,7 +88,7 @@ def graded_mesh(M: int, mu: float, Y: float) -> YMesh:
     _check_first_width((1 / M) ** (1.0 / mu) * Y, "(1/M)**(1/mu)*Y",
                        math.log10(Y) - math.log10(M) / mu)
     nodes = tuple((m / M) ** (1.0 / mu) * Y for m in range(M + 1))
-    return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M)
+    return YMesh(nodes=nodes, degrees=(1,) * M)
 
 
 def geometric_mesh(M: int, sigma: float, Y: float) -> YMesh:
@@ -98,7 +103,7 @@ def geometric_mesh(M: int, sigma: float, Y: float) -> YMesh:
     _check_first_width(sigma ** (M - 1) * Y, "sigma**(M-1)*Y",
                        (M - 1) * math.log10(sigma) + math.log10(Y))
     nodes = (0.0,) + tuple(sigma ** (M - m) * Y for m in range(1, M + 1))
-    return YMesh(Y=Y, nodes=nodes, degrees=(1,) * M)
+    return YMesh(nodes=nodes, degrees=(1,) * M)
 
 
 def linear_degree_vector(mesh: YMesh, beta: float) -> tuple[int, ...]:
@@ -142,9 +147,10 @@ class DiscretizationParams:
 
 
 def check_h_omega(h_omega: float):
-    """Reject a base mesh size outside ``(0, 1/2]``, the range of the rules."""
+    """Reject a base mesh size outside ``(0, 1/2]``, the range of the rules,
+    as :class:`MeshError`."""
     if not 0.0 < h_omega <= 0.5:
-        raise ValueError(f"h_omega={h_omega} must lie in (0, 1/2]")
+        raise MeshError(f"h_omega={h_omega} must lie in (0, 1/2]")
 
 
 def rule_override_error(*, mu: float | None = None, sigma: float = 0.125, beta: float = 0.7,

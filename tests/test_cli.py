@@ -570,6 +570,22 @@ class TestRejectedBeforeAnyLevel:
         self.rejects(tmp_path, capsys, [*command, "--s", "0.5", "--d", "2", "--n", "2,4"],
                      "n=2 for d=2: h_omega=0.7071067811865476 must lie in (0, 1/2]")
 
+    @pytest.mark.parametrize("d", ["1", "2"])
+    def test_fewer_than_two_cells(self, tmp_path, capsys, d):
+        # the grid's own check: validate builds OmegaGrid(d, n) for every n
+        self.rejects(tmp_path, capsys, ["solve", "--s", "0.5", "--d", d, "--n", "8,1"],
+                     f"configuration error: n=1 for d={d}: need at least 2 cells per direction\n")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_tol_outside_the_margin_check(self, tmp_path, capsys, value):
+        # the message of the one check that run_level also reads
+        # (test_error_analysis.TestLibraryRejectsWhatTheCliRejects)
+        message = error_analysis.tol_error(float(value))
+        assert message == f"tol must be finite and positive, got {float(value)}"
+        self.rejects(tmp_path, capsys, ["solve", "--s", "0.5", "--d", "1", "--n", "8",
+                                        "--tol", value],
+                     f"configuration error: {message}\n")
+
     @pytest.mark.parametrize("command", ["solve", "study", "compare"])
     @pytest.mark.parametrize("n", ["8,8", "8,16,8"])
     def test_repeated_cell_counts(self, tmp_path, capsys, command, n):
@@ -756,6 +772,23 @@ def test_cli_import_leaves_quadrature_modules_unloaded(tmp_path):
     assert all(modules == [] for modules in seen.values()), seen
 
 
+def test_selftest_loads_no_scipy_linalg():
+    # selftest compares the run path with the package's own full solve: a
+    # fresh interpreter runs it with scipy.fft and scipy.sparse only
+    src = str(Path(fracdiff.__file__).resolve().parents[1])
+    code = """if True:
+        import json, sys
+        import fracdiff.cli
+
+        code = fracdiff.cli.main(["selftest"])
+        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy.linalg"))]))
+        """
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+
+
 def test_cold_solve_loads_only_the_run_path(tmp_path):
     # the oracles of the analysis (the Bessel profile, the extended solution,
     # the direct energy quadrature, the y-interpolant) live with the tests
@@ -784,20 +817,24 @@ class TestSelftest:
         assert capsys.readouterr().out.splitlines() == [
             "PASS  geometric mesh identities",
             "PASS  graded first element size",
-            "PASS  trace-only run path vs dense per-mode solve",
-            "PASS  y-resolvent certificate",
-            "all 4 selftest checks passed",
+            "PASS  trace-only run path vs full tensor solve",
+            "all 3 selftest checks passed",
         ]
 
     @pytest.mark.parametrize("target,fault,line", [
         ("solver.y_resolvent", lambda fold: lambda y, w: -fold(y, w),
-         "FAIL  trace-only run path vs dense per-mode solve: SolverError: y-resolvent "
+         "FAIL  trace-only run path vs full tensor solve: SolverError: y-resolvent "
          "certificate failed at 85 of 85 interpolation points, first at shift omega="),
         ("error_analysis.build_ymesh", lambda build: lambda params: build(replace(params,
                                                                                   mu=1e-3)),
-         "FAIL  trace-only run path vs dense per-mode solve: MeshError: the first element "
+         "FAIL  trace-only run path vs full tensor solve: MeshError: the first element "
          "width (1/M)**(1/mu)*Y = 10**"),
-    ], ids=["negated-fold", "mesh"])
+        # at most 4 points a piece, element 2 of the level would need more
+        # than 256 pieces: the split limit, a traceback before it was a MeshError
+        ("fem1d._MAX_GL_POINTS", lambda points: 4,
+         "FAIL  trace-only run path vs full tensor solve: MeshError: element 2: weighted "
+         "rule on ["),
+    ], ids=["negated-fold", "mesh", "split-limit"])
     def test_run_path_error_is_a_failed_check(self, monkeypatch, capsys, target, fault, line):
         # a SolverError or MeshError of the run path fails the check that
         # raised it, and selftest exits 1 with no traceback

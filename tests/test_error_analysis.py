@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdiff import error_analysis, femomega, meshing, solver
+from fracdiff import cli, error_analysis, femomega, meshing, solver
 from fracdiff.error_analysis import (
     StudyRow,
     discretize,
@@ -475,6 +475,45 @@ class TestLibraryOverrideChecks:
         assert isinstance(err.value.__cause__, meshing.MeshError)
 
 
+class TestLibraryRejectsWhatTheCliRejects:
+    """``run_level`` refuses a ``tol`` outside the one margin check
+    (``error_analysis.tol_error``, which ``RunConfig.validate`` reads too), a
+    grid of fewer than 2 cells or coarser than the rules' ``h_omega <= 1/2``,
+    and an unknown scheme (``TestStudyDriver``), as a :class:`SolverError`
+    naming the level.
+    ``tol=inf`` and ``tol=0`` used to run, ``tol=-1`` and ``nan`` failed the
+    certificate at every interpolation point, and the rest raised a bare
+    ``ValueError``."""
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
+    def test_tol_outside_the_margin_check(self, monkeypatch, scheme, tol):
+        monkeypatch.setattr(error_analysis, "discretize", None)  # refused before the level
+        with pytest.raises(SolverError) as err:
+            run_level(benchmark_problem(0.5, 1), scheme, 8, tol=tol)
+        assert str(err.value) == (f"{scheme} s=0.5 d=1 n=8: tol must be finite and positive, "
+                                  f"got {tol}")
+
+    @pytest.mark.parametrize("scheme,d,n,message", [
+        ("hfem", 1, 1, "need at least 2 cells per direction"),
+        ("hpfem", 2, 1, "need at least 2 cells per direction"),
+        ("hfem", 2, 2, "h_omega=0.7071067811865476 must lie in (0, 1/2]"),
+        ("hpfem", 2, 2, "h_omega=0.7071067811865476 must lie in (0, 1/2]"),
+    ], ids=["n1-d1", "n1-d2", "hfem-d2-n2", "hpfem-d2-n2"])
+    def test_level_that_cannot_be_built(self, scheme, d, n, message):
+        with pytest.raises(SolverError) as err:
+            run_level(benchmark_problem(0.5, d), scheme, n)
+        assert str(err.value) == f"{scheme} s=0.5 d={d} n={n}: {message}"
+        assert isinstance(err.value.__cause__, meshing.MeshError)
+
+    def test_one_margin_check_serves_both_paths(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(error_analysis, "tol_error", lambda tol: f"no margin {tol:g}")
+        with pytest.raises(SolverError, match=r"^hfem s=0\.5 d=1 n=8: no margin 1e-09$"):
+            run_level(benchmark_problem(0.5, 1), "hfem", 8)
+        assert cli.main(["solve", "--d", "1", "--n", "8", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "configuration error: no margin 1e-09\n"
+
+
 class TestParsevalDataProduct:
     """``energy_error`` forms ``int f * tr u_h`` as the load's sine
     coefficients against the trace's over ``d_s``. Within rounding that is
@@ -584,7 +623,7 @@ class TestStudyDriver:
         problem = benchmark_problem(0.6, 1)
         level = discretize(problem, "hpfem", 12)
         mesh = level.mesh
-        raised = YMesh(Y=mesh.Y, nodes=mesh.nodes, degrees=tuple(p + 1 for p in mesh.degrees))
+        raised = YMesh(nodes=mesh.nodes, degrees=tuple(p + 1 for p in mesh.degrees))
         raised_system = KroneckerSystem(
             level.system.omega, assemble_weighted_matrices(raised, alpha=problem.alpha)
         )
@@ -606,7 +645,7 @@ class TestStudyDriver:
 
     def test_run_level_rejects_unknown_scheme(self):
         problem = benchmark_problem(0.5, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError, match=r"^spectral s=0\.5 d=1 n=8: unknown scheme"):
             run_level(problem, "spectral", 8)
 
     @pytest.mark.parametrize("name", ["assemble_omega_matrices", "cylinder_rhs"])

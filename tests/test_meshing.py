@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdiff import meshing
-from fracdiff.fem1d import QuadratureError, YDofMap, assemble_weighted_matrices
+from fracdiff.fem1d import YDofMap, assemble_weighted_matrices
 from fracdiff.meshing import (
     MeshError,
+    YMesh,
     build_ymesh,
     geometric_mesh,
     graded_mesh,
@@ -24,6 +26,33 @@ mesh_sizes = st.integers(min_value=1, max_value=40)
 gradings = st.floats(min_value=0.1, max_value=1.0)
 ratios = st.floats(min_value=0.05, max_value=0.9)
 heights = st.floats(min_value=0.5, max_value=10.0)
+
+
+class TestYMeshHeight:
+    """A mesh's height is its last node; it stores none of its own."""
+
+    def test_no_stored_height(self):
+        assert [f.name for f in fields(YMesh)] == ["nodes", "degrees"]
+        with pytest.raises(TypeError):
+            YMesh(Y=2.0, nodes=(0.0, 1.0), degrees=(1,))
+
+    @pytest.mark.parametrize("mesh", [
+        graded_mesh(8, 0.4, 1.5), geometric_mesh(5, 0.125, 2.0), hp_mesh(6, 0.125, 2.0, 0.7),
+        YMesh(nodes=(0.0, 0.25, 3.0), degrees=(1, 2)),
+    ], ids=["graded", "geometric", "hp", "direct"])
+    def test_height_is_the_last_node(self, mesh):
+        assert mesh.Y is mesh.nodes[-1]
+
+    @pytest.mark.parametrize("scheme", ["hfem", "hpfem"])
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 64, math.sqrt(2) / 2048, 1 / 4096])
+    def test_builders_end_bitwise_at_the_rules_height(self, scheme, h):
+        rule = select_params_h if scheme == "hfem" else select_params_hp
+        params = rule(h, 0.3, math.pi**2)
+        assert build_ymesh(params).Y == params.Y
+
+    def test_mesh_must_start_at_zero(self):
+        with pytest.raises(ValueError, match="start at y_0 = 0"):
+            YMesh(nodes=(0.5, 1.0), degrees=(1,))
 
 
 class TestGradedMesh:
@@ -260,7 +289,7 @@ class TestStorageEstimate:
         assert 0.5 * kept <= need
         try:
             assert need <= _assembly_peak(params, 1.0 - 2.0 * s)
-        except QuadratureError:
+        except MeshError:
             # no weighted rule reaches degree 176 (hp s=0.2 h=1/1024 sigma=0.6
             # beta=2): the level fails before it holds its element matrices
             assert max(mesh.degrees) >= 176
